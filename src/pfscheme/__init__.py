@@ -4,6 +4,7 @@ Subpackage map:
     arith       small number-theory helpers (factorization, orders, divisors)
     perms       permutations, Schreier-Sims groups, orbitals
     scheme      association schemes, intersection tensors, WL closure
+    lattice     shared join-closure engine for subgroup and parabolic lattices
     gf          finite field arithmetic GF(p^e)
     frobenius   Frobenius group specs, invariant lattices, classification profile
     parabolic   parabolic (closed-subset) lattice, separability criteria

@@ -13,6 +13,7 @@ maps, each verified exhaustively before being reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,16 +172,25 @@ def is_base_triple(scheme: Scheme, e: Parabolic, mu: int, nu: int, rho: int) -> 
             and int(P[mu, rho]) not in e.relations)
 
 
+def _transversal(e: Parabolic) -> list[int]:
+    """Smallest point of each class of e, ascending."""
+    first = {}
+    for point, cls in enumerate(e.class_of):
+        first.setdefault(cls, point)
+    return sorted(first.values())
+
+
+def _relation_mask(scheme: Scheme, e: Parabolic) -> np.ndarray:
+    in_e = np.zeros(scheme.rank, dtype=bool)
+    in_e[list(e.relations)] = True
+    return in_e
+
+
 def base_triples(scheme: Scheme, e: Parabolic, transversal_only: bool = True):
     """All base triples, with mu restricted to a class transversal by default."""
     P = scheme.colors
-    in_e = np.zeros(scheme.rank, dtype=bool)
-    in_e[list(e.relations)] = True
-    classes = np.asarray(e.class_of)
-    if transversal_only:
-        mus = sorted({int(np.nonzero(classes == c)[0][0]) for c in set(e.class_of)})
-    else:
-        mus = range(scheme.n)
+    in_e = _relation_mask(scheme, e)
+    mus = _transversal(e) if transversal_only else range(scheme.n)
     for mu in mus:
         row = in_e[P[mu]]
         nus = np.nonzero(row)[0]
@@ -209,38 +219,79 @@ class CoordinateMap:
     y: np.ndarray
     pair_count: int
     bijective: bool
-    point_of: dict
+
+    @cached_property
+    def point_of(self) -> dict:
+        """(x, y) -> alpha; built on first use."""
+        return {pair: alpha for alpha, pair in enumerate(zip(self.x.tolist(), self.y.tolist()))}
 
     def pairs(self) -> list:
         return [(int(a), int(b)) for a, b in zip(self.x, self.y)]
 
 
-def base_coordinates(scheme: Scheme, e: Parabolic, triple: BaseTriple) -> CoordinateMap:
-    P, R = scheme.colors, scheme.rank
+def _pair_counts(scheme: Scheme, in_e: np.ndarray) -> np.ndarray:
+    """[s, r]: size of the pair set of a base triple with in-colour s and
+    out-colour r.
+
+    alpha's pair is (x, y) with x = r(mu, alpha), and y ranges over the
+    colours with c[x][y*][t] > 0, where t = r for x inside e and t = s
+    otherwise.  So the count is a sum of one term per in-colour and one
+    per out-colour, and one tensor pass per parabolic gives every key.
+    """
+    c = scheme.tensor().c
+    per_x = (c[:, np.asarray(scheme.star), :] > 0).sum(axis=1)     # [x, t]
+    return per_x[~in_e].sum(axis=0)[:, None] + per_x[in_e].sum(axis=0)[None, :]
+
+
+def _coordinate_map(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
+                    counts: np.ndarray, triple: BaseTriple) -> CoordinateMap:
+    P = scheme.colors
     mu, nu, rho = triple.mu, triple.nu, triple.rho
-    if not is_base_triple(scheme, e, mu, nu, rho):
-        raise SchemeError("not a base triple for the given parabolic")
     s_in = int(P[mu, nu])
     r_out = int(P[mu, rho])
-    in_e = np.zeros(R, dtype=bool)
-    in_e[list(e.relations)] = True
     x = P[mu].copy()
     y = np.where(in_e[x], P[rho], P[nu])
-    c = scheme.tensor().c
-    st = np.asarray(scheme.star)
-    targets = np.where(in_e, r_out, s_in)          # target color per x
-    counts = c[np.arange(R)[:, None], st[None, :], targets[:, None]]
-    pair_count = int((counts > 0).sum())
+    pair_count = int(counts[s_in, r_out])
     bijective = pair_count == scheme.n
-    point_of = {}
-    for alpha in range(scheme.n):
-        point_of[(int(x[alpha]), int(y[alpha]))] = alpha
-    if bijective and len(point_of) != scheme.n:
+    if bijective and len(np.unique(x * scheme.rank + y)) != scheme.n:
         raise AssertionError("pair-set count says bijective but coordinates collide")
     return CoordinateMap(triple=triple, e_relations=e.relations,
                          in_color=s_in, out_color=r_out, x=x, y=y,
-                         pair_count=pair_count, bijective=bijective,
-                         point_of=point_of)
+                         pair_count=pair_count, bijective=bijective)
+
+
+def base_coordinates(scheme: Scheme, e: Parabolic, triple: BaseTriple) -> CoordinateMap:
+    if not is_base_triple(scheme, e, triple.mu, triple.nu, triple.rho):
+        raise SchemeError("not a base triple for the given parabolic")
+    in_e = _relation_mask(scheme, e)
+    return _coordinate_map(scheme, e, in_e, _pair_counts(scheme, in_e), triple)
+
+
+def base_triple_counts(scheme: Scheme, e: Parabolic):
+    """Pair counts of all transversal base triples, one mu at a time.
+
+    Yields (mu, nus, rhos, counts) in the order of `base_triples`:
+    counts[i, j] is the pair count of (mu, nus[i], rhos[j]), and that
+    triple's coordinate map is bijective exactly when it equals n.
+    Raises AssertionError when a triple counted bijective has colliding
+    coordinates.
+    """
+    P, n = scheme.colors, scheme.n
+    in_e = _relation_mask(scheme, e)
+    table = _pair_counts(scheme, in_e)
+    for mu in _transversal(e):
+        x = P[mu]
+        inside = in_e[x]
+        nus = np.flatnonzero(inside)
+        nus = nus[nus != mu]
+        rhos = np.flatnonzero(~inside)
+        counts = table[x[nus][:, None], x[rhos][None, :]]
+        for i, nu in enumerate(nus):
+            codes = np.sort(x * scheme.rank + np.where(inside, P[rhos], P[nu]), axis=1)
+            collide = (codes[:, 1:] == codes[:, :-1]).any(axis=1)
+            if (collide & (counts[i] == n)).any():
+                raise AssertionError("pair-set count says bijective but coordinates collide")
+        yield mu, nus, rhos, counts
 
 
 # -- induced point maps ------------------------------------------------------
@@ -285,11 +336,12 @@ class InducedIsomorphism:
                 "g": list(self.g)}
 
 
-def _first_valid_triple(scheme: Scheme, e: Parabolic):
+def _first_valid_triple(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
+                        counts: np.ndarray):
+    P = scheme.colors
     for triple in base_triples(scheme, e, transversal_only=True):
-        f = base_coordinates(scheme, e, triple)
-        if f.bijective:
-            return triple, f
+        if counts[P[triple.mu, triple.nu], P[triple.mu, triple.rho]] == scheme.n:
+            return triple, _coordinate_map(scheme, e, in_e, counts, triple)
     return None, None
 
 
@@ -310,22 +362,25 @@ def induced_isomorphism(source: Scheme, target: Scheme, psi: RelationBijection,
             raise SchemeError("induced-map search needs a nontrivial parabolic")
         e = nontrivial[0]
     e2 = psi.image_parabolic(e)
-    tau, f1 = _first_valid_triple(source, e)
+    in_e = _relation_mask(source, e)
+    tau, f1 = _first_valid_triple(source, e, in_e, _pair_counts(source, in_e))
     if tau is None:
         raise SchemeError("no bijective base triple exists for the parabolic")
+    in_e2 = _relation_mask(target, e2)
+    counts2 = _pair_counts(target, in_e2)
     P1, P2 = source.colors, target.colors
     t_color = int(P1[tau.nu, tau.rho])
     s2, r2, t2 = psi[f1.in_color], psi[f1.out_color], psi[t_color]
     mus = range(target.n) if mu_candidates is None else mu_candidates
+    # psi preserves the tensor, so every tau' has tau's pair count n:
+    # its coordinate map is bijective.
     for mu2 in mus:
         nus = np.nonzero(P2[mu2] == s2)[0]
         for nu2 in nus:
             rhos = np.nonzero((P2[mu2] == r2) & (P2[nu2] == t2))[0]
             for rho2 in rhos:
                 tau2 = BaseTriple(int(mu2), int(nu2), int(rho2))
-                f2 = base_coordinates(target, e2, tau2)
-                if not f2.bijective:
-                    continue
+                f2 = _coordinate_map(target, e2, in_e2, counts2, tau2)
                 g = induced_point_map(psi, f1, f2)
                 if g is None:
                     continue
@@ -422,22 +477,23 @@ def schurity_via_base_triples(scheme: Scheme,
             raise SchemeError("schurity construction needs a nontrivial parabolic")
         e = nontrivial[0]
     identity = RelationBijection(scheme, scheme, tuple(range(scheme.rank)))
-    tau, f1 = _first_valid_triple(scheme, e)
+    in_e = _relation_mask(scheme, e)
+    counts = _pair_counts(scheme, in_e)
+    tau, f1 = _first_valid_triple(scheme, e, in_e, counts)
     if tau is None:
         raise SchemeError("no bijective base triple exists for the parabolic")
     P = scheme.colors
     t_color = int(P[tau.nu, tau.rho])
     seen = set()
     autos = []
+    # every tau' carries tau's colours, hence its pair count n: bijective
     for mu2 in range(scheme.n):
         nus = np.nonzero(P[mu2] == f1.in_color)[0]
         for nu2 in nus:
             rhos = np.nonzero((P[mu2] == f1.out_color) & (P[nu2] == t_color))[0]
             for rho2 in rhos:
                 tau2 = BaseTriple(int(mu2), int(nu2), int(rho2))
-                f2 = base_coordinates(scheme, e, tau2)
-                if not f2.bijective:
-                    continue
+                f2 = _coordinate_map(scheme, e, in_e, counts, tau2)
                 g = induced_point_map(identity, f1, f2)
                 if g is None or not verify_induced(scheme, scheme, identity, g):
                     continue

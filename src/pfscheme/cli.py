@@ -238,11 +238,10 @@ def cmd_check_parabolics(args) -> int:
 
 def cmd_check_separability(args) -> int:
     if args.spec:
-        spec = FrobeniusSpec.from_json_dict(_load_json(args.spec))
         try:
-            verdict = separability_verdict(spec)
-        except FrobeniusError as exc:
-            return _fail(str(exc))
+            verdict = separability_verdict(FrobeniusSpec.from_json_dict(_load_json(args.spec)))
+        except ValueError as exc:          # FrobeniusError, or a primitive spec
+            return _fail("%s: %s" % (args.spec, exc))
     else:
         if not args.scheme:
             return _fail("provide --scheme FILE or --spec FILE")
@@ -357,8 +356,10 @@ def cmd_classify_wl(args) -> int:
 
 def cmd_verify(args) -> int:
     results = run_all(threads=args.threads)
+    # In json mode stdout carries the document alone; the lines go to stderr.
+    lines = sys.stdout if args.format == "text" else sys.stderr
     for r in results:
-        print(r.line())
+        print(r.line(), file=lines)
     payload = {"criteria": [r.to_json_dict() for r in results],
                "all_passed": all(r.passed for r in results)}
     if args.format == "json":

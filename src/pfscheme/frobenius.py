@@ -17,7 +17,8 @@ from math import gcd
 
 import numpy as np
 
-from .arith import big_omega, divisors, factorize, is_prime, mult_order, prime_divisors, prime_power
+from .arith import divisors, is_prime, prime_divisors, prime_power
+from .lattice import bits_of, covers, indices_of, join_closure
 from .perms import PermGroup, Permutation
 
 
@@ -399,7 +400,7 @@ class InvariantLattice:
     """Complement-invariant subgroups of the kernel, ordered by inclusion."""
 
     spec: FrobeniusSpec
-    subgroups: list[Subgroup]          # sorted by (order, min new element)
+    subgroups: list[Subgroup]          # sorted by (order, sorted elements)
     inclusion: np.ndarray              # strict inclusion, bool matrix
     d: int                             # common length of maximal chains
     pi: tuple[int, ...]                # prime divisors of |H|
@@ -414,62 +415,57 @@ class InvariantLattice:
         return len(self.subgroups) - 1
 
     def covers(self) -> np.ndarray:
-        M = self.inclusion
-        two_step = (M.astype(np.int64) @ M.astype(np.int64)) > 0
-        return M & ~two_step
+        return covers(self.inclusion)
 
     def nontrivial(self) -> list[int]:
         return [i for i, s in enumerate(self.subgroups)
                 if 1 < s.order < self.subgroups[self.top].order]
 
     def maximal_chain(self) -> list[int]:
-        """Deterministic maximal chain bottom..top (smallest cover first)."""
+        """Deterministic maximal chain bottom..top (smallest cover first).
+
+        Subgroups are sorted by (order, sorted elements), so the smallest
+        cover is the one with the lowest index.
+        """
         cov = self.covers()
         chain = [self.bottom]
         while chain[-1] != self.top:
-            ups = np.nonzero(cov[chain[-1]])[0]
-            nxt = min(ups, key=lambda i: (self.subgroups[i].order,
-                                          sorted(self.subgroups[i].elements)))
-            chain.append(int(nxt))
+            chain.append(int(np.flatnonzero(cov[chain[-1]])[0]))
         return chain
+
+
+# Sums per vectorized step of a join: bounds its temporaries to a few MB.
+_SUMSET_CHUNK = 1 << 16
 
 
 def invariant_lattice(spec: FrobeniusSpec) -> InvariantLattice:
     """All complement-invariant subgroups of the kernel.
 
-    Cyclic kernels (pairwise coprime cyclic factors) use the divisor
-    lattice directly; otherwise minimal invariant subgroups are generated
-    from complement-orbit closures and saturated under join.
+    Cyclic kernels (pairwise coprime cyclic factors) seed the join closure
+    with the whole divisor lattice; otherwise the seeds are the subgroups
+    generated by single complement orbits (`_principal_subgroups`).  The
+    kernel is abelian, so the join of two invariant subgroups is their sum
+    set.
     """
     spec.validate()
     n = spec.kernel_order
-    if _is_cyclic(spec):
-        groups = _cyclic_subgroups(spec)
-    else:
-        groups = _general_subgroups(spec)
-    groups.sort(key=lambda s: (len(s), sorted(s)))
-    subs = [Subgroup(len(s), s) for s in groups]
-    m = len(subs)
-    incl = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            if i != j and subs[i].order < subs[j].order and subs[i].elements <= subs[j].elements:
-                incl[i, j] = True
-    # longest and shortest maximal chain lengths by DP in order of size
-    longest = np.zeros(m, dtype=np.int64)
-    shortest = np.zeros(m, dtype=np.int64)
-    cov = incl & ~((incl.astype(np.int64) @ incl.astype(np.int64)) > 0)
-    order_idx = sorted(range(m), key=lambda i: subs[i].order)
-    for i in order_idx:
-        preds = np.nonzero(cov[:, i])[0]
-        if len(preds):
-            longest[i] = max(longest[p] for p in preds) + 1
-            shortest[i] = min(shortest[p] for p in preds) + 1
-    top = order_idx[-1]
-    d = int(longest[top])
-    equal = bool(longest[top] == shortest[top])
-    return InvariantLattice(spec=spec, subgroups=subs, inclusion=incl, d=d,
-                            pi=prime_divisors(n), chain_lengths_equal=equal)
+    vadd = _vector_adder(spec)
+
+    def join(a: int, b: int) -> tuple[int, int]:
+        A, B = indices_of(a), indices_of(b)
+        seen = np.zeros(n, dtype=bool)
+        step = max(1, _SUMSET_CHUNK // len(B))
+        for i in range(0, len(A), step):
+            seen[vadd(A[i:i + step, None], B[None, :])] = True
+        return bits_of(seen), int(seen.sum())
+
+    seeds = _cyclic_subgroups(spec) if _is_cyclic(spec) else _principal_subgroups(spec, vadd)
+    lat = join_closure(seeds, ((1 << n) - 1, n), join)
+    subs = [Subgroup(size, frozenset(indices_of(bits).tolist()))
+            for bits, size in zip(lat.members, lat.sizes)]
+    return InvariantLattice(spec=spec, subgroups=subs, inclusion=lat.inclusion,
+                            d=lat.longest, pi=prime_divisors(n),
+                            chain_lengths_equal=lat.longest == lat.shortest)
 
 
 def _is_cyclic(spec: FrobeniusSpec) -> bool:
@@ -488,43 +484,48 @@ def _is_cyclic(spec: FrobeniusSpec) -> bool:
     return True
 
 
-def _cyclic_subgroups(spec: FrobeniusSpec) -> list[frozenset]:
-    """Divisor lattice: every subgroup of a cyclic group is invariant."""
+def _element_orders(spec: FrobeniusSpec) -> np.ndarray:
+    """Additive order of every element, by index."""
+    idx = np.arange(spec.kernel_order, dtype=np.int64)
+    orders = np.ones_like(idx)
+    for f, st in zip(spec.kernel_factors, _strides(spec)):
+        digit = (idx // st) % f.size
+        if isinstance(f, CyclicFactor):
+            part = f.modulus // np.gcd(digit, f.modulus)
+        else:
+            part = np.where(digit > 0, f.p, 1)
+        orders = np.lcm(orders, part)
+    return orders
+
+
+def _cyclic_subgroups(spec: FrobeniusSpec) -> list[tuple[int, int]]:
+    """Divisor lattice as (bitset, order): every subgroup of a cyclic group
+    is invariant, and the subgroup of order D holds the elements whose
+    order divides D."""
+    orders = _element_orders(spec)
+    return [(bits_of(D % orders == 0), D) for D in divisors(spec.kernel_order)]
+
+
+def _principal_subgroups(spec: FrobeniusSpec, vadd) -> list[tuple[int, int]]:
+    """The trivial subgroup and every proper subgroup generated by the
+    complement orbit of one element of prime power order, as (bitset, order).
+
+    These generate the lattice under join: an invariant subgroup is the
+    sum of its Sylow parts, each invariant and spanned by the orbits of
+    its own elements, all of prime power order.
+    """
     n = spec.kernel_order
-    elements = spec.elements()
-    orders = []
-    for h in elements:
-        o = 1
-        for f, v in zip(spec.kernel_factors, h):
-            if isinstance(f, CyclicFactor):
-                m = f.modulus
-                o_part = m // gcd(v, m)
-            else:
-                o_part = f.p if any(v) else 1
-            o = o * o_part // gcd(o, o_part)
-        orders.append(o)
-    return [frozenset(i for i, o in enumerate(orders) if D % o == 0)
-            for D in divisors(n)]
+    half = n // 2
+    kappa = _complement_action(spec)
+    orders = _element_orders(spec)
+    primary = np.isin(orders, [o for o in np.unique(orders).tolist() if prime_power(o)])
 
-
-def _general_subgroups(spec: FrobeniusSpec) -> list[frozenset]:
-    n = spec.kernel_order
-    elements = spec.elements()
-    index = {h: i for i, h in enumerate(elements)}
-    complement = spec.complement_elements()
-    vadd = _vector_adder(spec)
-    kappa_idx = [[index[spec.apply(kappa, h)] for h in elements] for kappa in complement]
-
-    def orbit(i: int) -> list[int]:
-        return sorted({km[i] for km in kappa_idx})
-
-    def close(gen_indices, cap=None) -> frozenset:
+    def close(gens: np.ndarray) -> np.ndarray | None:
         """Additive closure of a complement-invariant generating set.
 
-        A proper subgroup has order at most n/2, so exceeding the cap
-        proves the closure is the whole kernel.
+        A proper subgroup has order at most n/2, so exceeding that proves
+        the closure is the whole kernel (returned as None).
         """
-        gens = np.unique(np.asarray(list(gen_indices), dtype=np.int64))
         seen = np.zeros(n, dtype=bool)
         seen[0] = True
         seen[gens] = True
@@ -532,63 +533,33 @@ def _general_subgroups(spec: FrobeniusSpec) -> list[frozenset]:
         while frontier.size:
             nxt = np.unique(vadd(frontier[:, None], gens[None, :]))
             nxt = nxt[~seen[nxt]]
-            if nxt.size == 0:
-                break
             seen[nxt] = True
-            if cap is not None and int(seen.sum()) > cap:
-                return frozenset(range(n))
+            if int(seen.sum()) > half:
+                return None
             frontier = nxt
-        return frozenset(np.flatnonzero(seen).tolist())
+        return seen
 
-    half = n // 2
-    minimal: dict[frozenset, list[int]] = {}
-    covered = [False] * n
+    out = [(1, 1)]
+    done = ~primary                # elements whose orbit needs no closure
     for i in range(1, n):
-        if covered[i]:
+        if done[i]:
             continue
-        orb = orbit(i)
-        for j in orb:
-            covered[j] = True
-        sub = close(orb, cap=half)
-        if sub not in minimal:
-            minimal[sub] = orb
-    found: dict[frozenset, list[int]] = {frozenset([0]): [], frozenset(range(n)): [0]}
-    for s, gens in minimal.items():
-        found.setdefault(s, gens)
-    divs = divisors(n)
-    full = frozenset(range(n))
+        orbit = np.unique(kappa[:, i])
+        done[orbit] = True
+        sub = close(orbit)
+        if sub is not None:
+            out.append((bits_of(sub), int(sub.sum())))
+    return out
 
-    def join(sub, other, gens, ogens) -> frozenset:
-        """Join of two incomparable members, avoiding the generic closure
-        when the order arithmetic already pins the answer down.
 
-        The join's order divides n, is a common multiple of both orders,
-        and strictly exceeds each of them.  If the smallest feasible order
-        exceeds n/2 the join is the whole kernel; if a known subgroup of
-        exactly that order contains the union it is the join (uniqueness:
-        two distinct candidates would intersect in a smaller one).
-        """
-        la, lb = len(sub), len(other)
-        l = la * lb // gcd(la, lb)
-        floor = min(d for d in divs if d % l == 0 and d > max(la, lb))
-        if floor > half:
-            return full
-        for s in found:
-            if len(s) == floor and sub <= s and other <= s:
-                return s
-        return close(gens + ogens, cap=half)
-
-    work = list(minimal.items())
-    while work:
-        sub, gens = work.pop(0)
-        for other, ogens in list(found.items()):
-            if other <= sub or sub <= other:
-                continue
-            joined = join(sub, other, gens, ogens)
-            if joined not in found:
-                found[joined] = sorted(set(gens + ogens))
-                work.append((joined, found[joined]))
-    return list(found)
+def _strides(spec: FrobeniusSpec) -> list[int]:
+    """Place value of each factor's digit in an element index."""
+    out = []
+    stride = 1
+    for f in spec.kernel_factors:
+        out.append(stride)
+        stride *= f.size
+    return out
 
 
 def _vector_adder(spec: FrobeniusSpec):
@@ -599,11 +570,7 @@ def _vector_adder(spec: FrobeniusSpec):
     the digit is itself little-endian base p.  Addition is digitwise, so
     it vectorizes as masked modular arithmetic on index arrays.
     """
-    strides = []
-    stride = 1
-    for f in spec.kernel_factors:
-        strides.append(stride)
-        stride *= f.size
+    strides = _strides(spec)
 
     def add(xs, ys):
         xs = np.asarray(xs, dtype=np.int64)
@@ -622,6 +589,25 @@ def _vector_adder(spec: FrobeniusSpec):
         return out
 
     return add
+
+
+def _complement_action(spec: FrobeniusSpec) -> np.ndarray:
+    """(k, n) table: row c sends each element index to its image under the
+    c-th complement element, on the digits `_vector_adder` uses."""
+    idx = np.arange(spec.kernel_order, dtype=np.int64)
+    rows = []
+    for kappa in spec.complement_elements():
+        out = np.zeros_like(idx)
+        for f, st, a in zip(spec.kernel_factors, _strides(spec), kappa):
+            digit = (idx // st) % f.size
+            if isinstance(f, CyclicFactor):
+                out += (digit * a % f.modulus) * st
+            else:
+                weights = f.p ** np.arange(f.dim, dtype=np.int64)
+                v = (digit[:, None] // weights) % f.p
+                out += ((v @ np.asarray(a, dtype=np.int64)) % f.p @ weights) * st
+        rows.append(out)
+    return np.stack(rows)
 
 
 # -- principal sections -------------------------------------------------
@@ -655,44 +641,25 @@ def principal_sections(spec: FrobeniusSpec,
     """
     if lattice is None:
         lattice = invariant_lattice(spec)
-    elements = spec.elements()
-    index = {h: i for i, h in enumerate(elements)}
-    complement = spec.complement_elements()
-    kappa_idx = [[index[spec.apply(kappa, h)] for h in elements] for kappa in complement]
+    vadd = _vector_adder(spec)
+    kappa = _complement_action(spec)
     chain = lattice.maximal_chain()
     out = []
     for lo_i, hi_i in zip(chain, chain[1:]):
-        lo = sorted(lattice.subgroups[lo_i].elements)
+        lo = np.asarray(sorted(lattice.subgroups[lo_i].elements), dtype=np.int64)
         hi = sorted(lattice.subgroups[hi_i].elements)
         degree = len(hi) // len(lo)
-        rep = {}
-        reps = []
+        # rep[h]: smallest element of the coset h + lo.  Scanning hi in
+        # ascending order, the first element of each coset is its minimum.
+        rep = np.full(spec.kernel_order, -1, dtype=np.int64)
         for h in hi:
-            if h in rep:
-                continue
-            coset = sorted(index[spec.add(elements[h], elements[l])] for l in lo)
-            r = coset[0]
-            for c in coset:
-                rep[c] = r
-            reps.append(r)
-        zero_rep = rep[0]
-        seen = set()
-        orbits = 0
-        for r in reps:
-            if r == zero_rep or r in seen:
-                continue
-            orbits += 1
-            frontier = [r]
-            seen.add(r)
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for km in kappa_idx:
-                        y = rep[km[x]]
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
+            if rep[h] < 0:
+                rep[vadd(h, lo)] = h
+        reps = np.unique(rep[hi])
+        # The complement elements form a group, so the least image of a
+        # coset under all of them names its orbit; the zero coset is an
+        # orbit of its own.
+        orbits = len(np.unique(rep[kappa[:, reps]].min(axis=0))) - 1
         pp = prime_power(degree)
         if pp is None:
             raise FrobeniusError("principal section of degree %d is not a prime power" % degree)
@@ -730,14 +697,32 @@ class ClassificationProfile:
         }
 
 
+def d3_cases(n: int, k: int, sections=None) -> tuple[str, ...]:
+    """The d = 3 parameter cases that admit proper schemes.
+
+    "one-prime-cube": |H| = (k+1)^3 with every section two-transitive of
+    degree k+1.  "two-prime-double": |H| = (k+1)^2 (2k+1) with k+1 and
+    2k+1 prime powers, sections of degrees k+1, k+1 (two-transitive) and
+    2k+1 (rank 3).  Either shape fixes the number of primes of |H|.
+    Without `sections` only the arithmetic is checked.
+    """
+    cases = []
+    if n == (k + 1) ** 3 and prime_power(k + 1):
+        if sections is None or all(s.degree == k + 1 and s.rank == 2 for s in sections):
+            cases.append("one-prime-cube")
+    if n == (k + 1) ** 2 * (2 * k + 1) and prime_power(k + 1) and prime_power(2 * k + 1):
+        if sections is None or (
+                sorted(s.degree for s in sections) == [k + 1, k + 1, 2 * k + 1]
+                and all((s.degree == k + 1 and s.rank == 2)
+                        or (s.degree == 2 * k + 1 and s.rank == 3) for s in sections)):
+            cases.append("two-prime-double")
+    return tuple(cases)
+
+
 def thm2_profile(spec: FrobeniusSpec,
                  lattice: InvariantLattice | None = None) -> ClassificationProfile:
-    """(|pi|, d) table membership plus the d = 3 parameter cases.
-
-    d = 3 admits proper schemes only when |H| = (k+1)^3 with every section
-    two-transitive of degree k+1 (one prime), or |H| = (k+1)^2 (2k+1) with
-    k+1 and 2k+1 prime powers and one rank-3 section of degree 2k+1 (two
-    primes).  Anything else in the table stays "open" only for d = 2.
+    """(|pi|, d) table membership plus the d = 3 parameter cases
+    (`d3_cases`).  Anything else in the table stays "open" only for d = 2.
     """
     if lattice is None:
         lattice = invariant_lattice(spec)
@@ -754,17 +739,7 @@ def thm2_profile(spec: FrobeniusSpec,
     degrees = tuple(s.degree for s in sections)
     ranks = tuple(s.rank for s in sections)
     in_table = len(pi) in (1, 2) and d in (2, 3)
-    cases: list[str] = []
-    if d == 3 and in_table:
-        if (len(pi) == 1 and n == (k + 1) ** 3 and prime_power(k + 1)
-                and all(s.degree == k + 1 and s.rank == 2 for s in sections)):
-            cases.append("one-prime-cube")
-        if (len(pi) == 2 and n == (k + 1) ** 2 * (2 * k + 1)
-                and prime_power(k + 1) and prime_power(2 * k + 1)
-                and sorted(degrees) == sorted([k + 1, k + 1, 2 * k + 1])
-                and all((s.degree == k + 1 and s.rank == 2)
-                        or (s.degree == 2 * k + 1 and s.rank == 3) for s in sections)):
-            cases.append("two-prime-double")
+    cases = d3_cases(n, k, sections) if d == 3 else ()
     if not in_table:
         verdict = "excluded"
     elif d == 3 and not cases:
@@ -774,4 +749,4 @@ def thm2_profile(spec: FrobeniusSpec,
     return ClassificationProfile(
         n=n, k=k, pi=pi, d=d, primitive=False, in_table=in_table,
         section_degrees=degrees, section_ranks=ranks,
-        d3_cases=tuple(cases), verdict=verdict)
+        d3_cases=cases, verdict=verdict)

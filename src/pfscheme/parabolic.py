@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import prime_divisors, prime_power
-from .frobenius import FrobeniusSpec, InvariantLattice, invariant_lattice
+from .arith import prime_divisors
+from .frobenius import FrobeniusSpec, d3_cases, invariant_lattice, principal_sections
+from .lattice import JoinLattice, indices_of, join_closure
 from .scheme import Scheme, SchemeError
 
 
@@ -44,26 +45,33 @@ class Parabolic:
 
 
 def _components(scheme: Scheme, rels) -> np.ndarray:
-    """Connected components of the union of the given relations (with stars)."""
-    n = scheme.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """Connected components of the union of the given relations (with stars),
+    each point labelled by the smallest point of its component."""
     mask = np.zeros(scheme.rank, dtype=bool)
     for s in rels:
         mask[s] = True
         mask[scheme.star[s]] = True
-    rows, cols = np.nonzero(mask[scheme.colors])
-    for a, b in zip(rows.tolist(), cols.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return np.asarray([find(x) for x in range(n)], dtype=np.int64)
+    adj = mask[scheme.colors]
+    np.fill_diagonal(adj, True)
+    rows, cols = np.nonzero(adj)                     # row-major: rows ascend
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    label = np.arange(scheme.n, dtype=np.int64)
+    while True:
+        # Every label is a point of the same component, at most the point
+        # itself.  Each point and the root its label names take the least
+        # label around the point, then labels jump to their roots; a pass
+        # that changes nothing leaves each component on its smallest point.
+        least = np.minimum.reduceat(label[cols], starts)
+        nxt = np.minimum(label, least)
+        np.minimum.at(nxt, label, least)
+        while True:
+            jumped = nxt[nxt]
+            if np.array_equal(jumped, nxt):
+                break
+            nxt = jumped
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
 
 
 def parabolic_closure(scheme: Scheme, rels) -> Parabolic:
@@ -71,12 +79,13 @@ def parabolic_closure(scheme: Scheme, rels) -> Parabolic:
     comp = _components(scheme, set(rels) | {0})
     P = scheme.colors
     inside = comp[:, None] == comp[None, :]
-    rel_set = frozenset(int(c) for c in np.unique(P[inside]))
+    within = np.bincount(P[inside], minlength=scheme.rank) > 0
     # a scheme relation never straddles classes; verify defensively
-    outside_rels = set(int(c) for c in np.unique(P[~inside])) if not inside.all() else set()
-    if rel_set & outside_rels:
+    straddle = np.flatnonzero(within & (np.bincount(P[~inside], minlength=scheme.rank) > 0))
+    if len(straddle):
         raise SchemeError("relation %d lies both inside and across classes"
-                          % min(rel_set & outside_rels))
+                          % straddle[0])
+    rel_set = frozenset(np.flatnonzero(within).tolist())
     sizes = np.bincount(comp)
     sizes = sizes[sizes > 0]
     if len(set(sizes.tolist())) != 1:
@@ -86,30 +95,28 @@ def parabolic_closure(scheme: Scheme, rels) -> Parabolic:
 
 
 def enumerate_parabolics(scheme: Scheme) -> list[Parabolic]:
-    """The full parabolic lattice: minimal closures saturated under join.
+    """The full parabolic lattice: single-relation closures saturated under join.
 
     Returned sorted by (n_e, relation list); includes the trivial and full
     parabolics.
     """
-    found: dict[tuple, Parabolic] = {}
-    trivial = parabolic_closure(scheme, set())
-    found[trivial.key()] = trivial
-    for s in range(1, scheme.rank):
-        e = parabolic_closure(scheme, {s})
-        found.setdefault(e.key(), e)
-    work = [e for e in found.values()]
-    while work:
-        e = work.pop(0)
-        for other in list(found.values()):
-            r1, r2 = e.relations, other.relations
-            if r1 <= r2 or r2 <= r1:
-                continue
-            j = parabolic_closure(scheme, r1 | r2)
-            if j.key() not in found:
-                found[j.key()] = j
-                work.append(j)
-    out = sorted(found.values(), key=lambda e: (e.n_e, e.key()))
-    return out
+    return _parabolic_lattice(scheme)[0]
+
+
+def _parabolic_lattice(scheme: Scheme) -> tuple[list[Parabolic], JoinLattice]:
+    """Parabolics with their join lattice (bit s of a member is relation s)."""
+    found: dict[int, Parabolic] = {}
+
+    def member(rels) -> tuple[int, int]:
+        e = parabolic_closure(scheme, rels)
+        bits = sum(1 << s for s in e.relations)
+        found[bits] = e
+        return bits, e.n_e
+
+    seeds = [member(())] + [member({s}) for s in range(1, scheme.rank)]
+    lattice = join_closure(seeds, member(range(scheme.rank)),
+                           lambda a, b: member(indices_of(a | b).tolist()))
+    return [found[bits] for bits in lattice.members], lattice
 
 
 def exhaustive_parabolics(scheme: Scheme) -> list[Parabolic]:
@@ -229,49 +236,29 @@ def _verdict_from_chains(n: int, k: int, sizes: list[int], incl: np.ndarray,
         return SeparabilityVerdict(True, n, k, reason="bound",
                                    witness=(n, 3 * k * (k - 1) ** 2),
                                    pi_count=pi_count, d=d, cases=cases)
-    m = len(sizes)
-    order = sorted(range(m), key=lambda i: sizes[i])
-    for i in order:
-        for j in order:
-            if not incl[i, j]:
-                continue
-            for l in order:
-                if incl[j, l]:
-                    return SeparabilityVerdict(
-                        True, n, k, reason="long-chain",
-                        witness=(1, sizes[i], sizes[j], sizes[l], n),
-                        pi_count=pi_count, d=d, cases=cases)
-    for i in order:
-        for j in order:
-            if not incl[i, j]:
-                continue
-            mset = tuple(sorted((sizes[i] - 1, sizes[j] // sizes[i] - 1,
-                                 n // sizes[j] - 1)))
+    # Scan pairs and triples in size order, first hit wins.
+    order = sorted(range(len(sizes)), key=lambda i: sizes[i])
+    s = [sizes[i] for i in order]
+    below = np.asarray(incl, dtype=bool)[np.ix_(order, order)]
+    has_above = below.any(axis=1)
+    for a, row in enumerate(below):
+        mids = np.flatnonzero(row & has_above)
+        if len(mids):
+            b = int(mids[0])
+            c = int(np.flatnonzero(below[b])[0])
+            return SeparabilityVerdict(
+                True, n, k, reason="long-chain",
+                witness=(1, s[a], s[b], s[c], n),
+                pi_count=pi_count, d=d, cases=cases)
+    for a, row in enumerate(below):
+        for b in np.flatnonzero(row).tolist():
+            mset = tuple(sorted((s[a] - 1, s[b] // s[a] - 1, n // s[b] - 1)))
             if mset != (k, k, k) and mset != tuple(sorted((k, k, 2 * k))):
                 return SeparabilityVerdict(
                     True, n, k, reason="multiset",
-                    witness=(sizes[i], sizes[j]) + mset,
+                    witness=(s[a], s[b]) + mset,
                     pi_count=pi_count, d=d, cases=cases)
     return SeparabilityVerdict(False, n, k, pi_count=pi_count, d=d, cases=cases)
-
-
-def _d3_cases(n: int, k: int, sections) -> tuple[str, ...]:
-    cases = []
-    if sections is not None:
-        degrees = [s.degree for s in sections]
-        ranks = [s.rank for s in sections]
-    else:
-        degrees = ranks = None
-    if n == (k + 1) ** 3 and prime_power(k + 1):
-        if degrees is None or all(dg == k + 1 and rk == 2 for dg, rk in zip(degrees, ranks)):
-            cases.append("one-prime-cube")
-    if (n == (k + 1) ** 2 * (2 * k + 1) and prime_power(k + 1) and prime_power(2 * k + 1)):
-        if degrees is None or (
-                sorted(degrees) == sorted([k + 1, k + 1, 2 * k + 1])
-                and all((dg == k + 1 and rk == 2) or (dg == 2 * k + 1 and rk == 3)
-                        for dg, rk in zip(degrees, ranks))):
-            cases.append("two-prime-double")
-    return tuple(cases)
 
 
 def separability_verdict(subject, k: int | None = None) -> SeparabilityVerdict:
@@ -293,10 +280,7 @@ def separability_verdict(subject, k: int | None = None) -> SeparabilityVerdict:
         sizes = [lattice.subgroups[i].order for i in nt]
         incl = lattice.inclusion[np.ix_(nt, nt)]
         d = lattice.d
-        cases = ()
-        if d == 3:
-            from .frobenius import principal_sections
-            cases = _d3_cases(n, kk, principal_sections(subject, lattice))
+        cases = d3_cases(n, kk, principal_sections(subject, lattice)) if d == 3 else ()
         return _verdict_from_chains(n, kk, sizes, incl, d, cases)
     scheme: Scheme = subject
     kk = scheme.is_equivalenced() if k is None else k
@@ -305,21 +289,10 @@ def separability_verdict(subject, k: int | None = None) -> SeparabilityVerdict:
     if kk == scheme.n - 1:
         return _verdict_from_chains(scheme.n, kk, [],
                                     np.zeros((0, 0), dtype=bool), 1, ())
-    paras = enumerate_parabolics(scheme)
+    paras, lattice = _parabolic_lattice(scheme)
     if len(paras) <= 2:
         raise SchemeError("primitive scheme: separability criteria need a parabolic")
-    nt = [e for e in paras if not e.is_trivial() and not e.is_full()]
-    sizes = [e.n_e for e in nt]
-    m = len(nt)
-    incl = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            if i != j and nt[i].relations < nt[j].relations:
-                incl[i, j] = True
-    longest = {i: 0 for i in range(m)}
-    for i in sorted(range(m), key=lambda i: sizes[i]):
-        preds = [j for j in range(m) if incl[j, i]]
-        longest[i] = 1 + max((longest[j] for j in preds), default=0)
-    d = 1 + (max(longest.values()) if m else 0)
-    cases = _d3_cases(scheme.n, kk, None) if d == 3 else ()
-    return _verdict_from_chains(scheme.n, kk, sizes, incl, d, cases)
+    d = lattice.longest
+    cases = d3_cases(scheme.n, kk) if d == 3 else ()
+    return _verdict_from_chains(scheme.n, kk, lattice.sizes[1:-1],
+                                lattice.inclusion[1:-1, 1:-1], d, cases)

@@ -171,3 +171,36 @@ def test_schurity_complete_scheme_shortcut():
     assert res.schurian
     assert res.group_order == 24
     assert res.orbital_scheme_equal
+
+
+def test_batched_pair_counts_match_per_triple_coordinates():
+    from pfscheme.algiso import base_triple_counts
+    from pfscheme.circulants import circulant_from_connection, color_matrix
+    from pfscheme.scheme import wl_closure
+
+    # the dihedral closure of C_12 has non-bijective base triples as well
+    c12 = wl_closure(color_matrix(circulant_from_connection(12, (1, 11))))
+    for s in (z9(), spread_scheme(desarguesian_spread(3)), c12):
+        seen_bad = False
+        for e in enumerate_parabolics(s):
+            if e.is_trivial() or e.is_full():
+                continue
+            batched = []
+            for mu, nus, rhos, counts in base_triple_counts(s, e):
+                assert counts.shape == (len(nus), len(rhos))
+                batched += [(mu, int(nu), int(rho), int(counts[i, j]))
+                            for i, nu in enumerate(nus) for j, rho in enumerate(rhos)]
+            single = []
+            c, st = s.tensor().c, np.asarray(s.star)
+            in_e = np.isin(np.arange(s.rank), list(e.relations))
+            for tr in base_triples(s, e):
+                f = base_coordinates(s, e, tr)
+                # the pair set counted directly: colours (x, y) with c[x][y*][t] > 0
+                targets = np.where(in_e, f.out_color, f.in_color)
+                direct = c[np.arange(s.rank)[:, None], st[None, :], targets[:, None]] > 0
+                assert f.pair_count == int(direct.sum())
+                assert f.bijective == (f.pair_count == s.n)
+                single.append((tr.mu, tr.nu, tr.rho, f.pair_count))
+                seen_bad |= not f.bijective
+            assert batched == single
+        assert seen_bad == (s is c12)

@@ -151,6 +151,40 @@ def test_check_separability_verdicts(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "undecided"
 
 
+@pytest.mark.parametrize("spec", [
+    {"kernel": [{"cyclic": 9, "units": [3]}], "complement_order": 2},    # 3 is no unit
+    {"kernel": [{"cyclic": 9, "units": [8]}]},                           # no complement_order
+    {"kernel": [{"elem_abelian": [3, 1], "matrices": [[[2]]]}],          # primitive
+     "complement_order": 2},
+])
+def test_check_separability_bad_spec_is_an_input_error(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "check", "separability", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_paper_json_stdout_is_one_document(capsys, monkeypatch):
+    from pfscheme import cli
+    from pfscheme.verify import CriterionResult
+
+    monkeypatch.setattr(cli, "run_all", lambda threads=1: [
+        CriterionResult(1, "first", True, {"k": 1}, 0.5),
+        CriterionResult(2, "second", False, {}, 0.3)])
+    code, out, err = run_cli(capsys, "verify-paper")
+    assert code == 3
+    doc = json.loads(out)
+    assert [c["passed"] for c in doc["criteria"]] == [True, False]
+    assert not doc["all_passed"]
+    assert "criterion 2 (second): FAIL" in err
+    code, out, _ = run_cli(capsys, "--format", "text", "verify-paper")
+    assert code == 3
+    assert out.splitlines() == ["criterion 1 (first): PASS (0.5s)",
+                                "criterion 2 (second): FAIL (0.3s)"]
+
+
 def test_classify_thm2(capsys):
     code, out, _ = run_cli(capsys, "classify", "thm2", "--cyclic", "105,104")
     assert code == 0

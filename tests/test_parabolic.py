@@ -218,3 +218,64 @@ def test_verdict_json_shape():
     assert d["witness"] == [9, 6]
     u = SeparabilityVerdict(False, 65, 4, pi_count=2, d=2)
     assert u.to_json_dict()["verdict"] == "undecided"
+
+
+def _reference_chain_verdict(n, k, sizes, incl):
+    """The verdict scan as plain loops over (i, j[, l]) in size order."""
+    order = sorted(range(len(sizes)), key=lambda i: sizes[i])
+    for i in order:
+        for j in order:
+            if incl[i, j]:
+                for l in order:
+                    if incl[j, l]:
+                        return "long-chain", (1, sizes[i], sizes[j], sizes[l], n)
+    for i in order:
+        for j in order:
+            if incl[i, j]:
+                mset = tuple(sorted((sizes[i] - 1, sizes[j] // sizes[i] - 1,
+                                     n // sizes[j] - 1)))
+                if mset != (k, k, k) and mset != tuple(sorted((k, k, 2 * k))):
+                    return "multiset", (sizes[i], sizes[j]) + mset
+    return None, ()
+
+
+def test_verdict_chain_scan_matches_reference_loops():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        m = int(rng.integers(0, 9))
+        sizes = [int(x) for x in rng.choice([2, 3, 4, 6, 8, 9, 12, 18, 36], size=m)]
+        incl = rng.random((m, m)) < rng.choice([0.05, 0.2, 0.5])
+        n, k = 216, 5
+        v = _verdict_from_chains(n, k, sizes, incl, 3, ())
+        assert (v.reason, v.witness) == _reference_chain_verdict(n, k, sizes, incl)
+
+
+def test_components_match_union_find_reference():
+    from pfscheme.circulants import circulant_from_connection, color_matrix
+    from pfscheme.parabolic import _components
+    from pfscheme.scheme import wl_closure
+    from pfscheme.spreads import hall_spread, spread_scheme
+
+    def reference(scheme, rels):
+        parent = list(range(scheme.n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        mask = np.zeros(scheme.rank, dtype=bool)
+        for s in rels:
+            mask[[s, scheme.star[s]]] = True
+        for a, b in zip(*np.nonzero(mask[scheme.colors])):
+            ra, rb = find(int(a)), find(int(b))
+            parent[max(ra, rb)] = min(ra, rb)
+        return [find(x) for x in range(scheme.n)]
+
+    rng = np.random.default_rng(3)
+    schemes = [frobenius_scheme(negation_spec(45)), spread_scheme(hall_spread(9)),
+               wl_closure(color_matrix(circulant_from_connection(60, (1, 59))))]
+    for s in schemes:
+        for _ in range(25):
+            rels = {int(r) for r in rng.choice(s.rank, size=rng.integers(0, 4))}
+            assert _components(s, rels).tolist() == reference(s, rels)
