@@ -419,10 +419,6 @@ class SchurityResult:
         }
 
 
-def _partition_equal(A: np.ndarray, B: np.ndarray) -> bool:
-    return partition_equal(A, B)
-
-
 def _symmetric_group_result(scheme: Scheme) -> SchurityResult:
     n = scheme.n
     gens = []
@@ -437,7 +433,7 @@ def _symmetric_group_result(scheme: Scheme) -> SchurityResult:
             raise AssertionError("symmetric generator is not an automorphism")
     G = PermGroup(gens, n)
     labels = np.asarray(G.orbitals()).reshape(n, n) if n > 1 else np.zeros((1, 1), dtype=np.int64)
-    eq = _partition_equal(labels, scheme.colors) if n > 1 else True
+    eq = partition_equal(labels, scheme.colors) if n > 1 else True
     return SchurityResult(schurian=True, four_condition_passed=True,
                           automorphisms=tuple(gens), group_order=G.order(),
                           relation_transitive=tuple([True] * scheme.rank),
@@ -517,7 +513,7 @@ def schurity_via_base_triples(scheme: Scheme,
             vals = labels[P == s]
             rel_trans.append(bool((vals == vals[0]).all()))
         rel_trans = tuple(rel_trans)
-        eq = _partition_equal(labels, P)
+        eq = partition_equal(labels, P)
     schurian = eq and all(rel_trans)
     return SchurityResult(
         schurian=schurian, four_condition_passed=True,

@@ -88,12 +88,6 @@ def automorphism_stabilizer(scheme: Scheme, point: int = 0,
     return out, False
 
 
-def first_automorphism(scheme: Scheme, partial: dict):
-    for img in _Search(scheme).solutions(dict(partial), limit=1):
-        return img
-    return None
-
-
 @dataclass(frozen=True)
 class FrobeniusCertificate:
     """Outcome of the exact Frobenius check on a scheme's automorphisms."""

@@ -92,12 +92,15 @@ def _emit(payload: dict, fmt: str, out_path: str | None = None) -> None:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise SystemExit(_fail("cannot read %s: %s" % (path, exc)))
     except json.JSONDecodeError as exc:
         raise SystemExit(_fail("%s is not valid JSON (line %d column %d)"
                                % (path, exc.lineno, exc.colno)))
+    if not isinstance(doc, dict):
+        raise SystemExit(_fail("%s: expected a JSON object" % path))
+    return doc
 
 
 def _fail(message: str) -> int:
@@ -105,21 +108,28 @@ def _fail(message: str) -> int:
     return INPUT_ERROR
 
 
-def _load_scheme(path: str) -> Scheme:
-    d = _load_json(path)
-    try:
-        if "star" in d and "rank" in d:
-            return Scheme.from_json_dict(d)
-        return Scheme(d["colors"])
-    except (KeyError, SchemeError) as exc:
-        raise SystemExit(_fail("%s: %s" % (path, exc)))
-
-
-def _load_colors(path: str) -> np.ndarray:
-    d = _load_json(path)
+def _load_colors(path: str, d: dict) -> np.ndarray:
+    """The 'colors' entry of a loaded document as an integer array."""
     if "colors" not in d:
         raise SystemExit(_fail("%s: missing 'colors'" % path))
-    return np.asarray(d["colors"], dtype=np.int64)
+    try:
+        colors = np.asarray(d["colors"])
+    except ValueError as exc:              # numpy: ragged rows
+        raise SystemExit(_fail("%s: 'colors' is not a matrix: %s" % (path, exc)))
+    if not np.issubdtype(colors.dtype, np.integer):
+        raise SystemExit(_fail("%s: 'colors' must hold integers" % path))
+    return colors
+
+
+def _load_scheme(path: str) -> Scheme:
+    d = _load_json(path)
+    colors = _load_colors(path, d)
+    try:
+        if "star" in d and "rank" in d:
+            return Scheme.from_json_dict({**d, "colors": colors})
+        return Scheme(colors)
+    except (TypeError, ValueError) as exc:     # SchemeError, or a malformed 'star'
+        raise SystemExit(_fail("%s: %s" % (path, exc)))
 
 
 def _parse_ints(raw: str) -> list[int]:
@@ -193,15 +203,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check_axioms(args) -> int:
-    d = _load_json(args.scheme)
+    colors = _load_colors(args.scheme, _load_json(args.scheme))
     try:
-        s = Scheme(d["colors"]) if "colors" in d else None
-        if s is None:
-            return _fail("%s: missing 'colors'" % args.scheme)
+        s = Scheme(colors)
         T = s.tensor()
         T.verify_triangle()
         T.verify_row_sums()
-    except (KeyError, SchemeError) as exc:
+    except SchemeError as exc:
         _emit({"passed": False, "certificate": str(exc)}, args.format)
         return CHECK_FAILED
     _emit({"passed": True, "n": s.n, "rank": s.rank,
@@ -289,8 +297,11 @@ def cmd_iso_induced(args) -> int:
         mapping = _load_json(args.psi).get("mapping")
         if mapping is None:
             return _fail("%s: missing 'mapping'" % args.psi)
+        if not (isinstance(mapping, list)
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in mapping)):
+            return _fail("%s: 'mapping' must be a list of integers" % args.psi)
         try:
-            psi = RelationBijection(src, dst, tuple(int(x) for x in mapping))
+            psi = RelationBijection(src, dst, tuple(mapping))
         except SchemeError as exc:
             return _fail("psi is not an algebraic isomorphism: %s" % exc)
     else:
@@ -344,9 +355,7 @@ def cmd_classify_wl(args) -> int:
     _emit(verdict.to_json_dict(), args.format)
     if verdict.verdict == "Exactly2":
         return PASS
-    if verdict.verdict == "ExceptionUnresolved":
-        return UNRESOLVED
-    if "exceeds the search limit" in verdict.reason:
+    if verdict.verdict == "ExceptionUnresolved" or verdict.search_limited:
         return UNRESOLVED
     return CHECK_FAILED
 

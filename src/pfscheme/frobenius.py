@@ -83,6 +83,13 @@ class ElementaryAbelianFactor:
         return self.p**self.dim
 
 
+def _json_ints(value, depth: int) -> bool:
+    """True when value is an integer (depth 0) or a list of depth - 1 values."""
+    if depth == 0:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_json_ints(v, depth - 1) for v in value)
+
+
 def _det_mod(M, p: int) -> int:
     A = [list(row) for row in M]
     n = len(A)
@@ -335,19 +342,35 @@ class FrobeniusSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FrobeniusSpec":
-        if "kernel" not in d or "complement_order" not in d:
+        if not isinstance(d, dict) or "kernel" not in d or "complement_order" not in d:
             raise FrobeniusError("spec JSON needs 'kernel' and 'complement_order'")
+        if not isinstance(d["kernel"], list):
+            raise FrobeniusError("spec JSON 'kernel' must be a list of factor objects")
+        if not _json_ints(d["complement_order"], 0):
+            raise FrobeniusError("spec JSON 'complement_order' must be an integer, got %r"
+                                 % (d["complement_order"],))
         factors = []
         for fd in d["kernel"]:
+            if not isinstance(fd, dict):
+                raise FrobeniusError("kernel factor must be an object: %r" % (fd,))
             if "cyclic" in fd:
-                factors.append(CyclicFactor(fd["cyclic"], tuple(fd.get("units", ()))))
+                units = fd.get("units", [])
+                if not (_json_ints(fd["cyclic"], 0) and _json_ints(units, 1)):
+                    raise FrobeniusError("cyclic factor needs an integer modulus and "
+                                         "a list of integer units: %r" % (fd,))
+                factors.append(CyclicFactor(fd["cyclic"], tuple(units)))
             elif "elem_abelian" in fd:
+                mats = fd.get("matrices", [])
+                if not (_json_ints(fd["elem_abelian"], 1) and len(fd["elem_abelian"]) == 2
+                        and _json_ints(mats, 3)):
+                    raise FrobeniusError("elem_abelian factor needs [p, dim] and a list "
+                                         "of integer matrices: %r" % (fd,))
                 p, dim = fd["elem_abelian"]
-                mats = tuple(tuple(tuple(row) for row in M) for M in fd.get("matrices", ()))
-                factors.append(ElementaryAbelianFactor(p, dim, mats))
+                factors.append(ElementaryAbelianFactor(
+                    p, dim, tuple(tuple(tuple(row) for row in M) for M in mats)))
             else:
                 raise FrobeniusError("kernel factor needs 'cyclic' or 'elem_abelian': %r" % (fd,))
-        return cls(tuple(factors), int(d["complement_order"]))
+        return cls(tuple(factors), d["complement_order"])
 
     @classmethod
     def from_json(cls, text: str) -> "FrobeniusSpec":
@@ -361,7 +384,7 @@ def build_frobenius(spec: FrobeniusSpec) -> PermGroup:
     complement closes to exactly k elements, all acting without nonzero
     fixed points, hence faithfully and with trivial two-point stabilizers).
     """
-    complement = spec.validate()
+    spec.validate()
     elements = spec.elements()
     index = {h: i for i, h in enumerate(elements)}
     gens = []
@@ -376,12 +399,12 @@ def build_frobenius(spec: FrobeniusSpec) -> PermGroup:
             step[fi] = b
             step = tuple(step)
             gens.append(Permutation([index[spec.add(h, step)] for h in elements]))
-    for kappa in _generator_set(spec, complement):
+    for kappa in _generator_set(spec):
         gens.append(Permutation([index[spec.apply(kappa, h)] for h in elements]))
     return PermGroup(gens, degree=len(elements))
 
 
-def _generator_set(spec: FrobeniusSpec, complement: list[tuple]) -> list[tuple]:
+def _generator_set(spec: FrobeniusSpec) -> list[tuple]:
     ident = spec._identity_action()
     return [g for g in spec.generator_actions() if g != ident]
 

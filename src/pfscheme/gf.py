@@ -8,6 +8,8 @@ search, so two runs always build the same tables.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .arith import factorize, is_prime
 
 
@@ -58,9 +60,22 @@ class FiniteField:
         if self.q > self.TABLE_CUTOFF:
             return self.mul_slow(a, b)
         if self._mul is None:
-            self._mul = [[self.mul_slow(x, y) for y in range(self.q)]
-                         for x in range(self.q)]
+            self._mul = self._mul_table()
         return self._mul[a][b]
+
+    def _mul_table(self) -> list[list[int]]:
+        """All q*q products of mul_slow at once, as nested lists."""
+        p, e, q = self.p, self.e, self.q
+        digits = np.array([self.coeffs(a) for a in range(q)], dtype=np.int64)
+        prod = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
+        for i in range(e):
+            prod[:, :, i:i + e] += digits[:, None, i, None] * digits[None, :, :]
+        prod %= p
+        low = np.asarray(self.modulus[:-1], dtype=np.int64)
+        for i in range(2 * e - 2, e - 1, -1):   # x^i = -x^(i-e) * (low part)
+            prod[:, :, i - e:i] -= prod[:, :, i, None] * low
+            prod[:, :, i - e:i] %= p
+        return (prod[:, :, :e] @ (p ** np.arange(e))).tolist()
 
     def mul_slow(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -111,13 +126,17 @@ class FiniteField:
         return k
 
     def primitive_element(self) -> int:
-        """Smallest generator of the multiplicative group."""
-        target = self.q - 1
-        for a in range(2, self.q):
-            if self.element_order(a) == target:
-                return a
+        """Smallest generator of the multiplicative group.
+
+        a generates exactly when a^((q-1)/r) != 1 for every prime r
+        dividing q - 1, which takes O(log q) multiplications per prime.
+        """
         if self.q == 2:
             return 1
+        cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
+        for a in range(2, self.q):
+            if all(self.pow(a, k) != 1 for k in cofactors):
+                return a
         raise RuntimeError("no primitive element found")  # pragma: no cover
 
     def norm_to_subfield(self, a: int, s: int) -> int:

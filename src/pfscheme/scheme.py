@@ -201,36 +201,68 @@ class IntersectionTensor:
             raise SchemeError("row-sum identity fails at (r,s)=%s" % (tuple(int(x) for x in bad),))
 
 
+def _code_dtype(R: int):
+    """Smallest signed integer dtype holding the pair codes 0..R*R-1."""
+    for dt in (np.int16, np.int32):
+        if R * R - 1 <= np.iinfo(dt).max:
+            return dt
+    return np.int64
+
+
+def _signature_rows(P: np.ndarray, R: int):
+    """Yield (a, S) for every point a, where row b of S is the signature of
+    the pair (a, b): S[b, 0] = P[a, b] and S[b, 1:] is the sorted column of
+    codes P[a, g] * R + P[g, b] over all g.
+
+    Two pairs with equal signatures have the same colour and the same
+    multiset of colour pairs through every intermediate point.  S is one
+    C-contiguous buffer in the smallest dtype that holds the codes, reused
+    (overwritten) for every a.
+    """
+    n = P.shape[0]
+    Q = P.astype(_code_dtype(R))
+    QT = np.ascontiguousarray(Q.T)
+    S = np.empty((n, n + 1), dtype=Q.dtype)
+    V = S[:, 1:]
+    for a in range(n):
+        S[:, 0] = Q[a]
+        np.add(Q[a] * R, QT, out=V)     # V[b, g] = P[a, g] * R + P[g, b]
+        V.sort(axis=1)
+        yield a, S
+
+
 def compute_tensor(scheme: Scheme) -> IntersectionTensor:
     """Intersection numbers with exhaustive pair-independence verification.
 
-    Counts for the representative pair of each relation are tallied first;
-    a per-point vectorized histogram pass then compares every pair's counts
-    against its relation's claim and raises NotCoherentError with a witness
-    on the first row-major mismatch.
+    Counts for the representative pair of each relation are tallied first,
+    and the representative's sorted column of codes (r, s) over
+    intermediate points is kept as the relation's reference signature.
+    Every row of pair signatures (`_signature_rows`) is then compared with
+    the references of its relations; on the first row-major pair whose
+    signature differs, its histogram names the first differing (r, s) and
+    NotCoherentError carries both counts.
     """
     P = scheme.colors
     n, R = scheme.n, scheme.rank
     reps = [scheme.representative(t) for t in range(R)]
     claimed = np.zeros((R, R * R), dtype=np.int64)
+    ref = np.empty((R, n + 1), dtype=_code_dtype(R))
     for t, (a, b) in enumerate(reps):
         codes = P[a, :] * R + P[:, b]
         claimed[t] = np.bincount(codes, minlength=R * R)
-    offsets = np.arange(n, dtype=np.int64)[None, :] * (R * R)
-    for a in range(n):
-        # per gamma,beta: encode (color(a,gamma), color(gamma,beta)) with beta offset
-        codes = P[a, :, None] * R + P
-        hist = np.bincount((codes + offsets).ravel(), minlength=n * R * R)
-        hist = hist.reshape(n, R * R)
-        expect = claimed[P[a]]
-        if not np.array_equal(hist, expect):
-            rows = np.nonzero((hist != expect).any(axis=1))[0]
-            b = int(rows[0])
-            cell = int(np.nonzero(hist[b] != expect[b])[0][0])
-            r, s = divmod(cell, R)
+        ref[t, 0] = t
+        ref[t, 1:] = np.sort(codes)
+    expect = np.empty((n, n + 1), dtype=ref.dtype)
+    for a, S in _signature_rows(P, R):
+        np.take(ref, P[a], axis=0, out=expect)
+        if not np.array_equal(S, expect):
+            b = int(np.nonzero((S != expect).any(axis=1))[0][0])
             t = int(P[a, b])
+            hist = np.bincount(S[b, 1:], minlength=R * R)
+            cell = int(np.nonzero(hist != claimed[t])[0][0])
+            r, s = divmod(cell, R)
             raise NotCoherentError(r, s, t, reps[t], (a, b),
-                                   int(expect[b, cell]), int(hist[b, cell]))
+                                   int(claimed[t, cell]), int(hist[cell]))
     tensor = claimed.reshape(R, R, R).transpose(1, 2, 0).copy()
     # claimed[t, r*R+s] = c_{rs}^t; reorder to c[r, s, t]
     tensor.setflags(write=False)
@@ -299,8 +331,11 @@ def wl_closure(colors) -> Scheme:
     """Coherent closure of an initial n x n pair coloring.
 
     Pre-splits classes by (diagonal?, color, transposed color) so the stable
-    partition is star-closed, then refines by the exact multiset of color
-    pairs over intermediate points until the class count stops growing.
+    partition is star-closed, then refines each pair by its exact
+    signature (`_signature_rows`: its color and the sorted multiset of
+    color pairs over intermediate points) until the class count stops
+    growing.  New classes are numbered in row-major order of first
+    appearance, one dict lookup per pair on the signature's bytes.
     Raises SchemeError if the stable configuration is not homogeneous
     (cannot happen for vertex-transitive inputs).
     """
@@ -318,20 +353,11 @@ def wl_closure(colors) -> Scheme:
     P = P.reshape(n, n).astype(np.int64)
     R = int(P.max()) + 1
     while True:
-        sig_ids: dict[tuple[int, bytes], int] = {}
+        sig_ids: dict[bytes, int] = {}
         newP = np.empty((n, n), dtype=np.int64)
-        for a in range(n):
-            V = P[a, :, None] * R + P
-            V.sort(axis=0)
-            row = P[a]
-            cols = V.T.copy()
-            for b in range(n):
-                key = (int(row[b]), cols[b].tobytes())
-                nid = sig_ids.get(key)
-                if nid is None:
-                    nid = len(sig_ids)
-                    sig_ids[key] = nid
-                newP[a, b] = nid
+        for a, S in _signature_rows(P, R):
+            keys = S.view(np.dtype((np.void, S.itemsize * (n + 1)))).ravel().tolist()
+            newP[a] = [sig_ids.setdefault(k, len(sig_ids)) for k in keys]
         newR = len(sig_ids)
         if newR == R:
             break

@@ -211,6 +211,9 @@ class WlVerdict:
     separability: Optional[SeparabilityVerdict]
     verdict: str
     reason: str
+    # n exceeds SEARCH_LIMIT and no construction certificate applies, so
+    # the case is unresolved, not refuted; not part of the JSON report.
+    search_limited: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -319,6 +322,7 @@ def dimwl_verdict(circ) -> WlVerdict:
             verdict="NotFrobeniusCertified",
             reason="no construction certificate and n exceeds the search limit %d"
             % SEARCH_LIMIT,
+            search_limited=True,
             **base,
         )
 

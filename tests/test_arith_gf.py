@@ -82,7 +82,7 @@ def test_gf9_field_axioms():
 
 
 def test_gf_mul_matches_slow_path():
-    for q in (4, 8, 9, 25, 27):
+    for q in (2, 4, 7, 8, 9, 25, 27, 49, 64, 125):
         F = GF(q)
         for a in range(q):
             for b in range(q):
@@ -100,6 +100,16 @@ def test_gf_primitive_element_and_orders():
             seen.add(x)
             x = F.mul(x, g)
         assert len(seen) == q - 1
+
+
+def test_gf_primitive_element_is_the_smallest_generator():
+    # reference: the first a whose order, stepped one product at a time, is q - 1
+    for q in range(2, 344):
+        if prime_power(q) is None:
+            continue
+        F = GF(q)
+        expected = next((a for a in range(2, q) if F.element_order(a) == q - 1), 1)
+        assert F.primitive_element() == expected, q
 
 
 def test_gf_frobenius_and_norm():

@@ -166,6 +166,79 @@ def test_check_separability_bad_spec_is_an_input_error(tmp_path, capsys, spec):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+SCHEME_COMMANDS = [            # read a whole scheme file (colors, star, n, rank)
+    ("check", "tcond", "--scheme", "{f}"),
+    ("check", "parabolics", "--scheme", "{f}"),
+    ("check", "separability", "--scheme", "{f}"),
+    ("check", "schurity", "--scheme", "{f}"),
+    ("iso", "alg", "{f}", "{f}"),
+    ("iso", "induced", "{f}", "{f}"),
+]
+COLORS_COMMANDS = [("check", "axioms", "--scheme", "{f}")] + SCHEME_COMMANDS
+SPEC_COMMANDS = [
+    ("check", "separability", "--spec", "{f}"),
+    ("classify", "thm2", "--spec", "{f}"),
+    ("gen", "frobenius", "--spec", "{f}"),
+]
+MISSING, GARBLED = object(), "{not json"
+BAD_COLORS = {
+    "missing file": MISSING,
+    "invalid JSON": GARBLED,
+    "not an object": [[0, 1], [1, 0]],
+    "no colors": {"n": 2},
+    "ragged colors": {"colors": [[0, 1], [1]]},
+    "non-integer colors": {"colors": [[0, 1.5], [1.5, 0]]},
+    "string colors": {"colors": [["0", "1"], ["1", "0"]]},
+}
+BAD_STARS = {
+    "star not a list": {"n": 2, "rank": 2, "star": 5, "colors": [[0, 1], [1, 0]]},
+    "star not integers": {"n": 2, "rank": 2, "star": ["a", 1], "colors": [[0, 1], [1, 0]]},
+}
+BAD_SPECS = {
+    "missing file": MISSING,
+    "invalid JSON": GARBLED,
+    "not an object": [{"cyclic": 9, "units": [8]}],
+    "kernel not a list": {"kernel": 5, "complement_order": 2},
+    "factor not an object": {"kernel": [5], "complement_order": 2},
+    "complement_order not an integer": {"kernel": [{"cyclic": 9, "units": [8]}],
+                                        "complement_order": "2"},
+    "units not integers": {"kernel": [{"cyclic": 9, "units": "8"}], "complement_order": 2},
+    "matrices not integers": {"kernel": [{"elem_abelian": [3, 2], "matrices": [[["2", 0], [0, 2]]]}],
+                              "complement_order": 2},
+    "non-unit": {"kernel": [{"cyclic": 9, "units": [3]}], "complement_order": 2},
+}
+
+
+def bad_input_cases():
+    for table, commands in ((BAD_COLORS, COLORS_COMMANDS), (BAD_STARS, SCHEME_COMMANDS),
+                            (BAD_SPECS, SPEC_COMMANDS)):
+        for name, content in table.items():
+            for argv in commands:
+                yield pytest.param(argv, content, id="%s-%s" % ("-".join(argv[:2]), name))
+
+
+@pytest.mark.parametrize("argv, content", bad_input_cases())
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    if content is not MISSING:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code, out, err = run_cli(capsys, *(a.format(f=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mapping", [5, ["0"], [0, None], [True, 1]])
+def test_iso_induced_malformed_psi_exits_2(tmp_path, capsys, mapping):
+    z9 = gen_scheme(capsys, tmp_path, "z9.json", "gen", "frobenius", "--cyclic", "9,8")
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"mapping": mapping}))
+    code, out, err = run_cli(capsys, "iso", "induced", z9, z9, "--psi", str(psi))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_paper_json_stdout_is_one_document(capsys, monkeypatch):
     from pfscheme import cli
     from pfscheme.verify import CriterionResult
@@ -213,6 +286,15 @@ def test_classify_wl_exit_codes(capsys):
                            "--conn", "1,2,3,4,5")
     assert code == 3
     assert json.loads(out)["verdict"] == "NotFrobeniusCertified"
+
+
+def test_classify_wl_above_the_search_limit_is_unresolved(capsys):
+    # prime n = 263 > SEARCH_LIMIT: no construction certificate, no search
+    code, out, _ = run_cli(capsys, "classify", "wl", "--n", "263", "--conn", "1,-1")
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["verdict"] == "NotFrobeniusCertified"
+    assert "search_limited" not in rep
 
 
 def test_gen_circulant_coloring(tmp_path, capsys):

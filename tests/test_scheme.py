@@ -194,3 +194,159 @@ def test_compute_tensor_standalone():
     s = Scheme(cyclic_colors(5))
     T = compute_tensor(s)
     assert T.rank == s.rank
+
+
+# -- the sorted-column kernel against the per-point reference loops ------
+
+
+def reference_tensor(scheme):
+    """compute_tensor as a per-point n x R^2 histogram pass (the reference)."""
+    P = scheme.colors
+    n, R = scheme.n, scheme.rank
+    reps = [scheme.representative(t) for t in range(R)]
+    claimed = np.zeros((R, R * R), dtype=np.int64)
+    for t, (a, b) in enumerate(reps):
+        claimed[t] = np.bincount(P[a, :] * R + P[:, b], minlength=R * R)
+    offsets = np.arange(n, dtype=np.int64)[None, :] * (R * R)
+    for a in range(n):
+        codes = P[a, :, None] * R + P
+        hist = np.bincount((codes + offsets).ravel(), minlength=n * R * R)
+        hist = hist.reshape(n, R * R)
+        expect = claimed[P[a]]
+        if not np.array_equal(hist, expect):
+            b = int(np.nonzero((hist != expect).any(axis=1))[0][0])
+            cell = int(np.nonzero(hist[b] != expect[b])[0][0])
+            r, s = divmod(cell, R)
+            t = int(P[a, b])
+            raise NotCoherentError(r, s, t, reps[t], (a, b),
+                                   int(expect[b, cell]), int(hist[b, cell]))
+    return claimed.reshape(R, R, R).transpose(1, 2, 0)
+
+
+def reference_wl_closure(colors):
+    """wl_closure with one Python dict lookup per pair (the reference)."""
+    M = np.asarray(colors, dtype=np.int64)
+    n = M.shape[0]
+    base = int(M.max()) + 1
+    keys = np.eye(n, dtype=np.int64) * (base * base) + M * base + M.T
+    _, P = np.unique(keys, return_inverse=True)
+    P = P.reshape(n, n).astype(np.int64)
+    R = int(P.max()) + 1
+    while True:
+        sig_ids = {}
+        newP = np.empty((n, n), dtype=np.int64)
+        for a in range(n):
+            V = P[a, :, None] * R + P
+            V.sort(axis=0)
+            cols = V.T.copy()
+            for b in range(n):
+                newP[a, b] = sig_ids.setdefault((int(P[a, b]), cols[b].tobytes()),
+                                                len(sig_ids))
+        if len(sig_ids) == R:
+            break
+        P, R = newP, len(sig_ids)
+    return canonical_relabel(P)
+
+
+def graph_coloring(n, edges):
+    """0 on the diagonal, 1 on the (symmetric) edges, 2 elsewhere."""
+    M = np.full((n, n), 2, dtype=np.int64)
+    np.fill_diagonal(M, 0)
+    for i, j in edges:
+        M[i, j] = M[j, i] = 1
+    return M
+
+
+def petersen_coloring():
+    verts = [frozenset(p) for p in
+             ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2),
+              (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))]
+    return graph_coloring(10, [(i, j) for i in range(10) for j in range(10)
+                               if i != j and not verts[i] & verts[j]])
+
+
+def cycle_coloring(n):
+    return graph_coloring(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def kernel_tensor(scheme):
+    return compute_tensor(scheme).c
+
+
+def outcome(fn, scheme):
+    """The tensor fn returns, or every field of the error it raises."""
+    try:
+        c = np.asarray(fn(scheme))
+    except NotCoherentError as exc:
+        return ("NotCoherentError", exc.r, exc.s, exc.t, exc.pair1, exc.pair2,
+                exc.count1, exc.count2)
+    return ("tensor", c.shape, c.tobytes())
+
+
+def kernel_inputs():
+    from pfscheme.circulants import CirculantSpec, color_matrix, frobenius_circulant
+    from pfscheme.spreads import hall_spread, spread_scheme
+
+    for n in range(12, 61):
+        yield "cycle-%d" % n, cycle_coloring(n)
+    for spec in (CirculantSpec(105, (104,), (1, 2)), CirculantSpec(91, (16,), (1,))):
+        yield "units-%d" % spec.n, color_matrix(frobenius_circulant(spec))
+    yield "hall-9", spread_scheme(hall_spread(9)).colors
+    yield "petersen", petersen_coloring()
+
+
+def test_closures_and_tensors_match_the_reference_loops():
+    for name, M in kernel_inputs():
+        closure = wl_closure(M)
+        assert closure == reference_wl_closure(M), name
+        assert outcome(kernel_tensor, closure) == outcome(reference_tensor, closure), name
+
+
+def swap_symmetric_pairs(P, rng):
+    """Swap the colours of two pairs of different colours, and of their
+    transposes, so the result is still a valid (but rarely coherent) scheme."""
+    n = P.shape[0]
+    Q = P.copy()
+    while True:
+        a, b, c, d = (int(x) for x in rng.integers(0, n, size=4))
+        if a != b and c != d and {a, b} != {c, d} and Q[a, b] != Q[c, d]:
+            break
+    Q[a, b], Q[c, d] = Q[c, d], Q[a, b]
+    Q[b, a], Q[d, c] = Q[d, c], Q[b, a]
+    return Scheme(Q)
+
+
+def test_not_coherent_witness_matches_the_reference_on_perturbed_closures():
+    closures = [wl_closure(cycle_coloring(n)) for n in (12, 17, 24, 30, 45)]
+    closures.append(wl_closure(petersen_coloring()))
+    failures = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        s = swap_symmetric_pairs(closures[seed % len(closures)].colors, rng)
+        got = outcome(kernel_tensor, s)
+        assert got == outcome(reference_tensor, s), seed
+        failures += got[0] == "NotCoherentError"
+    assert failures >= 50
+
+
+def test_int32_codes_on_the_thin_scheme_of_z190():
+    from pfscheme.scheme import _code_dtype
+
+    assert _code_dtype(181) == np.int16 and _code_dtype(182) == np.int32
+    n = 190
+    idx = np.arange(n)
+    thin = (idx[None, :] - idx[:, None]) % n
+    s = Scheme(thin)
+    assert _code_dtype(s.rank) == np.int32
+    c = compute_tensor(s).c                  # c[r, s, t] = 1 iff r + s = t
+    assert (c.sum(axis=2) == 1).all()
+    assert np.array_equal(c.argmax(axis=2), (idx[:, None] + idx[None, :]) % n)
+    assert wl_closure(thin) == reference_wl_closure(thin)
+    # a swap touching row 0 fails there, so the reference stops after one row
+    Q = thin.copy()
+    Q[0, 1], Q[0, 5] = Q[0, 5], Q[0, 1]
+    Q[1, 0], Q[5, 0] = Q[5, 0], Q[1, 0]
+    bad = Scheme(Q)
+    got = outcome(kernel_tensor, bad)
+    assert got[0] == "NotCoherentError"
+    assert got == outcome(reference_tensor, bad)

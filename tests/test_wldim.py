@@ -150,6 +150,8 @@ def test_dimwl_search_limit():
     v = dimwl_verdict(circulant_from_connection(n, [1, n - 1]))
     assert v.verdict == "NotFrobeniusCertified"
     assert "search limit" in v.reason
+    assert v.search_limited
+    assert "search_limited" not in v.to_json_dict()
 
 
 def test_dimwl_prime_within_search_limit():
