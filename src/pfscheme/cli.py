@@ -219,7 +219,10 @@ def cmd_check_axioms(args) -> int:
 
 def cmd_check_tcond(args) -> int:
     s = _load_scheme(args.scheme)
-    report = check_t_condition(s, args.t, workers=args.threads)
+    try:
+        report = check_t_condition(s, args.t, workers=args.threads)
+    except ValueError as exc:              # rank too large for int64 pattern codes
+        return _fail("%s: %s" % (args.scheme, exc))
     _emit(report.to_json_dict(), args.format)
     return PASS if report.passed else CHECK_FAILED
 

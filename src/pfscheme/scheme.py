@@ -5,15 +5,23 @@ A scheme on n points is an n x n matrix of relation indices with the
 diagonal as relation 0, closed under transposition (star), and with
 pair-independent composition counts c[r][s][t] = |alpha r  intersect
 beta s*| for (alpha, beta) in t.  All arithmetic is exact integer.
+
+Every scheme the package builds is a translation scheme on its own point
+indices: translation by an abelian group on range(n) is an automorphism.
+`translation_table` certifies this exactly, and the kernels then compute
+row 0 only, since pair (a, b) behaves as pair (0, b - a).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import blake2b
 
 import numpy as np
+
+from .arith import prime_power
 
 
 class SchemeError(ValueError):
@@ -104,6 +112,11 @@ class Scheme:
         a, b = self.pairs_of(s)[0]
         return int(a), int(b)
 
+    @cached_property
+    def translations(self) -> np.ndarray | None:
+        """`translation_table` of the colours, computed once per scheme."""
+        return translation_table(self.colors)
+
     def fingerprint(self) -> str:
         h = blake2b(digest_size=16)
         h.update(self.colors.tobytes())
@@ -127,8 +140,9 @@ class Scheme:
         """Compute (and cache) the intersection tensor, verifying C3.
 
         The claimed counts come from one representative pair per relation;
-        an exhaustive vectorized pass then checks every pair against them,
-        so acceptance doubles as full coherence verification.
+        a vectorized pass then checks every pair against them (row 0 alone
+        when translations certify the rest), so acceptance doubles as full
+        coherence verification.
         """
         if self._tensor is None:
             self._tensor = compute_tensor(self)
@@ -183,13 +197,15 @@ class IntersectionTensor:
         """n_t c[r,s,t*] = n_r c[s,t,r*] = n_s c[t,r,s*] for all triples."""
         nv = np.asarray(self.valencies, dtype=np.int64)
         st = np.asarray(self.star)
-        D = self.c[:, :, st]             # D[r,s,t] = c[r,s,t*]
-        a = nv[None, None, :] * D
-        b = nv[:, None, None] * D.transpose(2, 0, 1)   # [r,s,t] -> D[s,t,r]
-        cc = nv[None, :, None] * D.transpose(1, 2, 0)  # [r,s,t] -> D[t,r,s]
-        if not (np.array_equal(a, b) and np.array_equal(a, cc)):
-            bad = np.argwhere((a != b) | (a != cc))[0]
-            raise SchemeError("triangle identity fails at (r,s,t)=%s" % (tuple(int(x) for x in bad),))
+        c = self.c
+        for r in range(self.rank):      # one (s, t) slice at a time
+            a = c[r][:, st] * nv[None, :]          # n_t c[r,s,t*]
+            b = c[:, :, st[r]] * nv[r]             # n_r c[s,t,r*]
+            cc = c[:, r, st].T * nv[:, None]       # n_s c[t,r,s*]
+            if not (np.array_equal(a, b) and np.array_equal(a, cc)):
+                s, t = np.argwhere((a != b) | (a != cc))[0]
+                raise SchemeError("triangle identity fails at (r,s,t)=%s"
+                                  % ((r, int(s), int(t)),))
 
     def verify_row_sums(self):
         """sum_t c[r,s,t] n_t = n_r n_s for all r, s."""
@@ -201,6 +217,43 @@ class IntersectionTensor:
             raise SchemeError("row-sum identity fails at (r,s)=%s" % (tuple(int(x) for x in bad),))
 
 
+def _difference_tables(n: int):
+    """Yield D with D[a, b] = b - a for candidate abelian groups on range(n):
+    Z_n, then, when n = p^k with k > 1, (Z_p)^k on little-endian base-p
+    digits (the encoding of F_q-vectors in `spreads`).  Tables are built
+    one at a time, in the smallest dtype that holds n - 1."""
+    idx = np.arange(n, dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
+    yield (idx[None, :] - idx[:, None]) % n
+    pe = prime_power(n)
+    if pe is not None and pe[1] > 1:
+        p, k = pe
+        D = np.zeros((n, n), dtype=idx.dtype)
+        w = 1
+        for _ in range(k):
+            digit = idx // w % p
+            D += (digit[None, :] - digit[:, None]) % p * w
+            w *= p
+        yield D
+
+
+def translation_table(P) -> np.ndarray | None:
+    """Difference table D certifying that translations are automorphisms.
+
+    Returns the first candidate of `_difference_tables` with
+    P[a, b] == P[0, D[a, b]] for every pair, else None.  Then x -> x + c
+    preserves P for every c, so the pair (a, b) has the same colour and
+    the same counts through intermediate points as (0, D[a, b]): every
+    colour occurs in row 0, a colour's first row-major pair lies there,
+    and so does the first pair at which any such count breaks.
+    """
+    P = np.asarray(P)
+    P0 = P[0]
+    for D in _difference_tables(P.shape[0]):
+        if all(np.array_equal(row, P0[d]) for row, d in zip(P, D)):
+            return D
+    return None
+
+
 def _code_dtype(R: int):
     """Smallest signed integer dtype holding the pair codes 0..R*R-1."""
     for dt in (np.int16, np.int32):
@@ -209,10 +262,10 @@ def _code_dtype(R: int):
     return np.int64
 
 
-def _signature_rows(P: np.ndarray, R: int):
-    """Yield (a, S) for every point a, where row b of S is the signature of
-    the pair (a, b): S[b, 0] = P[a, b] and S[b, 1:] is the sorted column of
-    codes P[a, g] * R + P[g, b] over all g.
+def _signature_rows(P: np.ndarray, R: int, rows=None):
+    """Yield (a, S) for every point a in rows (default: all), where row b
+    of S is the signature of the pair (a, b): S[b, 0] = P[a, b] and
+    S[b, 1:] is the sorted column of codes P[a, g] * R + P[g, b] over all g.
 
     Two pairs with equal signatures have the same colour and the same
     multiset of colour pairs through every intermediate point.  S is one
@@ -224,7 +277,7 @@ def _signature_rows(P: np.ndarray, R: int):
     QT = np.ascontiguousarray(Q.T)
     S = np.empty((n, n + 1), dtype=Q.dtype)
     V = S[:, 1:]
-    for a in range(n):
+    for a in range(n) if rows is None else rows:
         S[:, 0] = Q[a]
         np.add(Q[a] * R, QT, out=V)     # V[b, g] = P[a, g] * R + P[g, b]
         V.sort(axis=1)
@@ -241,30 +294,35 @@ def compute_tensor(scheme: Scheme) -> IntersectionTensor:
     the references of its relations; on the first row-major pair whose
     signature differs, its histogram names the first differing (r, s) and
     NotCoherentError carries both counts.
+
+    When `Scheme.translations` certifies the scheme, only row 0 is
+    compared: every other pair has the signature of its translate in row
+    0, so the verdict and the first mismatching pair are those of the full
+    pass.  Without a certificate every row is compared.
     """
     P = scheme.colors
     n, R = scheme.n, scheme.rank
     reps = [scheme.representative(t) for t in range(R)]
-    claimed = np.zeros((R, R * R), dtype=np.int64)
+    tensor = np.empty((R, R, R), dtype=np.int64)      # c[r, s, t]
     ref = np.empty((R, n + 1), dtype=_code_dtype(R))
     for t, (a, b) in enumerate(reps):
         codes = P[a, :] * R + P[:, b]
-        claimed[t] = np.bincount(codes, minlength=R * R)
+        tensor[:, :, t] = np.bincount(codes, minlength=R * R).reshape(R, R)
         ref[t, 0] = t
         ref[t, 1:] = np.sort(codes)
     expect = np.empty((n, n + 1), dtype=ref.dtype)
-    for a, S in _signature_rows(P, R):
+    rows = [0] if scheme.translations is not None else None
+    for a, S in _signature_rows(P, R, rows):
         np.take(ref, P[a], axis=0, out=expect)
         if not np.array_equal(S, expect):
             b = int(np.nonzero((S != expect).any(axis=1))[0][0])
             t = int(P[a, b])
             hist = np.bincount(S[b, 1:], minlength=R * R)
-            cell = int(np.nonzero(hist != claimed[t])[0][0])
+            claimed = tensor[:, :, t].ravel()
+            cell = int(np.nonzero(hist != claimed)[0][0])
             r, s = divmod(cell, R)
             raise NotCoherentError(r, s, t, reps[t], (a, b),
-                                   int(claimed[t, cell]), int(hist[cell]))
-    tensor = claimed.reshape(R, R, R).transpose(1, 2, 0).copy()
-    # claimed[t, r*R+s] = c_{rs}^t; reorder to c[r, s, t]
+                                   int(claimed[cell]), int(hist[cell]))
     tensor.setflags(write=False)
     valencies = tuple(int(tensor[s, scheme.star[s], 0]) for s in range(R))
     if valencies != scheme.valencies():
@@ -336,6 +394,11 @@ def wl_closure(colors) -> Scheme:
     color pairs over intermediate points) until the class count stops
     growing.  New classes are numbered in row-major order of first
     appearance, one dict lookup per pair on the signature's bytes.
+
+    When `translation_table` certifies the pre-split colouring, each
+    iteration computes row 0 only and sets P[a, b] = P[0, D[a, b]]:
+    refinement commutes with the translations, and every class first
+    appears in row 0, so the numbering is that of the full pass.
     Raises SchemeError if the stable configuration is not homogeneous
     (cannot happen for vertex-transitive inputs).
     """
@@ -352,12 +415,16 @@ def wl_closure(colors) -> Scheme:
     _, P = np.unique(keys, return_inverse=True)
     P = P.reshape(n, n).astype(np.int64)
     R = int(P.max()) + 1
+    D = translation_table(P)
+    rows = [0] if D is not None else None
     while True:
         sig_ids: dict[bytes, int] = {}
         newP = np.empty((n, n), dtype=np.int64)
-        for a, S in _signature_rows(P, R):
+        for a, S in _signature_rows(P, R, rows):
             keys = S.view(np.dtype((np.void, S.itemsize * (n + 1)))).ravel().tolist()
             newP[a] = [sig_ids.setdefault(k, len(sig_ids)) for k in keys]
+        if D is not None:
+            newP = newP[0][D]
         newR = len(sig_ids)
         if newR == R:
             break

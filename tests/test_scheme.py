@@ -350,3 +350,170 @@ def test_int32_codes_on_the_thin_scheme_of_z190():
     got = outcome(kernel_tensor, bad)
     assert got[0] == "NotCoherentError"
     assert got == outcome(reference_tensor, bad)
+
+
+# -- the translation certificate ------------------------------------------
+
+
+def zn_table(n):
+    idx = np.arange(n)
+    return (idx[None, :] - idx[:, None]) % n
+
+
+def digit_table(p, k):
+    """D[a, b] = b - a in (Z_p)^k on little-endian base-p digits."""
+    n = p ** k
+    D = np.zeros((n, n), dtype=np.int64)
+    for j in range(k):
+        digit = np.arange(n) // p ** j % p
+        D += (digit[None, :] - digit[:, None]) % p * p ** j
+    return D
+
+
+def spread_schemes():
+    from pfscheme.spreads import desarguesian_spread, hall_spread, spread_scheme
+
+    for q in (9, 16):
+        for make in (desarguesian_spread, hall_spread):
+            yield "%s-%d" % (make.__name__, q), spread_scheme(make(q))
+
+
+def test_translation_table_recognises_cyclic_and_digit_translations():
+    from pfscheme.circulants import CirculantSpec, color_matrix, frobenius_circulant
+    from pfscheme.scheme import translation_table
+
+    cyclic = [wl_closure(cycle_coloring(n)) for n in (12, 17, 30)]
+    cyclic.append(wl_closure(color_matrix(frobenius_circulant(CirculantSpec(105, (104,), (1, 2))))))
+    for s in cyclic:
+        assert np.array_equal(s.translations, zn_table(s.n)), s
+    for name, s in spread_schemes():
+        p, k = {81: (3, 4), 256: (2, 8)}[s.n]
+        assert np.array_equal(s.translations, digit_table(p, k)), name
+        assert s.translations is s.translations
+        assert np.array_equal(translation_table(s.colors), s.translations)
+        assert not np.array_equal(s.colors, s.colors[0][zn_table(s.n)]), name
+
+
+def test_translation_table_is_none_without_a_certificate():
+    from pfscheme.spreads import desarguesian_spread, spread_scheme
+
+    assert Scheme(petersen_coloring()).translations is None
+    P = spread_scheme(desarguesian_spread(9)).colors.copy()
+    a, b, c, d = 1, 5, 2, 40           # two symmetric pairs off row 0
+    assert P[a, b] != P[c, d]
+    P[a, b], P[c, d] = P[c, d], P[a, b]
+    P[b, a], P[d, c] = P[d, c], P[b, a]
+    assert Scheme(P).translations is None
+
+
+def swapped_thin_scheme(n=12):
+    """The thin scheme of Z_n with two symmetric pairs swapped off row 0.
+
+    Every colour occurs once in row 0, so row 0 alone agrees with its own
+    references; the full pass must find the swap."""
+    Q = zn_table(n)
+    Q[1, 3], Q[2, 7] = Q[2, 7], Q[1, 3]
+    Q[3, 1], Q[7, 2] = Q[7, 2], Q[3, 1]
+    return Q
+
+
+def test_kernels_take_the_full_path_without_a_certificate(monkeypatch):
+    import pfscheme.scheme as scheme_mod
+
+    seen = []
+    rows_of = scheme_mod._signature_rows
+
+    def spy(P, R, rows=None):
+        seen.append(rows)
+        return rows_of(P, R, rows)
+
+    monkeypatch.setattr(scheme_mod, "_signature_rows", spy)
+    Q = swapped_thin_scheme()
+    assert Scheme(Q).translations is None
+    got = outcome(kernel_tensor, Scheme(Q))
+    assert got[0] == "NotCoherentError" and got[5][0] > 0
+    assert got == outcome(reference_tensor, Scheme(Q))
+    assert wl_closure(petersen_coloring()) == reference_wl_closure(petersen_coloring())
+    assert seen and all(rows is None for rows in seen)
+    seen.clear()
+    wl_closure(cycle_coloring(12)).tensor()
+    assert seen and all(rows == [0] for rows in seen)
+
+
+def random_circulant_schemes():
+    """Schemes of symmetric Z_n-invariant colourings, mostly not coherent."""
+    rng = np.random.default_rng(7)
+    for n in (9, 14, 21, 32):
+        for k in (2, 3, 4):
+            half = rng.integers(1, k + 1, size=n // 2 + 1)
+            col = np.array([0] + [half[min(d, n - d)] for d in range(1, n)])
+            yield "random-%d-%d" % (n, k), canonical_relabel(col[zn_table(n)])
+
+
+def certified_inputs():
+    """(name, initial colouring, scheme) triples whose schemes carry a
+    translation certificate; some schemes are not coherent."""
+    for name, M in kernel_inputs():
+        if name != "petersen":
+            yield name, M, wl_closure(M)
+    for name, s in spread_schemes():
+        yield name, s.colors, s
+    for n in (6, 9, 16):
+        yield "cycle-graph-%d" % n, cycle_coloring(n), Scheme(cycle_coloring(n))
+    for name, s in random_circulant_schemes():
+        yield name, s.colors, s
+
+
+def test_certified_row_zero_equals_the_full_path(monkeypatch):
+    import pfscheme.scheme as scheme_mod
+
+    inputs = list(certified_inputs())
+    assert all(s.translations is not None for _, _, s in inputs)
+
+    def results():
+        return [(name, wl_closure(M), outcome(kernel_tensor, Scheme(s.colors)))
+                for name, M, s in inputs]
+
+    reduced = results()
+    assert sum(r[2][0] == "NotCoherentError" for r in reduced) >= 8
+    with monkeypatch.context() as m:
+        m.setattr(scheme_mod, "translation_table", lambda P: None)
+        full = results()
+    assert reduced == full
+
+
+def reference_verify_triangle(T):
+    """verify_triangle on four R^3 temporaries (the reference)."""
+    nv = np.asarray(T.valencies, dtype=np.int64)
+    st = np.asarray(T.star)
+    D = T.c[:, :, st]
+    a = nv[None, None, :] * D
+    b = nv[:, None, None] * D.transpose(2, 0, 1)
+    cc = nv[None, :, None] * D.transpose(1, 2, 0)
+    if not (np.array_equal(a, b) and np.array_equal(a, cc)):
+        bad = np.argwhere((a != b) | (a != cc))[0]
+        raise SchemeError("triangle identity fails at (r,s,t)=%s" % (tuple(int(x) for x in bad),))
+
+
+def test_verify_triangle_matches_the_reference_on_perturbed_tensors():
+    from dataclasses import replace
+
+    def error(check, T):
+        try:
+            check(T)
+        except SchemeError as exc:
+            return str(exc)
+        return None
+
+    rng = np.random.default_rng(3)
+    failures = 0
+    for M in (cycle_coloring(13), petersen_coloring(), zn_table(8)):
+        T = compute_tensor(wl_closure(M))
+        for _ in range(20):
+            c = T.c.copy()
+            c[tuple(rng.integers(0, T.rank, size=3))] += 1
+            bad = replace(T, c=c)
+            expected = error(reference_verify_triangle, bad)
+            assert error(type(bad).verify_triangle, bad) == expected
+            failures += expected is not None
+    assert failures >= 50

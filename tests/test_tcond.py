@@ -1,13 +1,20 @@
 """t-condition checks: t = 3 always passes on coherent input, t = 4 separates."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
+import pfscheme.scheme as scheme_mod
+import pfscheme.tcond as tcond_mod
+from pfscheme import cli
 from pfscheme.catalog import negation_spec
 from pfscheme.frobenius import build_frobenius
 from pfscheme.scheme import Scheme, from_orbitals
 from pfscheme.spreads import desarguesian_spread, hall_spread, spread_scheme
 from pfscheme.tcond import check_t_condition, four_condition_frobenius_verdict
+from test_scheme import certified_inputs, swapped_thin_scheme, zn_table
 
 
 def srg_scheme_from_adjacency(A):
@@ -110,3 +117,105 @@ def test_verdict_requires_t4_report():
 def test_unsupported_t_rejected():
     with pytest.raises(ValueError):
         check_t_condition(rook_4x4(), 5)
+
+
+def test_spread_schemes_frozen_q16_t4_outcomes():
+    rep_d = check_t_condition(spread_scheme(desarguesian_spread(16)), 4)
+    assert rep_d.passed and rep_d.pairs_checked == 256 * 256
+    rep_h = check_t_condition(spread_scheme(hall_spread(16)), 4)
+    assert not rep_h.passed and rep_h.pairs_checked == 3
+    assert rep_h.witness.to_json_dict() == {
+        "alpha": 0, "beta": 2, "color": 1, "count": 0,
+        "pattern": {"alpha_g3": 2, "alpha_g4": 4, "beta_g3": 3, "beta_g4": 2, "g3_g4": 10},
+        "ref_alpha": 0, "ref_beta": 1, "ref_count": 1}
+
+
+def small_certified_schemes():
+    """Certified schemes small enough for a full t = 4 scan."""
+    for name, _, s in certified_inputs():
+        if s.n <= 32 or name == "hall_spread-9":
+            yield name, s
+
+
+def test_certified_row_zero_scan_equals_the_full_scan(monkeypatch):
+    schemes = list(small_certified_schemes())
+
+    def reports():
+        return [(name, t, check_t_condition(Scheme(s.colors), t).to_json_dict())
+                for name, s in schemes for t in (3, 4)]
+
+    reduced = reports()
+    assert sum(not rep["passed"] for _, _, rep in reduced) >= 10
+    monkeypatch.setattr(scheme_mod, "translation_table", lambda P: None)
+    assert reduced == reports()
+
+
+def test_full_scan_without_a_certificate_finds_the_swap(monkeypatch):
+    Q = Scheme(swapped_thin_scheme())
+    assert Q.translations is None
+    for t in (3, 4):
+        rep = check_t_condition(Q, t)
+        assert not rep.passed and rep.witness.alpha > 0
+        assert rep.pairs_checked > Q.n
+    # a forged certificate would scan row 0 alone, where the swap is invisible
+    monkeypatch.setattr(scheme_mod, "translation_table", lambda P: zn_table(len(P)))
+    for t in (3, 4):
+        assert check_t_condition(Scheme(Q.colors), t).passed
+
+
+def test_worker_count_is_clamped_to_rows_and_cpus():
+    cpus = os.cpu_count() or 1
+    assert tcond_mod._worker_count(10 ** 6, 1) == 1
+    assert tcond_mod._worker_count(10 ** 6, 10 ** 6) == cpus
+    assert tcond_mod._worker_count(0, 50) == 1
+    assert tcond_mod._worker_count(-3, 50) == 1
+    assert tcond_mod._worker_count(2, 50) == min(2, cpus)
+
+
+def test_pattern_codes_overflow_is_rejected_before_the_scan(monkeypatch, tmp_path, capsys):
+    tcond_mod._check_code_range(6208, 4)
+    with pytest.raises(ValueError):
+        tcond_mod._check_code_range(6209, 4)
+    tcond_mod._check_code_range(3037000499, 3)
+    with pytest.raises(ValueError):
+        tcond_mod._check_code_range(3037000500, 3)
+    # the CLI turns the error into exit 2 with one stderr line
+    path = tmp_path / "rook.json"
+    path.write_text(json.dumps(rook_4x4().to_json_dict()))
+    monkeypatch.setattr(tcond_mod, "_CODE_MAX", 3 ** 5 - 2)
+    assert cli.main(["check", "tcond", "--t", "4", "--scheme", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "int64" in err
+
+
+def reference_witness(scheme, a, b, ra, rb, t):
+    """The deviating histogram cell through union1d and searchsorted (the
+    reference): (code, ref_count, count)."""
+    P, R = scheme.colors, scheme.rank
+    v1, c1 = tcond_mod._signature(P, R, ra, rb, t)
+    v2, c2 = tcond_mod._signature(P, R, a, b, t)
+    allv = np.union1d(v1, v2)
+    i1 = np.minimum(np.searchsorted(v1, allv), len(v1) - 1)
+    i2 = np.minimum(np.searchsorted(v2, allv), len(v2) - 1)
+    f1 = np.where(v1[i1] == allv, c1[i1], 0)
+    f2 = np.where(v2[i2] == allv, c2[i2], 0)
+    j = int(np.nonzero(f1 != f2)[0][0])
+    return int(allv[j]), int(f1[j]), int(f2[j])
+
+
+def test_witness_matches_the_reference_on_every_deviating_pair():
+    checked = 0
+    for s in (shrikhande(), Scheme(swapped_thin_scheme()), spread_scheme(hall_spread(9))):
+        P = s.colors
+        for t in (3, 4):
+            fps = {}
+            for a in range(min(s.n, 6)):
+                for b in range(s.n):
+                    fp = tcond_mod._fingerprint(*tcond_mod._signature(P, s.rank, a, b, t))
+                    ref = fps.setdefault(int(P[a, b]), (a, b, fp))
+                    if fp != ref[2]:
+                        w = tcond_mod._witness(s, a, b, ref[0], ref[1], t)
+                        assert (w.code, w.ref_count, w.count) == \
+                            reference_witness(s, a, b, ref[0], ref[1], t)
+                        checked += 1
+    assert checked >= 100
