@@ -12,8 +12,7 @@ Exit codes: 0 = pass/success, 2 = input error, 3 = check failed with a
 certificate, 4 = unresolved/unknown.
 
 JSON formats (exact field sets; all reports are emitted with sorted keys
-and two-space indentation, so identical inputs give byte-identical bytes
-regardless of thread count):
+and two-space indentation, so identical inputs give byte-identical bytes):
 
   scheme file   {"n": int, "rank": int, "star": [int], "colors": [[int]]}
   spec file     {"kernel": [{"cyclic": m, "units": [u]} |
@@ -30,10 +29,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,27 +51,6 @@ from .verify import run_all
 from .wldim import dimwl_verdict
 
 PASS, INPUT_ERROR, CHECK_FAILED, UNRESOLVED = 0, 2, 3, 4
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: what to run, on which inputs, how."""
-
-    subcommand: str
-    action: str = ""
-    paths: list = field(default_factory=list)
-    threads: int = 1
-    fmt: str = "json"
-    seed: int = 0
-    options: dict = field(default_factory=dict)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("PFSCHEME_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(payload: dict, fmt: str, out_path: str | None = None) -> None:
@@ -220,7 +196,7 @@ def cmd_check_axioms(args) -> int:
 def cmd_check_tcond(args) -> int:
     s = _load_scheme(args.scheme)
     try:
-        report = check_t_condition(s, args.t, workers=args.threads)
+        report = check_t_condition(s, args.t)
     except ValueError as exc:              # rank too large for int64 pattern codes
         return _fail("%s: %s" % (args.scheme, exc))
     _emit(report.to_json_dict(), args.format)
@@ -367,7 +343,7 @@ def cmd_classify_wl(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(threads=args.threads)
+    results = run_all()
     # In json mode stdout carries the document alone; the lines go to stderr.
     lines = sys.stdout if args.format == "text" else sys.stderr
     for r in results:
@@ -386,13 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pfscheme", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="worker threads (default: PFSCHEME_THREADS or 1)")
     p.add_argument("--seed", type=int, default=0,
                    help="shuffle candidate scan order in 'iso induced' only")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate schemes and graph colorings")
+    g.set_defaults(func=cmd_gen)
     gsub = g.add_subparsers(dest="kind", required=True)
     gf = gsub.add_parser("frobenius")
     gf.add_argument("--spec")
@@ -414,26 +389,33 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run a structural check")
     csub = c.add_subparsers(dest="what", required=True)
     ca = csub.add_parser("axioms")
+    ca.set_defaults(func=cmd_check_axioms)
     ca.add_argument("--scheme", required=True)
     ct = csub.add_parser("tcond")
+    ct.set_defaults(func=cmd_check_tcond)
     ct.add_argument("--scheme", required=True)
     ct.add_argument("--t", type=int, choices=(3, 4), default=4)
     cp = csub.add_parser("parabolics")
+    cp.set_defaults(func=cmd_check_parabolics)
     cp.add_argument("--scheme", required=True)
     cs = csub.add_parser("separability")
+    cs.set_defaults(func=cmd_check_separability)
     cs.add_argument("--scheme")
     cs.add_argument("--spec")
     cs.add_argument("--k", type=int)
     cu = csub.add_parser("schurity")
+    cu.set_defaults(func=cmd_check_schurity)
     cu.add_argument("--scheme", required=True)
 
     i = sub.add_parser("iso", help="find isomorphisms")
     isub = i.add_subparsers(dest="level", required=True)
     ia = isub.add_parser("alg")
+    ia.set_defaults(func=cmd_iso_alg)
     ia.add_argument("source")
     ia.add_argument("target")
     ia.add_argument("--limit", type=int)
     ii = isub.add_parser("induced")
+    ii.set_defaults(func=cmd_iso_induced)
     ii.add_argument("source")
     ii.add_argument("target")
     ii.add_argument("--psi", help="JSON file with a relation mapping")
@@ -441,47 +423,26 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("classify", help="arithmetic classification")
     ksub = k.add_subparsers(dest="pipeline", required=True)
     kt = ksub.add_parser("thm2")
+    kt.set_defaults(func=cmd_classify_thm2)
     kt.add_argument("--spec")
     kt.add_argument("--cyclic")
     kt.add_argument("--scalar")
     kw = ksub.add_parser("wl")
+    kw.set_defaults(func=cmd_classify_wl)
     kw.add_argument("--n", type=int, required=True)
     kw.add_argument("--conn")
     kw.add_argument("--units")
     kw.add_argument("--reps")
 
-    sub.add_parser("verify-paper", help="run the nine verification criteria")
+    v = sub.add_parser("verify-paper", help="run the nine verification criteria")
+    v.set_defaults(func=cmd_verify)
     return p
-
-
-def run(config: RunConfig, args) -> int:
-    table = {
-        ("gen", ""): cmd_gen,
-        ("check", "axioms"): cmd_check_axioms,
-        ("check", "tcond"): cmd_check_tcond,
-        ("check", "parabolics"): cmd_check_parabolics,
-        ("check", "separability"): cmd_check_separability,
-        ("check", "schurity"): cmd_check_schurity,
-        ("iso", "alg"): cmd_iso_alg,
-        ("iso", "induced"): cmd_iso_induced,
-        ("classify", "thm2"): cmd_classify_thm2,
-        ("classify", "wl"): cmd_classify_wl,
-        ("verify-paper", ""): cmd_verify,
-    }
-    handler = table[(config.subcommand, config.action)]
-    return handler(args)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    action = getattr(args, "what", None) or getattr(args, "level", None) \
-        or getattr(args, "pipeline", None) or ""
-    if args.command == "gen":
-        action = ""
-    config = RunConfig(subcommand=args.command, action=action,
-                       threads=args.threads, fmt=args.format, seed=args.seed)
     try:
-        return run(config, args)
+        return args.func(args)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else INPUT_ERROR

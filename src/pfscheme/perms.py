@@ -7,8 +7,7 @@ stabilizer chain with base 0, 1, 2, ...
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class Permutation:
@@ -74,52 +73,9 @@ class Permutation:
             return "()"
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
 
-    def image_string(self) -> str:
-        return "[" + ",".join(str(x) for x in self.images) + "]"
-
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(degree))
-
-    @classmethod
-    def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int) -> "Permutation":
-        images = list(range(degree))
-        for cyc in cycles:
-            for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-                images[a] = b
-        return cls(images)
-
-    @classmethod
-    def parse(cls, text: str, degree: int | None = None) -> "Permutation":
-        """Parse either an image list "[1,2,0]" or cycles "(0 1 2)(3 4)".
-
-        Image lists carry their own degree; cycle notation needs `degree`
-        unless every point up to the maximum moved one is meant.
-        """
-        text = text.strip()
-        if text.startswith("["):
-            body = text.strip("[]").strip()
-            images = [int(t) for t in body.split(",")] if body else []
-            if degree is not None and len(images) != degree:
-                raise ValueError("image list has degree %d, expected %d" % (len(images), degree))
-            return cls(images)
-        if text == "()":
-            if degree is None:
-                raise ValueError("identity in cycle notation needs an explicit degree")
-            return cls.identity(degree)
-        cycles = []
-        for part in re.findall(r"\(([^()]*)\)", text):
-            pts = [int(t) for t in re.split(r"[,\s]+", part.strip()) if t]
-            if len(pts) != len(set(pts)):
-                raise ValueError("repeated point in cycle %r" % (part,))
-            cycles.append(pts)
-        if not cycles:
-            raise ValueError("cannot parse permutation from %r" % (text,))
-        top = max(max(c) for c in cycles) + 1
-        deg = degree if degree is not None else top
-        if top > deg:
-            raise ValueError("cycle moves point %d beyond degree %d" % (top - 1, deg))
-        return cls.from_cycles(cycles, deg)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

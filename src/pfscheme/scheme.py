@@ -59,23 +59,25 @@ class Scheme:
         if n == 0:
             raise SchemeError("empty point set")
         rank = int(P.max()) + 1
-        if int(P.min()) < 0 or len(np.unique(P)) != rank:
+        # rank <= n^2 also bounds the bincount of first_pairs
+        if int(P.min()) < 0 or rank > P.size:
+            raise SchemeError("colors must use every index in 0..rank-1")
+        first, counts = first_pairs(P)
+        if not counts.all():
             raise SchemeError("colors must use every index in 0..rank-1")
         diag = np.diagonal(P)
         if not (diag == 0).all():
             raise SchemeError("diagonal must be relation 0")
-        if n > 1 and (P == 0).sum() != n:
+        if n > 1 and counts[0] != n:
             raise SchemeError("relation 0 must be exactly the diagonal")
         # star: transposing a relation must land on a single relation
-        st = [-1] * rank
         if star is not None:
             st = [int(x) for x in star]
             if len(st) != rank:
                 raise SchemeError("star must list all %d relations" % rank)
         else:
-            for s in range(rank):
-                a, b = np.argwhere(P == s)[0]
-                st[s] = int(P[b, a])
+            a, b = np.divmod(first, n)
+            st = P[b, a].tolist()
         stv = np.asarray(st, dtype=np.int64)
         if not np.array_equal(stv[P], P.T):
             bad = np.argwhere(stv[P] != P.T)[0]
@@ -88,6 +90,7 @@ class Scheme:
         self.n = n
         self.rank = rank
         self.star = tuple(st)
+        self._first = first
         self._tensor: IntersectionTensor | None = None
 
     # -- basic structure -------------------------------------------------
@@ -104,13 +107,9 @@ class Scheme:
             return vals.pop()
         return None
 
-    def pairs_of(self, s: int) -> np.ndarray:
-        """Pairs of relation s in row-major order, as an (m, 2) array."""
-        return np.argwhere(self.colors == s)
-
     def representative(self, s: int) -> tuple[int, int]:
-        a, b = self.pairs_of(s)[0]
-        return int(a), int(b)
+        """First row-major pair of relation s."""
+        return divmod(int(self._first[s]), self.n)
 
     @cached_property
     def translations(self) -> np.ndarray | None:
@@ -254,6 +253,25 @@ def translation_table(P) -> np.ndarray | None:
     return None
 
 
+def first_pairs(P):
+    """(first, counts) for the colours 0..max of a non-negative colour matrix
+    P: the row-major flat index of each colour's first pair (-1 when it has
+    none) and its number of pairs.  Rows are scanned only until every
+    colour has been met, which is row 0 for a homogeneous scheme."""
+    P = np.asarray(P)
+    counts = np.bincount(P.ravel())
+    first = np.full(len(counts), -1, dtype=np.int64)
+    missing = np.count_nonzero(counts)
+    for a, row in enumerate(P):
+        cols, idx = np.unique(row, return_index=True)
+        new = first[cols] < 0
+        first[cols[new]] = a * P.shape[1] + idx[new]
+        missing -= int(new.sum())
+        if missing == 0:
+            break
+    return first, counts
+
+
 def _code_dtype(R: int):
     """Smallest signed integer dtype holding the pair codes 0..R*R-1."""
     for dt in (np.int16, np.int32):
@@ -344,24 +362,11 @@ def canonical_relabel(colors) -> Scheme:
     diag_color = int(P[0, 0])
     if not (np.diagonal(P) == diag_color).all():
         raise SchemeError("diagonal is not a single class")
-    old = np.unique(P)
-    first = {}
-    flat = P.ravel()
-    order = np.argsort(flat, kind="stable")
-    seen_sorted = flat[order]
-    starts = np.searchsorted(seen_sorted, old, side="left")
-    for c, pos in zip(old, starts):
-        first[int(c)] = int(order[pos])
-    total = {int(c): int((P == c).sum()) for c in old}
-    val = {c: total[c] // n for c in total}
-    others = sorted((c for c in map(int, old) if c != diag_color),
-                    key=lambda c: (val[c], first[c]))
-    relabel = {diag_color: 0}
-    for i, c in enumerate(others, start=1):
-        relabel[c] = i
-    lut = np.zeros(int(old.max()) + 1, dtype=np.int64)
-    for c, v in relabel.items():
-        lut[c] = v
+    first, total = first_pairs(P)
+    old = np.flatnonzero(total)
+    order = np.lexsort((first[old], total[old] // n, old != diag_color))
+    lut = np.zeros(len(total), dtype=np.int64)
+    lut[old[order]] = np.arange(len(old))
     return Scheme(lut[P])
 
 

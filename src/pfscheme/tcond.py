@@ -3,8 +3,10 @@
 For every ordered point pair (alpha, beta) the histogram of color
 patterns over all placements of the remaining t - 2 points is computed;
 the condition holds when the histogram depends only on the color of
-(alpha, beta).  Histograms are compared through 128-bit fingerprints,
-with an exact recomparison on the first mismatch to produce a witness.
+(alpha, beta).  Histograms are compared exactly: pairs are grouped by
+color, and each pair's sorted pattern codes are compared with those of
+its color's first row-major pair.  The 128-bit fingerprints in the report
+only name each color's reference histogram; no verdict rests on them.
 
 When `Scheme.translations` certifies that translations are automorphisms,
 pair (a, b) has the histogram of (0, b - a), so only row 0 is scanned:
@@ -20,8 +22,6 @@ sharing a tensor (the spread constructions provide both outcomes).
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,20 +80,21 @@ class TConditionReport:
         }
 
 
-def _codes(P: np.ndarray, R: int, a: int, b: int, t: int) -> np.ndarray:
-    """The pair's pattern codes, one per placement of the other points."""
+def _sorted_codes(P: np.ndarray, R: int, a: int, b: int, t: int) -> np.ndarray:
+    """The pair's pattern codes, one per placement of the other points,
+    sorted; equal arrays mean equal histograms."""
+    ab = P[a] * R + P[b]                    # P is int64 (Scheme.colors)
     if t == 3:
-        return P[a].astype(np.int64) * R + P[b]
-    A = P[a][:, None].astype(np.int64)
-    B = P[b][:, None]
-    C = P[a][None, :]
-    D = P[b][None, :]
-    return ((((A * R + B) * R + C) * R + D) * R + P).ravel()
-
-
-def _signature(P: np.ndarray, R: int, a: int, b: int, t: int):
-    """Sorted (codes, counts) histogram of the pair's pattern codes."""
-    return np.unique(_codes(P, R, a, b, t), return_counts=True)
+        ab.sort()
+        return ab
+    codes = (ab * R)[:, None] + P[a]        # rows g3, columns g4
+    codes *= R
+    codes += P[b]
+    codes *= R
+    codes += P
+    codes = codes.ravel()
+    codes.sort()
+    return codes
 
 
 def _fingerprint(vals: np.ndarray, counts: np.ndarray) -> str:
@@ -112,30 +113,25 @@ def _decode(code: int, R: int, t: int) -> tuple:
     return tuple(reversed(digits))
 
 
-def _witness(scheme: Scheme, a: int, b: int, ra: int, rb: int, t: int) -> TConditionWitness:
-    """Exact comparison of the two pairs' sorted codes.
+def _witness(P: np.ndarray, R: int, t: int, pair: tuple, ref_pair: tuple,
+             codes: np.ndarray, ref: np.ndarray) -> TConditionWitness:
+    """The deviating histogram cell of pair against its reference pair.
 
-    Both have n^(t-2) codes, so their histograms differ first at the
-    smaller of the two codes at the first index where the sorted arrays
-    differ; below it every count agrees."""
-    P, R = scheme.colors, scheme.rank
-    s1 = _codes(P, R, ra, rb, t)
-    s1.sort()
-    s2 = _codes(P, R, a, b, t)
-    s2.sort()
-    neq = s1 != s2
-    i = int(neq.argmax())
-    if not neq[i]:
-        raise AssertionError("fingerprint mismatch without histogram difference")
-    code = int(min(s1[i], s2[i]))
+    codes and ref are their sorted pattern codes, which differ.  Both have
+    n^(t-2) codes, so the histograms differ first at the smaller of the
+    two codes at the first index where the arrays differ; below it every
+    count agrees."""
+    i = int((ref != codes).argmax())
+    code = int(min(ref[i], codes[i]))
 
     def count(s):
         return int(np.searchsorted(s, code, "right") - np.searchsorted(s, code, "left"))
 
+    (a, b), (ra, rb) = pair, ref_pair
     return TConditionWitness(alpha=a, beta=b, color=int(P[a, b]),
                              ref_alpha=ra, ref_beta=rb, code=code,
                              pattern=_decode(code, R, t),
-                             ref_count=count(s1), count=count(s2))
+                             ref_count=count(ref), count=count(codes))
 
 
 _CODE_MAX = np.iinfo(np.int64).max
@@ -149,71 +145,55 @@ def _check_code_range(R: int, t: int) -> None:
                          "%d^%d - 1, beyond int64" % (R, t, R, width))
 
 
-def _worker_count(workers: int, rows: int) -> int:
-    """Threads worth starting: at most one per scanned row and per CPU."""
-    return max(1, min(workers, rows, os.cpu_count() or 1))
+def check_t_condition(scheme: Scheme, t: int) -> TConditionReport:
+    """Find the first row-major pair whose histogram deviates from its color's.
 
-
-def check_t_condition(scheme: Scheme, t: int, workers: int = 1) -> TConditionReport:
-    """Scan ordered pairs row-major; stop at the first deviation.
-
-    The reference histogram of each color comes from its first row-major
-    pair.  A scheme certified by `Scheme.translations` is scanned in row 0
-    only (see the module docstring); otherwise every row is scanned.
-    pairs_checked is the row-major position of the witness, or n^2 on a
-    pass, in both cases.  With workers > 1 (clamped to the scanned rows
-    and the CPU count) the fingerprints of the scanned rows are computed
-    up front in parallel; the comparison pass stays serial, so the
-    reported witness does not depend on the worker count.  Raises
-    ValueError for t other than 3 and 4, and before the scan when the
-    pattern codes of the scheme's rank would overflow int64.
+    The reference histogram of each color is that of its first row-major
+    pair.  The scanned pairs (row 0 when `Scheme.translations` certifies
+    the scheme, see the module docstring, else all of them) are grouped by
+    color, and the colors are visited in the order of their first pair.
+    Within a color each pair's sorted codes are compared with the
+    reference's, up to the first mismatch; pairs and colors at or after
+    the earliest mismatch found so far are skipped, so the witness is the
+    first deviating pair of the row-major scan.  pairs_checked is its
+    row-major position plus one, or n^2 on a pass; class_fingerprints name
+    the colors whose first pair precedes the witness.  Raises ValueError
+    for t other than 3 and 4, and before the scan when the pattern codes of
+    the scheme's rank would overflow int64.
     """
     if t not in (3, 4):
         raise ValueError("only t = 3 and t = 4 are supported")
     P, R, n = scheme.colors, scheme.rank, scheme.n
     _check_code_range(R, t)
-    rows = range(1) if scheme.translations is not None else range(n)
-    ref_pair: dict[int, tuple[int, int]] = {}
+    scanned = P[0] if scheme.translations is not None else P.ravel()
+    order = np.argsort(scanned, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(scanned, minlength=R))[:-1])
+    best = scanned.size                 # position of the earliest mismatch
     ref_fp: dict[int, str] = {}
-
-    def fp_of(a: int, b: int) -> str:
-        return _fingerprint(*_signature(P, R, a, b, t))
-
-    table = None
-    workers = _worker_count(workers, len(rows))
-    if workers > 1:
-        table = [[None] * n for _ in rows]
-
-        def fill(chunk):
-            for a in chunk:
-                row = table[a]
-                for b in range(n):
-                    row[b] = fp_of(a, b)
-
-        chunks = [rows[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(fill, chunks))
-
-    for a in rows:
-        for b in range(n):
-            r = int(P[a, b])
-            fp = table[a][b] if table is not None else fp_of(a, b)
-            if r not in ref_fp:
-                ref_fp[r] = fp
-                ref_pair[r] = (a, b)
-                continue
-            if fp != ref_fp[r]:
-                w = _witness(scheme, a, b, *ref_pair[r], t)
-                return TConditionReport(
-                    t=t, passed=False, n=n, rank=R,
-                    scheme_fingerprint=scheme.fingerprint(),
-                    pairs_checked=a * n + b + 1,
-                    class_fingerprints=tuple(ref_fp[s] for s in sorted(ref_fp)),
-                    witness=w)
-    return TConditionReport(t=t, passed=True, n=n, rank=R,
-                            scheme_fingerprint=scheme.fingerprint(),
-                            pairs_checked=n * n,
-                            class_fingerprints=tuple(ref_fp[s] for s in sorted(ref_fp)))
+    witness = None
+    for color in sorted(range(R), key=lambda c: groups[c][0]):
+        first = int(groups[color][0])
+        if first >= best:
+            break
+        ref_pair = divmod(first, n)
+        ref = _sorted_codes(P, R, *ref_pair, t)
+        ref_fp[color] = _fingerprint(*np.unique(ref, return_counts=True))
+        for pos in groups[color][1:].tolist():
+            if pos >= best:
+                break
+            pair = divmod(pos, n)
+            codes = _sorted_codes(P, R, *pair, t)
+            if not np.array_equal(codes, ref):
+                best = pos
+                witness = _witness(P, R, t, pair, ref_pair, codes, ref)
+                break
+        ref = codes = None      # free both before the next color's reference
+    return TConditionReport(
+        t=t, passed=witness is None, n=n, rank=R,
+        scheme_fingerprint=scheme.fingerprint(),
+        pairs_checked=n * n if witness is None else best + 1,
+        class_fingerprints=tuple(ref_fp[c] for c in sorted(ref_fp)),
+        witness=witness)
 
 
 def four_condition_frobenius_verdict(report: TConditionReport,

@@ -133,15 +133,15 @@ def criterion_2() -> CriterionResult:
                            time.perf_counter() - t0)
 
 
-def criterion_3(threads: int = 1) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """Order-81 spread schemes: tensor-equal, only one passes the 4-condition."""
     t0 = time.perf_counter()
     desarg = spread_scheme(desarguesian_spread(9))
     hall = spread_scheme(hall_spread(9))
     isos, _ = find_algebraic_isomorphisms(hall, desarg, limit=1)
     alg_iso = bool(isos)
-    rep_d = check_t_condition(desarg, 4, workers=threads)
-    rep_h = check_t_condition(hall, 4, workers=threads)
+    rep_d = check_t_condition(desarg, 4)
+    rep_h = check_t_condition(hall, 4)
     verdict_d = four_condition_frobenius_verdict(rep_d, algebraically_frobenius=True)
     verdict_h = four_condition_frobenius_verdict(rep_h, algebraically_frobenius=True)
     contradiction = rep_h.passed
@@ -340,11 +340,11 @@ def criterion_9() -> CriterionResult:
                            time.perf_counter() - t0)
 
 
-def run_all(threads: int = 1) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     return [
         criterion_1(),
         criterion_2(),
-        criterion_3(threads=threads),
+        criterion_3(),
         criterion_4(),
         criterion_5(),
         criterion_6(),

@@ -1,14 +1,14 @@
 """Acceptance suite: the nine verification criteria, exact, with budgets.
 
 Each test runs one criterion, prints its pass/fail line, and asserts both
-the outcome and the criterion's runtime budget (single-threaded).
+the outcome and the criterion's runtime budget.
 """
 
 from pfscheme import verify
 
 
-def run_criterion(fn, budget_seconds, **kw):
-    r = fn(**kw)
+def run_criterion(fn, budget_seconds):
+    r = fn()
     print(r.line())
     assert r.passed, r.detail
     assert r.seconds < budget_seconds, (
@@ -34,7 +34,7 @@ def test_criterion_2_pseudofrobenius_screen():
 
 def test_criterion_3_proper_pair_at_order_81():
     # Desarguesian passes the 4-condition, Hall is tensor-equal yet fails
-    r = run_criterion(verify.criterion_3, 15 * 60, threads=1)
+    r = run_criterion(verify.criterion_3, 15 * 60)
     assert r.detail["algebraic_isomorphism"]
     assert r.detail["desarguesian_4cond"] is True
     assert r.detail["hall_4cond"] is False

@@ -243,7 +243,7 @@ def test_verify_paper_json_stdout_is_one_document(capsys, monkeypatch):
     from pfscheme import cli
     from pfscheme.verify import CriterionResult
 
-    monkeypatch.setattr(cli, "run_all", lambda threads=1: [
+    monkeypatch.setattr(cli, "run_all", lambda: [
         CriterionResult(1, "first", True, {"k": 1}, 0.5),
         CriterionResult(2, "second", False, {}, 0.3)])
     code, out, err = run_cli(capsys, "verify-paper")
@@ -307,16 +307,15 @@ def test_gen_circulant_coloring(tmp_path, capsys):
     assert len(d["colors"]) == 63
 
 
-def test_reports_are_byte_identical_across_threads(tmp_path, capsys):
+def test_tcond_reports_are_byte_identical_across_runs(tmp_path, capsys):
     hall = gen_scheme(capsys, tmp_path, "hall81.json",
                       "gen", "spread", "--q", "9", "--plane", "hall")
     outs = []
-    for t in ("1", "3", "7"):
-        code, out, _ = run_cli(capsys, "--threads", t, "check", "tcond",
-                               "--scheme", hall, "--t", "4")
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "check", "tcond", "--scheme", hall, "--t", "4")
         assert code == 3
         outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
 
 
 def test_text_format(tmp_path, capsys):

@@ -51,6 +51,13 @@ def test_diagonal_must_be_color_zero():
         Scheme(M)
 
 
+@pytest.mark.parametrize("M", [[[0, 2], [2, 0]], [[0, -1], [-1, 0]],
+                               [[0, 10 ** 12], [10 ** 12, 0]]])
+def test_colors_must_use_every_index(M):
+    with pytest.raises(SchemeError, match="every index"):
+        Scheme(np.array(M))
+
+
 def test_star_must_permute_colors():
     # asymmetric single off-diagonal class on 3 points is fine (directed triangle)
     M = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]])

@@ -1,7 +1,6 @@
 """t-condition checks: t = 3 always passes on coherent input, t = 4 separates."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -9,12 +8,23 @@ import pytest
 import pfscheme.scheme as scheme_mod
 import pfscheme.tcond as tcond_mod
 from pfscheme import cli
-from pfscheme.catalog import negation_spec
+from pfscheme.catalog import mixed_spec, negation_spec
 from pfscheme.frobenius import build_frobenius
-from pfscheme.scheme import Scheme, from_orbitals
+from pfscheme.scheme import Scheme, from_orbitals, wl_closure
 from pfscheme.spreads import desarguesian_spread, hall_spread, spread_scheme
-from pfscheme.tcond import check_t_condition, four_condition_frobenius_verdict
-from test_scheme import certified_inputs, swapped_thin_scheme, zn_table
+from pfscheme.tcond import (
+    TConditionReport,
+    TConditionWitness,
+    check_t_condition,
+    four_condition_frobenius_verdict,
+)
+from test_scheme import (
+    certified_inputs,
+    cycle_coloring,
+    swap_symmetric_pairs,
+    swapped_thin_scheme,
+    zn_table,
+)
 
 
 def srg_scheme_from_adjacency(A):
@@ -87,13 +97,6 @@ def test_rook_and_shrikhande_share_tensor_but_t4_separates():
     assert P[w.alpha][w.beta] == P[w.ref_alpha][w.ref_beta] == w.color
 
 
-def test_worker_count_does_not_change_report():
-    shr = shrikhande()
-    r1 = check_t_condition(shr, 4, workers=1)
-    r4 = check_t_condition(shr, 4, workers=4)
-    assert r1.to_json_dict() == r4.to_json_dict()
-
-
 def test_spread_schemes_frozen_t4_outcomes():
     desarg = spread_scheme(desarguesian_spread(9))
     hall = spread_scheme(hall_spread(9))
@@ -141,11 +144,10 @@ def test_certified_row_zero_scan_equals_the_full_scan(monkeypatch):
     schemes = list(small_certified_schemes())
 
     def reports():
-        return [(name, t, check_t_condition(Scheme(s.colors), t).to_json_dict())
-                for name, s in schemes for t in (3, 4)]
+        return scan_reports([(name, Scheme(s.colors)) for name, s in schemes])
 
     reduced = reports()
-    assert sum(not rep["passed"] for _, _, rep in reduced) >= 10
+    assert failures(reduced) >= 10
     monkeypatch.setattr(scheme_mod, "translation_table", lambda P: None)
     assert reduced == reports()
 
@@ -161,15 +163,6 @@ def test_full_scan_without_a_certificate_finds_the_swap(monkeypatch):
     monkeypatch.setattr(scheme_mod, "translation_table", lambda P: zn_table(len(P)))
     for t in (3, 4):
         assert check_t_condition(Scheme(Q.colors), t).passed
-
-
-def test_worker_count_is_clamped_to_rows_and_cpus():
-    cpus = os.cpu_count() or 1
-    assert tcond_mod._worker_count(10 ** 6, 1) == 1
-    assert tcond_mod._worker_count(10 ** 6, 10 ** 6) == cpus
-    assert tcond_mod._worker_count(0, 50) == 1
-    assert tcond_mod._worker_count(-3, 50) == 1
-    assert tcond_mod._worker_count(2, 50) == min(2, cpus)
 
 
 def test_pattern_codes_overflow_is_rejected_before_the_scan(monkeypatch, tmp_path, capsys):
@@ -188,12 +181,26 @@ def test_pattern_codes_overflow_is_rejected_before_the_scan(monkeypatch, tmp_pat
     assert out == "" and len(err.splitlines()) == 1 and "int64" in err
 
 
+def reference_signature(P, R, a, b, t):
+    """Sorted (codes, counts) histogram of the pair's pattern codes, through
+    np.unique on the unsorted codes (the reference)."""
+    if t == 3:
+        codes = P[a].astype(np.int64) * R + P[b]
+    else:
+        A = P[a][:, None].astype(np.int64)
+        B = P[b][:, None]
+        C = P[a][None, :]
+        D = P[b][None, :]
+        codes = ((((A * R + B) * R + C) * R + D) * R + P).ravel()
+    return np.unique(codes, return_counts=True)
+
+
 def reference_witness(scheme, a, b, ra, rb, t):
     """The deviating histogram cell through union1d and searchsorted (the
     reference): (code, ref_count, count)."""
     P, R = scheme.colors, scheme.rank
-    v1, c1 = tcond_mod._signature(P, R, ra, rb, t)
-    v2, c2 = tcond_mod._signature(P, R, a, b, t)
+    v1, c1 = reference_signature(P, R, ra, rb, t)
+    v2, c2 = reference_signature(P, R, a, b, t)
     allv = np.union1d(v1, v2)
     i1 = np.minimum(np.searchsorted(v1, allv), len(v1) - 1)
     i2 = np.minimum(np.searchsorted(v2, allv), len(v2) - 1)
@@ -203,19 +210,95 @@ def reference_witness(scheme, a, b, ra, rb, t):
     return int(allv[j]), int(f1[j]), int(f2[j])
 
 
+def reference_t_condition(scheme, t):
+    """Row-major scan that fingerprints every pair's histogram and compares
+    it with its colour's first pair (the reference).  Row 0 alone when the
+    scheme is certified, like the kernel."""
+    P, R, n = scheme.colors, scheme.rank, scheme.n
+    rows = range(1) if scheme.translations is not None else range(n)
+    ref_pair, ref_fp = {}, {}
+
+    def report(passed, pairs_checked, witness=None):
+        return TConditionReport(
+            t=t, passed=passed, n=n, rank=R, scheme_fingerprint=scheme.fingerprint(),
+            pairs_checked=pairs_checked,
+            class_fingerprints=tuple(ref_fp[c] for c in sorted(ref_fp)),
+            witness=witness)
+
+    for a in rows:
+        for b in range(n):
+            r = int(P[a, b])
+            fp = tcond_mod._fingerprint(*reference_signature(P, R, a, b, t))
+            if r not in ref_fp:
+                ref_fp[r], ref_pair[r] = fp, (a, b)
+            elif fp != ref_fp[r]:
+                ra, rb = ref_pair[r]
+                code, ref_count, count = reference_witness(scheme, a, b, ra, rb, t)
+                return report(False, a * n + b + 1, TConditionWitness(
+                    alpha=a, beta=b, color=r, ref_alpha=ra, ref_beta=rb, code=code,
+                    pattern=tcond_mod._decode(code, R, t),
+                    ref_count=ref_count, count=count))
+    return report(True, n * n)
+
+
+def scan_reports(schemes):
+    """The kernel's reports at t = 3 and t = 4, each asserted equal to the
+    reference's."""
+    reports = []
+    for name, s in schemes:
+        for t in (3, 4):
+            got = check_t_condition(s, t).to_json_dict()
+            assert got == reference_t_condition(s, t).to_json_dict(), (name, t)
+            reports.append(got)
+    return reports
+
+
+def failures(reports):
+    return sum(not rep["passed"] for rep in reports)
+
+
+def perturbed_schemes():
+    """Seeded symmetric swaps of cycle closures and of Hall q = 9."""
+    bases = [wl_closure(cycle_coloring(n)).colors for n in (12, 17, 24, 30, 45)]
+    bases.append(spread_scheme(hall_spread(9)).colors)
+    for seed in range(150):
+        rng = np.random.default_rng(1000 + seed)
+        yield "swap-%d" % seed, swap_symmetric_pairs(bases[seed % len(bases)], rng)
+
+
+def test_scan_matches_the_reference_on_named_schemes():
+    schemes = [("shrikhande", shrikhande()), ("rook", rook_4x4()),
+               ("swapped-z12", Scheme(swapped_thin_scheme()))]
+    assert failures(scan_reports(schemes)) >= 3
+
+
+def test_scan_matches_the_reference_on_perturbed_schemes():
+    schemes = list(perturbed_schemes())
+    assert len(schemes) >= 150
+    assert failures(scan_reports(schemes)) >= 50
+
+
+def test_scan_matches_the_reference_on_an_uncertified_frobenius_scheme():
+    s = from_orbitals(build_frobenius(mixed_spec(7, 2, 4)))
+    assert s.translations is None
+    got = check_t_condition(s, 3)
+    assert got.passed
+    assert got.to_json_dict() == reference_t_condition(s, 3).to_json_dict()
+
+
 def test_witness_matches_the_reference_on_every_deviating_pair():
     checked = 0
     for s in (shrikhande(), Scheme(swapped_thin_scheme()), spread_scheme(hall_spread(9))):
-        P = s.colors
+        P, R = s.colors, s.rank
         for t in (3, 4):
-            fps = {}
+            refs = {}
             for a in range(min(s.n, 6)):
                 for b in range(s.n):
-                    fp = tcond_mod._fingerprint(*tcond_mod._signature(P, s.rank, a, b, t))
-                    ref = fps.setdefault(int(P[a, b]), (a, b, fp))
-                    if fp != ref[2]:
-                        w = tcond_mod._witness(s, a, b, ref[0], ref[1], t)
+                    codes = tcond_mod._sorted_codes(P, R, a, b, t)
+                    ra, rb, ref = refs.setdefault(int(P[a, b]), (a, b, codes))
+                    if not np.array_equal(codes, ref):
+                        w = tcond_mod._witness(P, R, t, (a, b), (ra, rb), codes, ref)
                         assert (w.code, w.ref_count, w.count) == \
-                            reference_witness(s, a, b, ref[0], ref[1], t)
+                            reference_witness(s, a, b, ra, rb, t)
                         checked += 1
     assert checked >= 100
