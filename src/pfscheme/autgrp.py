@@ -5,7 +5,10 @@ u -> v prunes every pair constraint in two vectorized comparisons, and
 the diagonal color makes assigned rows and columns exclusive for free.
 Used to certify that the automorphism group of a coherent closure is a
 Frobenius group (transitive, nontrivial point stabilizer, and no
-nonidentity automorphism fixing two points).
+nonidentity automorphism fixing two points).  The point stabilizer is
+always enumerated by search.  Transitivity comes from the scheme's
+verified translation certificate (`Scheme.translations`) when it has
+one, and from one search 0 -> alpha per point otherwise.
 """
 
 from __future__ import annotations
@@ -111,8 +114,10 @@ def frobenius_certificate(scheme: Scheme, cap: int | None = None) -> FrobeniusCe
 
     The stabilizer of point 0 is enumerated in full (fixed-point-free
     stabilizers have at most n - 1 elements, so the default cap of n only
-    triggers when the group is already disqualified); transitivity is
-    established by one map 0 -> alpha per point.
+    triggers when the group is already disqualified).  Transitivity is
+    free when `scheme.translations` certifies the scheme: every
+    translation x -> x + c is then a verified automorphism.  Without a
+    certificate it is established by one map 0 -> alpha per point.
     """
     n = scheme.n
     if n < 2:
@@ -137,13 +142,14 @@ def frobenius_certificate(scheme: Scheme, cap: int | None = None) -> FrobeniusCe
     if m < 2:
         return FrobeniusCertificate(False, None, m, None,
                                     "point stabilizer is trivial")
-    search = _Search(scheme)
-    for alpha in range(1, n):
-        hit = None
-        for img in search.solutions({0: alpha}, limit=1):
-            hit = img
-        if hit is None:
-            return FrobeniusCertificate(False, False, m, None,
-                                        "no automorphism moves 0 to %d" % alpha)
+    if scheme.translations is None:
+        search = _Search(scheme)
+        for alpha in range(1, n):
+            hit = None
+            for img in search.solutions({0: alpha}, limit=1):
+                hit = img
+            if hit is None:
+                return FrobeniusCertificate(False, False, m, None,
+                                            "no automorphism moves 0 to %d" % alpha)
     return FrobeniusCertificate(True, True, m, n * m,
                                 "transitive with semiregular stabilizer")

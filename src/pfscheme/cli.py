@@ -21,8 +21,9 @@ and two-space indentation, so identical inputs give byte-identical bytes):
   psi file      {"mapping": [int]}    relation i of the source maps to
                                       mapping[i] of the target
 
-The random seed only shuffles the scan order of candidate base points in
-`iso induced`; every verdict is seed-independent.
+The global options --format and --seed go before or after the
+subcommand.  The random seed only shuffles the scan order of candidate
+base points in `iso induced`; every verdict is seed-independent.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import argparse
 import json
 import random
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -51,6 +53,7 @@ from .verify import run_all
 from .wldim import dimwl_verdict
 
 PASS, INPUT_ERROR, CHECK_FAILED, UNRESOLVED = 0, 2, 3, 4
+GLOBAL_DEFAULTS = {"format": "json", "seed": 0}
 
 
 def _emit(payload: dict, fmt: str, out_path: str | None = None) -> None:
@@ -359,16 +362,25 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The global options are accepted before and after every subcommand.
+    # No parser holds their defaults (see `main`), so a subparser that does
+    # not see an option leaves the value given before it in place.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "text"),
+                        default=argparse.SUPPRESS,
+                        help="report format (default: json)")
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help="shuffle candidate scan order in 'iso induced' "
+                             "only (default: 0)")
     p = argparse.ArgumentParser(prog="pfscheme", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--seed", type=int, default=0,
-                   help="shuffle candidate scan order in 'iso induced' only")
-    sub = p.add_subparsers(dest="command", required=True)
+                                formatter_class=argparse.RawDescriptionHelpFormatter,
+                                parents=[common])
+    with_globals = partial(argparse.ArgumentParser, parents=[common])
+    sub = p.add_subparsers(dest="command", required=True, parser_class=with_globals)
 
     g = sub.add_parser("gen", help="generate schemes and graph colorings")
     g.set_defaults(func=cmd_gen)
-    gsub = g.add_subparsers(dest="kind", required=True)
+    gsub = g.add_subparsers(dest="kind", required=True, parser_class=with_globals)
     gf = gsub.add_parser("frobenius")
     gf.add_argument("--spec")
     gf.add_argument("--cyclic", help="M,U for Z_M with unit U")
@@ -387,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--out")
 
     c = sub.add_parser("check", help="run a structural check")
-    csub = c.add_subparsers(dest="what", required=True)
+    csub = c.add_subparsers(dest="what", required=True, parser_class=with_globals)
     ca = csub.add_parser("axioms")
     ca.set_defaults(func=cmd_check_axioms)
     ca.add_argument("--scheme", required=True)
@@ -408,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     cu.add_argument("--scheme", required=True)
 
     i = sub.add_parser("iso", help="find isomorphisms")
-    isub = i.add_subparsers(dest="level", required=True)
+    isub = i.add_subparsers(dest="level", required=True, parser_class=with_globals)
     ia = isub.add_parser("alg")
     ia.set_defaults(func=cmd_iso_alg)
     ia.add_argument("source")
@@ -421,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     ii.add_argument("--psi", help="JSON file with a relation mapping")
 
     k = sub.add_parser("classify", help="arithmetic classification")
-    ksub = k.add_subparsers(dest="pipeline", required=True)
+    ksub = k.add_subparsers(dest="pipeline", required=True, parser_class=with_globals)
     kt = ksub.add_parser("thm2")
     kt.set_defaults(func=cmd_classify_thm2)
     kt.add_argument("--spec")
@@ -440,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
     try:
         return args.func(args)
     except SystemExit as exc:

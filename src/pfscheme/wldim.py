@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import factorize
 from .autgrp import FrobeniusCertificate, frobenius_certificate
@@ -32,7 +33,6 @@ from .parabolic import (
     indistinguishing_number,
     separability_verdict,
 )
-from .perms import PermGroup, Permutation
 from .scheme import Scheme, partition_equal, wl_closure
 
 EXCEPTION_SHAPES = {
@@ -234,6 +234,20 @@ class WlVerdict:
         }
 
 
+def _unit_orbit_labels(n: int, K) -> np.ndarray:
+    """Label of each residue mod n by its orbit under multiplication by the
+    unit group K, numbered 0, 1, ... in the order of the orbits' least
+    members.
+
+    Z_n x| K acts by x -> u*x + c, so the orbital of the pair (a, b) is
+    fixed by the K-orbit of (b - a) mod n: the orbitals are the labels of
+    the differences.
+    """
+    units = np.array(sorted(K), dtype=np.int64)
+    least = (units[:, None] * np.arange(n, dtype=np.int64)) % n
+    return np.unique(least.min(axis=0), return_inverse=True)[1]
+
+
 def _construction_certificate(circ: Circulant, closure: Scheme):
     """Try to match the closure with the orbital scheme of Z_n x| K for a
     fixed-point-free unit group K read off from the connection set.
@@ -242,19 +256,23 @@ def _construction_certificate(circ: Circulant, closure: Scheme):
     imprimitively, hence equals the full automorphism group of its own
     orbital scheme, so a partition match certifies the Frobenius property
     of the closure's automorphism group.
+
+    Both colourings are compared on the differences b - a: the closure is
+    first checked to satisfy P[a, b] == P[0, (b - a) mod n] (row a is the
+    window at n - a of row 0 written twice), so its pair partition matches
+    the orbitals exactly when row 0 matches the difference labels.
     """
     n = circ.n
     fac = factorize(n)
     if len(fac) == 1 and next(iter(fac.values())) == 1:
         return None
-    translation = Permutation(tuple((i + 1) % n for i in range(n)))
+    row = closure.colors[0]
+    if not np.array_equal(
+            closure.colors,
+            sliding_window_view(np.concatenate([row, row]), n)[n:0:-1]):
+        return None
     for K in certificate_unit_groups(circ):
-        gens = [translation]
-        gens.extend(
-            Permutation(tuple((u * i) % n for i in range(n))) for u in sorted(K))
-        group = PermGroup(gens, n)
-        labels = np.asarray(group.orbitals(), dtype=np.int64).reshape(n, n)
-        if partition_equal(labels, closure.colors):
+        if partition_equal(_unit_orbit_labels(n, K), row):
             return len(K), n * len(K)
     return None
 

@@ -111,6 +111,9 @@ def test_iso_induced_identity_and_seed(tmp_path, capsys):
     code, out3, _ = run_cli(capsys, "--seed", "5", "iso", "induced", z9, z9)
     assert out2 == out3
     assert json.loads(out2)["induced"]
+    # the global option is also accepted after the subcommand
+    code, out4, _ = run_cli(capsys, "iso", "induced", z9, z9, "--seed", "5")
+    assert code == 0 and out4 == out2
 
 
 def test_check_schurity_and_parabolics(tmp_path, capsys):
@@ -297,6 +300,17 @@ def test_classify_wl_above_the_search_limit_is_unresolved(capsys):
     assert "search_limited" not in rep
 
 
+def test_classify_wl_prime_within_the_search_limit(capsys):
+    # the translation certificate proves transitivity, so only the point
+    # stabilizer is searched
+    code, out, _ = run_cli(capsys, "classify", "wl", "--n", "251", "--conn", "1,-1")
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["verdict"] == "ExceptionUnresolved"
+    assert rep["certification"] == "search"
+    assert rep["group_order"] == 502
+
+
 def test_gen_circulant_coloring(tmp_path, capsys):
     path = gen_scheme(capsys, tmp_path, "c63.json",
                       "gen", "circulant", "--n", "63", "--units", "62",
@@ -326,6 +340,34 @@ def test_text_format(tmp_path, capsys):
     assert code == 0
     assert "passed: True" in out
     assert "{" not in out.splitlines()[0]
+
+
+def test_global_options_before_and_after_the_subcommand(tmp_path, capsys, monkeypatch):
+    from pfscheme import cli
+    from pfscheme.verify import CriterionResult
+
+    z9 = gen_scheme(capsys, tmp_path, "z9.json",
+                    "gen", "frobenius", "--cyclic", "9,8")
+    axioms = ("check", "axioms", "--scheme", z9)
+    _, default, _ = run_cli(capsys, *axioms)
+    _, before, _ = run_cli(capsys, "--format", "text", *axioms)
+    _, after, _ = run_cli(capsys, *axioms, "--format", "text")
+    _, middle, _ = run_cli(capsys, "check", "--format", "text", *axioms[1:])
+    assert json.loads(default)["passed"]
+    assert before == after == middle != default
+    # the later position wins; an absent option keeps the earlier value
+    _, last, _ = run_cli(capsys, "--format", "text", *axioms, "--format", "json")
+    assert last == default
+
+    monkeypatch.setattr(cli, "run_all", lambda: [
+        CriterionResult(1, "first", True, {"k": 1}, 0.5)])
+    for argv in (("--format", "text", "verify-paper"),
+                 ("verify-paper", "--format", "text")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == "criterion 1 (first): PASS (0.5s)\n"
+    code, out, _ = run_cli(capsys, "verify-paper", "--format", "json")
+    assert code == 0 and json.loads(out)["all_passed"]
 
 
 def test_module_entry_point():

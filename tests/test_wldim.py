@@ -3,11 +3,20 @@
 import numpy as np
 import pytest
 
+from pfscheme import autgrp
 from pfscheme.autgrp import frobenius_certificate
-from pfscheme.circulants import CirculantSpec, circulant_from_connection
-from pfscheme.scheme import Scheme, wl_closure
+from pfscheme.circulants import (
+    CirculantSpec,
+    certificate_unit_groups,
+    circulant_from_connection,
+    frobenius_circulant,
+)
+from pfscheme.perms import PermGroup, Permutation
+from pfscheme.scheme import Scheme, partition_equal, wl_closure
 from pfscheme.wldim import (
     SEARCH_LIMIT,
+    _construction_certificate,
+    _unit_orbit_labels,
     dimwl_verdict,
     exception_check,
     exception_set_crosscheck,
@@ -88,6 +97,74 @@ def test_frobenius_certificate_rejects_complete_and_sparse():
     # C_8 closure: reflection through an edge fixes two opposite points
     cert8 = frobenius_certificate(wl_closure(cycle_colors(8)))
     assert cert8.frobenius is False
+
+
+@pytest.mark.parametrize("n", [9, 31])
+def test_frobenius_certificate_paths_agree(n):
+    # Swapping points 1 and 2 hides the Z_n translations from
+    # translation_table, so the relabelled closure takes the search path.
+    closure = wl_closure(cycle_colors(n))
+    assert closure.translations is not None
+    perm = list(range(n))
+    perm[1], perm[2] = 2, 1
+    hidden = Scheme(closure.colors[np.ix_(perm, perm)])
+    assert hidden.translations is None
+    certified = frobenius_certificate(closure)
+    assert certified.frobenius and certified.group_order == 2 * n
+    assert frobenius_certificate(hidden) == certified
+
+
+def test_frobenius_certificate_searches_only_the_stabilizer(monkeypatch):
+    calls = []
+    solutions = autgrp._Search.solutions
+
+    def counted(self, partial, limit=None):
+        calls.append(dict(partial))
+        return solutions(self, partial, limit)
+
+    monkeypatch.setattr(autgrp._Search, "solutions", counted)
+    cert = frobenius_certificate(wl_closure(cycle_colors(31)))
+    assert cert.frobenius
+    assert calls == [{0: 0}]
+
+
+# the composite circulants of the benchmark that admit a K, and one K of
+# order 3
+COMPOSITE_CIRCULANTS = [
+    circulant_from_connection(n, [1, -1]) for n in (81, 99, 165, 189, 243)
+] + [frobenius_circulant(CirculantSpec(n, (n - 1,), (1, 2))) for n in (105, 195)] + [
+    frobenius_circulant(CirculantSpec(91, (16,), (1,)))]
+
+
+@pytest.mark.parametrize("circ", COMPOSITE_CIRCULANTS, ids=lambda c: "n%d" % c.n)
+def test_unit_orbit_labels_are_the_orbitals_of_the_semidirect_product(circ):
+    n = circ.n
+    residues = np.arange(n)
+    diffs = (residues[None, :] - residues[:, None]) % n
+    translation = Permutation(tuple((i + 1) % n for i in range(n)))
+    groups = certificate_unit_groups(circ)
+    assert groups
+    for K in groups:
+        gens = [translation] + [
+            Permutation(tuple((u * i) % n for i in range(n))) for u in sorted(K)]
+        orbitals = np.asarray(PermGroup(gens, n).orbitals()).reshape(n, n)
+        labels = _unit_orbit_labels(n, K)
+        assert partition_equal(labels[diffs], orbitals)
+        assert labels.max() + 1 == len(np.unique(labels))
+
+
+def test_construction_certificate_checks_every_row():
+    # Swapping points 1 and n - 1 keeps row 0 of the closure, whose colour
+    # depends only on the distance, but no other row.
+    n = 81
+    circ = circulant_from_connection(n, [1, -1])
+    closure = wl_closure(cycle_colors(n))
+    assert _construction_certificate(circ, closure) == (2, 2 * n)
+    perm = list(range(n))
+    perm[1], perm[n - 1] = n - 1, 1
+    swapped = closure.colors[np.ix_(perm, perm)]
+    assert np.array_equal(swapped[0], closure.colors[0])
+    assert _construction_certificate(circ, Scheme(swapped)) is None
 
 
 def test_frobenius_screen_fails_on_non_equivalenced():
