@@ -172,25 +172,23 @@ def is_base_triple(scheme: Scheme, e: Parabolic, mu: int, nu: int, rho: int) -> 
             and int(P[mu, rho]) not in e.relations)
 
 
-def _transversal(e: Parabolic) -> list[int]:
-    """Smallest point of each class of e, ascending."""
-    first = {}
-    for point, cls in enumerate(e.class_of):
-        first.setdefault(cls, point)
-    return sorted(first.values())
-
-
 def _relation_mask(scheme: Scheme, e: Parabolic) -> np.ndarray:
     in_e = np.zeros(scheme.rank, dtype=bool)
     in_e[list(e.relations)] = True
     return in_e
 
 
+def _transversal(scheme: Scheme, e: Parabolic) -> list[int]:
+    """Smallest point of each class of e, ascending."""
+    least = _relation_mask(scheme, e)[scheme.colors].argmax(axis=1)
+    return np.flatnonzero(least == np.arange(scheme.n)).tolist()
+
+
 def base_triples(scheme: Scheme, e: Parabolic, transversal_only: bool = True):
     """All base triples, with mu restricted to a class transversal by default."""
     P = scheme.colors
     in_e = _relation_mask(scheme, e)
-    mus = _transversal(e) if transversal_only else range(scheme.n)
+    mus = _transversal(scheme, e) if transversal_only else range(scheme.n)
     for mu in mus:
         row = in_e[P[mu]]
         nus = np.nonzero(row)[0]
@@ -279,7 +277,7 @@ def base_triple_counts(scheme: Scheme, e: Parabolic):
     P, n = scheme.colors, scheme.n
     in_e = _relation_mask(scheme, e)
     table = _pair_counts(scheme, in_e)
-    for mu in _transversal(e):
+    for mu in _transversal(scheme, e):
         x = P[mu]
         inside = in_e[x]
         nus = np.flatnonzero(inside)

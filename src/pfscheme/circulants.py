@@ -96,6 +96,8 @@ def frobenius_circulant(spec: CirculantSpec) -> Circulant:
 
 
 def circulant_from_connection(n: int, connection) -> Circulant:
+    if n < 2:
+        raise ValueError("need n >= 2")
     conn = frozenset(c % n for c in connection)
     if 0 in conn:
         raise ValueError("connection set must avoid 0")

@@ -208,7 +208,10 @@ def cmd_check_tcond(args) -> int:
 
 def cmd_check_parabolics(args) -> int:
     s = _load_scheme(args.scheme)
-    paras = enumerate_parabolics(s)
+    try:
+        paras = enumerate_parabolics(s)
+    except SchemeError as exc:             # NotCoherentError
+        return _fail("%s: %s" % (args.scheme, exc))
     payload = {
         "n": s.n,
         "rank": s.rank,
@@ -260,7 +263,10 @@ def cmd_check_schurity(args) -> int:
 def cmd_iso_alg(args) -> int:
     src = _load_scheme(args.source)
     dst = _load_scheme(args.target)
-    isos, truncated = find_algebraic_isomorphisms(src, dst, limit=args.limit)
+    try:
+        isos, truncated = find_algebraic_isomorphisms(src, dst, limit=args.limit)
+    except SchemeError as exc:             # NotCoherentError
+        return _fail(str(exc))
     payload = {
         "count": len(isos),
         "truncated": truncated,

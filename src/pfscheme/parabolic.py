@@ -2,14 +2,18 @@
 the indistinguishing number, and the arithmetic separability verdict.
 
 A parabolic is an equivalence on the point set that is a union of
-relations; they form a lattice under join.  For equivalenced schemes the
-verdict machinery decides separability from n, the valency k, and the
-index chains of the parabolic (or invariant-subgroup) lattice.
+relations (a closed subset); they form a lattice under join.  In a
+coherent scheme the class of point 0 settles a parabolic, so closures
+work from row 0 alone once the intersection tensor has verified
+coherence; an incoherent scheme raises NotCoherentError.  For
+equivalenced schemes the verdict machinery decides separability from n,
+the valency k, and the index chains of the parabolic (or
+invariant-subgroup) lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +28,6 @@ class Parabolic:
     """Union of relations forming an equivalence; classes all of size n_e."""
 
     relations: frozenset
-    class_of: tuple        # point -> class id (ids by smallest member)
     n_e: int
     num_classes: int
 
@@ -44,54 +47,36 @@ class Parabolic:
         return "Parabolic(rels=%s, n_e=%d)" % (sorted(self.relations), self.n_e)
 
 
-def _components(scheme: Scheme, rels) -> np.ndarray:
-    """Connected components of the union of the given relations (with stars),
-    each point labelled by the smallest point of its component."""
-    mask = np.zeros(scheme.rank, dtype=bool)
-    for s in rels:
-        mask[s] = True
-        mask[scheme.star[s]] = True
-    adj = mask[scheme.colors]
-    np.fill_diagonal(adj, True)
-    rows, cols = np.nonzero(adj)                     # row-major: rows ascend
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    label = np.arange(scheme.n, dtype=np.int64)
-    while True:
-        # Every label is a point of the same component, at most the point
-        # itself.  Each point and the root its label names take the least
-        # label around the point, then labels jump to their roots; a pass
-        # that changes nothing leaves each component on its smallest point.
-        least = np.minimum.reduceat(label[cols], starts)
-        nxt = np.minimum(label, least)
-        np.minimum.at(nxt, label, least)
-        while True:
-            jumped = nxt[nxt]
-            if np.array_equal(jumped, nxt):
-                break
-            nxt = jumped
-        if np.array_equal(nxt, label):
-            return label
-        label = nxt
-
-
 def parabolic_closure(scheme: Scheme, rels) -> Parabolic:
-    """Smallest parabolic containing the given relations."""
-    comp = _components(scheme, set(rels) | {0})
+    """Smallest parabolic containing the given relations.
+
+    Needs a coherent scheme: `scheme.tensor()` verifies that first and
+    raises NotCoherentError otherwise.  Then whether y lies within
+    distance d of x in the graph of E = rels, their transposes and the
+    diagonal depends only on the colour of (x, y), so the ball of radius
+    d around 0 names, through its row-0 colours S, the ball of radius d
+    around every point; the ball of radius 2d around 0 is the union of
+    the balls {y : P[x, y] in S} of its points x.  Squaring until the
+    ball stops growing reaches the class of point 0: the parabolic is
+    the set of colours on it, and every class has its size n_e.
+    """
+    scheme.tensor()
     P = scheme.colors
-    inside = comp[:, None] == comp[None, :]
-    within = np.bincount(P[inside], minlength=scheme.rank) > 0
-    # a scheme relation never straddles classes; verify defensively
-    straddle = np.flatnonzero(within & (np.bincount(P[~inside], minlength=scheme.rank) > 0))
-    if len(straddle):
-        raise SchemeError("relation %d lies both inside and across classes"
-                          % straddle[0])
-    rel_set = frozenset(np.flatnonzero(within).tolist())
-    sizes = np.bincount(comp)
-    sizes = sizes[sizes > 0]
-    if len(set(sizes.tolist())) != 1:
-        raise SchemeError("parabolic classes have unequal sizes %s" % sorted(set(sizes.tolist())))
-    return Parabolic(relations=rel_set, class_of=tuple(int(x) for x in comp),
-                     n_e=int(sizes[0]), num_classes=len(sizes))
+    mask = np.zeros(scheme.rank, dtype=bool)
+    mask[0] = True
+    for s in rels:
+        mask[[s, scheme.star[s]]] = True
+    block = mask[P[0]]
+    while True:
+        within = np.zeros(scheme.rank, dtype=bool)
+        within[P[0, block]] = True
+        grown = within[P[block]].any(axis=0)
+        if np.array_equal(grown, block):
+            break
+        block = grown
+    n_e = int(np.count_nonzero(block))
+    return Parabolic(relations=frozenset(np.flatnonzero(within).tolist()),
+                     n_e=n_e, num_classes=scheme.n // n_e)
 
 
 def enumerate_parabolics(scheme: Scheme) -> list[Parabolic]:
@@ -117,22 +102,6 @@ def _parabolic_lattice(scheme: Scheme) -> tuple[list[Parabolic], JoinLattice]:
     lattice = join_closure(seeds, member(range(scheme.rank)),
                            lambda a, b: member(indices_of(a | b).tolist()))
     return [found[bits] for bits in lattice.members], lattice
-
-
-def exhaustive_parabolics(scheme: Scheme) -> list[Parabolic]:
-    """Cross-check by scanning all relation subsets (rank <= 12 only)."""
-    if scheme.rank > 12:
-        raise ValueError("exhaustive scan limited to rank <= 12")
-    out = []
-    for bits in range(1 << (scheme.rank - 1)):
-        rels = {0} | {s for s in range(1, scheme.rank) if bits >> (s - 1) & 1}
-        comp = _components(scheme, rels)
-        inside = comp[:, None] == comp[None, :]
-        covered = frozenset(int(c) for c in np.unique(scheme.colors[inside]))
-        if covered == frozenset(rels):
-            out.append(parabolic_closure(scheme, rels))
-    uniq = {e.key(): e for e in out}
-    return sorted(uniq.values(), key=lambda e: (e.n_e, e.key()))
 
 
 def is_primitive(scheme: Scheme) -> bool:

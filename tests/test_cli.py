@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from pfscheme.cli import main
+from pfscheme.spreads import hall_spread, spread_scheme
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +230,51 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def incoherent_hall9():
+    """Hall q=9 with the colours of (1, 2) and (1, 9) swapped, and of their
+    transposes: a valid scheme file whose colouring is not coherent."""
+    d = spread_scheme(hall_spread(9)).to_json_dict()
+    c = d["colors"]
+    c[1][2], c[1][9] = c[1][9], c[1][2]
+    c[2][1], c[9][1] = c[9][1], c[2][1]
+    return d
+
+
+INCOHERENT_EXIT = {"check-axioms": 3, "check-tcond": 3, "check-schurity": 3,
+                   "check-parabolics": 2, "check-separability": 2,
+                   "iso-alg": 2, "iso-induced": 2}
+
+
+@pytest.mark.parametrize("argv", COLORS_COMMANDS,
+                         ids=["-".join(argv[:2]) for argv in COLORS_COMMANDS])
+def test_incoherent_scheme_exit_codes(tmp_path, capsys, argv):
+    # a check that certifies the failure reports it (exit 3); a command that
+    # needs a coherent scheme gives a one-line input error (exit 2)
+    path = tmp_path / "incoherent.json"
+    path.write_text(json.dumps(incoherent_hall9()))
+    code, out, err = run_cli(capsys, *(a.format(f=path) for a in argv))
+    assert code == INCOHERENT_EXIT["-".join(argv[:2])]
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert json.loads(out)
+        assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "wl", "--n", "0", "--conn", "1"),
+    ("classify", "wl", "--n", "-5", "--conn", "1"),
+    ("classify", "wl", "--n", "1"),
+    ("gen", "circulant", "--n", "0", "--conn", "1"),
+], ids=["wl-n0", "wl-n-5", "wl-n1", "gen-n0"])
+def test_circulant_order_below_2_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: need n >= 2\n"
 
 
 @pytest.mark.parametrize("mapping", [5, ["0"], [0, None], [True, 1]])

@@ -57,7 +57,7 @@ def test_invariant_lattice_matches_parabolics_of_the_orbital_scheme():
         lat = invariant_lattice(spec)
         scheme = from_orbitals(build_frobenius(spec))
         paras, plat = _parabolic_lattice(scheme)
-        blocks = [frozenset(np.flatnonzero(np.asarray(e.class_of) == e.class_of[0]).tolist())
+        blocks = [frozenset(np.flatnonzero(np.isin(scheme.colors[0], list(e.relations))).tolist())
                   for e in paras]
         index = {s.elements: i for i, s in enumerate(lat.subgroups)}
         assert set(blocks) == set(index), name

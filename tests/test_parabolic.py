@@ -3,26 +3,28 @@
 import numpy as np
 import pytest
 
+from pfscheme.algiso import _transversal
 from pfscheme.catalog import (
+    batch_specs,
     cyclic_unit_spec,
     double_prime_spec,
     field_cube_spec,
     negation_spec,
 )
+from pfscheme.circulants import circulant_from_connection, color_matrix
 from pfscheme.frobenius import build_frobenius
 from pfscheme.parabolic import (
     SeparabilityVerdict,
     _verdict_from_chains,
     divide_check,
     enumerate_parabolics,
-    exhaustive_parabolics,
     indistinguishing_number,
     is_primitive,
     parabolic_closure,
     separability_verdict,
 )
-from pfscheme.scheme import Scheme, SchemeError, from_orbitals
-from pfscheme.spreads import scalar_spec
+from pfscheme.scheme import NotCoherentError, Scheme, SchemeError, from_orbitals, wl_closure
+from pfscheme.spreads import hall_spread, scalar_spec, spread_scheme
 
 
 def frobenius_scheme(spec):
@@ -46,6 +48,53 @@ def paley_13():
     return Scheme(M)
 
 
+def union_find(labels, pairs):
+    """Merge the classes of each pair, starting from `labels` (each point's
+    least class mate); returns the merged labels."""
+    parent = list(labels)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(len(parent))]
+
+
+def relation_pairs(scheme, s):
+    """Pairs a < b in relation s or its transpose."""
+    P = scheme.colors
+    return np.argwhere(np.triu((P == s) | (P == scheme.star[s]), 1)).tolist()
+
+
+def union_find_classes(scheme, rels):
+    labels = list(range(scheme.n))
+    for s in rels:
+        labels = union_find(labels, relation_pairs(scheme, s))
+    return np.array(labels)
+
+
+def exhaustive_parabolics(scheme):
+    """Every relation subset that covers exactly the pairs inside its
+    union-find classes, as sorted (n_e, relations); rank <= 12 only."""
+    assert scheme.rank <= 12
+    pairs = [relation_pairs(scheme, s) for s in range(scheme.rank)]
+    labels = {0: list(range(scheme.n))}     # bit s - 1 stands for relation s
+    out = []
+    for bits in range(1 << (scheme.rank - 1)):
+        if bits:
+            top = bits.bit_length()
+            labels[bits] = union_find(labels[bits ^ 1 << (top - 1)], pairs[top])
+        comp = np.array(labels[bits])
+        rels = [0] + [s for s in range(1, scheme.rank) if bits >> (s - 1) & 1]
+        if np.unique(scheme.colors[comp[:, None] == comp[None, :]]).tolist() == rels:
+            out.append((int(np.count_nonzero(comp == 0)), tuple(rels)))
+    return sorted(out)
+
+
 def test_parabolic_closure_of_single_relation():
     s = frobenius_scheme(negation_spec(9))
     # the +-3 difference class generates the subgroup {0, 3, 6}
@@ -53,7 +102,8 @@ def test_parabolic_closure_of_single_relation():
     assert e.n_e == 3
     assert e.num_classes == 3
     assert e.relations == frozenset({0, 3})
-    assert e.class_of[0] == e.class_of[3] == e.class_of[6]
+    in_e = np.isin(s.colors[0], list(e.relations))
+    assert np.flatnonzero(in_e).tolist() == [0, 3, 6]
     # the +-1 class generates everything
     full = parabolic_closure(s, {1})
     assert full.is_full()
@@ -62,11 +112,15 @@ def test_parabolic_closure_of_single_relation():
 
 
 def test_enumerate_matches_exhaustive_scan():
-    for spec in (negation_spec(9), negation_spec(15), negation_spec(21)):
-        s = frobenius_scheme(spec)
+    schemes = [frobenius_scheme(spec)
+               for spec in (negation_spec(9), negation_spec(15), negation_spec(21))]
+    schemes += [spread_scheme(hall_spread(9)),                              # rank 11
+                wl_closure(color_matrix(circulant_from_connection(20, (1, 19))))]
+    assert [s.rank for s in schemes[3:]] == [11, 11]
+    for s in schemes:
         fast = enumerate_parabolics(s)
-        slow = exhaustive_parabolics(s)
-        assert [e.key() for e in fast] == [e.key() for e in slow]
+        assert [(e.n_e, e.key()) for e in fast] == exhaustive_parabolics(s)
+        assert all(e.n_e * e.num_classes == s.n for e in fast)
     s45 = frobenius_scheme(negation_spec(45))
     assert sorted(e.n_e for e in enumerate_parabolics(s45)) == [1, 3, 5, 9, 15, 45]
 
@@ -250,32 +304,24 @@ def test_verdict_chain_scan_matches_reference_loops():
         assert (v.reason, v.witness) == _reference_chain_verdict(n, k, sizes, incl)
 
 
-def test_components_match_union_find_reference():
-    from pfscheme.circulants import circulant_from_connection, color_matrix
-    from pfscheme.parabolic import _components
-    from pfscheme.scheme import wl_closure
-    from pfscheme.spreads import hall_spread, spread_scheme
+def test_parabolic_closure_rejects_an_incoherent_scheme():
+    # Hall q=9 with the colours of (1, 2) and (1, 9) swapped, and of their
+    # transposes: still a valid colouring with stars, but not coherent
+    P = spread_scheme(hall_spread(9)).colors.copy()
+    P[1, [2, 9]] = P[1, [9, 2]]
+    P[[2, 9], 1] = P[[9, 2], 1]
+    with pytest.raises(NotCoherentError):
+        parabolic_closure(Scheme(P), {1})
 
-    def reference(scheme, rels):
-        parent = list(range(scheme.n))
 
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        mask = np.zeros(scheme.rank, dtype=bool)
-        for s in rels:
-            mask[[s, scheme.star[s]]] = True
-        for a, b in zip(*np.nonzero(mask[scheme.colors])):
-            ra, rb = find(int(a)), find(int(b))
-            parent[max(ra, rb)] = min(ra, rb)
-        return [find(x) for x in range(scheme.n)]
-
-    rng = np.random.default_rng(3)
-    schemes = [frobenius_scheme(negation_spec(45)), spread_scheme(hall_spread(9)),
-               wl_closure(color_matrix(circulant_from_connection(60, (1, 59))))]
-    for s in schemes:
-        for _ in range(25):
-            rels = {int(r) for r in rng.choice(s.rank, size=rng.integers(0, 4))}
-            assert _components(s, rels).tolist() == reference(s, rels)
+def test_transversal_is_the_least_point_of_each_class():
+    checked = 0
+    for name, spec in batch_specs():
+        if spec.kernel_order > 100:
+            continue
+        s = frobenius_scheme(spec)
+        for e in enumerate_parabolics(s):
+            least = np.unique(union_find_classes(s, e.relations)).tolist()
+            assert _transversal(s, e) == least, (name, e)
+        checked += 1
+    assert checked >= 30
