@@ -130,10 +130,10 @@ def _spec_from_args(args) -> FrobeniusSpec:
             return FrobeniusSpec((CyclicFactor(m, (u,)),), mult_order(u, m))
         if args.scalar:
             vals = _parse_ints(args.scalar)
-            q = vals[0]
-            dim = vals[1] if len(vals) > 1 else 2
-            return scalar_spec(q, dim)
-    except FrobeniusError as exc:
+            if not 1 <= len(vals) <= 2:
+                raise SystemExit(_fail("--scalar needs Q or Q,DIM"))
+            return scalar_spec(*vals)
+    except ValueError as exc:              # FrobeniusError, or a bad field order
         raise SystemExit(_fail(str(exc)))
     raise SystemExit(_fail("provide --spec FILE, --cyclic M,U, or --scalar Q[,DIM]"))
 
@@ -240,7 +240,7 @@ def cmd_check_separability(args) -> int:
             return _fail("provide --scheme FILE or --spec FILE")
         s = _load_scheme(args.scheme)
         try:
-            verdict = separability_verdict(s, k=args.k)
+            verdict = separability_verdict(s)
         except SchemeError as exc:
             return _fail(str(exc))
     _emit(verdict.to_json_dict(), args.format)
@@ -261,6 +261,8 @@ def cmd_check_schurity(args) -> int:
 
 
 def cmd_iso_alg(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        return _fail("--limit must be at least 1, got %d" % args.limit)
     src = _load_scheme(args.source)
     dst = _load_scheme(args.target)
     try:
@@ -367,6 +369,13 @@ def cmd_verify(args) -> int:
 # -- parser --------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: one stderr line and exit code 2."""
+
+    def error(self, message):
+        raise SystemExit(_fail("%s: %s" % (self.prog, message)))
+
+
 def build_parser() -> argparse.ArgumentParser:
     # The global options are accepted before and after every subcommand.
     # No parser holds their defaults (see `main`), so a subparser that does
@@ -378,10 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="shuffle candidate scan order in 'iso induced' "
                              "only (default: 0)")
-    p = argparse.ArgumentParser(prog="pfscheme", description=__doc__,
+    p = _Parser(prog="pfscheme", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter,
                                 parents=[common])
-    with_globals = partial(argparse.ArgumentParser, parents=[common])
+    with_globals = partial(_Parser, parents=[common])
     sub = p.add_subparsers(dest="command", required=True, parser_class=with_globals)
 
     g = sub.add_parser("gen", help="generate schemes and graph colorings")
@@ -420,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     cs.set_defaults(func=cmd_check_separability)
     cs.add_argument("--scheme")
     cs.add_argument("--spec")
-    cs.add_argument("--k", type=int)
     cu = csub.add_parser("schurity")
     cu.set_defaults(func=cmd_check_schurity)
     cu.add_argument("--scheme", required=True)
@@ -458,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
     try:
+        args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

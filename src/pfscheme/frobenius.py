@@ -3,16 +3,24 @@
 The kernel H is a direct product of cyclic and elementary abelian factors;
 the complement K is given by its action on each factor (a unit multiplier
 for cyclic factors, an invertible matrix for elementary abelian ones, one
-entry per complement generator).  Validation closes the complement to
-exactly `complement_order` elements and certifies that every nontrivial
-one fixes no nonzero kernel element; `build_frobenius` then returns the
-permutation group on H generated by translations and the complement.
+entry per complement generator).
+
+A kernel element is an index in range(|H|), read as little-endian digits:
+one digit per factor, and inside an elementary abelian factor one base-p
+digit per coordinate.  Addition is digitwise (`_vector_adder`).  The
+complement is one cached (k, n) table, `FrobeniusSpec.complement`: the
+generator tables (`_generator_tables`) closed under composition, with the
+identity in row 0.  `validate` checks that the table has exactly
+`complement_order` rows and that no row but the identity fixes a nonzero
+index; `build_frobenius` then returns the permutation group on H
+generated by the translations and the complement.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -25,9 +33,9 @@ from .perms import PermGroup, Permutation
 class FrobeniusError(ValueError):
     """Spec fails to define a Frobenius group; carries a witness when one exists.
 
-    For a fixed-point violation, `witness` is (kappa, h): the complement
-    element (as its per-factor action tuple) and the nonzero kernel element
-    it fixes (as a point index).
+    For a fixed-point violation, `witness` is (images, h): the complement
+    element, named by its images of the `_basis` indices, and the least
+    nonzero kernel index it fixes.
     """
 
     def __init__(self, message, witness=None):
@@ -111,36 +119,6 @@ def _det_mod(M, p: int) -> int:
     return det % p
 
 
-def _left_fixed_vector(M, p: int):
-    """Nonzero v with v M = v, or None.  Solves v (M - I) = 0."""
-    n = len(M)
-    A = [[(M[r][c] - (1 if r == c else 0)) % p for r in range(n)] for c in range(n)]
-    # columns of A are rows of (M - I); kernel of A^T acting on the right
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if A[r][col] % p), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        inv = pow(A[row][col], p - 2, p)
-        A[row] = [x * inv % p for x in A[row]]
-        for r in range(n):
-            if r != row and A[r][col]:
-                f = A[r][col]
-                A[r] = [(x - f * y) % p for x, y in zip(A[r], A[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
-    v = [0] * n
-    v[free[0]] = 1
-    for r, col in enumerate(pivots):
-        v[col] = (-A[r][free[0]]) % p
-    return tuple(v)
-
-
 @dataclass(frozen=True)
 class FrobeniusSpec:
     """Kernel factors plus the complement's order and per-factor actions."""
@@ -159,7 +137,7 @@ class FrobeniusSpec:
             raise FrobeniusError("every factor must list one action per complement generator")
         object.__setattr__(self, "kernel_factors", tuple(self.kernel_factors))
 
-    # -- sizes and elements ----------------------------------------------
+    # -- sizes and the complement table -------------------------------------
 
     @property
     def kernel_order(self) -> int:
@@ -173,157 +151,56 @@ class FrobeniusSpec:
         f = self.kernel_factors[0]
         return len(f.units) if isinstance(f, CyclicFactor) else len(f.matrices)
 
-    def identity_element(self) -> tuple:
-        out = []
-        for f in self.kernel_factors:
-            out.append(0 if isinstance(f, CyclicFactor) else (0,) * f.dim)
-        return tuple(out)
+    @cached_property
+    def complement(self) -> np.ndarray:
+        """(k, n) table: row c sends each kernel index to its image under
+        the c-th complement element.  Row 0 is the identity; the others
+        follow in breadth-first order from the generator tables.
 
-    def elements(self):
-        """All kernel elements in index order."""
-        def expand(i):
-            out = []
-            for f in self.kernel_factors:
-                if isinstance(f, CyclicFactor):
-                    out.append(i % f.modulus)
-                    i //= f.modulus
-                else:
-                    v = []
-                    for _ in range(f.dim):
-                        v.append(i % f.p)
-                        i //= f.p
-                    out.append(tuple(v))
-            return tuple(out)
-        return [expand(i) for i in range(self.kernel_order)]
-
-    def element_index(self, h: tuple) -> int:
-        idx = 0
-        stride = 1
-        for f, val in zip(self.kernel_factors, h):
-            if isinstance(f, CyclicFactor):
-                idx += (val % f.modulus) * stride
-                stride *= f.modulus
-            else:
-                for d in range(f.dim):
-                    idx += (val[d] % f.p) * stride * f.p**d
-                stride *= f.size
-        return idx
-
-    def add(self, h1: tuple, h2: tuple) -> tuple:
-        out = []
-        for f, a, b in zip(self.kernel_factors, h1, h2):
-            if isinstance(f, CyclicFactor):
-                out.append((a + b) % f.modulus)
-            else:
-                out.append(tuple((x + y) % f.p for x, y in zip(a, b)))
-        return tuple(out)
-
-    def neg(self, h: tuple) -> tuple:
-        out = []
-        for f, a in zip(self.kernel_factors, h):
-            if isinstance(f, CyclicFactor):
-                out.append(-a % f.modulus)
-            else:
-                out.append(tuple(-x % f.p for x in a))
-        return tuple(out)
-
-    # -- complement -------------------------------------------------------
-
-    def generator_actions(self) -> list[tuple]:
-        """Complement generators as per-factor action tuples."""
-        out = []
-        for j in range(self.num_generators):
-            parts = []
-            for f in self.kernel_factors:
-                parts.append(f.units[j] if isinstance(f, CyclicFactor) else f.matrices[j])
-            out.append(tuple(parts))
-        return out
-
-    def _compose(self, x: tuple, y: tuple) -> tuple:
-        parts = []
-        for f, a, b in zip(self.kernel_factors, x, y):
-            if isinstance(f, CyclicFactor):
-                parts.append(a * b % f.modulus)
-            else:
-                p = f.p
-                parts.append(tuple(tuple(sum(a[r][i] * b[i][c] for i in range(f.dim)) % p
-                                         for c in range(f.dim)) for r in range(f.dim)))
-        return tuple(parts)
-
-    def _identity_action(self) -> tuple:
-        parts = []
-        for f in self.kernel_factors:
-            if isinstance(f, CyclicFactor):
-                parts.append(1)
-            else:
-                parts.append(tuple(tuple(1 if r == c else 0 for c in range(f.dim))
-                                   for r in range(f.dim)))
-        return tuple(parts)
-
-    def apply(self, action: tuple, h: tuple) -> tuple:
-        parts = []
-        for f, a, v in zip(self.kernel_factors, action, h):
-            if isinstance(f, CyclicFactor):
-                parts.append(v * a % f.modulus)
-            else:
-                parts.append(tuple(sum(v[r] * a[r][c] for r in range(f.dim)) % f.p
-                                   for c in range(f.dim)))
-        return tuple(parts)
-
-    def complement_elements(self) -> list[tuple]:
-        """Close the generators; error if the order is not complement_order."""
-        ident = self._identity_action()
-        gens = self.generator_actions()
-        seen = {ident}
-        frontier = [ident]
+        Raises when the generators close to a group of order other than
+        `complement_order`.
+        """
+        ident = np.arange(self.kernel_order, dtype=np.int64)
+        gens = _generator_tables(self)
         cap = self.complement_order
+        rows = [ident]
+        seen = {ident.tobytes()}
+        frontier = [ident]
         while frontier:
             nxt = []
             for x in frontier:
                 for g in gens:
-                    y = self._compose(x, g)
-                    if y not in seen:
+                    y = g[x]
+                    key = y.tobytes()
+                    if key not in seen:
                         if len(seen) >= cap:
                             raise FrobeniusError(
                                 "complement closes to more than %d elements" % cap)
-                        seen.add(y)
+                        seen.add(key)
                         nxt.append(y)
+            rows.extend(nxt)
             frontier = nxt
-        if len(seen) != self.complement_order:
-            raise FrobeniusError("complement has order %d, spec says %d"
-                                 % (len(seen), self.complement_order))
-        return sorted(seen)
+        if len(rows) != cap:
+            raise FrobeniusError("complement has order %d, spec says %d" % (len(rows), cap))
+        return np.stack(rows)
 
-    def validate(self) -> list[tuple]:
-        """Full Frobenius validation; returns the complement elements.
+    def validate(self) -> np.ndarray:
+        """Full Frobenius validation; returns the complement table.
 
-        Fixed-point-freeness is checked per factor: a complement element
-        with a nonzero fixed point in some factor fixes a nonzero kernel
-        element, and conversely.
+        Every row but the identity must fix the zero index alone.  The
+        witness of a failure is the first such row (named by its images
+        of the `_basis` indices) and its least nonzero fixed index.
         """
-        elements = self.complement_elements()
-        ident = self._identity_action()
-        for kappa in elements:
-            if kappa == ident:
-                continue
-            for fi, (f, a) in enumerate(zip(self.kernel_factors, kappa)):
-                h_part = None
-                if isinstance(f, CyclicFactor):
-                    g = gcd(a - 1, f.modulus)
-                    if g > 1:
-                        h_part = f.modulus // g
-                else:
-                    v = _left_fixed_vector(a, f.p)
-                    if v is not None:
-                        h_part = v
-                if h_part is not None:
-                    h = list(self.identity_element())
-                    h[fi] = h_part
-                    idx = self.element_index(tuple(h))
-                    raise FrobeniusError(
-                        "complement element %r fixes nonzero kernel element %r (index %d)"
-                        % (kappa, tuple(h), idx), witness=(kappa, idx))
-        return elements
+        table = self.complement
+        for row in table[1:]:
+            fixed = np.flatnonzero(row == table[0])
+            if len(fixed) > 1:
+                images = tuple(row[_basis(self)].tolist())
+                h = int(fixed[1])
+                raise FrobeniusError(
+                    "complement element with basis images %r fixes nonzero kernel "
+                    "element (index %d)" % (images, h), witness=(images, h))
+        return table
 
     # -- serialization ------------------------------------------------------
 
@@ -385,28 +262,10 @@ def build_frobenius(spec: FrobeniusSpec) -> PermGroup:
     fixed points, hence faithfully and with trivial two-point stabilizers).
     """
     spec.validate()
-    elements = spec.elements()
-    index = {h: i for i, h in enumerate(elements)}
-    gens = []
-    for fi, f in enumerate(spec.kernel_factors):
-        basis = []
-        if isinstance(f, CyclicFactor):
-            basis.append(1)
-        else:
-            basis.extend(tuple(1 if d == j else 0 for d in range(f.dim)) for j in range(f.dim))
-        for b in basis:
-            step = list(spec.identity_element())
-            step[fi] = b
-            step = tuple(step)
-            gens.append(Permutation([index[spec.add(h, step)] for h in elements]))
-    for kappa in _generator_set(spec):
-        gens.append(Permutation([index[spec.apply(kappa, h)] for h in elements]))
-    return PermGroup(gens, degree=len(elements))
-
-
-def _generator_set(spec: FrobeniusSpec) -> list[tuple]:
-    ident = spec._identity_action()
-    return [g for g in spec.generator_actions() if g != ident]
+    idx = np.arange(spec.kernel_order, dtype=np.int64)
+    vadd = _vector_adder(spec)
+    gens = [vadd(idx, b) for b in _basis(spec)] + _generator_tables(spec)
+    return PermGroup([Permutation(g.tolist()) for g in gens], degree=spec.kernel_order)
 
 
 # -- invariant subgroup lattice -----------------------------------------
@@ -539,7 +398,7 @@ def _principal_subgroups(spec: FrobeniusSpec, vadd) -> list[tuple[int, int]]:
     """
     n = spec.kernel_order
     half = n // 2
-    kappa = _complement_action(spec)
+    kappa = spec.complement
     orders = _element_orders(spec)
     primary = np.isin(orders, [o for o in np.unique(orders).tolist() if prime_power(o)])
 
@@ -614,23 +473,35 @@ def _vector_adder(spec: FrobeniusSpec):
     return add
 
 
-def _complement_action(spec: FrobeniusSpec) -> np.ndarray:
-    """(k, n) table: row c sends each element index to its image under the
-    c-th complement element, on the digits `_vector_adder` uses."""
+def _basis(spec: FrobeniusSpec) -> list[int]:
+    """Index of each kernel basis vector: the generator 1 of a cyclic
+    factor, and each unit vector (digit p^d) of an elementary abelian one."""
+    out = []
+    for f, st in zip(spec.kernel_factors, _strides(spec)):
+        if isinstance(f, CyclicFactor):
+            out.append(st)
+        else:
+            out.extend(st * f.p**d for d in range(f.dim))
+    return out
+
+
+def _generator_tables(spec: FrobeniusSpec) -> list[np.ndarray]:
+    """For each complement generator j, the image of every kernel index,
+    on the digits `_vector_adder` uses."""
     idx = np.arange(spec.kernel_order, dtype=np.int64)
-    rows = []
-    for kappa in spec.complement_elements():
-        out = np.zeros_like(idx)
-        for f, st, a in zip(spec.kernel_factors, _strides(spec), kappa):
+    out = []
+    for j in range(spec.num_generators):
+        img = np.zeros_like(idx)
+        for f, st in zip(spec.kernel_factors, _strides(spec)):
             digit = (idx // st) % f.size
             if isinstance(f, CyclicFactor):
-                out += (digit * a % f.modulus) * st
+                img += (digit * f.units[j] % f.modulus) * st
             else:
                 weights = f.p ** np.arange(f.dim, dtype=np.int64)
                 v = (digit[:, None] // weights) % f.p
-                out += ((v @ np.asarray(a, dtype=np.int64)) % f.p @ weights) * st
-        rows.append(out)
-    return np.stack(rows)
+                img += ((v @ np.asarray(f.matrices[j], dtype=np.int64)) % f.p @ weights) * st
+        out.append(img)
+    return out
 
 
 # -- principal sections -------------------------------------------------
@@ -665,7 +536,7 @@ def principal_sections(spec: FrobeniusSpec,
     if lattice is None:
         lattice = invariant_lattice(spec)
     vadd = _vector_adder(spec)
-    kappa = _complement_action(spec)
+    kappa = spec.complement
     chain = lattice.maximal_chain()
     out = []
     for lo_i, hi_i in zip(chain, chain[1:]):

@@ -230,14 +230,15 @@ def _verdict_from_chains(n: int, k: int, sizes: list[int], incl: np.ndarray,
     return SeparabilityVerdict(False, n, k, pi_count=pi_count, d=d, cases=cases)
 
 
-def separability_verdict(subject, k: int | None = None) -> SeparabilityVerdict:
+def separability_verdict(subject, parabolics=None) -> SeparabilityVerdict:
     """Arithmetic separability for a Scheme or a FrobeniusSpec.
 
     Separable when (a) n > 3k(k-1)^2, (b) some strict chain of three nested
     nontrivial parabolics exists, or (c) some two-step chain's index
     multiset avoids {{k,k,k}} and {{k,k,2k}}.  Otherwise Undecided, with
     the matching d = 3 parameter cases annotated.  The subject must be
-    imprimitive (equivalenced, for schemes).
+    imprimitive (equivalenced, for schemes).  For a Scheme, `parabolics`
+    is its `_parabolic_lattice` when the caller has built it already.
     """
     if isinstance(subject, FrobeniusSpec):
         lattice = invariant_lattice(subject)
@@ -252,13 +253,13 @@ def separability_verdict(subject, k: int | None = None) -> SeparabilityVerdict:
         cases = d3_cases(n, kk, principal_sections(subject, lattice)) if d == 3 else ()
         return _verdict_from_chains(n, kk, sizes, incl, d, cases)
     scheme: Scheme = subject
-    kk = scheme.is_equivalenced() if k is None else k
+    kk = scheme.is_equivalenced()
     if kk is None:
         raise SchemeError("separability needs an equivalenced scheme")
     if kk == scheme.n - 1:
         return _verdict_from_chains(scheme.n, kk, [],
                                     np.zeros((0, 0), dtype=bool), 1, ())
-    paras, lattice = _parabolic_lattice(scheme)
+    paras, lattice = _parabolic_lattice(scheme) if parabolics is None else parabolics
     if len(paras) <= 2:
         raise SchemeError("primitive scheme: separability criteria need a parabolic")
     d = lattice.longest

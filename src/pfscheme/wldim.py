@@ -28,6 +28,7 @@ from .circulants import (
 )
 from .parabolic import (
     SeparabilityVerdict,
+    _parabolic_lattice,
     divide_check,
     enumerate_parabolics,
     indistinguishing_number,
@@ -185,12 +186,16 @@ class FrobeniusScreen:
         }
 
 
-def frobenius_screen(scheme: Scheme) -> FrobeniusScreen:
+def frobenius_screen(scheme: Scheme, parabolics=None) -> FrobeniusScreen:
+    """Equivalenced with valency k >= 2, indistinguishing number k - 1, and
+    the divide check on every nested pair of parabolics.  `parabolics` is
+    the scheme's `_parabolic_lattice` when the caller has built it already.
+    """
     k = scheme.is_equivalenced()
     if k is None or k < 2:
         return FrobeniusScreen(False, k, False, False)
     indist_ok = indistinguishing_number(scheme) == k - 1
-    paras = enumerate_parabolics(scheme)
+    paras = enumerate_parabolics(scheme) if parabolics is None else parabolics[0]
     divide_ok = all(rec.ok for rec in divide_check(scheme, paras))
     return FrobeniusScreen(True, k, indist_ok, divide_ok)
 
@@ -291,7 +296,11 @@ def dimwl_verdict(circ) -> WlVerdict:
         raise TypeError("expected a Circulant or CirculantSpec")
     n = circ.n
     closure = wl_closure(color_matrix(circ))
-    screen = frobenius_screen(closure)
+    # One parabolic lattice serves both the screen and the separability
+    # verdict; a closure the screen rejects on its valencies needs none.
+    k = closure.is_equivalenced()
+    parabolics = _parabolic_lattice(closure) if k is not None and k >= 2 else None
+    screen = frobenius_screen(closure, parabolics)
     exc = exception_check(n)
     base = {
         "n": n,
@@ -354,7 +363,7 @@ def dimwl_verdict(circ) -> WlVerdict:
             **base,
         )
 
-    sep = separability_verdict(closure)
+    sep = separability_verdict(closure, parabolics)
     if not sep.separable:
         raise AssertionError(
             "certified Frobenius closure outside the exception set must be "

@@ -1,5 +1,6 @@
 """The named batch of Frobenius specs used by the survey runs."""
 
+import numpy as np
 import pytest
 
 from pfscheme.catalog import (
@@ -38,8 +39,12 @@ def test_spot_validation_across_families():
     for spec in (negation_spec(9), cyclic_unit_spec(91, 16),
                  field_cube_spec(3, 2), double_prime_spec(3, 5, 2),
                  mixed_spec(7, 2, 4)):
-        elems = spec.validate()
-        assert len(elems) == spec.complement_order
+        table = spec.validate()
+        n = spec.kernel_order
+        assert table.shape == (spec.complement_order, n)
+        assert (table[0] == np.arange(n)).all()
+        assert (np.sort(table, axis=1) == np.arange(n)).all()   # bijections
+        assert len({row.tobytes() for row in table}) == spec.complement_order
 
 
 def test_small_members_are_imprimitive():

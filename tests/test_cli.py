@@ -307,6 +307,27 @@ def test_verify_paper_json_stdout_is_one_document(capsys, monkeypatch):
                                 "criterion 2 (second): FAIL (0.3s)"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "thm2", "--scalar", "1"),
+    ("classify", "thm2", "--scalar", "0"),
+    ("classify", "thm2", "--scalar", "6"),          # not a prime power
+    ("classify", "thm2", "--scalar", ","),          # no value at all
+    ("gen", "frobenius", "--scalar", "2"),
+    ("check", "separability", "--scheme", "{hall9}", "--k", "0"),
+    ("check", "separability", "--scheme", "{hall9}", "--k", "-3"),
+    ("iso", "alg", "{hall9}", "{hall9}", "--limit", "0"),
+    ("iso", "alg", "{hall9}", "{hall9}", "--limit", "-1"),
+], ids=["thm2-q1", "thm2-q0", "thm2-q6", "thm2-empty", "gen-q2", "separability-k0",
+        "separability-k-3", "iso-alg-limit0", "iso-alg-limit-1"])
+def test_bad_argument_value_exits_2(tmp_path, capsys, argv):
+    hall9 = gen_scheme(capsys, tmp_path, "hall9.json",
+                       "gen", "spread", "--q", "9", "--plane", "hall")
+    code, out, err = run_cli(capsys, *(a.format(hall9=hall9) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_classify_thm2(capsys):
     code, out, _ = run_cli(capsys, "classify", "thm2", "--cyclic", "105,104")
     assert code == 0

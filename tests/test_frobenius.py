@@ -1,5 +1,6 @@
 """Frobenius specs: validation, indexing, lattices, sections, classification."""
 
+import numpy as np
 import pytest
 
 from pfscheme.catalog import (
@@ -14,11 +15,14 @@ from pfscheme.frobenius import (
     ElementaryAbelianFactor,
     FrobeniusError,
     FrobeniusSpec,
+    _basis,
+    _vector_adder,
     build_frobenius,
     invariant_lattice,
     principal_sections,
     thm2_profile,
 )
+from pfscheme.perms import PermGroup, Permutation
 from pfscheme.scheme import from_orbitals
 from pfscheme.spreads import scalar_spec
 
@@ -45,7 +49,8 @@ def test_spec_rejects_fixed_points():
     spec = FrobeniusSpec((CyclicFactor(15, (4,)),), 2)
     with pytest.raises(FrobeniusError) as info:
         spec.validate()
-    assert "fixes" in str(info.value)
+    assert "fixes nonzero kernel element (index 5)" in str(info.value)
+    assert info.value.witness == ((4,), 5)
 
 
 def test_spec_rejects_wrong_complement_order():
@@ -62,18 +67,36 @@ def test_negation_spec_validates_for_odd_moduli():
         assert len(elems) == 2
 
 
-def test_element_index_round_trip_mixed_kernel():
+def test_kernel_index_arithmetic_mixed_kernel():
+    # Z_7 + (Z_2)^4: digit 0 has radix 7, then four base-2 digits
     spec = mixed_spec(7, 2, 4)
-    elems = spec.elements()
-    assert len(elems) == spec.kernel_order == 7 * 16
-    for i, h in enumerate(elems):
-        assert spec.element_index(h) == i
-    # addition agrees with per-part arithmetic
-    a, b = elems[5], elems[23]
-    s = spec.add(a, b)
-    assert s[0] == (a[0] + b[0]) % 7
-    assert s[1] == tuple((x + y) % 2 for x, y in zip(a[1], b[1]))
-    assert spec.add(s, spec.neg(s)) == spec.identity_element()
+    n = spec.kernel_order
+    assert n == 7 * 16
+    vadd = _vector_adder(spec)
+    idx = np.arange(n)
+
+    def digits(i):
+        return np.stack([i % 7] + [(i // 7 >> d) & 1 for d in range(4)])
+
+    sums = vadd(idx[:, None], idx[None, :])
+    radix = np.array([7, 2, 2, 2, 2])[:, None, None]
+    assert (digits(sums) == (digits(idx)[:, :, None] + digits(idx)[:, None, :]) % radix).all()
+    assert (np.sort(sums, axis=1) == idx).all()      # each row is a bijection
+    # the translations by the basis indices generate a regular group
+    assert _basis(spec) == [1, 7, 14, 28, 56]
+    translations = PermGroup([Permutation(vadd(idx, b).tolist()) for b in _basis(spec)], n)
+    assert translations.is_transitive() and translations.order() == n
+    assert build_frobenius(spec).order() == n * spec.complement_order
+
+
+def test_spec_rejects_fixed_points_elementary_abelian():
+    # negation on Z_5 times diag(2, 1) on (Z_3)^2 fixes (0, (0, 1)): index 5 * 3
+    spec = FrobeniusSpec((CyclicFactor(5, (4,)),
+                          ElementaryAbelianFactor(3, 2, (((2, 0), (0, 1)),))), 2)
+    with pytest.raises(FrobeniusError) as info:
+        spec.validate()
+    assert info.value.witness == ((4, 10, 15), 15)
+    assert "(index 15)" in str(info.value)
 
 
 def test_build_frobenius_order_and_rank():

@@ -237,3 +237,20 @@ def test_dimwl_prime_within_search_limit():
     assert v.verdict == "ExceptionUnresolved"
     assert v.certification == "search"
     assert v.group_order == 10
+
+
+def test_dimwl_builds_the_parabolic_lattice_once(monkeypatch):
+    from pfscheme import parabolic, wldim
+
+    calls = []
+
+    def counted(scheme):
+        calls.append(scheme.n)
+        return parabolic_lattice(scheme)
+
+    parabolic_lattice = parabolic._parabolic_lattice
+    monkeypatch.setattr(parabolic, "_parabolic_lattice", counted)
+    monkeypatch.setattr(wldim, "_parabolic_lattice", counted)
+    v = dimwl_verdict(circulant_from_connection(81, [1, 80]))
+    assert v.verdict == "Exactly2" and v.separability is not None
+    assert calls == [81]
