@@ -1,7 +1,7 @@
 """Association schemes of Frobenius type: construction, checking, classification.
 
 Subpackage map:
-    arith       small number-theory helpers (factorization, orders, divisors)
+    arith       number-theory helpers and mixed-radix index arithmetic
     perms       permutations, Schreier-Sims groups, orbitals
     scheme      association schemes, intersection tensors, WL closure
     lattice     shared join-closure engine for subgroup and parabolic lattices

@@ -343,6 +343,44 @@ def _first_valid_triple(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
     return None, None
 
 
+def _verified_maps(source: Scheme, target: Scheme, psi: RelationBijection,
+                   e: Parabolic | None, mus):
+    """Yield (e, tau, tau2, g) for every verified point map g inducing psi.
+
+    e defaults to the first nontrivial parabolic of the source, and tau is
+    its first bijective base triple.  tau2 runs over the target triples
+    (mu2 in `mus`, default every point) carrying the psi-images of tau's
+    three colours; each transported coordinate map g is verified before
+    it is yielded.  Any point map inducing psi sends tau to such a triple,
+    so the scan finds every one.
+    """
+    if e is None:
+        nontrivial = [p for p in enumerate_parabolics(source)
+                      if not p.is_trivial() and not p.is_full()]
+        if not nontrivial:
+            raise SchemeError("base-triple reconstruction needs a nontrivial parabolic")
+        e = nontrivial[0]
+    e2 = psi.image_parabolic(e)
+    in_e = _relation_mask(source, e)
+    tau, f1 = _first_valid_triple(source, e, in_e, _pair_counts(source, in_e))
+    if tau is None:
+        raise SchemeError("no bijective base triple exists for the parabolic")
+    in_e2 = _relation_mask(target, e2)
+    counts2 = _pair_counts(target, in_e2)
+    P2 = target.colors
+    s2, r2 = psi[f1.in_color], psi[f1.out_color]
+    t2 = psi[int(source.colors[tau.nu, tau.rho])]
+    # psi preserves the tensor, so every tau2 has tau's pair count n:
+    # its coordinate map is bijective.
+    for mu2 in range(target.n) if mus is None else mus:
+        for nu2 in np.flatnonzero(P2[mu2] == s2):
+            for rho2 in np.flatnonzero((P2[mu2] == r2) & (P2[nu2] == t2)):
+                tau2 = BaseTriple(int(mu2), int(nu2), int(rho2))
+                g = induced_point_map(psi, f1, _coordinate_map(target, e2, in_e2, counts2, tau2))
+                if g is not None and verify_induced(source, target, psi, g):
+                    yield e, tau, tau2, tuple(int(v) for v in g)
+
+
 def induced_isomorphism(source: Scheme, target: Scheme, psi: RelationBijection,
                         e: Parabolic | None = None,
                         mu_candidates=None) -> InducedIsomorphism | None:
@@ -353,39 +391,11 @@ def induced_isomorphism(source: Scheme, target: Scheme, psi: RelationBijection,
     Any point map inducing psi sends tau to such a triple, so the scan
     decides inducedness of psi completely.
     """
-    if e is None:
-        paras = enumerate_parabolics(source)
-        nontrivial = [p for p in paras if not p.is_trivial() and not p.is_full()]
-        if not nontrivial:
-            raise SchemeError("induced-map search needs a nontrivial parabolic")
-        e = nontrivial[0]
-    e2 = psi.image_parabolic(e)
-    in_e = _relation_mask(source, e)
-    tau, f1 = _first_valid_triple(source, e, in_e, _pair_counts(source, in_e))
-    if tau is None:
-        raise SchemeError("no bijective base triple exists for the parabolic")
-    in_e2 = _relation_mask(target, e2)
-    counts2 = _pair_counts(target, in_e2)
-    P1, P2 = source.colors, target.colors
-    t_color = int(P1[tau.nu, tau.rho])
-    s2, r2, t2 = psi[f1.in_color], psi[f1.out_color], psi[t_color]
-    mus = range(target.n) if mu_candidates is None else mu_candidates
-    # psi preserves the tensor, so every tau' has tau's pair count n:
-    # its coordinate map is bijective.
-    for mu2 in mus:
-        nus = np.nonzero(P2[mu2] == s2)[0]
-        for nu2 in nus:
-            rhos = np.nonzero((P2[mu2] == r2) & (P2[nu2] == t2))[0]
-            for rho2 in rhos:
-                tau2 = BaseTriple(int(mu2), int(nu2), int(rho2))
-                f2 = _coordinate_map(target, e2, in_e2, counts2, tau2)
-                g = induced_point_map(psi, f1, f2)
-                if g is None:
-                    continue
-                if verify_induced(source, target, psi, g):
-                    return InducedIsomorphism(psi=psi, tau=tau, tau_prime=tau2,
-                                              g=tuple(int(v) for v in g))
-    return None
+    found = next(_verified_maps(source, target, psi, e, mu_candidates), None)
+    if found is None:
+        return None
+    _, tau, tau2, g = found
+    return InducedIsomorphism(psi=psi, tau=tau, tau_prime=tau2, g=g)
 
 
 # -- constructive schurity ----------------------------------------------------
@@ -464,39 +474,13 @@ def schurity_via_base_triples(scheme: Scheme,
             group_order=0, relation_transitive=tuple([False] * scheme.rank),
             orbital_scheme_equal=False, parabolic_rels=(), tau=None,
             reason="4-condition fails; reconstruction not applicable")
-    if e is None:
-        paras = enumerate_parabolics(scheme)
-        nontrivial = [p for p in paras if not p.is_trivial() and not p.is_full()]
-        if not nontrivial:
-            raise SchemeError("schurity construction needs a nontrivial parabolic")
-        e = nontrivial[0]
     identity = RelationBijection(scheme, scheme, tuple(range(scheme.rank)))
-    in_e = _relation_mask(scheme, e)
-    counts = _pair_counts(scheme, in_e)
-    tau, f1 = _first_valid_triple(scheme, e, in_e, counts)
-    if tau is None:
-        raise SchemeError("no bijective base triple exists for the parabolic")
-    P = scheme.colors
-    t_color = int(P[tau.nu, tau.rho])
-    seen = set()
-    autos = []
-    # every tau' carries tau's colours, hence its pair count n: bijective
-    for mu2 in range(scheme.n):
-        nus = np.nonzero(P[mu2] == f1.in_color)[0]
-        for nu2 in nus:
-            rhos = np.nonzero((P[mu2] == f1.out_color) & (P[nu2] == t_color))[0]
-            for rho2 in rhos:
-                tau2 = BaseTriple(int(mu2), int(nu2), int(rho2))
-                f2 = _coordinate_map(scheme, e, in_e, counts, tau2)
-                g = induced_point_map(identity, f1, f2)
-                if g is None or not verify_induced(scheme, scheme, identity, g):
-                    continue
-                key = tuple(int(v) for v in g)
-                if key not in seen:
-                    seen.add(key)
-                    autos.append(Permutation(key))
-    if not autos:
+    maps = list(_verified_maps(scheme, scheme, identity, e, None))
+    if not maps:
         raise SchemeError("no verified automorphism arises from the base triple")
+    e, tau = maps[0][:2]
+    autos = [Permutation(g) for g in dict.fromkeys(g for *_, g in maps)]
+    P = scheme.colors
     G = PermGroup(autos, scheme.n)
     try:
         labels = np.asarray(G.orbitals()).reshape(scheme.n, scheme.n)

@@ -1,8 +1,18 @@
-"""Small exact number-theory helpers (trial division scale)."""
+"""Small exact number-theory helpers (trial division scale), and the
+mixed-radix index arithmetic every translation scheme is built on.
+
+The points of an abelian kernel H are indices in range(|H|), read as
+little-endian mixed-radix digits with one radix per cyclic coordinate:
+Z_n is one digit of radix n, (Z_p)^k is k digits of radix p, and a spread
+vector (a, b) over F_q, q = p^e, is 2e base-p digits.  Addition in H is
+digitwise (`digit_add`), and `difference_table` holds every difference.
+"""
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+
+import numpy as np
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -78,3 +88,40 @@ def mult_order(u: int, m: int) -> int:
         x = x * u % m
         k += 1
     return k
+
+
+# -- mixed-radix indices ---------------------------------------------------
+
+
+def digit_strides(radices) -> list[int]:
+    """Place value of each digit of a little-endian mixed-radix index; these
+    are also the indices of the unit vectors that generate H."""
+    out, stride = [], 1
+    for r in radices:
+        out.append(stride)
+        stride *= r
+    return out
+
+
+def digit_add(xs, ys, radices) -> np.ndarray:
+    """Digitwise sum of index arrays (broadcast), each digit modulo its
+    radix, as int64."""
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    out = np.zeros(np.broadcast(xs, ys).shape, dtype=np.int64)
+    for r, st in zip(radices, digit_strides(radices)):
+        # xs // st is the digit plus a multiple of r
+        out += (xs // st + ys // st) % r * st
+    return out
+
+
+def difference_table(radices) -> np.ndarray:
+    """D[a, b] = b - a digitwise, for every pair of indices, in the smallest
+    dtype (int16 or int32) that holds the indices."""
+    n = prod(radices)
+    idx = np.arange(n, dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
+    D = np.zeros((n, n), dtype=idx.dtype)
+    for r, st in zip(radices, digit_strides(radices)):
+        digit = idx // st % r
+        D += (digit[None, :] - digit[:, None]) % r * st
+    return D

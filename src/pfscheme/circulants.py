@@ -13,6 +13,8 @@ from math import gcd
 
 import numpy as np
 
+from .arith import difference_table
+
 
 @dataclass(frozen=True)
 class CirculantSpec:
@@ -110,8 +112,7 @@ def color_matrix(circ: Circulant) -> np.ndarray:
     row = np.zeros(n, dtype=np.int64)
     for c in circ.connection:
         row[c] = 1
-    idx = np.arange(n)
-    return row[(idx[None, :] - idx[:, None]) % n]
+    return row[difference_table([n])]
 
 
 def preserving_units(circ: Circulant) -> frozenset:

@@ -5,9 +5,10 @@ the complement K is given by its action on each factor (a unit multiplier
 for cyclic factors, an invertible matrix for elementary abelian ones, one
 entry per complement generator).
 
-A kernel element is an index in range(|H|), read as little-endian digits:
-one digit per factor, and inside an elementary abelian factor one base-p
-digit per coordinate.  Addition is digitwise (`_vector_adder`).  The
+A kernel element is an index in range(|H|), read as the little-endian
+mixed-radix digits of `arith` on `FrobeniusSpec.radices`: one digit of
+radix m per cyclic factor Z_m, and one base-p digit per coordinate of an
+elementary abelian factor.  Addition is `arith.digit_add`.  The
 complement is one cached (k, n) table, `FrobeniusSpec.complement`: the
 generator tables (`_generator_tables`) closed under composition, with the
 identity in row 0.  `validate` checks that the table has exactly
@@ -25,7 +26,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import divisors, is_prime, prime_divisors, prime_power
+from .arith import digit_add, digit_strides, divisors, is_prime, prime_divisors, prime_power
 from .lattice import bits_of, covers, indices_of, join_closure
 from .perms import PermGroup, Permutation
 
@@ -34,8 +35,9 @@ class FrobeniusError(ValueError):
     """Spec fails to define a Frobenius group; carries a witness when one exists.
 
     For a fixed-point violation, `witness` is (images, h): the complement
-    element, named by its images of the `_basis` indices, and the least
-    nonzero kernel index it fixes.
+    element, named by its images of the unit-vector indices
+    (`digit_strides(spec.radices)`), and the least nonzero kernel index it
+    fixes.
     """
 
     def __init__(self, message, witness=None):
@@ -152,6 +154,15 @@ class FrobeniusSpec:
         return len(f.units) if isinstance(f, CyclicFactor) else len(f.matrices)
 
     @cached_property
+    def radices(self) -> tuple[int, ...]:
+        """Digit radices of a kernel index: m for a cyclic factor Z_m, and p
+        once per coordinate of (Z_p)^dim."""
+        out = []
+        for f in self.kernel_factors:
+            out.extend([f.modulus] if isinstance(f, CyclicFactor) else [f.p] * f.dim)
+        return tuple(out)
+
+    @cached_property
     def complement(self) -> np.ndarray:
         """(k, n) table: row c sends each kernel index to its image under
         the c-th complement element.  Row 0 is the identity; the others
@@ -189,13 +200,13 @@ class FrobeniusSpec:
 
         Every row but the identity must fix the zero index alone.  The
         witness of a failure is the first such row (named by its images
-        of the `_basis` indices) and its least nonzero fixed index.
+        of the unit-vector indices) and its least nonzero fixed index.
         """
         table = self.complement
         for row in table[1:]:
             fixed = np.flatnonzero(row == table[0])
             if len(fixed) > 1:
-                images = tuple(row[_basis(self)].tolist())
+                images = tuple(row[digit_strides(self.radices)].tolist())
                 h = int(fixed[1])
                 raise FrobeniusError(
                     "complement element with basis images %r fixes nonzero kernel "
@@ -263,8 +274,8 @@ def build_frobenius(spec: FrobeniusSpec) -> PermGroup:
     """
     spec.validate()
     idx = np.arange(spec.kernel_order, dtype=np.int64)
-    vadd = _vector_adder(spec)
-    gens = [vadd(idx, b) for b in _basis(spec)] + _generator_tables(spec)
+    gens = [digit_add(idx, b, spec.radices)
+            for b in digit_strides(spec.radices)] + _generator_tables(spec)
     return PermGroup([Permutation(g.tolist()) for g in gens], degree=spec.kernel_order)
 
 
@@ -331,17 +342,16 @@ def invariant_lattice(spec: FrobeniusSpec) -> InvariantLattice:
     """
     spec.validate()
     n = spec.kernel_order
-    vadd = _vector_adder(spec)
 
     def join(a: int, b: int) -> tuple[int, int]:
         A, B = indices_of(a), indices_of(b)
         seen = np.zeros(n, dtype=bool)
         step = max(1, _SUMSET_CHUNK // len(B))
         for i in range(0, len(A), step):
-            seen[vadd(A[i:i + step, None], B[None, :])] = True
+            seen[digit_add(A[i:i + step, None], B[None, :], spec.radices)] = True
         return bits_of(seen), int(seen.sum())
 
-    seeds = _cyclic_subgroups(spec) if _is_cyclic(spec) else _principal_subgroups(spec, vadd)
+    seeds = _cyclic_subgroups(spec) if _is_cyclic(spec) else _principal_subgroups(spec)
     lat = join_closure(seeds, ((1 << n) - 1, n), join)
     subs = [Subgroup(size, frozenset(indices_of(bits).tolist()))
             for bits, size in zip(lat.members, lat.sizes)]
@@ -351,32 +361,18 @@ def invariant_lattice(spec: FrobeniusSpec) -> InvariantLattice:
 
 
 def _is_cyclic(spec: FrobeniusSpec) -> bool:
-    mods = []
-    for f in spec.kernel_factors:
-        if isinstance(f, ElementaryAbelianFactor):
-            if f.dim > 1 or f.p in mods:
-                return False
-            mods.append(f.p)
-        else:
-            mods.append(f.modulus)
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if gcd(mods[i], mods[j]) != 1:
-                return False
-    return True
+    """The kernel is cyclic exactly when its radices are pairwise coprime."""
+    r = spec.radices
+    return all(gcd(a, b) == 1 for i, a in enumerate(r) for b in r[i + 1:])
 
 
 def _element_orders(spec: FrobeniusSpec) -> np.ndarray:
-    """Additive order of every element, by index."""
+    """Additive order of every element, by index: the lcm over its digits
+    of radix r // gcd(digit, r)."""
     idx = np.arange(spec.kernel_order, dtype=np.int64)
     orders = np.ones_like(idx)
-    for f, st in zip(spec.kernel_factors, _strides(spec)):
-        digit = (idx // st) % f.size
-        if isinstance(f, CyclicFactor):
-            part = f.modulus // np.gcd(digit, f.modulus)
-        else:
-            part = np.where(digit > 0, f.p, 1)
-        orders = np.lcm(orders, part)
+    for r, st in zip(spec.radices, digit_strides(spec.radices)):
+        orders = np.lcm(orders, r // np.gcd(idx // st % r, r))
     return orders
 
 
@@ -388,7 +384,7 @@ def _cyclic_subgroups(spec: FrobeniusSpec) -> list[tuple[int, int]]:
     return [(bits_of(D % orders == 0), D) for D in divisors(spec.kernel_order)]
 
 
-def _principal_subgroups(spec: FrobeniusSpec, vadd) -> list[tuple[int, int]]:
+def _principal_subgroups(spec: FrobeniusSpec) -> list[tuple[int, int]]:
     """The trivial subgroup and every proper subgroup generated by the
     complement orbit of one element of prime power order, as (bitset, order).
 
@@ -413,7 +409,7 @@ def _principal_subgroups(spec: FrobeniusSpec, vadd) -> list[tuple[int, int]]:
         seen[gens] = True
         frontier = gens
         while frontier.size:
-            nxt = np.unique(vadd(frontier[:, None], gens[None, :]))
+            nxt = np.unique(digit_add(frontier[:, None], gens[None, :], spec.radices))
             nxt = nxt[~seen[nxt]]
             seen[nxt] = True
             if int(seen.sum()) > half:
@@ -434,72 +430,25 @@ def _principal_subgroups(spec: FrobeniusSpec, vadd) -> list[tuple[int, int]]:
     return out
 
 
-def _strides(spec: FrobeniusSpec) -> list[int]:
-    """Place value of each factor's digit in an element index."""
-    out = []
-    stride = 1
-    for f in spec.kernel_factors:
-        out.append(stride)
-        stride *= f.size
-    return out
-
-
-def _vector_adder(spec: FrobeniusSpec):
-    """Vectorized kernel addition on element indices.
-
-    Element indices are little-endian mixed-radix: each factor contributes
-    one digit of radix |factor|, and inside an elementary abelian factor
-    the digit is itself little-endian base p.  Addition is digitwise, so
-    it vectorizes as masked modular arithmetic on index arrays.
-    """
-    strides = _strides(spec)
-
-    def add(xs, ys):
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        out = np.zeros(np.broadcast(xs, ys).shape, dtype=np.int64)
-        for f, st in zip(spec.kernel_factors, strides):
-            a = (xs // st) % f.size
-            b = (ys // st) % f.size
-            if isinstance(f, CyclicFactor):
-                out += ((a + b) % f.modulus) * st
-            else:
-                pj = 1
-                for _ in range(f.dim):
-                    out += ((a // pj + b // pj) % f.p) * pj * st
-                    pj *= f.p
-        return out
-
-    return add
-
-
-def _basis(spec: FrobeniusSpec) -> list[int]:
-    """Index of each kernel basis vector: the generator 1 of a cyclic
-    factor, and each unit vector (digit p^d) of an elementary abelian one."""
-    out = []
-    for f, st in zip(spec.kernel_factors, _strides(spec)):
-        if isinstance(f, CyclicFactor):
-            out.append(st)
-        else:
-            out.extend(st * f.p**d for d in range(f.dim))
-    return out
-
-
 def _generator_tables(spec: FrobeniusSpec) -> list[np.ndarray]:
-    """For each complement generator j, the image of every kernel index,
-    on the digits `_vector_adder` uses."""
-    idx = np.arange(spec.kernel_order, dtype=np.int64)
+    """For each complement generator j, the image of every kernel index:
+    a unit multiplies the digit of its cyclic factor, a matrix acts on the
+    digit vector of its elementary abelian factor."""
+    strides = np.asarray(digit_strides(spec.radices), dtype=np.int64)
+    digits = np.arange(spec.kernel_order, dtype=np.int64)[:, None] // strides % spec.radices
     out = []
     for j in range(spec.num_generators):
-        img = np.zeros_like(idx)
-        for f, st in zip(spec.kernel_factors, _strides(spec)):
-            digit = (idx // st) % f.size
+        img = np.zeros(spec.kernel_order, dtype=np.int64)
+        pos = 0
+        for f in spec.kernel_factors:
             if isinstance(f, CyclicFactor):
-                img += (digit * f.units[j] % f.modulus) * st
+                img += digits[:, pos] * f.units[j] % f.modulus * strides[pos]
+                pos += 1
             else:
-                weights = f.p ** np.arange(f.dim, dtype=np.int64)
-                v = (digit[:, None] // weights) % f.p
-                img += ((v @ np.asarray(f.matrices[j], dtype=np.int64)) % f.p @ weights) * st
+                cut = slice(pos, pos + f.dim)
+                M = np.asarray(f.matrices[j], dtype=np.int64)
+                img += digits[:, cut] @ M % f.p @ strides[cut]
+                pos += f.dim
         out.append(img)
     return out
 
@@ -535,7 +484,6 @@ def principal_sections(spec: FrobeniusSpec,
     """
     if lattice is None:
         lattice = invariant_lattice(spec)
-    vadd = _vector_adder(spec)
     kappa = spec.complement
     chain = lattice.maximal_chain()
     out = []
@@ -548,7 +496,7 @@ def principal_sections(spec: FrobeniusSpec,
         rep = np.full(spec.kernel_order, -1, dtype=np.int64)
         for h in hi:
             if rep[h] < 0:
-                rep[vadd(h, lo)] = h
+                rep[digit_add(h, lo, spec.radices)] = h
         reps = np.unique(rep[hi])
         # The complement elements form a group, so the least image of a
         # coset under all of them names its orbit; the zero coset is an

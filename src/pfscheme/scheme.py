@@ -8,8 +8,9 @@ beta s*| for (alpha, beta) in t.  All arithmetic is exact integer.
 
 Every scheme the package builds is a translation scheme on its own point
 indices: translation by an abelian group on range(n) is an automorphism.
-`translation_table` certifies this exactly, and the kernels then compute
-row 0 only, since pair (a, b) behaves as pair (0, b - a).
+`translation_table` certifies this exactly for Z_n or (Z_p)^k, read on the
+mixed-radix digits of `arith.difference_table`, and the kernels then
+compute row 0 only, since pair (a, b) behaves as pair (0, b - a).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from hashlib import blake2b
 
 import numpy as np
 
-from .arith import prime_power
+from .arith import difference_table, prime_power
 
 
 class SchemeError(ValueError):
@@ -217,22 +218,14 @@ class IntersectionTensor:
 
 
 def _difference_tables(n: int):
-    """Yield D with D[a, b] = b - a for candidate abelian groups on range(n):
-    Z_n, then, when n = p^k with k > 1, (Z_p)^k on little-endian base-p
-    digits (the encoding of F_q-vectors in `spreads`).  Tables are built
-    one at a time, in the smallest dtype that holds n - 1."""
-    idx = np.arange(n, dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
-    yield (idx[None, :] - idx[:, None]) % n
+    """Yield `difference_table` for candidate abelian groups on range(n):
+    Z_n, then, when n = p^k with k > 1, (Z_p)^k.  Tables are built one at
+    a time."""
+    yield difference_table([n])
     pe = prime_power(n)
     if pe is not None and pe[1] > 1:
         p, k = pe
-        D = np.zeros((n, n), dtype=idx.dtype)
-        w = 1
-        for _ in range(k):
-            digit = idx // w % p
-            D += (digit[None, :] - digit[:, None]) % p * w
-            w *= p
-        yield D
+        yield difference_table([p] * k)
 
 
 def translation_table(P) -> np.ndarray | None:

@@ -8,10 +8,12 @@ order; the Desarguesian spread reproduces the orbital scheme of scalar
 multiplication, while derived spreads (Andre/Hall) can produce schemes
 that share that tensor without being isomorphic to it.
 
-Vectors (a, b) are indexed as a + b*q with field elements encoded base p,
-matching the element order of the elementary-abelian kernel factors, so
-the Desarguesian spread scheme and the orbital scheme of a scalar spec
-agree entry by entry after canonical relabeling.
+Vectors (a, b) are indexed as a + b*q with field elements encoded base p
+(`gf`), so an index is 2e little-endian base-p digits in the sense of
+`arith` and vector addition is `digit_add`.  This is the element order of
+the elementary-abelian kernel factors, so the Desarguesian spread scheme
+and the orbital scheme of a scalar spec agree entry by entry after
+canonical relabeling.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import prime_power
+from .arith import difference_table, digit_add, prime_power
 from .frobenius import ElementaryAbelianFactor, FrobeniusSpec
 from .gf import GF, FiniteField
 from .scheme import Scheme, SchemeError
@@ -54,9 +56,15 @@ def _field(q: int) -> FiniteField:
     return GF(q)
 
 
+def _vector_radices(q: int) -> list[int]:
+    """Digit radices of a vector index a + b*q: e base-p digits each."""
+    F = _field(q)
+    return [F.p] * (2 * F.e)
+
+
 def verify_spread(spread: Spread) -> None:
     """Independent axiom check: subgroups, trivial intersections, cover."""
-    q, F = spread.q, _field(spread.q)
+    q, radices = spread.q, _vector_radices(spread.q)
     if len(spread.components) != q + 1:
         raise SchemeError("expected %d components, got %d"
                           % (q + 1, len(spread.components)))
@@ -65,13 +73,9 @@ def verify_spread(spread: Spread) -> None:
         cs = set(comp)
         if len(cs) != q or 0 not in cs:
             raise SchemeError("component is not a subgroup of order %d" % q)
-        for u in comp:
-            for v in comp:
-                au, bu = u % q, u // q
-                av, bv = v % q, v // q
-                w = F.add(au, av) + F.add(bu, bv) * q
-                if w not in cs:
-                    raise SchemeError("component not closed under addition")
+        c = np.asarray(comp, dtype=np.int64)
+        if not np.isin(digit_add(c[:, None], c[None, :], radices), c).all():
+            raise SchemeError("component not closed under addition")
         overlap = (cs - {0}) & covered
         if overlap:
             raise SchemeError("components share nonzero vector %d" % min(overlap))
@@ -136,20 +140,9 @@ def hall_spread(q: int) -> Spread:
 
 
 def spread_scheme(spread: Spread) -> Scheme:
-    """Color pairs by the component of their difference."""
-    q, n = spread.q, spread.n
-    F = _field(q)
-    sub = np.zeros((q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            sub[i, j] = F.sub(i, j)
-    idx = np.arange(n)
-    a, b = idx % q, idx // q
-    da = sub[a[:, None], a[None, :]]
-    db = sub[b[:, None], b[None, :]]
-    diff = da + db * q
-    comp_of = spread.component_of()
-    colors = comp_of[diff] + 1
+    """Color pairs by the component of their difference (b - a and a - b
+    lie in the same component, a subgroup)."""
+    colors = spread.component_of()[difference_table(_vector_radices(spread.q))] + 1
     np.fill_diagonal(colors, 0)
     return Scheme(colors)
 

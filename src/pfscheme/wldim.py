@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import factorize
+from .arith import difference_table, factorize
 from .autgrp import FrobeniusCertificate, frobenius_certificate
 from .circulants import (
     Circulant,
@@ -262,22 +261,16 @@ def _construction_certificate(circ: Circulant, closure: Scheme):
     orbital scheme, so a partition match certifies the Frobenius property
     of the closure's automorphism group.
 
-    Both colourings are compared on the differences b - a: the closure is
-    first checked to satisfy P[a, b] == P[0, (b - a) mod n] (row a is the
-    window at n - a of row 0 written twice), so its pair partition matches
-    the orbitals exactly when row 0 matches the difference labels.
+    The orbitals are the K-orbit labels of the differences (b - a) mod n,
+    compared with the closure on every pair.
     """
     n = circ.n
     fac = factorize(n)
     if len(fac) == 1 and next(iter(fac.values())) == 1:
         return None
-    row = closure.colors[0]
-    if not np.array_equal(
-            closure.colors,
-            sliding_window_view(np.concatenate([row, row]), n)[n:0:-1]):
-        return None
+    D = difference_table([n])
     for K in certificate_unit_groups(circ):
-        if partition_equal(_unit_orbit_labels(n, K), row):
+        if partition_equal(_unit_orbit_labels(n, K)[D], closure.colors):
             return len(K), n * len(K)
     return None
 

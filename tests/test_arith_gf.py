@@ -1,9 +1,13 @@
 """Number-theory helpers and finite field arithmetic."""
 
+import numpy as np
 import pytest
 
 from pfscheme.arith import (
     big_omega,
+    difference_table,
+    digit_add,
+    digit_strides,
     divisors,
     factorize,
     is_prime,
@@ -13,6 +17,20 @@ from pfscheme.arith import (
     prime_power,
 )
 from pfscheme.gf import GF
+
+
+@pytest.mark.parametrize("radices", [[12], [2, 2, 2], [7, 2, 2], [3, 5, 3]])
+def test_difference_table_inverts_digit_add(radices):
+    D = difference_table(radices)
+    idx = np.arange(len(D))
+    assert D.dtype == np.int16
+    assert (digit_add(idx[:, None], D, radices) == idx[None, :]).all()    # a + (b - a) = b
+    assert (np.diagonal(D) == 0).all()
+    # a unit vector adds one to its own digit and leaves the others alone
+    for r, st in zip(radices, digit_strides(radices)):
+        moved = digit_add(idx, st, radices)
+        assert (moved // st % r == (idx // st + 1) % r).all()
+        assert (moved - moved // st % r * st == idx - idx // st % r * st).all()
 
 
 def test_factorize_small_range():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pfscheme.arith import digit_add, digit_strides
 from pfscheme.catalog import (
     negation_spec,
     cyclic_unit_spec,
@@ -15,8 +16,6 @@ from pfscheme.frobenius import (
     ElementaryAbelianFactor,
     FrobeniusError,
     FrobeniusSpec,
-    _basis,
-    _vector_adder,
     build_frobenius,
     invariant_lattice,
     principal_sections,
@@ -72,19 +71,21 @@ def test_kernel_index_arithmetic_mixed_kernel():
     spec = mixed_spec(7, 2, 4)
     n = spec.kernel_order
     assert n == 7 * 16
-    vadd = _vector_adder(spec)
+    assert spec.radices == (7, 2, 2, 2, 2)
     idx = np.arange(n)
 
     def digits(i):
         return np.stack([i % 7] + [(i // 7 >> d) & 1 for d in range(4)])
 
-    sums = vadd(idx[:, None], idx[None, :])
+    sums = digit_add(idx[:, None], idx[None, :], spec.radices)
     radix = np.array([7, 2, 2, 2, 2])[:, None, None]
     assert (digits(sums) == (digits(idx)[:, :, None] + digits(idx)[:, None, :]) % radix).all()
     assert (np.sort(sums, axis=1) == idx).all()      # each row is a bijection
     # the translations by the basis indices generate a regular group
-    assert _basis(spec) == [1, 7, 14, 28, 56]
-    translations = PermGroup([Permutation(vadd(idx, b).tolist()) for b in _basis(spec)], n)
+    basis = digit_strides(spec.radices)
+    assert basis == [1, 7, 14, 28, 56]
+    translations = PermGroup(
+        [Permutation(digit_add(idx, b, spec.radices).tolist()) for b in basis], n)
     assert translations.is_transitive() and translations.order() == n
     assert build_frobenius(spec).order() == n * spec.complement_order
 

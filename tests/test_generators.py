@@ -14,6 +14,7 @@ from pfscheme.circulants import (
     unit_closure,
 )
 from pfscheme.frobenius import build_frobenius
+from pfscheme.gf import GF
 from pfscheme.scheme import Scheme, SchemeError, canonical_relabel, from_orbitals
 from pfscheme.spreads import (
     Spread,
@@ -62,6 +63,41 @@ def test_andre_rejects_bad_parameters():
         andre_spread(9, s=2)     # not a power of p generating the twist
 
 
+def reference_spread_colors(spread):
+    """The scalar construction: an F.sub table colours (a, b) by the
+    component of a - b."""
+    q, F = spread.q, GF(spread.q)
+    sub = np.array([[F.sub(i, j) for j in range(q)] for i in range(q)])
+    idx = np.arange(spread.n)
+    x, y = idx % q, idx // q
+    diff = sub[x[:, None], x[None, :]] + sub[y[:, None], y[None, :]] * q
+    colors = spread.component_of()[diff] + 1
+    np.fill_diagonal(colors, 0)
+    return colors
+
+
+def reference_closed(spread) -> bool:
+    """The scalar closure loop: F.add on both coordinates of every pair of
+    vectors in a component stays in it."""
+    q, F = spread.q, GF(spread.q)
+    for comp in spread.components:
+        cs = set(comp)
+        for u in comp:
+            for v in comp:
+                if F.add(u % q, v % q) + F.add(u // q, v // q) * q not in cs:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("spread", [desarguesian_spread(q) for q in (4, 9, 16)]
+                         + [hall_spread(q) for q in (9, 16)],
+                         ids=["desarguesian4", "desarguesian9", "desarguesian16",
+                              "hall9", "hall16"])
+def test_spread_scheme_matches_the_scalar_field_construction(spread):
+    assert reference_closed(spread)
+    assert np.array_equal(spread_scheme(spread).colors, reference_spread_colors(spread))
+
+
 def test_verify_spread_catches_corruption():
     sp = desarguesian_spread(3)
     comps = list(sp.components)
@@ -71,7 +107,8 @@ def test_verify_spread_catches_corruption():
     a[1], b[1] = b[1], a[1]
     comps[0], comps[1] = tuple(sorted(a)), tuple(sorted(b))
     broken = Spread(q=sp.q, p=sp.p, e=sp.e, components=tuple(comps))
-    with pytest.raises(SchemeError):
+    assert not reference_closed(broken)
+    with pytest.raises(SchemeError, match="not closed under addition"):
         verify_spread(broken)
 
 
