@@ -106,13 +106,16 @@ def digit_strides(radices) -> list[int]:
 def digit_add(xs, ys, radices) -> np.ndarray:
     """Digitwise sum of index arrays (broadcast), each digit modulo its
     radix, as int64."""
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    out = np.zeros(np.broadcast(xs, ys).shape, dtype=np.int64)
-    for r, st in zip(radices, digit_strides(radices)):
-        # xs // st is the digit plus a multiple of r
-        out += (xs // st + ys // st) % r * st
-    return out
+    st = np.asarray(digit_strides(radices), dtype=np.int64)
+    xs = np.asarray(xs, dtype=np.int64)[..., None]
+    ys = np.asarray(ys, dtype=np.int64)[..., None]
+    # One trailing axis runs over the digits, so a sum takes a few numpy
+    # calls whatever the number of digits; xs // st is the digit plus a
+    # multiple of r.
+    sums = xs // st + ys // st
+    sums %= np.asarray(radices, dtype=np.int64)
+    sums *= st
+    return sums.sum(axis=-1)
 
 
 def difference_table(radices) -> np.ndarray:

@@ -327,7 +327,8 @@ class InvariantLattice:
         return chain
 
 
-# Sums per vectorized step of a join: bounds its temporaries to a few MB.
+# Sums per vectorized step of a join: at 8 bytes per digit of each sum,
+# its temporaries stay a few MB (4 MB for the 8 digits of (Z_2)^8).
 _SUMSET_CHUNK = 1 << 16
 
 

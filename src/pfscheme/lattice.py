@@ -9,6 +9,15 @@ join of two members is a member whose size is a common multiple of
 theirs.  `join_closure` saturates a set of generating members under join
 and returns the whole lattice with its inclusion matrix and the lengths
 of its longest and shortest maximal chains.
+
+The seeds must generate the lattice under join.  Every member is then a
+join of seeds, and join is associative, so closing under "member v seed"
+gives the whole lattice: each member is joined with the seeds only, never
+with every earlier member.  Each member keeps its strict up-set as a
+bitset over member indices, updated as members are added, so a
+comparability test is one bit test, the test "a known member of the
+floor size contains both" is one AND, and the inclusion matrix is read
+off the up-sets at the end.
 """
 
 from __future__ import annotations
@@ -46,76 +55,80 @@ def indices_of(bits: int) -> np.ndarray:
 def join_closure(seeds, top: tuple[int, int], join) -> JoinLattice:
     """Saturate `seeds` under join.
 
-    `seeds` are (bits, size) pairs and must contain the bottom; `top` is
-    the (bits, size) of the greatest member, whose size N every size
-    divides.  `join(a, b)` returns the (bits, size) of the join of two
-    incomparable members; it is called only when the order arithmetic
-    does not already decide the join.  Each unordered pair of members is
-    joined at most once.
+    `seeds` are (bits, size) pairs that contain the bottom and generate
+    the lattice under join; `top` is the (bits, size) of the greatest
+    member, whose size N every size divides.  `join(a, b)` returns the
+    (bits, size) of the join of two incomparable members; it is called
+    only when the order arithmetic and the known members do not already
+    decide the join.  Every member is a join of seeds and join is
+    associative, so each member is joined with the seeds only, and each
+    such pair at most once.
     """
     top_bits, n = top
     half = n // 2
     divs = divisors(n)
     members: list[int] = []
     sizes: list[int] = []
-    by_size: dict[int, list[int]] = {}
+    ups: list[int] = []                  # ups[i]: bitset of the members strictly above i
+    of_size: dict[int, int] = {}         # size -> bitset of the members of that size
     known: set[int] = set()
-    floors: dict[tuple[int, int], int] = {}
 
     def add(bits: int, size: int) -> None:
-        if bits not in known:
-            known.add(bits)
-            members.append(bits)
-            sizes.append(size)
-            by_size.setdefault(size, []).append(bits)
+        if bits in known:
+            return
+        t = len(members)
+        bit, up = 1 << t, 0
+        for k, (b, s) in enumerate(zip(members, sizes)):
+            if s < size:
+                if size % s == 0 and b & ~bits == 0:
+                    ups[k] |= bit
+            elif s > size and s % size == 0 and bits & ~b == 0:
+                up |= 1 << k
+        known.add(bits)
+        members.append(bits)
+        sizes.append(size)
+        ups.append(up)
+        of_size[size] = of_size.get(size, 0) | bit
+
+    def floor(la: int, lb: int) -> int:
+        # The join of incomparable members has a size that divides n, is a
+        # common multiple of both sizes and exceeds each: at least this.
+        lcm = la * lb // gcd(la, lb)
+        return next((d for d in divs if d % lcm == 0 and d > max(la, lb)), n)
 
     for bits, size in seeds:
         add(bits, size)
     add(top_bits, n)
+    n_seeds = len(members)
+    # size -> the seeds whose join with a member of that size may lie below
+    # the top (above n/2 only the top qualifies), with the floor of each
+    partners: dict[int, list[tuple[int, int]]] = {}
     i = 0
     while i < len(members):
         a, la = members[i], sizes[i]
-        above: dict[int, list[int]] = {}     # size -> known members containing a
-        for j in range(i):
-            b, lb = members[j], sizes[j]
-            # The join of incomparable members has a size that divides n,
-            # is a common multiple of both sizes and exceeds each.  Above
-            # n/2 only the top qualifies, and a known member of exactly the
-            # smallest feasible size that contains both is the join: the
-            # join lies inside it and is at least as large.  Pairs that are
-            # skipped here because of their sizes need no comparability test.
-            floor = floors.get((la, lb))
-            if floor is None:
-                lcm = la * lb // gcd(la, lb)
-                floor = floors[la, lb] = next(
-                    (d for d in divs if d % lcm == 0 and d > max(la, lb)), n)
-            if floor > half:
+        if la not in partners:
+            partners[la] = [(j, f) for j in range(n_seeds)
+                            if (f := floor(la, sizes[j])) <= half]
+        for j, f in partners[la]:
+            if j >= i:
+                break
+            # Skip comparable pairs, and pairs that a known member of exactly
+            # the floor size contains: the join lies inside it and is at
+            # least as large, so it is that member.
+            up_a, up_b = ups[i], ups[j]
+            if up_a >> j & 1 or up_b >> i & 1 or up_a & up_b & of_size.get(f, 0):
                 continue
-            if (la % lb == 0 and b & ~a == 0) or (lb % la == 0 and a & ~b == 0):
-                continue
-            ups = above.get(floor)
-            if ups is None:
-                ups = above[floor] = [s for s in by_size.get(floor, ()) if a & ~s == 0]
-            if any(b & ~s == 0 for s in ups):
-                continue
-            bits, size = join(a, b)
-            if bits not in known:
-                add(bits, size)
-                if size in above:
-                    above[size].append(bits)
+            add(*join(a, members[j]))
         i += 1
 
-    order = sorted(range(len(members)),
-                   key=lambda i: (sizes[i], indices_of(members[i]).tolist()))
+    m = len(members)
+    order = sorted(range(m), key=lambda i: (sizes[i], indices_of(members[i]).tolist()))
+    width = (m + 7) // 8
+    raw = np.frombuffer(b"".join(up.to_bytes(width, "little") for up in ups), dtype=np.uint8)
+    incl = np.unpackbits(raw.reshape(m, width), axis=1, count=m,
+                         bitorder="little").view(bool)[np.ix_(order, order)]
     members = [members[i] for i in order]
     sizes = [sizes[i] for i in order]
-    m = len(members)
-    incl = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        a = members[i]
-        for j in range(i + 1, m):
-            if sizes[i] < sizes[j] and a & ~members[j] == 0:
-                incl[i, j] = True
     # Chain lengths over covering pairs, bottom first (members are in size order).
     cov = covers(incl)
     longest = [0] * m
@@ -129,8 +142,16 @@ def join_closure(seeds, top: tuple[int, int], join) -> JoinLattice:
 
 
 def covers(inclusion: np.ndarray) -> np.ndarray:
-    """Covering pairs of a strict inclusion matrix: no member in between."""
-    between = np.zeros_like(inclusion)
-    for k in np.flatnonzero(inclusion.any(axis=0) & inclusion.any(axis=1)):
-        between |= inclusion[:, k, None] & inclusion[None, k, :]
-    return inclusion & ~between
+    """Covering pairs of a strict inclusion matrix: no member in between.
+
+    j does not cover i exactly when j lies above some member above i, so
+    the non-covers of row i are the OR of the rows of the members above i,
+    taken on bit-packed rows."""
+    m = len(inclusion)
+    packed = np.packbits(inclusion, axis=1)
+    between = np.zeros_like(packed)
+    for i in range(m):
+        above = np.flatnonzero(inclusion[i])
+        if above.size:
+            between[i] = np.bitwise_or.reduce(packed[above], axis=0)
+    return inclusion & ~np.unpackbits(between, axis=1, count=m).view(bool)

@@ -1,15 +1,21 @@
 """The shared join-closure engine behind invariant subgroups and parabolics."""
 
 import json
+from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from pfscheme import frobenius, lattice, parabolic
+from pfscheme.arith import divisors
 from pfscheme.catalog import batch_specs
 from pfscheme.frobenius import build_frobenius, invariant_lattice
-from pfscheme.lattice import bits_of, indices_of, join_closure
+from pfscheme.lattice import JoinLattice, bits_of, covers, indices_of, join_closure
 from pfscheme.parabolic import _parabolic_lattice, separability_verdict
-from pfscheme.scheme import from_orbitals
+from pfscheme.scheme import from_orbitals, wl_closure
+from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
 
 DATA = Path(__file__).parent / "data"
 
@@ -80,3 +86,141 @@ def test_catalog_verdicts_match_the_recorded_fixture():
                      "chain_lengths_equal": lat.chain_lengths_equal}
     text = json.dumps(out, sort_keys=True, indent=2) + "\n"
     assert text.encode() == (DATA / "separability_catalog.json").read_bytes()
+
+
+def reference_covers(inclusion):
+    """The earlier cover test: OR the outer products through every member."""
+    between = np.zeros_like(inclusion)
+    for k in np.flatnonzero(inclusion.any(axis=0) & inclusion.any(axis=1)):
+        between |= inclusion[:, k, None] & inclusion[None, k, :]
+    return inclusion & ~between
+
+
+def reference_join_closure(seeds, top, join) -> JoinLattice:
+    """The earlier engine: every new member is joined against every earlier
+    one (a pair scan), and inclusion is tested pairwise after the scan."""
+    top_bits, n = top
+    half = n // 2
+    divs = divisors(n)
+    members, sizes = [], []
+    by_size, known, floors = {}, set(), {}
+
+    def add(bits, size):
+        if bits not in known:
+            known.add(bits)
+            members.append(bits)
+            sizes.append(size)
+            by_size.setdefault(size, []).append(bits)
+
+    for bits, size in seeds:
+        add(bits, size)
+    add(top_bits, n)
+    i = 0
+    while i < len(members):
+        a, la = members[i], sizes[i]
+        above = {}
+        for j in range(i):
+            b, lb = members[j], sizes[j]
+            floor = floors.get((la, lb))
+            if floor is None:
+                lcm = la * lb // gcd(la, lb)
+                floor = floors[la, lb] = next(
+                    (d for d in divs if d % lcm == 0 and d > max(la, lb)), n)
+            if floor > half:
+                continue
+            if (la % lb == 0 and b & ~a == 0) or (lb % la == 0 and a & ~b == 0):
+                continue
+            ups = above.get(floor)
+            if ups is None:
+                ups = above[floor] = [s for s in by_size.get(floor, ()) if a & ~s == 0]
+            if any(b & ~s == 0 for s in ups):
+                continue
+            bits, size = join(a, b)
+            if bits not in known:
+                add(bits, size)
+                if size in above:
+                    above[size].append(bits)
+        i += 1
+
+    order = sorted(range(len(members)),
+                   key=lambda i: (sizes[i], indices_of(members[i]).tolist()))
+    members = [members[i] for i in order]
+    sizes = [sizes[i] for i in order]
+    m = len(members)
+    incl = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if sizes[i] < sizes[j] and members[i] & ~members[j] == 0:
+                incl[i, j] = True
+    cov = reference_covers(incl)
+    longest, shortest = [0] * m, [0] * m
+    for j in range(1, m):
+        preds = np.flatnonzero(cov[:, j])
+        longest[j] = max(longest[p] for p in preds) + 1
+        shortest[j] = min(shortest[p] for p in preds) + 1
+    return JoinLattice(members=members, sizes=sizes, inclusion=incl,
+                       longest=longest[-1], shortest=shortest[-1])
+
+
+def _compare_with_reference(monkeypatch, module):
+    """Route `module.join_closure` through both engines and compare them."""
+    compared = []
+
+    def both(seeds, top, join):
+        seeds = list(seeds)
+        counts = {}
+        for name, engine in (("ref", reference_join_closure), ("new", lattice.join_closure)):
+            asked = Counter()
+
+            def counted(a, b):
+                asked[frozenset((a, b))] += 1
+                return join(a, b)
+
+            counts[name] = (engine(seeds, top, counted), asked)
+        (ref, ref_asked), (new, new_asked) = counts["ref"], counts["new"]
+        assert new.members == ref.members and new.sizes == ref.sizes
+        assert np.array_equal(new.inclusion, ref.inclusion)
+        assert np.array_equal(covers(new.inclusion), reference_covers(ref.inclusion))
+        assert (new.longest, new.shortest) == (ref.longest, ref.shortest)
+        assert sum(new_asked.values()) <= sum(ref_asked.values())
+        assert max(new_asked.values(), default=1) == 1
+        compared.append(len(new.members))
+        return new
+
+    monkeypatch.setattr(module, "join_closure", both)
+    return compared
+
+
+def test_seed_scan_matches_the_pair_scan_on_the_catalog(monkeypatch):
+    compared = _compare_with_reference(monkeypatch, frobenius)
+    for _, spec in batch_specs():
+        invariant_lattice(spec)
+    assert len(compared) == len(batch_specs())
+
+
+def _cycle_closure(n):
+    A = np.zeros((n, n), dtype=np.int64)
+    idx = np.arange(n)
+    A[idx, (idx + 1) % n] = A[(idx + 1) % n, idx] = 1
+    return wl_closure(A)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spread_scheme(hall_spread(9)),
+    lambda: spread_scheme(hall_spread(16)),
+    lambda: spread_scheme(desarguesian_spread(9)),
+    lambda: _cycle_closure(105),
+    lambda: _cycle_closure(243),
+], ids=["hall9", "hall16", "desarguesian9", "C105", "C243"])
+def test_seed_scan_matches_the_pair_scan_on_parabolics(monkeypatch, make):
+    compared = _compare_with_reference(monkeypatch, parabolic)
+    _parabolic_lattice(make())
+    assert len(compared) == 1 and compared[0] > 2
+
+
+def test_invariant_subspaces_of_f3_fourth_are_gaussian_binomials():
+    # scalar multiplication fixes every subspace of (Z_3)^4
+    lat = invariant_lattice(scalar_spec(3, 4))
+    assert Counter(s.order for s in lat.subgroups) == {1: 1, 3: 40, 9: 130, 27: 40, 81: 1}
+    assert lat.d == 4 and lat.chain_lengths_equal
+    assert np.array_equal(lat.covers(), reference_covers(lat.inclusion))

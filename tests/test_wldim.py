@@ -1,9 +1,11 @@
 """Exception-set arithmetic, Frobenius certification, and the WL classifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pfscheme import autgrp
+from pfscheme import autgrp, wldim
 from pfscheme.autgrp import frobenius_certificate
 from pfscheme.circulants import (
     CirculantSpec,
@@ -78,6 +80,35 @@ def test_exception_check_agrees_with_brute_force():
 def test_exception_set_crosscheck_small():
     count = exception_set_crosscheck(5000)
     assert count == 2462
+
+
+@pytest.mark.parametrize("limit", list(range(101)) + [4096, 5000, 10007, 10 ** 4])
+def test_exception_set_crosscheck_counts_the_members(limit):
+    # small limits have no prime above isqrt(limit); 4096 and 10^4 are squares
+    expected = sum(exception_check(n).in_exception_set for n in range(2, limit + 1))
+    assert exception_set_crosscheck(limit) == expected
+
+
+def test_exception_set_crosscheck_detects_a_missing_prime(monkeypatch):
+    full = wldim._prime_table
+
+    def without_97(limit):
+        primes = full(limit)
+        return primes[primes != 97]
+
+    monkeypatch.setattr(wldim, "_prime_table", without_97)
+    with pytest.raises(AssertionError, match="formulations disagree at n=97"):
+        exception_set_crosscheck(100)
+
+
+def test_exception_set_crosscheck_peak_memory():
+    tracemalloc.start()
+    try:
+        exception_set_crosscheck(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.4e6
 
 
 def test_frobenius_certificate_on_cycle_closures():
