@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 
 import numpy as np
@@ -339,13 +339,16 @@ def invariant_lattice(spec: FrobeniusSpec) -> InvariantLattice:
     with the whole divisor lattice; otherwise the seeds are the subgroups
     generated by single complement orbits (`_principal_subgroups`).  The
     kernel is abelian, so the join of two invariant subgroups is their sum
-    set.
+    set.  Each member's elements are listed once: `join_closure` returns
+    them, and `join` keeps the index arrays of its operands (b is always a
+    seed, and a is the same member for several seeds in a row).
     """
     spec.validate()
     n = spec.kernel_order
+    operands = cache(indices_of)
 
     def join(a: int, b: int) -> tuple[int, int]:
-        A, B = indices_of(a), indices_of(b)
+        A, B = operands(a), operands(b)
         seen = np.zeros(n, dtype=bool)
         step = max(1, _SUMSET_CHUNK // len(B))
         for i in range(0, len(A), step):
@@ -354,8 +357,8 @@ def invariant_lattice(spec: FrobeniusSpec) -> InvariantLattice:
 
     seeds = _cyclic_subgroups(spec) if _is_cyclic(spec) else _principal_subgroups(spec)
     lat = join_closure(seeds, ((1 << n) - 1, n), join)
-    subs = [Subgroup(size, frozenset(indices_of(bits).tolist()))
-            for bits, size in zip(lat.members, lat.sizes)]
+    subs = [Subgroup(size, frozenset(elements))
+            for elements, size in zip(lat.elements, lat.sizes)]
     return InvariantLattice(spec=spec, subgroups=subs, inclusion=lat.inclusion,
                             d=lat.longest, pi=prime_divisors(n),
                             chain_lengths_equal=lat.longest == lat.shortest)
@@ -392,6 +395,14 @@ def _principal_subgroups(spec: FrobeniusSpec) -> list[tuple[int, int]]:
     These generate the lattice under join: an invariant subgroup is the
     sum of its Sylow parts, each invariant and spanned by the orbits of
     its own elements, all of prime power order.
+
+    An orbit is not closed again when a unit multiple of it was.
+    Multiplication by an integer m is an endomorphism of the kernel that
+    commutes with the complement, so the orbit of m x is m times the orbit
+    of x and lies in the subgroup S that the orbit of x generates.  When
+    gcd(m, ord x) = 1, some m' has m' m x = x, and every element of the
+    orbit has the order of x, so the orbit of m x generates S as well:
+    once x is closed, the orbits of all such m x are done.
     """
     n = spec.kernel_order
     half = n // 2
@@ -418,13 +429,19 @@ def _principal_subgroups(spec: FrobeniusSpec) -> list[tuple[int, int]]:
             frontier = nxt
         return seen
 
+    strides = np.asarray(digit_strides(spec.radices), dtype=np.int64)
+    radices = np.asarray(spec.radices, dtype=np.int64)
     out = [(1, 1)]
     done = ~primary                # elements whose orbit needs no closure
     for i in range(1, n):
         if done[i]:
             continue
+        o = int(orders[i])
+        units = np.array([m for m in range(1, o) if gcd(m, o) == 1], dtype=np.int64)
+        # m x digitwise for every unit m modulo ord x, m = 1 included
+        multiples = units[:, None] * (i // strides % radices) % radices @ strides
+        done[kappa[:, multiples]] = True
         orbit = np.unique(kappa[:, i])
-        done[orbit] = True
         sub = close(orbit)
         if sub is not None:
             out.append((bits_of(sub), int(sub.sum())))

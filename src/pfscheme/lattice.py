@@ -22,7 +22,7 @@ off the up-sets at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
@@ -39,6 +39,7 @@ class JoinLattice:
     inclusion: np.ndarray         # inclusion[i, j]: members[i] is strictly inside members[j]
     longest: int                  # steps of the longest maximal chain bottom..top
     shortest: int                 # steps of the shortest maximal chain
+    elements: list[list[int]] = field(default_factory=list)   # ascending set bits of each member
 
 
 def bits_of(mask: np.ndarray) -> int:
@@ -58,11 +59,12 @@ def join_closure(seeds, top: tuple[int, int], join) -> JoinLattice:
     `seeds` are (bits, size) pairs that contain the bottom and generate
     the lattice under join; `top` is the (bits, size) of the greatest
     member, whose size N every size divides.  `join(a, b)` returns the
-    (bits, size) of the join of two incomparable members; it is called
-    only when the order arithmetic and the known members do not already
-    decide the join.  Every member is a join of seeds and join is
-    associative, so each member is joined with the seeds only, and each
-    such pair at most once.
+    (bits, size) of the join of two incomparable members, of which b is
+    always a seed; it is called only when the order arithmetic and the
+    known members do not already decide the join.  Every member is a join
+    of seeds and join is associative, so each member is joined with the
+    seeds only, and each such pair at most once.  Each new member's set
+    bits are listed once, for the sort, and returned as `elements`.
     """
     top_bits, n = top
     half = n // 2
@@ -71,6 +73,7 @@ def join_closure(seeds, top: tuple[int, int], join) -> JoinLattice:
     sizes: list[int] = []
     ups: list[int] = []                  # ups[i]: bitset of the members strictly above i
     of_size: dict[int, int] = {}         # size -> bitset of the members of that size
+    elements: list[list[int]] = []      # ascending set bits of each member
     known: set[int] = set()
 
     def add(bits: int, size: int) -> None:
@@ -86,6 +89,7 @@ def join_closure(seeds, top: tuple[int, int], join) -> JoinLattice:
                 up |= 1 << k
         known.add(bits)
         members.append(bits)
+        elements.append(indices_of(bits).tolist())
         sizes.append(size)
         ups.append(up)
         of_size[size] = of_size.get(size, 0) | bit
@@ -122,13 +126,14 @@ def join_closure(seeds, top: tuple[int, int], join) -> JoinLattice:
         i += 1
 
     m = len(members)
-    order = sorted(range(m), key=lambda i: (sizes[i], indices_of(members[i]).tolist()))
+    order = sorted(range(m), key=lambda i: (sizes[i], elements[i]))
     width = (m + 7) // 8
     raw = np.frombuffer(b"".join(up.to_bytes(width, "little") for up in ups), dtype=np.uint8)
     incl = np.unpackbits(raw.reshape(m, width), axis=1, count=m,
                          bitorder="little").view(bool)[np.ix_(order, order)]
     members = [members[i] for i in order]
     sizes = [sizes[i] for i in order]
+    elements = [elements[i] for i in order]
     # Chain lengths over covering pairs, bottom first (members are in size order).
     cov = covers(incl)
     longest = [0] * m
@@ -138,7 +143,7 @@ def join_closure(seeds, top: tuple[int, int], join) -> JoinLattice:
         longest[j] = max(longest[p] for p in preds) + 1
         shortest[j] = min(shortest[p] for p in preds) + 1
     return JoinLattice(members=members, sizes=sizes, inclusion=incl,
-                       longest=longest[-1], shortest=shortest[-1])
+                       longest=longest[-1], shortest=shortest[-1], elements=elements)
 
 
 def covers(inclusion: np.ndarray) -> np.ndarray:

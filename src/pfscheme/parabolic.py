@@ -148,11 +148,12 @@ def divide_check(scheme: Scheme, parabolics: list[Parabolic] | None = None) -> l
 
 
 def indistinguishing_number(scheme: Scheme) -> int:
-    """max over irreflexive r of sum_s c[s][s*][r]."""
+    """max over irreflexive t of sum_s c[s][s*][t]: the number of codes
+    r * R + s of the tensor's ref[t] whose s part is the star of their r
+    part."""
     T = scheme.tensor()
-    st = np.asarray(scheme.star)
-    rows = T.c[np.arange(scheme.rank), st, :]    # rows[s, r] = c[s][s*][r]
-    totals = rows.sum(axis=0)
+    r, s = np.divmod(T.ref, T.rank)
+    totals = np.count_nonzero(np.asarray(scheme.star)[r] == s, axis=1)
     return int(totals[1:].max())
 
 

@@ -178,9 +178,19 @@ class Scheme:
 
 @dataclass(frozen=True)
 class IntersectionTensor:
-    """Exact composition counts c[r][s][t] plus valencies, fully verified."""
+    """Exact composition counts c[r][s][t] plus valencies, fully verified.
 
-    c: np.ndarray            # (rank, rank, rank) int64, read-only
+    The stored form is `ref`, one row of n codes per relation: ref[t] is
+    the sorted column of codes r * R + s, with r = P[a, g] and s = P[g, b],
+    over the intermediate points g of the representative pair (a, b) of t.
+    So c[r, s, t] is the number of times r * R + s occurs in ref[t], and
+    the tensor takes R n codes in `_code_dtype(R)` instead of R^3 int64
+    counts.  `slice(t)` and `T[r, s, t]` read counts off one row; `c`, the
+    dense (R, R, R) int64 array, is built on first use for the readers that
+    index it freely.
+    """
+
+    ref: np.ndarray          # (rank, n) sorted codes r * rank + s, read-only
     valencies: tuple[int, ...]
     star: tuple[int, ...]
     n: int
@@ -189,28 +199,73 @@ class IntersectionTensor:
     def rank(self) -> int:
         return len(self.valencies)
 
+    def slice(self, t: int) -> np.ndarray:
+        """c[:, :, t] as an (R, R) int64 array."""
+        R = self.rank
+        return np.bincount(self.ref[t], minlength=R * R).reshape(R, R)
+
     def __getitem__(self, rst):
         r, s, t = rst
-        return int(self.c[r, s, t])
+        row, code = self.ref[t], r * self.rank + s
+        return int(np.searchsorted(row, code, "right") - np.searchsorted(row, code, "left"))
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """The dense (rank, rank, rank) int64 tensor c[r, s, t], read-only."""
+        R = self.rank
+        c = np.empty((R, R, R), dtype=np.int64)
+        for t in range(R):
+            c[:, :, t] = self.slice(t)
+        c.setflags(write=False)
+        return c
+
+    def _grouped(self, part: int):
+        """(keys, bounds) for the (R, R) slices c[x, :, :] (part 0) or
+        c[:, x, :] (part 1): the codes of `ref` stably sorted by their r
+        part (or s part), each recoded as (other part) * R + t, with group
+        x at keys[bounds[x]:bounds[x + 1]]."""
+        R = self.rank
+        codes = self.ref.ravel()
+        pair = np.divmod(codes, R)
+        key, other = pair[part], pair[1 - part]
+        order = np.argsort(key, kind="stable")
+        t_of = order // self.n
+        keys = other[order] * R + t_of.astype(codes.dtype)
+        bounds = np.zeros(R + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=R), out=bounds[1:])
+        return keys, bounds
 
     def verify_triangle(self):
-        """n_t c[r,s,t*] = n_r c[s,t,r*] = n_s c[t,r,s*] for all triples."""
+        """n_t c[r,s,t*] = n_r c[s,t,r*] = n_s c[t,r,s*] for all triples.
+
+        One r at a time, from three (R, R) slices: c[r, :, :] and c[:, r, :]
+        are bincounts of the codes grouped by their r part and by their s
+        part (`_grouped`), and c[:, :, r*] is `slice(r*)`.
+        """
+        R = self.rank
         nv = np.asarray(self.valencies, dtype=np.int64)
         st = np.asarray(self.star)
-        c = self.c
-        for r in range(self.rank):      # one (s, t) slice at a time
-            a = c[r][:, st] * nv[None, :]          # n_t c[r,s,t*]
-            b = c[:, :, st[r]] * nv[r]             # n_r c[s,t,r*]
-            cc = c[:, r, st].T * nv[:, None]       # n_s c[t,r,s*]
+        by_r, r_bounds = self._grouped(0)
+        by_s, s_bounds = self._grouped(1)
+        for r in range(R):
+            c_r = np.bincount(by_r[r_bounds[r]:r_bounds[r + 1]], minlength=R * R).reshape(R, R)
+            c_s = np.bincount(by_s[s_bounds[r]:s_bounds[r + 1]], minlength=R * R).reshape(R, R)
+            a = c_r[:, st] * nv[None, :]                 # n_t c[r,s,t*]
+            b = self.slice(st[r]) * nv[r]                # n_r c[s,t,r*]
+            cc = c_s[:, st].T * nv[:, None]              # n_s c[t,r,s*]
             if not (np.array_equal(a, b) and np.array_equal(a, cc)):
                 s, t = np.argwhere((a != b) | (a != cc))[0]
                 raise SchemeError("triangle identity fails at (r,s,t)=%s"
                                   % ((r, int(s), int(t)),))
 
     def verify_row_sums(self):
-        """sum_t c[r,s,t] n_t = n_r n_s for all r, s."""
+        """sum_t c[r,s,t] n_t = n_r n_s for all r, s: each code of ref[t]
+        adds n_t to one (R, R) int64 accumulator."""
         nv = np.asarray(self.valencies, dtype=np.int64)
-        lhs = self.c @ nv
+        lhs = np.zeros(self.rank * self.rank, dtype=np.int64)
+        for t, row in enumerate(self.ref):
+            np.add.at(lhs, row, nv[t])
+        lhs = lhs.reshape(self.rank, self.rank)
         rhs = np.outer(nv, nv)
         if not np.array_equal(lhs, rhs):
             bad = np.argwhere(lhs != rhs)[0]
@@ -298,13 +353,14 @@ def _signature_rows(P: np.ndarray, R: int, rows=None):
 def compute_tensor(scheme: Scheme) -> IntersectionTensor:
     """Intersection numbers with exhaustive pair-independence verification.
 
-    Counts for the representative pair of each relation are tallied first,
-    and the representative's sorted column of codes (r, s) over
-    intermediate points is kept as the relation's reference signature.
-    Every row of pair signatures (`_signature_rows`) is then compared with
-    the references of its relations; on the first row-major pair whose
-    signature differs, its histogram names the first differing (r, s) and
-    NotCoherentError carries both counts.
+    The representative pair of each relation gives its reference
+    signature: the sorted column of codes (r, s) over intermediate points,
+    which is row t of the returned tensor's `ref` (R rows of n codes; the
+    dense R^3 counts are not built).  Every row of pair signatures
+    (`_signature_rows`) is then compared with the references of its
+    relations; on the first row-major pair whose signature differs, its
+    histogram names the first (r, s) that differs from the claimed
+    bincount of the reference, and NotCoherentError carries both counts.
 
     When `Scheme.translations` certifies the scheme, only row 0 is
     compared: every other pair has the signature of its translate in row
@@ -314,31 +370,31 @@ def compute_tensor(scheme: Scheme) -> IntersectionTensor:
     P = scheme.colors
     n, R = scheme.n, scheme.rank
     reps = [scheme.representative(t) for t in range(R)]
-    tensor = np.empty((R, R, R), dtype=np.int64)      # c[r, s, t]
-    ref = np.empty((R, n + 1), dtype=_code_dtype(R))
+    ref = np.empty((R, n), dtype=_code_dtype(R))
     for t, (a, b) in enumerate(reps):
-        codes = P[a, :] * R + P[:, b]
-        tensor[:, :, t] = np.bincount(codes, minlength=R * R).reshape(R, R)
-        ref[t, 0] = t
-        ref[t, 1:] = np.sort(codes)
-    expect = np.empty((n, n + 1), dtype=ref.dtype)
+        ref[t] = np.sort(P[a, :] * R + P[:, b])
+    expect = np.empty((n, n), dtype=ref.dtype)
     rows = [0] if scheme.translations is not None else None
     for a, S in _signature_rows(P, R, rows):
         np.take(ref, P[a], axis=0, out=expect)
-        if not np.array_equal(S, expect):
-            b = int(np.nonzero((S != expect).any(axis=1))[0][0])
+        V = S[:, 1:]                    # S[:, 0] = P[a] names the reference row
+        if not np.array_equal(V, expect):
+            b = int(np.nonzero((V != expect).any(axis=1))[0][0])
             t = int(P[a, b])
-            hist = np.bincount(S[b, 1:], minlength=R * R)
-            claimed = tensor[:, :, t].ravel()
+            hist = np.bincount(V[b], minlength=R * R)
+            claimed = np.bincount(ref[t], minlength=R * R)
             cell = int(np.nonzero(hist != claimed)[0][0])
             r, s = divmod(cell, R)
             raise NotCoherentError(r, s, t, reps[t], (a, b),
                                    int(claimed[cell]), int(hist[cell]))
-    tensor.setflags(write=False)
-    valencies = tuple(int(tensor[s, scheme.star[s], 0]) for s in range(R))
+    ref.setflags(write=False)
+    # n_s = c[s, s*, 0]: the pair (0, 0) reaches every g through (s, s*)
+    codes = np.arange(R) * R + np.asarray(scheme.star)
+    counts = np.searchsorted(ref[0], codes, "right") - np.searchsorted(ref[0], codes, "left")
+    valencies = tuple(int(x) for x in counts)
     if valencies != scheme.valencies():
         raise SchemeError("valency mismatch between tensor and row counts")
-    out = IntersectionTensor(c=tensor, valencies=valencies, star=scheme.star, n=n)
+    out = IntersectionTensor(ref=ref, valencies=valencies, star=scheme.star, n=n)
     out.verify_triangle()
     out.verify_row_sums()
     return out

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -444,3 +445,20 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "open"
+
+
+def test_perfbench_traces_every_entry_point(tmp_path):
+    # The benchmark wraps named entry points and reads counts off their
+    # return values (compute_tensor's `n`, for one); a renamed function or
+    # a changed return type shows up here as `missing` or `count_errors`.
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    meta, spans = tmp_path / "meta.json", tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(child), str(meta), "--trace", str(spans),
+                           "--cli", "classify", "wl", "--n", "81", "--conn", "1,-1"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(spans.read_text())
+    assert traced["missing"] == []
+    names = {span[0] for span in traced["spans"]}
+    assert {"cli.main", "scheme.compute_tensor", "wldim.dimwl_verdict"} <= names
+    assert not [span for span in traced["spans"] if "count_errors" in (span[4] or {})]

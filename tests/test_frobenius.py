@@ -245,3 +245,50 @@ def test_spec_json_round_trip():
         again = FrobeniusSpec.from_json(spec.to_json())
         assert again == spec
         assert again.kernel_order == spec.kernel_order
+
+
+def reference_principal_subgroups(spec):
+    """Close the complement orbit of every element of prime power order,
+    one orbit at a time, as a set of (bitset, order)."""
+    from pfscheme.arith import prime_power
+    from pfscheme.frobenius import _element_orders
+    from pfscheme.lattice import bits_of
+
+    n = spec.kernel_order
+    orders = _element_orders(spec)
+    out = {(1, 1)}
+    done = np.zeros(n, dtype=bool)
+    for i in range(1, n):
+        if done[i] or not prime_power(int(orders[i])):
+            continue
+        gens = np.unique(spec.complement[:, i])
+        done[gens] = True
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = seen[gens] = True
+        while True:
+            grown = seen.copy()
+            grown[digit_add(np.flatnonzero(seen)[:, None], gens[None, :], spec.radices)] = True
+            if np.array_equal(grown, seen):
+                break
+            seen = grown
+        if seen.sum() < n:
+            out.add((bits_of(seen), int(seen.sum())))
+    return out
+
+
+def test_principal_subgroups_skip_the_orbits_of_unit_multiples():
+    from pfscheme.catalog import batch_specs
+    from pfscheme.frobenius import _is_cyclic, _principal_subgroups
+
+    checked = 0
+    for name, spec in batch_specs():
+        if _is_cyclic(spec) or spec.kernel_order > 1400:
+            continue
+        assert set(_principal_subgroups(spec)) == reference_principal_subgroups(spec), name
+        checked += 1
+    assert checked >= 20
+    # each of the 183 invariant lines of F_13^3 is met as two orbits of the
+    # order-6 complement, x and 2x, and closed once
+    lines = _principal_subgroups(dict(batch_specs())["cube-13-6"])
+    assert len(lines) == len(set(lines)) == 184
+    assert {order for _, order in lines} == {1, 13}

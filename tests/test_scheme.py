@@ -517,10 +517,65 @@ def test_verify_triangle_matches_the_reference_on_perturbed_tensors():
     for M in (cycle_coloring(13), petersen_coloring(), zn_table(8)):
         T = compute_tensor(wl_closure(M))
         for _ in range(20):
-            c = T.c.copy()
-            c[tuple(rng.integers(0, T.rank, size=3))] += 1
-            bad = replace(T, c=c)
+            ref = T.ref.copy()
+            t, g = rng.integers(0, T.rank), rng.integers(0, T.n)
+            ref[t, g] = rng.integers(0, T.rank * T.rank)
+            ref[t].sort()
+            bad = replace(T, ref=ref)
             expected = error(reference_verify_triangle, bad)
             assert error(type(bad).verify_triangle, bad) == expected
             failures += expected is not None
     assert failures >= 50
+
+
+# -- the stored reference codes -------------------------------------------
+
+
+def test_reference_codes_give_the_counts_of_the_dense_tensor():
+    from pfscheme.parabolic import indistinguishing_number
+    from pfscheme.spreads import hall_spread, spread_scheme
+
+    schemes = [wl_closure(petersen_coloring()), spread_scheme(hall_spread(9))]
+    schemes += [wl_closure(cycle_coloring(n)) for n in (12, 17, 30)]
+    schemes.append(Scheme(zn_table(9)))            # thin: s* != s
+    assert any(s.star != tuple(range(s.rank)) for s in schemes)
+    for s in schemes:
+        T = s.tensor()
+        R = T.rank
+        assert T.ref.shape == (R, s.n) and not T.ref.flags.writeable
+        assert np.array_equal(np.sort(T.ref, axis=1), T.ref)
+        c = T.c
+        assert c.dtype == np.int64 and not c.flags.writeable and T.c is c
+        for t in range(R):
+            assert np.array_equal(T.slice(t), c[:, :, t])
+        assert [T[r, x, t] for r in range(R) for x in range(R) for t in range(R)] == c.ravel().tolist()
+        st = np.asarray(s.star)
+        assert T.valencies == tuple(c[np.arange(R), st, 0].tolist()) == s.valencies()
+        totals = c[np.arange(R), st, :].sum(axis=0)       # sum_s c[s][s*][t]
+        assert indistinguishing_number(s) == totals[1:].max()
+
+
+def test_compute_tensor_peak_memory_on_the_c243_closure():
+    import tracemalloc
+
+    s = wl_closure(cycle_coloring(243))
+    assert s.rank == 122 and s.translations is not None
+    tracemalloc.start()
+    try:
+        compute_tensor(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6           # the dense int64 tensor alone is 14.5 MB
+
+
+def test_dimwl_verdict_never_builds_the_dense_tensor(monkeypatch):
+    from pfscheme.circulants import circulant_from_connection
+    from pfscheme.scheme import IntersectionTensor
+    from pfscheme.wldim import dimwl_verdict
+
+    def dense(self):
+        raise AssertionError("the dense tensor was built")
+
+    monkeypatch.setattr(IntersectionTensor, "c", property(dense))
+    assert dimwl_verdict(circulant_from_connection(243, (1, -1))).verdict == "Exactly2"
