@@ -2,7 +2,7 @@
 
 Subpackage map:
     arith       number-theory helpers and mixed-radix index arithmetic
-    perms       permutations, Schreier-Sims groups, orbitals
+    perms       permutations, Schreier-Sims groups, orbitals from a Schreier tree
     scheme      association schemes, intersection tensors, WL closure
     lattice     shared join-closure engine for subgroup and parabolic lattices
     gf          finite field arithmetic GF(p^e)

@@ -12,6 +12,7 @@ maps, each verified exhaustively before being reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .parabolic import Parabolic, enumerate_parabolics, parabolic_closure
 from .perms import PermGroup, Permutation
-from .scheme import Scheme, SchemeError, from_orbitals, partition_equal
+from .scheme import Scheme, SchemeError, partition_equal
 from .tcond import TConditionReport, check_t_condition
 
 
@@ -429,24 +430,18 @@ class SchurityResult:
 
 def _symmetric_group_result(scheme: Scheme) -> SchurityResult:
     n = scheme.n
-    gens = []
-    if n >= 2:
-        gens.append(Permutation(tuple([1, 0] + list(range(2, n)))))
-        gens.append(Permutation(tuple(list(range(1, n)) + [0])))
-    for p in gens:
-        images = np.asarray(p.images)
-        if not verify_induced(scheme, scheme,
-                              RelationBijection(scheme, scheme,
-                                                tuple(range(scheme.rank))), images):
-            raise AssertionError("symmetric generator is not an automorphism")
-    G = PermGroup(gens, n)
-    labels = np.asarray(G.orbitals()).reshape(n, n) if n > 1 else np.zeros((1, 1), dtype=np.int64)
-    eq = partition_equal(labels, scheme.colors) if n > 1 else True
+    gens = [Permutation([1, 0] + list(range(2, n))),
+            Permutation(list(range(1, n)) + [0])] if n >= 2 else []
+    identity = RelationBijection(scheme, scheme, tuple(range(scheme.rank)))
+    if not all(verify_induced(scheme, scheme, identity, np.asarray(p.images)) for p in gens):
+        raise AssertionError("symmetric generator is not an automorphism")
+    labels = PermGroup(gens, n).orbitals().reshape(n, n)
+    # a transposition and an n-cycle generate S_n
     return SchurityResult(schurian=True, four_condition_passed=True,
-                          automorphisms=tuple(gens), group_order=G.order(),
+                          automorphisms=tuple(gens), group_order=math.factorial(n),
                           relation_transitive=tuple([True] * scheme.rank),
-                          orbital_scheme_equal=eq, parabolic_rels=(),
-                          tau=None, reason="rank <= 2")
+                          orbital_scheme_equal=partition_equal(labels, scheme.colors),
+                          parabolic_rels=(), tau=None, reason="rank <= 2")
 
 
 def schurity_via_base_triples(scheme: Scheme,
@@ -457,9 +452,10 @@ def schurity_via_base_triples(scheme: Scheme,
     Requires the 4-condition (checked here unless a matching report is
     supplied).  One bijective base triple tau is fixed; for every triple
     tau' carrying the same three colors the transported coordinate map is
-    built and verified as an automorphism.  The verified maps must
-    generate a group transitive on every basis relation whose orbital
-    scheme has exactly the input's relations.
+    built and verified.  Each automorphism sends tau to such a triple and
+    is fixed by it, so the maps are the whole group G (the orbit-
+    stabilizer equation is asserted).  G must be transitive, and the
+    orbits of its stabilizer of 0 must be the colour classes of row 0.
     """
     if scheme.rank <= 2:
         return _symmetric_group_result(scheme)
@@ -479,27 +475,22 @@ def schurity_via_base_triples(scheme: Scheme,
     if not maps:
         raise SchemeError("no verified automorphism arises from the base triple")
     e, tau = maps[0][:2]
-    autos = [Permutation(g) for g in dict.fromkeys(g for *_, g in maps)]
-    P = scheme.colors
-    G = PermGroup(autos, scheme.n)
-    try:
-        labels = np.asarray(G.orbitals()).reshape(scheme.n, scheme.n)
-    except ValueError:
-        labels = None
-    if labels is None:
-        rel_trans = tuple([False] * scheme.rank)
-        eq = False
-    else:
-        rel_trans = []
-        for s in range(scheme.rank):
-            vals = labels[P == s]
-            rel_trans.append(bool((vals == vals[0]).all()))
-        rel_trans = tuple(rel_trans)
-        eq = partition_equal(labels, P)
+    distinct = list(dict.fromkeys(g for *_, g in maps))
+    A = np.array(distinct, dtype=np.int64)
+    n, P0 = scheme.n, scheme.colors[0]
+    orbit, stab = np.unique(A[:, 0]), A[A[:, 0] == 0]
+    if len(A) != len(orbit) * len(stab):
+        raise AssertionError("verified maps break the orbit-stabilizer equation")
+    # each stabilizer orbit named by its least point; row 0 meets every
+    # orbital of a transitive group
+    transitive, least = len(orbit) == n, stab.min(axis=0)
+    spread = np.bincount(np.unique(P0 * n + least) // n, minlength=scheme.rank)
+    rel_trans = tuple((transitive & (spread == 1)).tolist())
+    eq = transitive and partition_equal(least, P0)
     schurian = eq and all(rel_trans)
     return SchurityResult(
         schurian=schurian, four_condition_passed=True,
-        automorphisms=tuple(autos), group_order=G.order(),
+        automorphisms=tuple(map(Permutation, distinct)), group_order=len(A),
         relation_transitive=rel_trans, orbital_scheme_equal=eq,
         parabolic_rels=tuple(sorted(e.relations)), tau=tau.as_tuple(),
         reason="verified base-triple automorphisms" if schurian

@@ -2,12 +2,15 @@
 
 Composition is a right action throughout: (p * q)(x) = q(p(x)), so that
 x^(p*q) = (x^p)^q.  Group order comes from a deterministic Schreier-Sims
-stabilizer chain with base 0, 1, 2, ...
+stabilizer chain with base 0, 1, 2, ...  Orbitals come from a numpy
+Schreier tree at point 0 and the orbits of its stabilizer.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 
 class Permutation:
@@ -38,10 +41,7 @@ class Permutation:
         return Permutation([o[i] for i in self.images])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
+        return Permutation(_invert(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -158,36 +158,47 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
 
-    def orbitals(self) -> list[int]:
+    def orbitals(self) -> np.ndarray:
         """Class labels for the diagonal action on ordered pairs.
 
-        Returns a flat row-major list of length degree**2; labels are
-        assigned in BFS discovery order starting from pair (0, 0).
-        Requires a transitive group.
+        Returns a flat row-major int64 array of length degree**2 with
+        labels 0..R-1.  A Schreier tree from point 0 gives U[a] with
+        U[a](0) = a and inv[a, b] = U[a]^-1(b); the Schreier elements
+        U[g(a)]^-1 g U[a] generate the stabilizer of 0 (Schreier's lemma),
+        and (a, b) is labelled by the stabilizer orbit of inv[a, b],
+        numbered by its least point.  Requires a transitive group.
         """
-        if not self.is_transitive():
-            raise ValueError("orbitals require a transitive group")
         n = self.degree
-        labels = [-1] * (n * n)
-        gens = [g.images for g in self.generators]
-        cls = 0
-        for start in range(n * n):
-            if labels[start] != -1:
-                continue
-            labels[start] = cls
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for code in frontier:
-                    a, b = divmod(code, n)
-                    for img in gens:
-                        c = img[a] * n + img[b]
-                        if labels[c] == -1:
-                            labels[c] = cls
-                            nxt.append(c)
-                frontier = nxt
-            cls += 1
-        return labels
+        gens = np.array([g.images for g in self.generators], dtype=np.intp).reshape(-1, n)
+        points = np.arange(n)
+        U = np.full((n, n), -1, dtype=np.intp)
+        U[0] = points
+        frontier = points[:1]
+        while len(frontier):
+            found = [points[:0]]
+            for g in gens:
+                new, first = np.unique(g[frontier], return_index=True)
+                fresh = U[new, 0] < 0
+                U[new[fresh]] = g[U[frontier[first[fresh]]]]
+                found.append(new[fresh])
+            frontier = np.concatenate(found)
+        if (U[:, 0] < 0).any():
+            raise ValueError("orbitals require a transitive group")
+        inv = np.empty_like(U)
+        inv[points[:, None], U] = points
+        # distinct Schreier elements: a small stabilizer repeats them n times
+        stab = dict.fromkeys([points.tobytes()])
+        for g in gens:
+            stab.update(dict.fromkeys(map(bytes, inv[g[:, None], g[U]])))
+        stab = np.frombuffer(b"".join(stab), dtype=np.intp).reshape(-1, n)
+        least = points
+        while True:
+            lower = least[stab].min(axis=0)
+            if np.array_equal(lower, least):
+                break
+            least = lower[lower]
+        _, label = np.unique(least, return_inverse=True)
+        return label.astype(np.int64)[inv].ravel()
 
     # -- stabilizer chain ------------------------------------------------
 

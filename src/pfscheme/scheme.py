@@ -426,17 +426,14 @@ def partition_equal(first, second) -> bool:
     B = np.asarray(second, dtype=np.int64)
     if A.shape != B.shape:
         return False
-    ra = int(A.max()) + 1
     combo = A * (int(B.max()) + 1) + B
-    return len(np.unique(combo)) == ra == len(np.unique(B))
+    return len(np.unique(combo)) == len(np.unique(A)) == len(np.unique(B))
 
 
 def from_orbitals(group) -> Scheme:
     """Scheme of the 2-orbits of a transitive permutation group."""
-    labels = group.orbitals()
     n = group.degree
-    P = np.asarray(labels, dtype=np.int64).reshape(n, n)
-    return canonical_relabel(P)
+    return canonical_relabel(group.orbitals().reshape(n, n))
 
 
 def wl_closure(colors) -> Scheme:

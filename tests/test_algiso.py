@@ -1,8 +1,11 @@
 """Algebraic isomorphisms, base-triple coordinates, induced maps, schurity."""
 
+import math
+
 import numpy as np
 import pytest
 
+import pfscheme.algiso as algiso
 from pfscheme.algiso import (
     BaseTriple,
     RelationBijection,
@@ -17,8 +20,10 @@ from pfscheme.algiso import (
 from pfscheme.catalog import cyclic_unit_spec, negation_spec
 from pfscheme.frobenius import build_frobenius
 from pfscheme.parabolic import enumerate_parabolics, parabolic_closure
-from pfscheme.scheme import Scheme, SchemeError, from_orbitals
-from pfscheme.spreads import desarguesian_spread, hall_spread, spread_scheme
+from pfscheme.perms import PermGroup
+from pfscheme.scheme import Scheme, SchemeError, from_orbitals, partition_equal
+from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
+from test_perms import reference_orbitals
 
 
 def frobenius_scheme(spec):
@@ -165,12 +170,65 @@ def test_schurity_bails_out_when_4condition_fails():
 
 
 def test_schurity_complete_scheme_shortcut():
-    M = np.full((4, 4), 1, dtype=np.int64)
-    np.fill_diagonal(M, 0)
-    res = schurity_via_base_triples(Scheme(M))
+    # a transposition and an n-cycle generate S_n, reported as n!
+    for n in range(1, 8):
+        M = np.ones((n, n), dtype=np.int64)
+        np.fill_diagonal(M, 0)
+        res = schurity_via_base_triples(Scheme(M))
+        assert res.schurian and res.orbital_scheme_equal
+        assert res.group_order == math.factorial(n)
+        assert PermGroup(res.automorphisms, n).order() == res.group_order
+
+
+ORACLE_SCHEMES = {
+    "z9": z9,
+    "z65-u57": lambda: frobenius_scheme(cyclic_unit_spec(65, 57)),
+    "scalar7": lambda: frobenius_scheme(scalar_spec(7)),
+    "f3x3-spread": lambda: spread_scheme(desarguesian_spread(3)),
+    "desarguesian-9": lambda: spread_scheme(desarguesian_spread(9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SCHEMES))
+def test_schurity_matches_the_group_of_its_maps(name):
+    # the verdict is read off the list of maps; the oracle rebuilds the
+    # group they generate by Schreier-Sims and its orbitals by pair BFS
+    s = ORACLE_SCHEMES[name]()
+    res = schurity_via_base_triples(s)
+    G = PermGroup(res.automorphisms, s.n)
+    assert res.group_order == len(res.automorphisms) == G.order()
+    ref = np.asarray(reference_orbitals(G)).reshape(s.n, s.n)
+    assert partition_equal(G.orbitals().reshape(s.n, s.n), ref)
+    P = s.colors
+    assert res.relation_transitive == tuple(len(np.unique(ref[P == r])) == 1
+                                            for r in range(s.rank))
+    assert res.orbital_scheme_equal == partition_equal(ref, P)
     assert res.schurian
-    assert res.group_order == 24
-    assert res.orbital_scheme_equal
+
+
+def test_schurity_of_map_lists_that_generate_a_smaller_group(monkeypatch):
+    s = z9()
+    identity = RelationBijection(s, s, tuple(range(s.rank)))
+    real = list(algiso._verified_maps(s, s, identity, None, None))
+    fixing = [m for m in real if m[3][0] == 0]
+    monkeypatch.setattr(algiso, "_verified_maps", lambda *a: iter(fixing))
+    res = schurity_via_base_triples(s)
+    assert res.group_order == len(fixing) == 2
+    assert not res.schurian and not res.orbital_scheme_equal
+    assert res.relation_transitive == (False,) * 5
+    assert res.reason == "generated group misses some relation"
+    # the translations of Z_9 alone: transitive, but the stabilizer of 0
+    # is trivial, so only the diagonal is one orbital
+    shifts = [m for m in real if m[3] == tuple((x + m[3][0]) % 9 for x in range(9))]
+    monkeypatch.setattr(algiso, "_verified_maps", lambda *a: iter(shifts))
+    res = schurity_via_base_triples(s)
+    assert res.group_order == len(shifts) == 9
+    assert res.relation_transitive == (True, False, False, False, False)
+    assert not res.orbital_scheme_equal and not res.schurian
+    # a list that is not a group fails the orbit-stabilizer guard
+    monkeypatch.setattr(algiso, "_verified_maps", lambda *a: iter(real[:-1]))
+    with pytest.raises(AssertionError, match="orbit-stabilizer"):
+        schurity_via_base_triples(s)
 
 
 def test_batched_pair_counts_match_per_triple_coordinates():

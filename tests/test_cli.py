@@ -1,6 +1,7 @@
 """Command line interface: exit codes, JSON reports, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,18 @@ def test_iso_induced_identity_and_seed(tmp_path, capsys):
     # the global option is also accepted after the subcommand
     code, out4, _ = run_cli(capsys, "iso", "induced", z9, z9, "--seed", "5")
     assert code == 0 and out4 == out2
+
+
+def test_check_schurity_on_a_large_complete_scheme(tmp_path, capsys):
+    # rank 2: the group is S_80, generated by (0 1) and the 80-cycle
+    n = 80
+    k80 = tmp_path / "k80.json"
+    k80.write_text(json.dumps({"colors": [[int(i != j) for j in range(n)] for i in range(n)]}))
+    code, out, _ = run_cli(capsys, "check", "schurity", "--scheme", str(k80))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["schurian"] and rep["orbital_scheme_equal"]
+    assert rep["group_order"] == math.factorial(n)
 
 
 def test_check_schurity_and_parabolics(tmp_path, capsys):
@@ -447,18 +460,28 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["verdict"] == "open"
 
 
-def test_perfbench_traces_every_entry_point(tmp_path):
-    # The benchmark wraps named entry points and reads counts off their
-    # return values (compute_tensor's `n`, for one); a renamed function or
-    # a changed return type shows up here as `missing` or `count_errors`.
+def _perfbench_spans(tmp_path, *argv):
     child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
     meta, spans = tmp_path / "meta.json", tmp_path / "spans.json"
     proc = subprocess.run([sys.executable, str(child), str(meta), "--trace", str(spans),
-                           "--cli", "classify", "wl", "--n", "81", "--conn", "1,-1"],
+                           "--cli", *argv],
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(spans.read_text())
     assert traced["missing"] == []
-    names = {span[0] for span in traced["spans"]}
-    assert {"cli.main", "scheme.compute_tensor", "wldim.dimwl_verdict"} <= names
     assert not [span for span in traced["spans"] if "count_errors" in (span[4] or {})]
+    return {span[0] for span in traced["spans"]}
+
+
+def test_perfbench_traces_every_entry_point(tmp_path):
+    # The benchmark wraps named entry points and reads counts off their
+    # return values (compute_tensor's `n`, for one); a renamed function or
+    # a changed return type shows up here as `missing` or `count_errors`.
+    names = _perfbench_spans(tmp_path, "classify", "wl", "--n", "81", "--conn", "1,-1")
+    assert {"cli.main", "scheme.compute_tensor", "wldim.dimwl_verdict"} <= names
+
+
+def test_perfbench_traces_orbitals(tmp_path):
+    # `pairs` is read as len() of the orbital labels
+    names = _perfbench_spans(tmp_path, "gen", "frobenius", "--scalar", "7")
+    assert {"perms.PermGroup.orbitals", "scheme.from_orbitals"} <= names

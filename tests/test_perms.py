@@ -1,8 +1,89 @@
 """Permutations, Schreier-Sims order, orbits, and orbitals on small groups."""
 
+import numpy as np
 import pytest
 
+from pfscheme.catalog import batch_specs
+from pfscheme.frobenius import build_frobenius
 from pfscheme.perms import Permutation, PermGroup, group_order
+from pfscheme.scheme import partition_equal
+
+
+def reference_orbitals(G: PermGroup) -> list[int]:
+    """Orbital labels of all n^2 pairs by BFS over every generator."""
+    n = G.degree
+    labels = [-1] * (n * n)
+    gens = [g.images for g in G.generators]
+    cls = 0
+    for start in range(n * n):
+        if labels[start] != -1:
+            continue
+        labels[start] = cls
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for code in frontier:
+                a, b = divmod(code, n)
+                for img in gens:
+                    c = img[a] * n + img[b]
+                    if labels[c] == -1:
+                        labels[c] = cls
+                        nxt.append(c)
+            frontier = nxt
+        cls += 1
+    return labels
+
+
+def assert_orbitals_match_reference(G: PermGroup):
+    n = G.degree
+    labels = G.orbitals()
+    assert labels.dtype == np.int64 and labels.shape == (n * n,)
+    # numbered 0..R-1 without gaps
+    assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
+    ref = np.asarray(reference_orbitals(G))
+    assert partition_equal(labels, ref) and partition_equal(ref, labels)
+
+
+def _cyclic(n):
+    return Permutation([(i + 1) % n for i in range(n)])
+
+
+def _reflection(n):
+    return Permutation([(-i) % n for i in range(n)])
+
+
+SMALL_GROUPS = {
+    "cyclic-7": ([_cyclic(7)], 7),
+    "cyclic-12": ([_cyclic(12)], 12),
+    "agl-1-5": ([_cyclic(5), Permutation([(2 * x) % 5 for x in range(5)])], 5),
+    "trivial-1": ([], 1),
+    **{"dihedral-%d" % n: ([_cyclic(n), _reflection(n)], n) for n in (3, 4, 5, 6, 9)},
+    **{"symmetric-%d" % n: ([_cyclic(n), Permutation([1, 0] + list(range(2, n)))], n)
+       for n in range(2, 8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_orbitals_match_the_reference_bfs_on_small_groups(name):
+    gens, n = SMALL_GROUPS[name]
+    assert_orbitals_match_reference(PermGroup(gens, n))
+
+
+def test_orbitals_match_the_reference_bfs_on_catalog_groups():
+    checked = 0
+    for _, spec in batch_specs():
+        if spec.kernel_order <= 200:
+            assert_orbitals_match_reference(build_frobenius(spec))
+            checked += 1
+    assert checked >= 40
+
+
+def test_orbitals_reject_an_intransitive_group():
+    G = PermGroup([Permutation([1, 2, 0, 4, 5, 3])], 6)
+    with pytest.raises(ValueError, match="transitive"):
+        G.orbitals()
+    with pytest.raises(ValueError, match="transitive"):
+        PermGroup([], 2).orbitals()
 
 
 def test_permutation_compose_inverse():

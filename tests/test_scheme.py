@@ -171,6 +171,14 @@ def test_partition_equal_ignores_label_names():
     assert not partition_equal(M2, M)
 
 
+def test_partition_equal_with_gapped_labels_in_either_order():
+    gapped, dense = np.array([[0, 2], [2, 0]]), np.array([[0, 1], [1, 0]])
+    assert partition_equal(gapped, dense) and partition_equal(dense, gapped)
+    finer = np.array([[0, 5], [7, 0]])
+    assert not partition_equal(finer, dense) and not partition_equal(dense, finer)
+    assert partition_equal(finer, np.array([[3, 1], [0, 3]]))
+
+
 def test_json_round_trip_preserves_scheme():
     s = Scheme(cyclic_colors(12))
     d = s.to_json_dict()
