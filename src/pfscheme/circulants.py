@@ -72,9 +72,6 @@ class Circulant:
     def symmetric(self) -> bool:
         return all((-c) % self.n in self.connection for c in self.connection)
 
-    def degree_out(self) -> int:
-        return len(self.connection)
-
 
 def frobenius_circulant(spec: CirculantSpec) -> Circulant:
     """Connection set = union of the K-orbits of the representatives.

@@ -11,8 +11,9 @@ verify-paper                     run the nine-criterion verification suite
 Exit codes: 0 = pass/success, 2 = input error, 3 = check failed with a
 certificate, 4 = unresolved/unknown.
 
-JSON formats (exact field sets; all reports are emitted with sorted keys
-and two-space indentation, so identical inputs give byte-identical bytes):
+JSON formats (exact field sets; every document is emitted with sorted keys
+and two-space indentation, so identical inputs give byte-identical bytes;
+the scheme files of `gen` put each row of "colors" on one line):
 
   scheme file   {"n": int, "rank": int, "star": [int], "colors": [[int]]}
   spec file     {"kernel": [{"cyclic": m, "units": [u]} |
@@ -56,11 +57,24 @@ PASS, INPUT_ERROR, CHECK_FAILED, UNRESOLVED = 0, 2, 3, 4
 GLOBAL_DEFAULTS = {"format": "json", "seed": 0}
 
 
-def _emit(payload: dict, fmt: str, out_path: str | None = None) -> None:
-    if fmt == "json":
+def _emit(payload: dict, fmt: str, out_path: str | None = None,
+          rows: str | None = None) -> None:
+    """Write `payload` as "key: value" lines or as JSON with sorted keys and
+    two-space indentation, each row of the matrix under `rows` on one line."""
+    if fmt == "text":
+        text = "".join("%s: %s\n" % (k, payload[k]) for k in sorted(payload))
+    elif rows is None:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        text = "".join("%s: %s\n" % (k, payload[k]) for k in sorted(payload))
+        fields = []
+        for key, value in sorted(payload.items()):
+            if key == rows:
+                # json's C encoder runs only without `indent`: one call per row
+                body = "[\n    %s\n  ]" % ",\n    ".join(map(json.dumps, value))
+            else:
+                body = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+            fields.append("  %s: %s" % (json.dumps(key), body))
+        text = "{\n%s\n}\n" % ",\n".join(fields)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -95,8 +109,9 @@ def _load_colors(path: str, d: dict) -> np.ndarray:
         colors = np.asarray(d["colors"])
     except ValueError as exc:              # numpy: ragged rows
         raise SystemExit(_fail("%s: 'colors' is not a matrix: %s" % (path, exc)))
-    if not np.issubdtype(colors.dtype, np.integer):
-        raise SystemExit(_fail("%s: 'colors' must hold integers" % path))
+    if (colors.ndim != 2 or colors.shape[0] != colors.shape[1]
+            or not np.issubdtype(colors.dtype, np.integer)):
+        raise SystemExit(_fail("%s: 'colors' must be a square matrix of integers" % path))
     return colors
 
 
@@ -154,31 +169,23 @@ def _circulant_from_args(args):
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "frobenius":
-        spec = _spec_from_args(args)
-        try:
-            scheme = from_orbitals(build_frobenius(spec))
-        except FrobeniusError as exc:
-            return _fail(str(exc))
-        payload = scheme.to_json_dict()
-        payload["valency"] = scheme.is_equivalenced()
-        payload["fingerprint"] = scheme.fingerprint()
-    elif args.kind == "spread":
-        try:
-            spread = (hall_spread(args.q) if args.plane == "hall"
-                      else desarguesian_spread(args.q))
-            scheme = spread_scheme(spread)
-        except (ValueError, ArithmeticError) as exc:
-            return _fail(str(exc))
-        payload = scheme.to_json_dict()
-        payload["plane"] = args.plane
-        payload["fingerprint"] = scheme.fingerprint()
-    else:
+    if args.kind == "circulant":
         circ = _circulant_from_args(args)
-        M = color_matrix(circ)
         payload = {"n": circ.n, "connection": sorted(circ.connection),
-                   "colors": [[int(x) for x in row] for row in M]}
-    _emit(payload, args.format, args.out)
+                   "colors": color_matrix(circ).tolist()}
+    else:
+        try:
+            if args.kind == "frobenius":
+                scheme = from_orbitals(build_frobenius(_spec_from_args(args)))
+                payload = {"valency": scheme.is_equivalenced()}
+            else:
+                scheme = spread_scheme(hall_spread(args.q) if args.plane == "hall"
+                                       else desarguesian_spread(args.q))
+                payload = {"plane": args.plane}
+        except (ValueError, ArithmeticError) as exc:   # FrobeniusError, or a bad q
+            return _fail(str(exc))
+        payload.update(scheme.to_json_dict(), fingerprint=scheme.fingerprint())
+    _emit(payload, args.format, args.out, rows="colors")
     return PASS
 
 

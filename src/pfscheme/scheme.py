@@ -15,7 +15,6 @@ compute row 0 only, since pair (a, b) behaves as pair (0, b - a).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import blake2b
@@ -155,11 +154,8 @@ class Scheme:
             "n": self.n,
             "rank": self.rank,
             "star": list(self.star),
-            "colors": [[int(x) for x in row] for row in self.colors],
+            "colors": self.colors.tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Scheme":
@@ -170,10 +166,6 @@ class Scheme:
         if sch.n != d["n"] or sch.rank != d["rank"]:
             raise SchemeError("scheme JSON n/rank fields disagree with the matrix")
         return sch
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scheme":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from pfscheme.circulants import CirculantSpec, circulant_from_connection, color_matrix, frobenius_circulant
 from pfscheme.cli import main
-from pfscheme.spreads import hall_spread, spread_scheme
+from pfscheme.frobenius import CyclicFactor, FrobeniusSpec, build_frobenius
+from pfscheme.scheme import from_orbitals
+from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +210,9 @@ BAD_COLORS = {
     "ragged colors": {"colors": [[0, 1], [1]]},
     "non-integer colors": {"colors": [[0, 1.5], [1.5, 0]]},
     "string colors": {"colors": [["0", "1"], ["1", "0"]]},
+    "flat colors": {"colors": [1, 2]},
+    "non-square colors": {"colors": [[0, 1, 2], [1, 0, 2]]},
+    "3-d colors": {"colors": [[[0]]]},
 }
 BAD_STARS = {
     "star not a list": {"n": 2, "rank": 2, "star": 5, "colors": [[0, 1], [1, 0]]},
@@ -400,6 +406,85 @@ def test_gen_circulant_coloring(tmp_path, capsys):
     assert d["n"] == 63
     assert d["connection"] == [1, 62]
     assert len(d["colors"]) == 63
+
+
+def old_layout(payload):
+    """The scheme file layout before each colour row got its own line."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def spread_payload(plane):
+    scheme = spread_scheme({"hall": hall_spread, "desarguesian": desarguesian_spread}[plane](9))
+    return {**scheme.to_json_dict(), "plane": plane, "fingerprint": scheme.fingerprint()}
+
+
+def frobenius_payload(spec):
+    scheme = from_orbitals(build_frobenius(spec))
+    return {**scheme.to_json_dict(), "valency": scheme.is_equivalenced(),
+            "fingerprint": scheme.fingerprint()}
+
+
+def circulant_payload(circ):
+    return {"n": circ.n, "connection": sorted(circ.connection),
+            "colors": color_matrix(circ).tolist()}
+
+
+GEN_PAYLOADS = {                # gen arguments -> the document built from the library
+    "spread --q 9 --plane hall": lambda: spread_payload("hall"),
+    "spread --q 9 --plane desarguesian": lambda: spread_payload("desarguesian"),
+    "frobenius --cyclic 9,8": lambda: frobenius_payload(FrobeniusSpec((CyclicFactor(9, (8,)),), 2)),
+    "frobenius --scalar 7": lambda: frobenius_payload(scalar_spec(7)),
+    "circulant --n 20 --conn 1,-1": lambda: circulant_payload(circulant_from_connection(20, [1, -1])),
+    "circulant --n 63 --units 62 --reps 1":
+        lambda: circulant_payload(frobenius_circulant(CirculantSpec(63, (62,), (1,)))),
+}
+
+
+@pytest.mark.parametrize("args", GEN_PAYLOADS)
+def test_gen_writes_each_colour_row_on_one_line(tmp_path, capsys, args):
+    argv, payload = ["gen", *args.split()], GEN_PAYLOADS[args]()
+    path = tmp_path / "scheme.json"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    # the same document as the old layout, written the same way every time
+    assert json.loads(out) == json.loads(old_layout(payload))
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_text() == out
+    assert run_cli(capsys, *argv)[1] == out
+    # each row on one line; every other key in the old two-space layout
+    lines = out.splitlines()
+    n = len(payload["colors"])
+    assert lines[:2] == ["{", '  "colors": ['] and lines[n + 2] == "  ],"
+    assert [json.loads(ln.strip().rstrip(",")) for ln in lines[2:n + 2]] == payload["colors"]
+    rest = {k: v for k, v in payload.items() if k != "colors"}
+    assert "\n".join(lines[:1] + lines[n + 3:]) + "\n" == old_layout(rest)
+
+
+def test_scheme_json_colors_are_plain_ints():
+    colors = spread_scheme(hall_spread(9)).to_json_dict()["colors"]
+    assert all(type(row) is list for row in colors)
+    assert {type(x) for row in colors for x in row} == {int}
+
+
+HALL9_REPORTS = [
+    ("check", "axioms", "--scheme", "{f}"),
+    ("check", "tcond", "--t", "4", "--scheme", "{f}"),
+    ("check", "parabolics", "--scheme", "{f}"),
+    ("check", "schurity", "--scheme", "{f}"),
+    ("iso", "alg", "{f}", "{f}", "--limit", "1"),
+    ("iso", "induced", "{f}", "{f}"),
+]
+
+
+def test_old_and_new_scheme_layouts_give_the_same_reports(tmp_path, capsys):
+    new = gen_scheme(capsys, tmp_path, "hall9.json", "gen", "spread", "--q", "9", "--plane", "hall")
+    old = tmp_path / "hall9-old.json"
+    old.write_text(old_layout(json.loads(Path(new).read_text())))
+    assert old.stat().st_size > 2 * Path(new).stat().st_size
+    for argv in HALL9_REPORTS:
+        reports = [run_cli(capsys, *(a.format(f=f) for a in argv)) for f in (new, old)]
+        assert reports[0] == reports[1], argv
+        assert reports[0][1].startswith("{\n")
 
 
 def test_tcond_reports_are_byte_identical_across_runs(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Scheme axioms, intersection tensors, WL closure, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -185,7 +187,7 @@ def test_json_round_trip_preserves_scheme():
     assert set(d) == {"n", "rank", "star", "colors"}
     t = Scheme.from_json_dict(d)
     assert t == s
-    assert Scheme.from_json(s.to_json()) == s
+    assert Scheme.from_json_dict(json.loads(json.dumps(d))) == s
 
 
 def test_fingerprint_canonical_after_relabel():
