@@ -13,42 +13,38 @@ maps, each verified exhaustively before being reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from .arith import sorted_unique
 from .parabolic import Parabolic, enumerate_parabolics, parabolic_closure
 from .perms import PermGroup, Permutation
 from .scheme import Scheme, SchemeError, partition_equal
 from .tcond import TConditionReport, check_t_condition
 
 
-@dataclass(frozen=True)
 class RelationBijection:
     """Color bijection with every c[r][s][t] re-verified on construction."""
 
-    source: Scheme
-    target: Scheme
-    mapping: tuple
-
-    def __post_init__(self):
-        src, tgt, m = self.source, self.target, self.mapping
-        if src.rank != tgt.rank or sorted(m) != list(range(src.rank)):
+    def __init__(self, source: Scheme, target: Scheme, mapping: tuple):
+        if source.rank != target.rank or sorted(mapping) != list(range(source.rank)):
             raise SchemeError("mapping is not a color bijection")
-        if m[0] != 0:
+        if mapping[0] != 0:
             raise SchemeError("algebraic isomorphisms fix the diagonal color")
-        if src.n != tgt.n:
+        if source.n != target.n:
             raise SchemeError("schemes have different degrees")
-        perm = np.asarray(m)
-        c1 = src.tensor().c
-        c2 = tgt.tensor().c[np.ix_(perm, perm, perm)]
+        perm = np.asarray(mapping)
+        c1 = source.tensor().c
+        c2 = target.tensor().c[np.ix_(perm, perm, perm)]
         if not np.array_equal(c1, c2):
             bad = np.argwhere(c1 != c2)[0]
             r, s, t = (int(v) for v in bad)
             raise SchemeError(
                 "intersection numbers differ at (%d,%d,%d): %d vs %d"
                 % (r, s, t, int(c1[r, s, t]), int(c2[r, s, t])))
+        self.source, self.target, self.mapping = source, target, mapping
 
     def __getitem__(self, s: int) -> int:
         return self.mapping[s]
@@ -156,8 +152,7 @@ def algebraic_automorphisms(scheme: Scheme, limit: int | None = None):
 # -- base triples and coordinates -------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaseTriple:
+class BaseTriple(NamedTuple):
     mu: int
     nu: int
     rho: int
@@ -201,23 +196,22 @@ def base_triples(scheme: Scheme, e: Parabolic, transversal_only: bool = True):
                 yield BaseTriple(int(mu), int(nu), int(rho))
 
 
-@dataclass(frozen=True)
 class CoordinateMap:
     """f: alpha -> (x_alpha, y_alpha), with bijectivity onto the pair set.
 
     The pair set depends only on (e, in_color, out_color); the counted
     size pair_count equals n exactly when f is a bijection, which is a
-    tensor-level property.
+    tensor-level property.  in_color is r(mu, nu), inside e; out_color is
+    r(mu, rho), outside e.
     """
 
-    triple: BaseTriple
-    e_relations: frozenset
-    in_color: int              # r(mu, nu), inside e
-    out_color: int             # r(mu, rho), outside e
-    x: np.ndarray
-    y: np.ndarray
-    pair_count: int
-    bijective: bool
+    def __init__(self, triple: BaseTriple, e_relations: frozenset, in_color: int,
+                 out_color: int, x: np.ndarray, y: np.ndarray, pair_count: int,
+                 bijective: bool):
+        self.triple, self.e_relations = triple, e_relations
+        self.in_color, self.out_color = in_color, out_color
+        self.x, self.y = x, y
+        self.pair_count, self.bijective = pair_count, bijective
 
     @cached_property
     def point_of(self) -> dict:
@@ -252,7 +246,7 @@ def _coordinate_map(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
     y = np.where(in_e[x], P[rho], P[nu])
     pair_count = int(counts[s_in, r_out])
     bijective = pair_count == scheme.n
-    if bijective and len(np.unique(x * scheme.rank + y)) != scheme.n:
+    if bijective and len(sorted_unique(x * scheme.rank + y)) != scheme.n:
         raise AssertionError("pair-set count says bijective but coordinates collide")
     return CoordinateMap(triple=triple, e_relations=e.relations,
                          in_color=s_in, out_color=r_out, x=x, y=y,
@@ -321,8 +315,7 @@ def induced_point_map(psi: RelationBijection, f1: CoordinateMap,
     return g
 
 
-@dataclass(frozen=True)
-class InducedIsomorphism:
+class InducedIsomorphism(NamedTuple):
     psi: RelationBijection
     tau: BaseTriple
     tau_prime: BaseTriple
@@ -402,8 +395,7 @@ def induced_isomorphism(source: Scheme, target: Scheme, psi: RelationBijection,
 # -- constructive schurity ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchurityResult:
+class SchurityResult(NamedTuple):
     schurian: bool
     four_condition_passed: bool
     automorphisms: tuple
@@ -478,13 +470,13 @@ def schurity_via_base_triples(scheme: Scheme,
     distinct = list(dict.fromkeys(g for *_, g in maps))
     A = np.array(distinct, dtype=np.int64)
     n, P0 = scheme.n, scheme.colors[0]
-    orbit, stab = np.unique(A[:, 0]), A[A[:, 0] == 0]
+    orbit, stab = sorted_unique(A[:, 0]), A[A[:, 0] == 0]
     if len(A) != len(orbit) * len(stab):
         raise AssertionError("verified maps break the orbit-stabilizer equation")
     # each stabilizer orbit named by its least point; row 0 meets every
     # orbital of a transitive group
     transitive, least = len(orbit) == n, stab.min(axis=0)
-    spread = np.bincount(np.unique(P0 * n + least) // n, minlength=scheme.rank)
+    spread = np.bincount(sorted_unique(P0 * n + least) // n, minlength=scheme.rank)
     rel_trans = tuple((transitive & (spread == 1)).tolist())
     eq = transitive and partition_equal(least, P0)
     schurian = eq and all(rel_trans)

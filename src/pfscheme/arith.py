@@ -128,3 +128,13 @@ def difference_table(radices) -> np.ndarray:
         digit = idx // st % r
         D += (digit[None, :] - digit[:, None]) % r * st
     return D
+
+
+def sorted_unique(x) -> np.ndarray:
+    """The distinct values of an array, flattened and sorted: what plain
+    `np.unique(x)` returns, without its masked-array test, which imports
+    `numpy.ma`."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]

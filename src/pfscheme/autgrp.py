@@ -13,7 +13,7 @@ one, and from one search 0 -> alpha per point otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +91,7 @@ def automorphism_stabilizer(scheme: Scheme, point: int = 0,
     return out, False
 
 
-@dataclass(frozen=True)
-class FrobeniusCertificate:
+class FrobeniusCertificate(NamedTuple):
     """Outcome of the exact Frobenius check on a scheme's automorphisms."""
 
     frobenius: bool | None       # None when the enumeration was capped

@@ -8,33 +8,37 @@ the certificate the classifier tries first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import difference_table
 
 
-@dataclass(frozen=True)
 class CirculantSpec:
     """n, generating units of K, and K-orbit representatives."""
 
-    n: int
-    units: tuple
-    orbit_reps: tuple
-
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, units: tuple, orbit_reps: tuple):
+        if n < 2:
             raise ValueError("need n >= 2")
-        for u in self.units:
-            if gcd(u, self.n) != 1:
-                raise ValueError("%d is not a unit mod %d" % (u, self.n))
-        if not self.orbit_reps:
+        for u in units:
+            if gcd(u, n) != 1:
+                raise ValueError("%d is not a unit mod %d" % (u, n))
+        if not orbit_reps:
             raise ValueError("need at least one orbit representative")
-        for r in self.orbit_reps:
-            if r % self.n == 0:
+        for r in orbit_reps:
+            if r % n == 0:
                 raise ValueError("orbit representatives must be nonzero")
+        self.n, self.units, self.orbit_reps = n, units, orbit_reps
+
+    def __eq__(self, other):
+        return (type(other) is CirculantSpec
+                and (self.n, self.units, self.orbit_reps)
+                == (other.n, other.units, other.orbit_reps))
+
+    def __hash__(self):
+        return hash((self.n, self.units, self.orbit_reps))
 
 
 def unit_closure(n: int, gens) -> frozenset:
@@ -62,8 +66,7 @@ def fixed_point_free(n: int, units) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class Circulant:
+class Circulant(NamedTuple):
     n: int
     connection: frozenset
     spec: CirculantSpec | None = None

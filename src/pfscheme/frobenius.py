@@ -20,13 +20,21 @@ generated by the translations and the complement.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import digit_add, digit_strides, divisors, is_prime, prime_divisors, prime_power
+from .arith import (
+    digit_add,
+    digit_strides,
+    divisors,
+    is_prime,
+    prime_divisors,
+    prime_power,
+    sorted_unique,
+)
 from .lattice import bits_of, covers, indices_of, join_closure
 from .perms import PermGroup, Permutation
 
@@ -45,48 +53,54 @@ class FrobeniusError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
 class CyclicFactor:
     """Z_m kernel factor; units[j] is the action of complement generator j."""
 
-    modulus: int
-    units: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise FrobeniusError("cyclic factor needs modulus >= 2, got %r" % (self.modulus,))
-        object.__setattr__(self, "units", tuple(int(u) % self.modulus for u in self.units))
+    def __init__(self, modulus: int, units: tuple[int, ...]):
+        if modulus < 2:
+            raise FrobeniusError("cyclic factor needs modulus >= 2, got %r" % (modulus,))
+        self.modulus = modulus
+        self.units = tuple(int(u) % modulus for u in units)
         for u in self.units:
-            if gcd(u, self.modulus) != 1:
-                raise FrobeniusError("unit %d is not invertible modulo %d" % (u, self.modulus))
+            if gcd(u, modulus) != 1:
+                raise FrobeniusError("unit %d is not invertible modulo %d" % (u, modulus))
+
+    def __eq__(self, other):
+        return (type(other) is CyclicFactor
+                and (self.modulus, self.units) == (other.modulus, other.units))
+
+    def __hash__(self):
+        return hash((self.modulus, self.units))
 
     @property
     def size(self) -> int:
         return self.modulus
 
 
-@dataclass(frozen=True)
 class ElementaryAbelianFactor:
     """(Z_p)^dim kernel factor; matrices[j] acts on row vectors as v -> v M."""
 
-    p: int
-    dim: int
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise FrobeniusError("elementary abelian factor needs prime p, got %r" % (self.p,))
-        if self.dim < 1:
+    def __init__(self, p: int, dim: int, matrices: tuple[tuple[tuple[int, ...], ...], ...]):
+        if not is_prime(p):
+            raise FrobeniusError("elementary abelian factor needs prime p, got %r" % (p,))
+        if dim < 1:
             raise FrobeniusError("elementary abelian factor needs dim >= 1")
         mats = []
-        for M in self.matrices:
-            M = tuple(tuple(int(x) % self.p for x in row) for row in M)
-            if len(M) != self.dim or any(len(row) != self.dim for row in M):
-                raise FrobeniusError("matrix is not %d x %d" % (self.dim, self.dim))
-            if _det_mod(M, self.p) == 0:
-                raise FrobeniusError("complement matrix is singular modulo %d" % self.p)
+        for M in matrices:
+            M = tuple(tuple(int(x) % p for x in row) for row in M)
+            if len(M) != dim or any(len(row) != dim for row in M):
+                raise FrobeniusError("matrix is not %d x %d" % (dim, dim))
+            if _det_mod(M, p) == 0:
+                raise FrobeniusError("complement matrix is singular modulo %d" % p)
             mats.append(M)
-        object.__setattr__(self, "matrices", tuple(mats))
+        self.p, self.dim, self.matrices = p, dim, tuple(mats)
+
+    def __eq__(self, other):
+        return (type(other) is ElementaryAbelianFactor
+                and (self.p, self.dim, self.matrices) == (other.p, other.dim, other.matrices))
+
+    def __hash__(self):
+        return hash((self.p, self.dim, self.matrices))
 
     @property
     def size(self) -> int:
@@ -121,23 +135,28 @@ def _det_mod(M, p: int) -> int:
     return det % p
 
 
-@dataclass(frozen=True)
 class FrobeniusSpec:
     """Kernel factors plus the complement's order and per-factor actions."""
 
-    kernel_factors: tuple
-    complement_order: int
-
-    def __post_init__(self):
-        if not self.kernel_factors:
+    def __init__(self, kernel_factors: tuple, complement_order: int):
+        if not kernel_factors:
             raise FrobeniusError("at least one kernel factor is required")
-        if self.complement_order < 2:
+        if complement_order < 2:
             raise FrobeniusError("complement must be nontrivial (order >= 2)")
         gens = {len(f.units) if isinstance(f, CyclicFactor) else len(f.matrices)
-                for f in self.kernel_factors}
+                for f in kernel_factors}
         if len(gens) != 1 or gens == {0}:
             raise FrobeniusError("every factor must list one action per complement generator")
-        object.__setattr__(self, "kernel_factors", tuple(self.kernel_factors))
+        self.kernel_factors = tuple(kernel_factors)
+        self.complement_order = complement_order
+
+    def __eq__(self, other):
+        return (type(other) is FrobeniusSpec
+                and (self.kernel_factors, self.complement_order)
+                == (other.kernel_factors, other.complement_order))
+
+    def __hash__(self):
+        return hash((self.kernel_factors, self.complement_order))
 
     # -- sizes and the complement table -------------------------------------
 
@@ -282,14 +301,12 @@ def build_frobenius(spec: FrobeniusSpec) -> PermGroup:
 # -- invariant subgroup lattice -----------------------------------------
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     order: int
     elements: frozenset
 
 
-@dataclass
-class InvariantLattice:
+class InvariantLattice(NamedTuple):
     """Complement-invariant subgroups of the kernel, ordered by inclusion."""
 
     spec: FrobeniusSpec
@@ -297,7 +314,8 @@ class InvariantLattice:
     inclusion: np.ndarray              # strict inclusion, bool matrix
     d: int                             # common length of maximal chains
     pi: tuple[int, ...]                # prime divisors of |H|
-    chain_lengths_equal: bool = field(default=True)
+    chain_lengths_equal: bool = True
+    cover: np.ndarray | None = None    # covers(inclusion), kept from the join closure
 
     @property
     def bottom(self) -> int:
@@ -308,7 +326,7 @@ class InvariantLattice:
         return len(self.subgroups) - 1
 
     def covers(self) -> np.ndarray:
-        return covers(self.inclusion)
+        return covers(self.inclusion) if self.cover is None else self.cover
 
     def nontrivial(self) -> list[int]:
         return [i for i, s in enumerate(self.subgroups)
@@ -341,13 +359,17 @@ def invariant_lattice(spec: FrobeniusSpec) -> InvariantLattice:
     kernel is abelian, so the join of two invariant subgroups is their sum
     set.  Each member's elements are listed once: `join_closure` returns
     them, and `join` keeps the index arrays of its operands (b is always a
-    seed, and a is the same member for several seeds in a row).
+    seed, and a is the same member for several seeds in a row).  The sum
+    of subgroups A and B has order |A| |B| / |A ∩ B|, so a join that is
+    the whole kernel is known from popcounts, without its sum set.
     """
     spec.validate()
     n = spec.kernel_order
     operands = cache(indices_of)
 
     def join(a: int, b: int) -> tuple[int, int]:
+        if a.bit_count() * b.bit_count() == n * (a & b).bit_count():
+            return (1 << n) - 1, n
         A, B = operands(a), operands(b)
         seen = np.zeros(n, dtype=bool)
         step = max(1, _SUMSET_CHUNK // len(B))
@@ -361,7 +383,7 @@ def invariant_lattice(spec: FrobeniusSpec) -> InvariantLattice:
             for elements, size in zip(lat.elements, lat.sizes)]
     return InvariantLattice(spec=spec, subgroups=subs, inclusion=lat.inclusion,
                             d=lat.longest, pi=prime_divisors(n),
-                            chain_lengths_equal=lat.longest == lat.shortest)
+                            chain_lengths_equal=lat.longest == lat.shortest, cover=lat.cover)
 
 
 def _is_cyclic(spec: FrobeniusSpec) -> bool:
@@ -408,7 +430,7 @@ def _principal_subgroups(spec: FrobeniusSpec) -> list[tuple[int, int]]:
     half = n // 2
     kappa = spec.complement
     orders = _element_orders(spec)
-    primary = np.isin(orders, [o for o in np.unique(orders).tolist() if prime_power(o)])
+    primary = np.isin(orders, [o for o in sorted_unique(orders).tolist() if prime_power(o)])
 
     def close(gens: np.ndarray) -> np.ndarray | None:
         """Additive closure of a complement-invariant generating set.
@@ -421,7 +443,7 @@ def _principal_subgroups(spec: FrobeniusSpec) -> list[tuple[int, int]]:
         seen[gens] = True
         frontier = gens
         while frontier.size:
-            nxt = np.unique(digit_add(frontier[:, None], gens[None, :], spec.radices))
+            nxt = sorted_unique(digit_add(frontier[:, None], gens[None, :], spec.radices))
             nxt = nxt[~seen[nxt]]
             seen[nxt] = True
             if int(seen.sum()) > half:
@@ -441,7 +463,7 @@ def _principal_subgroups(spec: FrobeniusSpec) -> list[tuple[int, int]]:
         # m x digitwise for every unit m modulo ord x, m = 1 included
         multiples = units[:, None] * (i // strides % radices) % radices @ strides
         done[kappa[:, multiples]] = True
-        orbit = np.unique(kappa[:, i])
+        orbit = sorted_unique(kappa[:, i])
         sub = close(orbit)
         if sub is not None:
             out.append((bits_of(sub), int(sub.sum())))
@@ -474,8 +496,7 @@ def _generator_tables(spec: FrobeniusSpec) -> list[np.ndarray]:
 # -- principal sections -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrincipalSection:
+class PrincipalSection(NamedTuple):
     """Quotient of consecutive members of a maximal invariant chain."""
 
     degree: int
@@ -515,11 +536,11 @@ def principal_sections(spec: FrobeniusSpec,
         for h in hi:
             if rep[h] < 0:
                 rep[digit_add(h, lo, spec.radices)] = h
-        reps = np.unique(rep[hi])
+        reps = sorted_unique(rep[hi])
         # The complement elements form a group, so the least image of a
         # coset under all of them names its orbit; the zero coset is an
         # orbit of its own.
-        orbits = len(np.unique(rep[kappa[:, reps]].min(axis=0))) - 1
+        orbits = len(sorted_unique(rep[kappa[:, reps]].min(axis=0))) - 1
         pp = prime_power(degree)
         if pp is None:
             raise FrobeniusError("principal section of degree %d is not a prime power" % degree)
@@ -531,8 +552,7 @@ def principal_sections(spec: FrobeniusSpec,
 # -- properness profile (arithmetic classification) -----------------------
 
 
-@dataclass(frozen=True)
-class ClassificationProfile:
+class ClassificationProfile(NamedTuple):
     """Arithmetic profile deciding whether proper pseudofrobenius schemes
     are excluded for this group's schemes."""
 

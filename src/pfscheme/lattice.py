@@ -22,16 +22,15 @@ off the up-sets at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import divisors
 
 
-@dataclass(frozen=True)
-class JoinLattice:
+class JoinLattice(NamedTuple):
     """Members sorted by (size, ascending list of set bits)."""
 
     members: list[int]            # bitsets
@@ -39,7 +38,8 @@ class JoinLattice:
     inclusion: np.ndarray         # inclusion[i, j]: members[i] is strictly inside members[j]
     longest: int                  # steps of the longest maximal chain bottom..top
     shortest: int                 # steps of the shortest maximal chain
-    elements: list[list[int]] = field(default_factory=list)   # ascending set bits of each member
+    elements: list[list[int]] = []     # ascending set bits of each member (never mutated)
+    cover: np.ndarray | None = None    # covers(inclusion), when the builder has it
 
 
 def bits_of(mask: np.ndarray) -> int:
@@ -64,7 +64,8 @@ def join_closure(seeds, top: tuple[int, int], join) -> JoinLattice:
     known members do not already decide the join.  Every member is a join
     of seeds and join is associative, so each member is joined with the
     seeds only, and each such pair at most once.  Each new member's set
-    bits are listed once, for the sort, and returned as `elements`.
+    bits are listed once, for the sort, and returned as `elements`; the
+    covering pairs, which the chain lengths need, are returned as `cover`.
     """
     top_bits, n = top
     half = n // 2
@@ -142,8 +143,8 @@ def join_closure(seeds, top: tuple[int, int], join) -> JoinLattice:
         preds = np.flatnonzero(cov[:, j])
         longest[j] = max(longest[p] for p in preds) + 1
         shortest[j] = min(shortest[p] for p in preds) + 1
-    return JoinLattice(members=members, sizes=sizes, inclusion=incl,
-                       longest=longest[-1], shortest=shortest[-1], elements=elements)
+    return JoinLattice(members=members, sizes=sizes, inclusion=incl, longest=longest[-1],
+                       shortest=shortest[-1], elements=elements, cover=cov)
 
 
 def covers(inclusion: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ invariant-subgroup) lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .lattice import JoinLattice, indices_of, join_closure
 from .scheme import Scheme, SchemeError
 
 
-@dataclass(frozen=True)
-class Parabolic:
+class Parabolic(NamedTuple):
     """Union of relations forming an equivalence; classes all of size n_e."""
 
     relations: frozenset
@@ -111,8 +110,7 @@ def is_primitive(scheme: Scheme) -> bool:
 # -- valency-divide check --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivideRecord:
+class DivideRecord(NamedTuple):
     lower: tuple       # relation key of e1
     upper: tuple
     n_lower: int
@@ -160,8 +158,7 @@ def indistinguishing_number(scheme: Scheme) -> int:
 # -- separability verdict ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeparabilityVerdict:
+class SeparabilityVerdict(NamedTuple):
     """Separable with a witness, or Undecided with table-case annotations."""
 
     separable: bool

@@ -15,13 +15,11 @@ compute row 0 only, since pair (a, b) behaves as pair (0, b - a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from hashlib import blake2b
 
 import numpy as np
 
-from .arith import difference_table, prime_power
+from .arith import difference_table, prime_power, sorted_unique
 
 
 class SchemeError(ValueError):
@@ -117,6 +115,8 @@ class Scheme:
         return translation_table(self.colors)
 
     def fingerprint(self) -> str:
+        from hashlib import blake2b     # here, so that jobs without fingerprints skip OpenSSL
+
         h = blake2b(digest_size=16)
         h.update(self.colors.tobytes())
         h.update(bytes(self.star))
@@ -168,7 +168,6 @@ class Scheme:
         return sch
 
 
-@dataclass(frozen=True)
 class IntersectionTensor:
     """Exact composition counts c[r][s][t] plus valencies, fully verified.
 
@@ -182,10 +181,10 @@ class IntersectionTensor:
     index it freely.
     """
 
-    ref: np.ndarray          # (rank, n) sorted codes r * rank + s, read-only
-    valencies: tuple[int, ...]
-    star: tuple[int, ...]
-    n: int
+    def __init__(self, ref: np.ndarray, valencies: tuple[int, ...],
+                 star: tuple[int, ...], n: int):
+        self.ref = ref               # (rank, n) sorted codes r * rank + s, read-only
+        self.valencies, self.star, self.n = valencies, star, n
 
     @property
     def rank(self) -> int:
@@ -419,7 +418,7 @@ def partition_equal(first, second) -> bool:
     if A.shape != B.shape:
         return False
     combo = A * (int(B.max()) + 1) + B
-    return len(np.unique(combo)) == len(np.unique(A)) == len(np.unique(B))
+    return len(sorted_unique(combo)) == len(sorted_unique(A)) == len(sorted_unique(B))
 
 
 def from_orbitals(group) -> Scheme:
@@ -472,6 +471,6 @@ def wl_closure(colors) -> Scheme:
         if newR == R:
             break
         P, R = newP, newR
-    if len(np.unique(np.diagonal(P))) != 1:
+    if len(sorted_unique(np.diagonal(P))) != 1:
         raise SchemeError("stable coloring is not homogeneous (diagonal splits)")
     return canonical_relabel(P)

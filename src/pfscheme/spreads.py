@@ -18,7 +18,7 @@ canonical relabeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .gf import GF, FiniteField
 from .scheme import Scheme, SchemeError
 
 
-@dataclass(frozen=True)
-class Spread:
+class Spread(NamedTuple):
     q: int
     p: int
     e: int

@@ -21,16 +21,14 @@ sharing a tensor (the spread constructions provide both outcomes).
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .scheme import Scheme
 
 
-@dataclass(frozen=True)
-class TConditionWitness:
+class TConditionWitness(NamedTuple):
     """First (row-major) pair whose histogram deviates from its color's."""
 
     alpha: int
@@ -59,8 +57,7 @@ class TConditionWitness:
         }
 
 
-@dataclass(frozen=True)
-class TConditionReport:
+class TConditionReport(NamedTuple):
     t: int
     passed: bool
     n: int
@@ -98,6 +95,8 @@ def _sorted_codes(P: np.ndarray, R: int, a: int, b: int, t: int) -> np.ndarray:
 
 
 def _fingerprint(vals: np.ndarray, counts: np.ndarray) -> str:
+    import hashlib      # here, so that jobs without fingerprints skip OpenSSL
+
     h = hashlib.blake2b(digest_size=16)
     h.update(vals.tobytes())
     h.update(counts.astype(np.int64).tobytes())

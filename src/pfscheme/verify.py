@@ -8,7 +8,7 @@ the test suite share one implementation and report identical outcomes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +30,11 @@ from .tcond import check_t_condition, four_condition_frobenius_verdict
 from .wldim import dimwl_verdict, exception_set_crosscheck
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     index: int
     name: str
     passed: bool
-    detail: dict = field(default_factory=dict)
+    detail: dict = {}          # a shared default, never mutated
     seconds: float = 0.0
 
     def line(self) -> str:

@@ -11,9 +11,8 @@ the implication chain does not apply it reports the case as unresolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,8 +52,7 @@ def factorization_string(n: int) -> str:
     )
 
 
-@dataclass(frozen=True)
-class ExceptionCheck:
+class ExceptionCheck(NamedTuple):
     """Membership of n in the exception set {p, p^2, p^3, pq, p^2*q}."""
 
     n: int
@@ -170,8 +168,7 @@ def exception_set_crosscheck(limit: int = 10 ** 6) -> int:
     return int(by_shape.sum())
 
 
-@dataclass(frozen=True)
-class FrobeniusScreen:
+class FrobeniusScreen(NamedTuple):
     """Necessary numeric conditions for a scheme of a Frobenius group."""
 
     equivalenced: bool
@@ -207,8 +204,7 @@ def frobenius_screen(scheme: Scheme, parabolics=None) -> FrobeniusScreen:
     return FrobeniusScreen(True, k, indist_ok, divide_ok)
 
 
-@dataclass(frozen=True)
-class WlVerdict:
+class WlVerdict(NamedTuple):
     """Outcome of the dimwl classification of a circulant graph."""
 
     n: int

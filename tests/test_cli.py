@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -543,6 +544,31 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "open"
+
+
+_LEAN_START = """
+import contextlib, io, json, sys
+import numpy
+from pfscheme import cli, verify
+loaded = lambda names: [m for m in names if m in sys.modules]
+after_import = loaded(("dataclasses", "hashlib", "_hashlib"))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["classify", "wl", "--n", "81", "--conn", "1,-1"])
+print(json.dumps([after_import, code, loaded(("numpy.ma", "_hashlib"))]))
+"""
+
+
+def test_a_classify_wl_process_loads_only_code_that_runs():
+    """Records are compiled with their modules (no `dataclasses`), hashlib
+    is imported only to fingerprint, and no plain `np.unique` pulls in
+    `numpy.ma`, so a `classify wl` process loads none of them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", _LEAN_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], 0, []]
 
 
 def _perfbench_spans(tmp_path, *argv):
