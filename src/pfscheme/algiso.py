@@ -157,9 +157,6 @@ class BaseTriple(NamedTuple):
     nu: int
     rho: int
 
-    def as_tuple(self) -> tuple:
-        return (self.mu, self.nu, self.rho)
-
 
 def is_base_triple(scheme: Scheme, e: Parabolic, mu: int, nu: int, rho: int) -> bool:
     """(mu, nu) inside e with mu != nu, and (mu, rho) outside e."""
@@ -323,8 +320,8 @@ class InducedIsomorphism(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {"mapping": list(self.psi.mapping),
-                "tau": list(self.tau.as_tuple()),
-                "tau_prime": list(self.tau_prime.as_tuple()),
+                "tau": list(self.tau),
+                "tau_prime": list(self.tau_prime),
                 "g": list(self.g)}
 
 
@@ -484,6 +481,6 @@ def schurity_via_base_triples(scheme: Scheme,
         schurian=schurian, four_condition_passed=True,
         automorphisms=tuple(map(Permutation, distinct)), group_order=len(A),
         relation_transitive=rel_trans, orbital_scheme_equal=eq,
-        parabolic_rels=tuple(sorted(e.relations)), tau=tau.as_tuple(),
+        parabolic_rels=tuple(sorted(e.relations)), tau=tuple(tau),
         reason="verified base-triple automorphisms" if schurian
         else "generated group misses some relation")

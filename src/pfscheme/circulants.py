@@ -32,14 +32,6 @@ class CirculantSpec:
                 raise ValueError("orbit representatives must be nonzero")
         self.n, self.units, self.orbit_reps = n, units, orbit_reps
 
-    def __eq__(self, other):
-        return (type(other) is CirculantSpec
-                and (self.n, self.units, self.orbit_reps)
-                == (other.n, other.units, other.orbit_reps))
-
-    def __hash__(self):
-        return hash((self.n, self.units, self.orbit_reps))
-
 
 def unit_closure(n: int, gens) -> frozenset:
     """Multiplicative closure of the given units mod n."""

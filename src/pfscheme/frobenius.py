@@ -35,7 +35,7 @@ from .arith import (
     prime_power,
     sorted_unique,
 )
-from .lattice import bits_of, covers, indices_of, join_closure
+from .lattice import bits_of, indices_of, join_closure
 from .perms import PermGroup, Permutation
 
 
@@ -69,9 +69,6 @@ class CyclicFactor:
         return (type(other) is CyclicFactor
                 and (self.modulus, self.units) == (other.modulus, other.units))
 
-    def __hash__(self):
-        return hash((self.modulus, self.units))
-
     @property
     def size(self) -> int:
         return self.modulus
@@ -98,9 +95,6 @@ class ElementaryAbelianFactor:
     def __eq__(self, other):
         return (type(other) is ElementaryAbelianFactor
                 and (self.p, self.dim, self.matrices) == (other.p, other.dim, other.matrices))
-
-    def __hash__(self):
-        return hash((self.p, self.dim, self.matrices))
 
     @property
     def size(self) -> int:
@@ -154,9 +148,6 @@ class FrobeniusSpec:
         return (type(other) is FrobeniusSpec
                 and (self.kernel_factors, self.complement_order)
                 == (other.kernel_factors, other.complement_order))
-
-    def __hash__(self):
-        return hash((self.kernel_factors, self.complement_order))
 
     # -- sizes and the complement table -------------------------------------
 
@@ -314,8 +305,8 @@ class InvariantLattice(NamedTuple):
     inclusion: np.ndarray              # strict inclusion, bool matrix
     d: int                             # common length of maximal chains
     pi: tuple[int, ...]                # prime divisors of |H|
+    cover: np.ndarray                  # covering pairs of inclusion, from the join closure
     chain_lengths_equal: bool = True
-    cover: np.ndarray | None = None    # covers(inclusion), kept from the join closure
 
     @property
     def bottom(self) -> int:
@@ -326,7 +317,7 @@ class InvariantLattice(NamedTuple):
         return len(self.subgroups) - 1
 
     def covers(self) -> np.ndarray:
-        return covers(self.inclusion) if self.cover is None else self.cover
+        return self.cover
 
     def nontrivial(self) -> list[int]:
         return [i for i, s in enumerate(self.subgroups)
@@ -382,8 +373,8 @@ def invariant_lattice(spec: FrobeniusSpec) -> InvariantLattice:
     subs = [Subgroup(size, frozenset(elements))
             for elements, size in zip(lat.elements, lat.sizes)]
     return InvariantLattice(spec=spec, subgroups=subs, inclusion=lat.inclusion,
-                            d=lat.longest, pi=prime_divisors(n),
-                            chain_lengths_equal=lat.longest == lat.shortest, cover=lat.cover)
+                            d=lat.longest, pi=prime_divisors(n), cover=lat.cover,
+                            chain_lengths_equal=lat.longest == lat.shortest)
 
 
 def _is_cyclic(spec: FrobeniusSpec) -> bool:

@@ -38,8 +38,8 @@ class JoinLattice(NamedTuple):
     inclusion: np.ndarray         # inclusion[i, j]: members[i] is strictly inside members[j]
     longest: int                  # steps of the longest maximal chain bottom..top
     shortest: int                 # steps of the shortest maximal chain
+    cover: np.ndarray             # covers(inclusion)
     elements: list[list[int]] = []     # ascending set bits of each member (never mutated)
-    cover: np.ndarray | None = None    # covers(inclusion), when the builder has it
 
 
 def bits_of(mask: np.ndarray) -> int:

@@ -159,7 +159,7 @@ def reference_join_closure(seeds, top, join) -> JoinLattice:
         longest[j] = max(longest[p] for p in preds) + 1
         shortest[j] = min(shortest[p] for p in preds) + 1
     return JoinLattice(members=members, sizes=sizes, inclusion=incl,
-                       longest=longest[-1], shortest=shortest[-1])
+                       longest=longest[-1], shortest=shortest[-1], cover=cov)
 
 
 def _compare_with_reference(monkeypatch, module):
@@ -181,6 +181,7 @@ def _compare_with_reference(monkeypatch, module):
         assert new.members == ref.members and new.sizes == ref.sizes
         assert np.array_equal(new.inclusion, ref.inclusion)
         assert np.array_equal(covers(new.inclusion), reference_covers(ref.inclusion))
+        assert np.array_equal(new.cover, ref.cover)
         assert (new.longest, new.shortest) == (ref.longest, ref.shortest)
         assert sum(new_asked.values()) <= sum(ref_asked.values())
         assert max(new_asked.values(), default=1) == 1
