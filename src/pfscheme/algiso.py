@@ -264,23 +264,31 @@ def base_triple_counts(scheme: Scheme, e: Parabolic):
     counts[i, j] is the pair count of (mu, nus[i], rhos[j]), and that
     triple's coordinate map is bijective exactly when it equals n.
     Raises AssertionError when a triple counted bijective has colliding
-    coordinates.
+    coordinates.  Whether a point lies in e is read off its x, so two
+    points with equal coordinates both lie inside, where y comes from the
+    row of rho, or both outside, where it comes from the row of nu: the
+    triple collides exactly when nu's row collides outside or rho's
+    inside.
     """
     P, n = scheme.colors, scheme.n
     in_e = _relation_mask(scheme, e)
     table = _pair_counts(scheme, in_e)
+
+    def collide(points, rows):
+        """Per row a of rows: whether two of the points share (x, P[a])."""
+        codes = np.sort(x[points] * scheme.rank + P[np.ix_(rows, points)], axis=1)
+        return (codes[:, 1:] == codes[:, :-1]).any(axis=1)
+
     for mu in _transversal(scheme, e):
         x = P[mu]
         inside = in_e[x]
-        nus = np.flatnonzero(inside)
-        nus = nus[nus != mu]
+        members = np.flatnonzero(inside)
+        nus = members[members != mu]
         rhos = np.flatnonzero(~inside)
         counts = table[x[nus][:, None], x[rhos][None, :]]
-        for i, nu in enumerate(nus):
-            codes = np.sort(x * scheme.rank + np.where(inside, P[rhos], P[nu]), axis=1)
-            collide = (codes[:, 1:] == codes[:, :-1]).any(axis=1)
-            if (collide & (counts[i] == n)).any():
-                raise AssertionError("pair-set count says bijective but coordinates collide")
+        bad = collide(rhos, nus)[:, None] | collide(members, rhos)[None, :]
+        if (bad & (counts == n)).any():
+            raise AssertionError("pair-set count says bijective but coordinates collide")
         yield mu, nus, rhos, counts
 
 

@@ -10,6 +10,7 @@ digitwise (`digit_add`), and `difference_table` holds every difference.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -103,17 +104,27 @@ def digit_strides(radices) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=128)
+def _radix_arrays(radices: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(strides, radices) of `radices` as read-only int64 arrays."""
+    st = np.asarray(digit_strides(radices), dtype=np.int64)
+    rs = np.asarray(radices, dtype=np.int64)
+    st.setflags(write=False)
+    rs.setflags(write=False)
+    return st, rs
+
+
 def digit_add(xs, ys, radices) -> np.ndarray:
     """Digitwise sum of index arrays (broadcast), each digit modulo its
     radix, as int64."""
-    st = np.asarray(digit_strides(radices), dtype=np.int64)
+    st, rs = _radix_arrays(tuple(radices))
     xs = np.asarray(xs, dtype=np.int64)[..., None]
     ys = np.asarray(ys, dtype=np.int64)[..., None]
     # One trailing axis runs over the digits, so a sum takes a few numpy
     # calls whatever the number of digits; xs // st is the digit plus a
     # multiple of r.
     sums = xs // st + ys // st
-    sums %= np.asarray(radices, dtype=np.int64)
+    sums %= rs
     sums *= st
     return sums.sum(axis=-1)
 

@@ -102,11 +102,12 @@ def _fail(message: str) -> int:
 
 
 def _load_colors(path: str, d: dict) -> np.ndarray:
-    """The 'colors' entry of a loaded document as an integer array."""
+    """The 'colors' entry of a loaded document as an integer array.  The
+    entry is popped, so its lists are freed once converted."""
     if "colors" not in d:
         raise SystemExit(_fail("%s: missing 'colors'" % path))
     try:
-        colors = np.asarray(d["colors"])
+        colors = np.asarray(d.pop("colors"))
     except ValueError as exc:              # numpy: ragged rows
         raise SystemExit(_fail("%s: 'colors' is not a matrix: %s" % (path, exc)))
     if (colors.ndim != 2 or colors.shape[0] != colors.shape[1]

@@ -22,6 +22,20 @@ import numpy as np
 from .arith import difference_table, prime_power, sorted_unique
 
 
+_BLOCK = 1 << 16         # matrix entries per block of a row-blocked pass
+
+
+def blake2b_16():
+    """A new blake2b hash with a 16-byte digest.  CPython's hashlib.blake2b
+    is _blake2.blake2b; importing it from there skips the OpenSSL module
+    that `import hashlib` loads whatever the digest."""
+    try:
+        from _blake2 import blake2b
+    except ImportError:         # an interpreter without the _blake2 module
+        from hashlib import blake2b
+    return blake2b(digest_size=16)
+
+
 class SchemeError(ValueError):
     """Structural violation: not a scheme (axioms C1/C2 or shape)."""
 
@@ -52,7 +66,7 @@ class Scheme:
             raise SchemeError("colors must be a square matrix")
         if not np.issubdtype(P.dtype, np.integer):
             raise SchemeError("colors must be integers")
-        P = P.astype(np.int64, copy=True)
+        P = P.astype(np.int64, order="C", copy=True)
         n = P.shape[0]
         if n == 0:
             raise SchemeError("empty point set")
@@ -77,10 +91,13 @@ class Scheme:
             a, b = np.divmod(first, n)
             st = P[b, a].tolist()
         stv = np.asarray(st, dtype=np.int64)
-        if not np.array_equal(stv[P], P.T):
-            bad = np.argwhere(stv[P] != P.T)[0]
-            raise SchemeError("transpose of relation %d is not a relation (pair %s)"
-                              % (int(P[bad[0], bad[1]]), tuple(int(x) for x in bad)))
+        step = max(1, _BLOCK // n)      # rows per block: no n^2 temporary
+        for lo in range(0, n, step):
+            bad = np.argwhere(stv[P[lo:lo + step]] != P.T[lo:lo + step])
+            if len(bad):
+                a, b = lo + int(bad[0, 0]), int(bad[0, 1])
+                raise SchemeError("transpose of relation %d is not a relation (pair %s)"
+                                  % (int(P[a, b]), (a, b)))
         if st[0] != 0 or any(st[st[s]] != s for s in range(rank)):
             raise SchemeError("star is not an involution fixing the diagonal")
         P.setflags(write=False)
@@ -115,10 +132,8 @@ class Scheme:
         return translation_table(self.colors)
 
     def fingerprint(self) -> str:
-        from hashlib import blake2b     # here, so that jobs without fingerprints skip OpenSSL
-
-        h = blake2b(digest_size=16)
-        h.update(self.colors.tobytes())
+        h = blake2b_16()
+        h.update(self.colors)           # C-contiguous int64: its tobytes(), uncopied
         h.update(bytes(self.star))
         return h.hexdigest()
 
@@ -329,14 +344,14 @@ def _signature_rows(P: np.ndarray, R: int, rows=None):
     C-contiguous buffer in the smallest dtype that holds the codes, reused
     (overwritten) for every a.
     """
-    n = P.shape[0]
-    Q = P.astype(_code_dtype(R))
-    QT = np.ascontiguousarray(Q.T)
-    S = np.empty((n, n + 1), dtype=Q.dtype)
+    n, dt = P.shape[0], _code_dtype(R)
+    QT = P.T.astype(dt, order="C")      # QT[b, g] = P[g, b]
+    S = np.empty((n, n + 1), dtype=dt)
     V = S[:, 1:]
     for a in range(n) if rows is None else rows:
-        S[:, 0] = Q[a]
-        np.add(Q[a] * R, QT, out=V)     # V[b, g] = P[a, g] * R + P[g, b]
+        row = P[a].astype(dt)
+        S[:, 0] = row
+        np.add(row * R, QT, out=V)      # V[b, g] = P[a, g] * R + P[g, b]
         V.sort(axis=1)
         yield a, S
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scheme import Scheme
+from .scheme import Scheme, blake2b_16
 
 
 class TConditionWitness(NamedTuple):
@@ -77,29 +77,62 @@ class TConditionReport(NamedTuple):
         }
 
 
-def _sorted_codes(P: np.ndarray, R: int, a: int, b: int, t: int) -> np.ndarray:
+def _code_dtype(R: int, t: int):
+    """int32 when every pattern code of rank R fits in it, else int64."""
+    width = 2 if t == 3 else 5
+    return np.int32 if R ** width - 1 <= np.iinfo(np.int32).max else np.int64
+
+
+def _sorted_codes(P: np.ndarray, R: int, a: int, b: int, t: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The pair's pattern codes, one per placement of the other points,
-    sorted; equal arrays mean equal histograms."""
+    sorted, in `_code_dtype(R, t)`; equal arrays mean equal histograms.
+    They are written into `out` when given, a buffer of n^(t-2) codes."""
+    n = len(P)
+    if out is None:
+        out = np.empty(n ** (t - 2), dtype=_code_dtype(R, t))
     ab = P[a] * R + P[b]                    # P is int64 (Scheme.colors)
     if t == 3:
-        ab.sort()
-        return ab
-    codes = (ab * R)[:, None] + P[a]        # rows g3, columns g4
-    codes *= R
-    codes += P[b]
-    codes *= R
-    codes += P
-    codes = codes.ravel()
-    codes.sort()
-    return codes
+        out[:] = ab
+    else:
+        codes = out.reshape(n, n)           # rows g3, columns g4
+        np.add((ab * R)[:, None], P[a], out=codes, casting="same_kind")
+        codes *= R
+        codes += P[b]
+        codes *= R
+        codes += P              # cast buffer by buffer: no n^2 int64 temporary
+    out.sort()
+    return out
 
 
-def _fingerprint(vals: np.ndarray, counts: np.ndarray) -> str:
-    import hashlib      # here, so that jobs without fingerprints skip OpenSSL
+_CHUNK = 1 << 14      # codes compared per step of the run-length scan
 
-    h = hashlib.blake2b(digest_size=16)
-    h.update(vals.tobytes())
-    h.update(counts.astype(np.int64).tobytes())
+
+def _run_ends(codes: np.ndarray):
+    """Yield, one chunk of at most _CHUNK codes at a time, the positions of
+    the last code of every run of equal codes in the sorted codes."""
+    n = len(codes)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        nxt = codes[lo + 1:hi + 1]          # one code shorter in the last chunk
+        last = np.ones(hi - lo, dtype=bool)
+        np.not_equal(codes[lo:lo + len(nxt)], nxt, out=last[:len(nxt)])
+        yield lo + np.flatnonzero(last)
+
+
+def _fingerprint(codes: np.ndarray) -> str:
+    """blake2b of the histogram of the sorted codes: the bytes of
+    every distinct code, then those of its count, each as int64 (the
+    `vals` and `counts` of `np.unique(codes, return_counts=True)`).  The
+    run-length encoding is hashed chunk by chunk, so it is never stored."""
+    h = blake2b_16()
+    for ends in _run_ends(codes):
+        h.update(codes[ends].astype(np.int64, copy=False))
+    prev = -1
+    for ends in _run_ends(codes):
+        h.update(np.diff(ends, prepend=prev))
+        if len(ends):
+            prev = ends[-1]
     return h.hexdigest()
 
 
@@ -121,15 +154,15 @@ def _witness(P: np.ndarray, R: int, t: int, pair: tuple, ref_pair: tuple,
     two codes at the first index where the arrays differ; below it every
     count agrees."""
     i = int((ref != codes).argmax())
-    code = int(min(ref[i], codes[i]))
+    code = min(ref[i], codes[i])    # of their dtype: for a Python int, searchsorted copies s to int64
 
     def count(s):
         return int(np.searchsorted(s, code, "right") - np.searchsorted(s, code, "left"))
 
     (a, b), (ra, rb) = pair, ref_pair
     return TConditionWitness(alpha=a, beta=b, color=int(P[a, b]),
-                             ref_alpha=ra, ref_beta=rb, code=code,
-                             pattern=_decode(code, R, t),
+                             ref_alpha=ra, ref_beta=rb, code=int(code),
+                             pattern=_decode(int(code), R, t),
                              ref_count=count(ref), count=count(codes))
 
 
@@ -170,23 +203,24 @@ def check_t_condition(scheme: Scheme, t: int) -> TConditionReport:
     best = scanned.size                 # position of the earliest mismatch
     ref_fp: dict[int, str] = {}
     witness = None
+    # the scan's only two n^(t-2) arrays, refilled for every pair
+    ref, codes = (np.empty(n ** (t - 2), dtype=_code_dtype(R, t)) for _ in range(2))
     for color in sorted(range(R), key=lambda c: groups[c][0]):
         first = int(groups[color][0])
         if first >= best:
             break
         ref_pair = divmod(first, n)
-        ref = _sorted_codes(P, R, *ref_pair, t)
-        ref_fp[color] = _fingerprint(*np.unique(ref, return_counts=True))
+        _sorted_codes(P, R, *ref_pair, t, out=ref)
+        ref_fp[color] = _fingerprint(ref)
         for pos in groups[color][1:].tolist():
             if pos >= best:
                 break
             pair = divmod(pos, n)
-            codes = _sorted_codes(P, R, *pair, t)
+            _sorted_codes(P, R, *pair, t, out=codes)
             if not np.array_equal(codes, ref):
                 best = pos
                 witness = _witness(P, R, t, pair, ref_pair, codes, ref)
                 break
-        ref = codes = None      # free both before the next color's reference
     return TConditionReport(
         t=t, passed=witness is None, n=n, rank=R,
         scheme_fingerprint=scheme.fingerprint(),

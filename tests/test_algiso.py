@@ -262,3 +262,19 @@ def test_batched_pair_counts_match_per_triple_coordinates():
                 seen_bad |= not f.bijective
             assert batched == single
         assert seen_bad == (s is c12)
+
+
+def test_batched_counts_catch_a_count_that_claims_a_colliding_triple(monkeypatch):
+    from pfscheme.algiso import base_triple_counts
+    from pfscheme.circulants import circulant_from_connection, color_matrix
+    from pfscheme.scheme import wl_closure
+
+    # the dihedral closure of C_12 has non-bijective base triples; a pair
+    # count that calls every triple bijective must meet their collisions
+    s = wl_closure(color_matrix(circulant_from_connection(12, (1, 11))))
+    monkeypatch.setattr(algiso, "_pair_counts",
+                        lambda scheme, in_e: np.full((scheme.rank, scheme.rank), scheme.n))
+    with pytest.raises(AssertionError, match="coordinates collide"):
+        for e in enumerate_parabolics(s):
+            if not (e.is_trivial() or e.is_full()):
+                list(base_triple_counts(s, e))

@@ -560,8 +560,8 @@ print(json.dumps([after_import, code, loaded(("numpy.ma", "_hashlib"))]))
 
 def test_a_classify_wl_process_loads_only_code_that_runs():
     """Records are compiled with their modules (no `dataclasses`), hashlib
-    is imported only to fingerprint, and no plain `np.unique` pulls in
-    `numpy.ma`, so a `classify wl` process loads none of them."""
+    is never imported, and no plain `np.unique` pulls in `numpy.ma`, so a
+    `classify wl` process loads none of them."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
@@ -569,6 +569,28 @@ def test_a_classify_wl_process_loads_only_code_that_runs():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], 0, []]
+
+
+_NO_OPENSSL = """
+import contextlib, io, json, sys
+from pfscheme import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["gen", "spread", "--q", "9", "--plane", "hall", "--out", "hall9.json"]),
+             cli.main(["check", "tcond", "--t", "4", "--scheme", "hall9.json"])]
+print(json.dumps([codes, [m for m in ("hashlib", "_hashlib") if m in sys.modules]]))
+"""
+
+
+def test_fingerprinting_processes_do_not_load_openssl(tmp_path):
+    """blake2b comes from `_blake2`, so `gen` and `check tcond`, which
+    fingerprint, never import hashlib and its OpenSSL module `_hashlib`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", _NO_OPENSSL], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 3], []]
 
 
 def _perfbench_spans(tmp_path, *argv):

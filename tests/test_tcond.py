@@ -1,6 +1,8 @@
 """t-condition checks: t = 3 always passes on coherent input, t = 4 separates."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +212,16 @@ def reference_witness(scheme, a, b, ra, rb, t):
     return int(allv[j]), int(f1[j]), int(f2[j])
 
 
+def unique_fingerprint(vals, counts):
+    """blake2b of np.unique's histogram, the int64 bytes of the distinct
+    codes and then of their counts (the reference for the streamed
+    fingerprint)."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(vals.astype(np.int64).tobytes())
+    h.update(counts.astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
 def reference_t_condition(scheme, t):
     """Row-major scan that fingerprints every pair's histogram and compares
     it with its colour's first pair (the reference).  Row 0 alone when the
@@ -228,7 +240,7 @@ def reference_t_condition(scheme, t):
     for a in rows:
         for b in range(n):
             r = int(P[a, b])
-            fp = tcond_mod._fingerprint(*reference_signature(P, R, a, b, t))
+            fp = unique_fingerprint(*reference_signature(P, R, a, b, t))
             if r not in ref_fp:
                 ref_fp[r], ref_pair[r] = fp, (a, b)
             elif fp != ref_fp[r]:
@@ -302,3 +314,63 @@ def test_witness_matches_the_reference_on_every_deviating_pair():
                             reference_witness(s, a, b, ra, rb, t)
                         checked += 1
     assert checked >= 100
+
+
+def fingerprint_cases():
+    """Sorted code arrays: one code, all equal, all distinct, and runs of
+    random lengths, so that runs straddle every chunk boundary."""
+    rng = np.random.default_rng(7)
+    yield np.array([5])
+    yield np.full(1000, 42)
+    yield np.arange(1000) * 3
+    yield np.repeat(np.arange(400), rng.integers(1, 9, 400))
+    yield np.sort(rng.integers(0, 50, 3 * tcond_mod._CHUNK + 11))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, None])
+def test_streamed_fingerprint_equals_the_unique_oracle(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(tcond_mod, "_CHUNK", chunk)
+    for codes in fingerprint_cases():
+        for dt in (np.int32, np.int64):
+            c = codes.astype(dt)
+            oracle = unique_fingerprint(*np.unique(c, return_counts=True))
+            assert tcond_mod._fingerprint(c) == oracle
+
+
+def test_fingerprints_of_hall9_are_frozen(tmp_path, capsys):
+    s = spread_scheme(hall_spread(9))
+    assert s.fingerprint() == "849ac4428e4cbc0738e5c119d82f32a6"
+    path = tmp_path / "hall9.json"
+    path.write_text(json.dumps(s.to_json_dict()))
+    assert cli.main(["check", "tcond", "--t", "4", "--scheme", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["scheme_fingerprint"] == "849ac4428e4cbc0738e5c119d82f32a6"
+    assert report["class_fingerprints"] == ["48ad0124b9fe68bf31538f218a7361ad",
+                                            "c2d918f0204ec566beac8ff133e226f7"]
+
+
+def test_int64_pattern_codes_give_the_int32_reports(monkeypatch):
+    # ranks up to 73 take int32 codes at t = 4; wider ones take int64
+    schemes = [("rook", rook_4x4()), ("shrikhande", shrikhande()),
+               ("hall9", spread_scheme(hall_spread(9))),
+               ("swapped", Scheme(swapped_thin_scheme()))]
+    narrow = [check_t_condition(s, t) for _, s in schemes for t in (3, 4)]
+    assert tcond_mod._code_dtype(73, 4) == np.int32 and tcond_mod._code_dtype(74, 4) == np.int64
+    monkeypatch.setattr(tcond_mod, "_code_dtype", lambda R, t: np.int64)
+    assert narrow == [check_t_condition(s, t) for _, s in schemes for t in (3, 4)]
+
+
+def test_t4_scan_of_a_625_point_scheme_holds_two_code_arrays():
+    # n = 625: the scan keeps two n^2 code arrays (int32 at rank 27) and
+    # the difference table, and allocates no n^2 int64 array besides
+    s = spread_scheme(hall_spread(25))
+    n = s.n
+    tracemalloc.start()
+    try:
+        report = check_t_condition(s, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 625 and not report.passed
+    assert peak < 2.0 * 8 * n * n
