@@ -5,8 +5,10 @@ patterns over all placements of the remaining t - 2 points is computed;
 the condition holds when the histogram depends only on the color of
 (alpha, beta).  Histograms are compared exactly: pairs are grouped by
 color, and each pair's sorted pattern codes are compared with those of
-its color's first row-major pair.  The 128-bit fingerprints in the report
-only name each color's reference histogram; no verdict rests on them.
+its color's first row-major pair.  The codes are int32 when every code
+of the rank fits, else int64, and a scan holds two arrays of them.  The
+128-bit fingerprints in the report only name each color's reference
+histogram; no verdict rests on them.
 
 When `Scheme.translations` certifies that translations are automorphisms,
 pair (a, b) has the histogram of (0, b - a), so only row 0 is scanned:

@@ -558,17 +558,22 @@ print(json.dumps([after_import, code, loaded(("numpy.ma", "_hashlib"))]))
 """
 
 
+def _fresh_process(script: str, cwd=None):
+    """The JSON that `script` prints, run in a new interpreter on src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_a_classify_wl_process_loads_only_code_that_runs():
     """Records are compiled with their modules (no `dataclasses`), hashlib
     is never imported, and no plain `np.unique` pulls in `numpy.ma`, so a
     `classify wl` process loads none of them."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run([sys.executable, "-c", _LEAN_START], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], 0, []]
+    assert _fresh_process(_LEAN_START) == [[], 0, []]
 
 
 _NO_OPENSSL = """
@@ -584,13 +589,7 @@ print(json.dumps([codes, [m for m in ("hashlib", "_hashlib") if m in sys.modules
 def test_fingerprinting_processes_do_not_load_openssl(tmp_path):
     """blake2b comes from `_blake2`, so `gen` and `check tcond`, which
     fingerprint, never import hashlib and its OpenSSL module `_hashlib`."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run([sys.executable, "-c", _NO_OPENSSL], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 3], []]
+    assert _fresh_process(_NO_OPENSSL, cwd=tmp_path) == [[0, 3], []]
 
 
 def _perfbench_spans(tmp_path, *argv):

@@ -352,13 +352,12 @@ def test_fingerprints_of_hall9_are_frozen(tmp_path, capsys):
 
 def test_int64_pattern_codes_give_the_int32_reports(monkeypatch):
     # ranks up to 73 take int32 codes at t = 4; wider ones take int64
-    schemes = [("rook", rook_4x4()), ("shrikhande", shrikhande()),
-               ("hall9", spread_scheme(hall_spread(9))),
-               ("swapped", Scheme(swapped_thin_scheme()))]
-    narrow = [check_t_condition(s, t) for _, s in schemes for t in (3, 4)]
+    schemes = [rook_4x4(), shrikhande(), spread_scheme(hall_spread(9)),
+               Scheme(swapped_thin_scheme())]
+    narrow = [check_t_condition(s, t) for s in schemes for t in (3, 4)]
     assert tcond_mod._code_dtype(73, 4) == np.int32 and tcond_mod._code_dtype(74, 4) == np.int64
     monkeypatch.setattr(tcond_mod, "_code_dtype", lambda R, t: np.int64)
-    assert narrow == [check_t_condition(s, t) for _, s in schemes for t in (3, 4)]
+    assert narrow == [check_t_condition(s, t) for s in schemes for t in (3, 4)]
 
 
 def test_t4_scan_of_a_625_point_scheme_holds_two_code_arrays():
