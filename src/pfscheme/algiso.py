@@ -21,8 +21,34 @@ import numpy as np
 from .arith import sorted_unique
 from .parabolic import Parabolic, enumerate_parabolics, parabolic_closure
 from .perms import PermGroup, Permutation
-from .scheme import Scheme, SchemeError, partition_equal
+from .scheme import IntersectionTensor, Scheme, SchemeError, partition_equal
 from .tcond import TConditionReport, check_t_condition
+
+
+def _mismatched_rows(T1: IntersectionTensor, T2: IntersectionTensor,
+                     mapping) -> np.ndarray:
+    """The relations t, ascending, with c1[r, s, t] != c2[m r, m s, m t] for
+    some r and s, where m = mapping and r, s, t range over the set A of
+    relations that m assigns (mapping[x] >= 0).
+
+    Row t of a tensor's `ref` lists the codes r * R + s of c[:, :, t] with
+    their multiplicities.  So the counts agree on A x A x {t} exactly when
+    the codes of ref1[t] with both parts in A, relabelled through m, are
+    the codes of ref2[m t] with both parts in m(A): every other code of
+    either row becomes -1, and the two rows are compared sorted.
+    """
+    R, dt = T1.rank, T1.ref.dtype
+    m = np.asarray(mapping)
+    assigned = m >= 0
+    A = np.flatnonzero(assigned)
+    in_image = np.zeros(R, dtype=bool)
+    in_image[m[A]] = True
+    # both indexed by a code r * R + s
+    relabel = np.where(assigned[:, None] & assigned, m[:, None] * R + m, -1).astype(dt)
+    keep = np.where(in_image[:, None] & in_image, np.arange(R * R).reshape(R, R), -1).astype(dt)
+    rows1 = np.sort(relabel.ravel()[T1.ref[A]], axis=1)
+    rows2 = np.sort(keep.ravel()[T2.ref[m[A]]], axis=1)
+    return A[(rows1 != rows2).any(axis=1)]
 
 
 class RelationBijection:
@@ -35,28 +61,21 @@ class RelationBijection:
             raise SchemeError("algebraic isomorphisms fix the diagonal color")
         if source.n != target.n:
             raise SchemeError("schemes have different degrees")
-        perm = np.asarray(mapping)
-        c1 = source.tensor().c
-        c2 = target.tensor().c[np.ix_(perm, perm, perm)]
-        if not np.array_equal(c1, c2):
-            bad = np.argwhere(c1 != c2)[0]
-            r, s, t = (int(v) for v in bad)
-            raise SchemeError(
-                "intersection numbers differ at (%d,%d,%d): %d vs %d"
-                % (r, s, t, int(c1[r, s, t]), int(c2[r, s, t])))
+        T1, T2 = source.tensor(), target.tensor()
+        bad = _mismatched_rows(T1, T2, mapping)
+        if len(bad):
+            # the least differing (r, s, t): the least (r, s) of each bad t
+            perm, cells = np.asarray(mapping), []
+            for t in bad.tolist():
+                c1, c2 = T1.slice(t), T2.slice(perm[t])[np.ix_(perm, perm)]
+                r, s = (int(v) for v in np.argwhere(c1 != c2)[0])
+                cells.append((r, s, t, int(c1[r, s]), int(c2[r, s])))
+            raise SchemeError("intersection numbers differ at (%d,%d,%d): %d vs %d"
+                              % min(cells))
         self.source, self.target, self.mapping = source, target, mapping
 
     def __getitem__(self, s: int) -> int:
         return self.mapping[s]
-
-    def is_identity(self) -> bool:
-        return self.mapping == tuple(range(len(self.mapping)))
-
-    def inverse(self) -> "RelationBijection":
-        inv = [0] * len(self.mapping)
-        for s, img in enumerate(self.mapping):
-            inv[img] = s
-        return RelationBijection(self.target, self.source, tuple(inv))
 
     def image_parabolic(self, e: Parabolic) -> Parabolic:
         rels = frozenset(self.mapping[s] for s in e.relations)
@@ -71,16 +90,17 @@ def find_algebraic_isomorphisms(source: Scheme, target: Scheme,
                                 limit: int | None = None):
     """Backtracking over color assignments; returns (isos, truncated).
 
-    Colors are assigned in (valency, index) order with star closure and
-    incremental tensor consistency as pruning; each completed assignment
-    is re-verified in full by the RelationBijection constructor.
+    Colors are assigned in (valency, index) order with star closure and,
+    as pruning, agreement of the tensor on the assigned colors
+    (`_mismatched_rows`); each completed assignment is re-verified in full
+    by the RelationBijection constructor.
     """
     R = source.rank
     nv1, nv2 = source.valencies(), target.valencies()
     if (target.rank != R or source.n != target.n
             or sorted(nv1) != sorted(nv2)):
         return [], False
-    c1, c2 = source.tensor().c, target.tensor().c
+    T1, T2 = source.tensor(), target.tensor()
     st1, st2 = source.star, target.star
     order = sorted(range(1, R), key=lambda s: (nv1[s], s))
     out: list[RelationBijection] = []
@@ -89,17 +109,6 @@ def find_algebraic_isomorphisms(source: Scheme, target: Scheme,
     mapping[0] = 0
     used = [False] * R
     used[0] = True
-
-    def consistent(newly) -> bool:
-        assigned = [s for s in range(R) if mapping[s] >= 0]
-        for a in newly:
-            for x in assigned:
-                for y in assigned:
-                    if (c1[a, x, y] != c2[mapping[a], mapping[x], mapping[y]]
-                            or c1[x, a, y] != c2[mapping[x], mapping[a], mapping[y]]
-                            or c1[x, y, a] != c2[mapping[x], mapping[y], mapping[a]]):
-                        return False
-        return True
 
     def rec(pos: int) -> bool:
         nonlocal truncated
@@ -132,7 +141,7 @@ def find_algebraic_isomorphisms(source: Scheme, target: Scheme,
                     mapping[st1[s]] = partner
                     used[partner] = True
                     newly.append(st1[s])
-            if ok and consistent(newly) and rec(pos + 1):
+            if ok and not len(_mismatched_rows(T1, T2, mapping)) and rec(pos + 1):
                 return True
             for a in newly:
                 used[mapping[a]] = False
@@ -140,8 +149,6 @@ def find_algebraic_isomorphisms(source: Scheme, target: Scheme,
         return False
 
     rec(0)
-    if truncated and limit is not None and len(out) > limit:
-        del out[limit:]
     return out, truncated
 
 
@@ -215,9 +222,6 @@ class CoordinateMap:
         """(x, y) -> alpha; built on first use."""
         return {pair: alpha for alpha, pair in enumerate(zip(self.x.tolist(), self.y.tolist()))}
 
-    def pairs(self) -> list:
-        return [(int(a), int(b)) for a, b in zip(self.x, self.y)]
-
 
 def _pair_counts(scheme: Scheme, in_e: np.ndarray) -> np.ndarray:
     """[s, r]: size of the pair set of a base triple with in-colour s and
@@ -227,9 +231,14 @@ def _pair_counts(scheme: Scheme, in_e: np.ndarray) -> np.ndarray:
     colours with c[x][y*][t] > 0, where t = r for x inside e and t = s
     otherwise.  So the count is a sum of one term per in-colour and one
     per out-colour, and one tensor pass per parabolic gives every key.
+    The number of such y is per_x[x, t], the number of distinct codes of
+    `ref[t]` (a sorted row) whose r part is x.
     """
-    c = scheme.tensor().c
-    per_x = (c[:, np.asarray(scheme.star), :] > 0).sum(axis=1)     # [x, t]
+    ref, R = scheme.tensor().ref, scheme.rank
+    first = np.ones(ref.shape, dtype=bool)
+    first[:, 1:] = ref[:, 1:] != ref[:, :-1]
+    t_of = np.nonzero(first)[0]
+    per_x = np.bincount(ref[first] // R * R + t_of, minlength=R * R).reshape(R, R)
     return per_x[~in_e].sum(axis=0)[:, None] + per_x[in_e].sum(axis=0)[None, :]
 
 

@@ -19,7 +19,6 @@ generated by the translations and the complement.
 
 from __future__ import annotations
 
-import json
 from functools import cache, cached_property
 from math import gcd
 from typing import NamedTuple
@@ -235,9 +234,6 @@ class FrobeniusSpec:
                                "matrices": [[list(row) for row in M] for M in f.matrices]})
         return {"kernel": kernel, "complement_order": self.complement_order}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "FrobeniusSpec":
         if not isinstance(d, dict) or "kernel" not in d or "complement_order" not in d:
@@ -269,10 +265,6 @@ class FrobeniusSpec:
             else:
                 raise FrobeniusError("kernel factor needs 'cyclic' or 'elem_abelian': %r" % (fd,))
         return cls(tuple(factors), d["complement_order"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "FrobeniusSpec":
-        return cls.from_json_dict(json.loads(text))
 
 
 def build_frobenius(spec: FrobeniusSpec) -> PermGroup:
@@ -498,10 +490,6 @@ class PrincipalSection(NamedTuple):
     @property
     def rank(self) -> int:
         return 1 + self.orbit_count
-
-    @property
-    def two_transitive(self) -> bool:
-        return self.rank == 2
 
 
 def principal_sections(spec: FrobeniusSpec,

@@ -116,15 +116,6 @@ class FiniteField:
             raise ZeroDivisionError("0 has no inverse")
         return self.pow(a, self.q - 2)
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 is not a unit")
-        k, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def primitive_element(self) -> int:
         """Smallest generator of the multiplicative group.
 

@@ -155,9 +155,6 @@ class PermGroup:
             out.append(orb)
         return out
 
-    def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
-
     def orbitals(self) -> np.ndarray:
         """Class labels for the diagonal action on ordered pairs.
 

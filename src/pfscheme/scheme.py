@@ -132,9 +132,12 @@ class Scheme:
         return translation_table(self.colors)
 
     def fingerprint(self) -> str:
+        """Hex blake2b (16 bytes) of the colours, as native int64 in row-major
+        order, followed by the star: one byte per relation up to rank 256,
+        and one little-endian int64 per relation above it."""
         h = blake2b_16()
         h.update(self.colors)           # C-contiguous int64: its tobytes(), uncopied
-        h.update(bytes(self.star))
+        h.update(bytes(self.star) if self.rank <= 256 else np.asarray(self.star, dtype="<i8"))
         return h.hexdigest()
 
     def __eq__(self, other) -> bool:
@@ -191,9 +194,7 @@ class IntersectionTensor:
     over the intermediate points g of the representative pair (a, b) of t.
     So c[r, s, t] is the number of times r * R + s occurs in ref[t], and
     the tensor takes R n codes in `_code_dtype(R)` instead of R^3 int64
-    counts.  `slice(t)` and `T[r, s, t]` read counts off one row; `c`, the
-    dense (R, R, R) int64 array, is built on first use for the readers that
-    index it freely.
+    counts.  `slice(t)` and `T[r, s, t]` read counts off one row.
     """
 
     def __init__(self, ref: np.ndarray, valencies: tuple[int, ...],
@@ -214,16 +215,6 @@ class IntersectionTensor:
         r, s, t = rst
         row, code = self.ref[t], r * self.rank + s
         return int(np.searchsorted(row, code, "right") - np.searchsorted(row, code, "left"))
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        """The dense (rank, rank, rank) int64 tensor c[r, s, t], read-only."""
-        R = self.rank
-        c = np.empty((R, R, R), dtype=np.int64)
-        for t in range(R):
-            c[:, :, t] = self.slice(t)
-        c.setflags(write=False)
-        return c
 
     def _grouped(self, part: int):
         """(keys, bounds) for the (R, R) slices c[x, :, :] (part 0) or

@@ -231,31 +231,30 @@ def criterion_6() -> CriterionResult:
     witness = None
     for name, s in pseudofrobenius_corpus():
         T = s.tensor()
-        c = T.c
         R = s.rank
-        star = s.star
         for e in enumerate_parabolics(s):
             if e.is_trivial() or e.is_full():
                 continue
             inside = sorted(set(e.relations) - {0})
             inside_all = set(e.relations)
+            c = {t: T.slice(t) for t in inside}         # c[t][r, s] = c_rs^t
             for r in range(1, R):
                 for sx in range(1, R):
                     if r in inside_all and sx in inside_all:
                         continue
                     for t in inside:
-                        if c[r][sx][t] == 0:
+                        if c[t][r, sx] == 0:
                             continue
                         triples_checked += 1
-                        if c[r][sx][t] != 1:
+                        if c[t][r, sx] != 1:
                             ok = False
                             witness = (name, e.key(), r, sx, t,
-                                       int(c[r][sx][t]))
+                                       int(c[t][r, sx]))
                         for u in inside:
-                            if u != t and c[r][sx][u] != 0:
+                            if u != t and c[u][r, sx] != 0:
                                 ok = False
                                 witness = (name, e.key(), r, sx, u,
-                                           int(c[r][sx][u]))
+                                           int(c[u][r, sx]))
         if not ok:
             break
     return CriterionResult(6, "in-block intersection collapse", ok,

@@ -1,5 +1,6 @@
 """Algebraic isomorphisms, base-triple coordinates, induced maps, schurity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from pfscheme.perms import PermGroup
 from pfscheme.scheme import Scheme, SchemeError, from_orbitals, partition_equal
 from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
 from test_perms import reference_orbitals
+from test_scheme import cycle_coloring, dense_tensor
 
 
 def frobenius_scheme(spec):
@@ -37,8 +39,7 @@ def z9():
 def test_relation_bijection_validates():
     s = z9()
     ident = RelationBijection(s, s, tuple(range(s.rank)))
-    assert ident.is_identity()
-    assert ident.inverse().is_identity()
+    assert ident.mapping == tuple(range(s.rank))
     # diagonal must stay fixed
     with pytest.raises(SchemeError):
         RelationBijection(s, s, (1, 0, 2, 3, 4))
@@ -54,10 +55,12 @@ def test_algebraic_automorphisms_of_z9():
     assert not truncated
     # multiplication by units modulo +-1 gives the three tensor symmetries
     assert len(isos) == 3
-    assert any(iso.is_identity() for iso in isos)
     maps = {iso.mapping for iso in isos}
+    assert tuple(range(s.rank)) in maps
     # x -> 2x sends classes (+-1, +-2, +-3, +-4) to (+-2, +-4, +-3, +-1)
     assert (0, 2, 4, 3, 1) in maps
+    # the inverse of each is one of them
+    assert {tuple(int(i) for i in np.argsort(m)) for m in maps} == maps
     isos1, truncated1 = algebraic_automorphisms(s, limit=1)
     assert len(isos1) == 1 and truncated1
 
@@ -74,7 +77,107 @@ def test_hall_desarguesian_tensors_agree():
     desarg = spread_scheme(desarguesian_spread(9))
     isos, _ = find_algebraic_isomorphisms(hall, desarg, limit=1)
     assert len(isos) == 1
-    assert np.array_equal(hall.tensor().c, desarg.tensor().c)
+    assert np.array_equal(dense_tensor(hall.tensor()), dense_tensor(desarg.tensor()))
+
+
+def test_relation_bijection_names_the_least_differing_triple():
+    from pfscheme.arith import difference_table
+
+    rng = np.random.default_rng(5)
+    thin8, thin12 = Scheme(difference_table([8])), Scheme(difference_table([12]))
+    elem8 = Scheme(difference_table([2, 2, 2]))
+    cases = [(z9(), z9(), (0,) + p) for p in itertools.permutations(range(1, 5))]
+    for source, target in ((thin12, thin12), (thin8, elem8), (elem8, thin8)):
+        cases += [(source, target, (0,) + tuple(rng.permutation(range(1, source.rank)).tolist()))
+                  for _ in range(12)]
+    failures = later = 0
+    for source, target, mapping in cases:
+        # the reference: the first differing cell of the dense tensors
+        perm = np.asarray(mapping)
+        c1 = dense_tensor(source.tensor())
+        c2 = dense_tensor(target.tensor())[np.ix_(perm, perm, perm)]
+        bad = np.argwhere(c1 != c2)
+        expected = None
+        if len(bad):
+            r, s, t = (int(v) for v in bad[0])
+            expected = ("intersection numbers differ at (%d,%d,%d): %d vs %d"
+                        % (r, s, t, c1[r, s, t], c2[r, s, t]))
+            failures += 1
+            later += t > bad[:, 2].min()    # not the least t whose counts differ
+        try:
+            RelationBijection(source, target, mapping)
+            got = None
+        except SchemeError as exc:
+            got = str(exc)
+        assert got == expected, mapping
+    assert failures >= 50 and later > 0
+
+
+def dense_isomorphisms(source, target, limit=None):
+    """find_algebraic_isomorphisms with its pruning read triple by triple
+    off the dense tensors (the reference); returns the mappings."""
+    R = source.rank
+    c1, c2 = dense_tensor(source.tensor()), dense_tensor(target.tensor())
+    nv1, nv2 = source.valencies(), target.valencies()
+    st1, st2 = source.star, target.star
+    order = sorted(range(1, R), key=lambda s: (nv1[s], s))
+    out, m, used = [], [0] + [-1] * (R - 1), [True] + [False] * (R - 1)
+
+    def consistent(newly):
+        assigned = [s for s in range(R) if m[s] >= 0]
+        return all(c1[a, x, y] == c2[m[a], m[x], m[y]]
+                   and c1[x, a, y] == c2[m[x], m[a], m[y]]
+                   and c1[x, y, a] == c2[m[x], m[y], m[a]]
+                   for a in newly for x in assigned for y in assigned)
+
+    def rec(pos):
+        while pos < len(order) and m[order[pos]] >= 0:
+            pos += 1
+        if pos == len(order):
+            out.append(tuple(m))
+            return len(out) == limit
+        s = order[pos]
+        for img in range(1, R):
+            if used[img] or nv1[s] != nv2[img] or (st1[s] == s) != (st2[img] == img):
+                continue
+            newly, ok = [s], True
+            m[s], used[img] = img, True
+            if st1[s] != s:
+                partner = st2[img]
+                if m[st1[s]] >= 0:
+                    ok = m[st1[s]] == partner
+                elif used[partner]:
+                    ok = False
+                else:
+                    m[st1[s]], used[partner] = partner, True
+                    newly.append(st1[s])
+            if ok and consistent(newly) and rec(pos + 1):
+                return True
+            for a in newly:
+                used[m[a]], m[a] = False, -1
+        return False
+
+    rec(0)
+    return out
+
+
+def test_backtracking_matches_the_dense_oracle():
+    from pfscheme.arith import difference_table
+    from pfscheme.scheme import wl_closure
+
+    hall = spread_scheme(hall_spread(9))
+    desarg = spread_scheme(desarguesian_spread(9))
+    cycle = wl_closure(cycle_coloring(17))
+    thin = Scheme(difference_table([12]))
+    cases = [(hall, desarg, 40), (desarg, hall, 1), (z9(), z9(), None), (z9(), z9(), 2),
+             (cycle, cycle, None), (thin, thin, None),
+             (thin, Scheme(difference_table([2, 6])), None)]
+    for source, target, limit in cases:
+        isos, truncated = find_algebraic_isomorphisms(source, target, limit)
+        expected = dense_isomorphisms(source, target, limit)
+        assert [iso.mapping for iso in isos] == expected
+        assert truncated == (len(expected) == limit)
+    assert len(dense_isomorphisms(cycle, cycle)) == 8
 
 
 def test_base_triples_and_predicate():
@@ -249,7 +352,7 @@ def test_batched_pair_counts_match_per_triple_coordinates():
                 batched += [(mu, int(nu), int(rho), int(counts[i, j]))
                             for i, nu in enumerate(nus) for j, rho in enumerate(rhos)]
             single = []
-            c, st = s.tensor().c, np.asarray(s.star)
+            c, st = dense_tensor(s.tensor()), np.asarray(s.star)
             in_e = np.isin(np.arange(s.rank), list(e.relations))
             for tr in base_triples(s, e):
                 f = base_coordinates(s, e, tr)

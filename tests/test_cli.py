@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pfscheme.circulants import CirculantSpec, circulant_from_connection, color_matrix, frobenius_circulant
 from pfscheme.cli import main
 from pfscheme.frobenius import CyclicFactor, FrobeniusSpec, build_frobenius
-from pfscheme.scheme import from_orbitals
+from pfscheme.scheme import Scheme, from_orbitals
 from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
 
 
@@ -133,6 +134,24 @@ def test_check_schurity_on_a_large_complete_scheme(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["schurian"] and rep["orbital_scheme_equal"]
     assert rep["group_order"] == math.factorial(n)
+
+
+def test_every_command_completes_above_rank_256(tmp_path, capsys):
+    # relation indices above 255: the Frobenius scheme of Z_521 with k = 2
+    # (rank 261) and the thin scheme of Z_258, which is imprimitive
+    z521 = gen_scheme(capsys, tmp_path, "z521.json", "gen", "frobenius", "--cyclic", "521,520")
+    assert json.loads(Path(z521).read_text())["rank"] == 261
+    idx = np.arange(258)
+    thin = tmp_path / "thin258.json"
+    thin.write_text(json.dumps(Scheme((idx[None, :] - idx[:, None]) % 258).to_json_dict()))
+    f = str(thin)
+    for argv in (["check", "axioms", "--scheme", f], ["check", "tcond", "--t", "3", "--scheme", f],
+                 ["check", "parabolics", "--scheme", f], ["check", "separability", "--scheme", f],
+                 ["check", "schurity", "--scheme", f], ["iso", "alg", f, f, "--limit", "1"],
+                 ["iso", "induced", f, f]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 3, 4) and "Traceback" not in err, (argv, err)
+        json.loads(out)
 
 
 def test_check_schurity_and_parabolics(tmp_path, capsys):

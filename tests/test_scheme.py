@@ -201,6 +201,17 @@ def test_fingerprint_canonical_after_relabel():
     assert a == b
 
 
+def test_fingerprint_hashes_the_star_by_rank():
+    # one byte per relation up to rank 256, one little-endian int64 above
+    import hashlib
+
+    for n, star_bytes in ((256, bytes), (257, lambda st: np.asarray(st, dtype="<i8").tobytes())):
+        s = Scheme(zn_table(n))
+        h = hashlib.blake2b(s.colors.tobytes(), digest_size=16)
+        h.update(star_bytes(s.star))
+        assert s.rank == n and s.fingerprint() == h.hexdigest()
+
+
 def test_is_equivalenced():
     s = Scheme(cyclic_colors(9))
     assert s.is_equivalenced() == 2
@@ -287,8 +298,17 @@ def cycle_coloring(n):
     return graph_coloring(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def dense_tensor(T):
+    """The dense (R, R, R) int64 array c[r, s, t] of a tensor, one
+    `slice(t)` per t (the test oracle for readers of the counts)."""
+    c = np.empty((T.rank,) * 3, dtype=np.int64)
+    for t in range(T.rank):
+        c[:, :, t] = T.slice(t)
+    return c
+
+
 def kernel_tensor(scheme):
-    return compute_tensor(scheme).c
+    return dense_tensor(compute_tensor(scheme))
 
 
 def outcome(fn, scheme):
@@ -356,7 +376,7 @@ def test_int32_codes_on_the_thin_scheme_of_z190():
     thin = (idx[None, :] - idx[:, None]) % n
     s = Scheme(thin)
     assert _code_dtype(s.rank) == np.int32
-    c = compute_tensor(s).c                  # c[r, s, t] = 1 iff r + s = t
+    c = kernel_tensor(s)                     # c[r, s, t] = 1 iff r + s = t
     assert (c.sum(axis=2) == 1).all()
     assert np.array_equal(c.argmax(axis=2), (idx[:, None] + idx[None, :]) % n)
     assert wl_closure(thin) == reference_wl_closure(thin)
@@ -504,7 +524,7 @@ def reference_verify_triangle(T):
     """verify_triangle on four R^3 temporaries (the reference)."""
     nv = np.asarray(T.valencies, dtype=np.int64)
     st = np.asarray(T.star)
-    D = T.c[:, :, st]
+    D = dense_tensor(T)[:, :, st]
     a = nv[None, None, :] * D
     b = nv[:, None, None] * D.transpose(2, 0, 1)
     cc = nv[None, :, None] * D.transpose(1, 2, 0)
@@ -553,8 +573,7 @@ def test_reference_codes_give_the_counts_of_the_dense_tensor():
         R = T.rank
         assert T.ref.shape == (R, s.n) and not T.ref.flags.writeable
         assert np.array_equal(np.sort(T.ref, axis=1), T.ref)
-        c = T.c
-        assert c.dtype == np.int64 and not c.flags.writeable and T.c is c
+        c = reference_tensor(s)
         for t in range(R):
             assert np.array_equal(T.slice(t), c[:, :, t])
         assert [T[r, x, t] for r in range(R) for x in range(R) for t in range(R)] == c.ravel().tolist()
@@ -576,14 +595,3 @@ def test_compute_tensor_peak_memory_on_the_c243_closure():
     finally:
         tracemalloc.stop()
     assert peak <= 5e6           # the dense int64 tensor alone is 14.5 MB
-
-
-def test_dimwl_verdict_never_builds_the_dense_tensor(monkeypatch):
-    from pfscheme.circulants import circulant_from_connection
-    from pfscheme.wldim import dimwl_verdict
-
-    def dense(self):
-        raise AssertionError("the dense tensor was built")
-
-    monkeypatch.setattr(IntersectionTensor, "c", property(dense))
-    assert dimwl_verdict(circulant_from_connection(243, (1, -1))).verdict == "Exactly2"
