@@ -125,8 +125,7 @@ def digit_add(xs, ys, radices) -> np.ndarray:
     # multiple of r.
     sums = xs // st + ys // st
     sums %= rs
-    sums *= st
-    return sums.sum(axis=-1)
+    return sums @ st
 
 
 def difference_table(radices) -> np.ndarray:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from functools import partial
@@ -46,6 +47,7 @@ from .algiso import (
 from .circulants import CirculantSpec, circulant_from_connection, color_matrix, frobenius_circulant
 from .frobenius import FrobeniusError, FrobeniusSpec, CyclicFactor, build_frobenius, invariant_lattice, thm2_profile
 from .arith import mult_order
+from .lattice import LatticeTooLarge
 from .parabolic import divide_check, enumerate_parabolics, indistinguishing_number, separability_verdict
 from .scheme import Scheme, SchemeError, from_orbitals, wl_closure
 from .spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
@@ -125,6 +127,17 @@ def _load_scheme(path: str) -> Scheme:
         return Scheme(colors)
     except (TypeError, ValueError) as exc:     # SchemeError, or a malformed 'star'
         raise SystemExit(_fail("%s: %s" % (path, exc)))
+
+
+def _load_pair(source: str, target: str) -> tuple[Scheme, Scheme]:
+    """The schemes of two files; one Scheme, and so one tensor, when both
+    name the same file."""
+    src = _load_scheme(source)
+    try:
+        same = os.path.samefile(source, target)
+    except OSError:                        # the target's own load reports it
+        same = False
+    return src, src if same else _load_scheme(target)
 
 
 def _parse_ints(raw: str) -> list[int]:
@@ -273,8 +286,7 @@ def cmd_check_schurity(args) -> int:
 def cmd_iso_alg(args) -> int:
     if args.limit is not None and args.limit < 1:
         return _fail("--limit must be at least 1, got %d" % args.limit)
-    src = _load_scheme(args.source)
-    dst = _load_scheme(args.target)
+    src, dst = _load_pair(args.source, args.target)
     try:
         isos, truncated = find_algebraic_isomorphisms(src, dst, limit=args.limit)
     except SchemeError as exc:             # NotCoherentError
@@ -291,8 +303,7 @@ def cmd_iso_alg(args) -> int:
 
 
 def cmd_iso_induced(args) -> int:
-    src = _load_scheme(args.source)
-    dst = _load_scheme(args.target)
+    src, dst = _load_pair(args.source, args.target)
     if args.psi:
         mapping = _load_json(args.psi).get("mapping")
         if mapping is None:
@@ -470,6 +481,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
         return args.func(args)
+    except LatticeTooLarge as exc:         # any command that enumerates a lattice
+        return _fail(str(exc))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else INPUT_ERROR

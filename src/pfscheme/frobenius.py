@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import (
+    _radix_arrays,
     digit_add,
     digit_strides,
     divisors,
@@ -172,6 +173,15 @@ class FrobeniusSpec:
         return tuple(out)
 
     @cached_property
+    def digits(self) -> np.ndarray:
+        """(n, len(radices)) read-only int64 table: row h holds the digits
+        of index h."""
+        strides, radices = _radix_arrays(self.radices)
+        table = np.arange(self.kernel_order, dtype=np.int64)[:, None] // strides % radices
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def complement(self) -> np.ndarray:
         """(k, n) table: row c sends each kernel index to its image under
         the c-th complement element.  Row 0 is the identity; the others
@@ -212,14 +222,15 @@ class FrobeniusSpec:
         of the unit-vector indices) and its least nonzero fixed index.
         """
         table = self.complement
-        for row in table[1:]:
-            fixed = np.flatnonzero(row == table[0])
-            if len(fixed) > 1:
-                images = tuple(row[digit_strides(self.radices)].tolist())
-                h = int(fixed[1])
-                raise FrobeniusError(
-                    "complement element with basis images %r fixes nonzero kernel "
-                    "element (index %d)" % (images, h), witness=(images, h))
+        fixed = table[1:] == table[0]
+        bad = np.flatnonzero(fixed.sum(axis=1) > 1)
+        if bad.size:
+            row = table[1 + bad[0]]
+            images = tuple(row[digit_strides(self.radices)].tolist())
+            h = int(np.flatnonzero(fixed[bad[0]])[1])
+            raise FrobeniusError(
+                "complement element with basis images %r fixes nonzero kernel "
+                "element (index %d)" % (images, h), witness=(images, h))
         return table
 
     # -- serialization ------------------------------------------------------
@@ -286,7 +297,12 @@ def build_frobenius(spec: FrobeniusSpec) -> PermGroup:
 
 class Subgroup(NamedTuple):
     order: int
-    elements: frozenset
+    bits: int                          # bit h is set for each element h
+
+    @property
+    def elements(self) -> frozenset:
+        """The elements, read off `bits` on each access."""
+        return frozenset(indices_of(self.bits).tolist())
 
 
 class InvariantLattice(NamedTuple):
@@ -340,30 +356,32 @@ def invariant_lattice(spec: FrobeniusSpec) -> InvariantLattice:
     with the whole divisor lattice; otherwise the seeds are the subgroups
     generated by single complement orbits (`_principal_subgroups`).  The
     kernel is abelian, so the join of two invariant subgroups is their sum
-    set.  Each member's elements are listed once: `join_closure` returns
-    them, and `join` keeps the index arrays of its operands (b is always a
-    seed, and a is the same member for several seeds in a row).  The sum
-    of subgroups A and B has order |A| |B| / |A ∩ B|, so a join that is
-    the whole kernel is known from popcounts, without its sum set.
+    set, taken on the digit vectors of its operands, which `join` keeps
+    (b is always a seed, and a is the same member for several seeds in a
+    row).  The sum of subgroups A and B has order |A| |B| / |A ∩ B|, read
+    off popcounts, so a join that is the whole kernel needs no sum set.
     """
     spec.validate()
     n = spec.kernel_order
-    operands = cache(indices_of)
+    strides, radices = _radix_arrays(spec.radices)
+    operands = cache(lambda bits: spec.digits[indices_of(bits)])
 
     def join(a: int, b: int) -> tuple[int, int]:
-        if a.bit_count() * b.bit_count() == n * (a & b).bit_count():
+        order = a.bit_count() * b.bit_count() // (a & b).bit_count()
+        if order == n:
             return (1 << n) - 1, n
         A, B = operands(a), operands(b)
         seen = np.zeros(n, dtype=bool)
         step = max(1, _SUMSET_CHUNK // len(B))
         for i in range(0, len(A), step):
-            seen[digit_add(A[i:i + step, None], B[None, :], spec.radices)] = True
-        return bits_of(seen), int(seen.sum())
+            sums = A[i:i + step, None] + B
+            sums %= radices
+            seen[sums @ strides] = True
+        return bits_of(seen), order
 
     seeds = _cyclic_subgroups(spec) if _is_cyclic(spec) else _principal_subgroups(spec)
     lat = join_closure(seeds, ((1 << n) - 1, n), join)
-    subs = [Subgroup(size, frozenset(elements))
-            for elements, size in zip(lat.elements, lat.sizes)]
+    subs = [Subgroup(size, bits) for bits, size in zip(lat.members, lat.sizes)]
     return InvariantLattice(spec=spec, subgroups=subs, inclusion=lat.inclusion,
                             d=lat.longest, pi=prime_divisors(n), cover=lat.cover,
                             chain_lengths_equal=lat.longest == lat.shortest)
@@ -401,64 +419,101 @@ def _principal_subgroups(spec: FrobeniusSpec) -> list[tuple[int, int]]:
     sum of its Sylow parts, each invariant and spanned by the orbits of
     its own elements, all of prime power order.
 
-    An orbit is not closed again when a unit multiple of it was.
-    Multiplication by an integer m is an endomorphism of the kernel that
-    commutes with the complement, so the orbit of m x is m times the orbit
-    of x and lies in the subgroup S that the orbit of x generates.  When
-    gcd(m, ord x) = 1, some m' has m' m x = x, and every element of the
-    orbit has the order of x, so the orbit of m x generates S as well:
-    once x is closed, the orbits of all such m x are done.
+    One orbit is closed per class of the complement and the unit
+    multiples.  Multiplication by an integer m is an endomorphism of the
+    kernel that commutes with the complement, so the orbit of m x is m
+    times the orbit of x and lies in the subgroup S that the orbit of x
+    generates.  When gcd(m, ord x) = 1, some m' has m' m x = x, and every
+    element of the orbit has the order of x, so the orbit of m x generates
+    S as well.  The units modulo the exponent e of the kernel reduce onto
+    the units modulo every element order, so the class of x is its
+    complement orbit times the units modulo e, and its least element
+    represents it.  All representatives' orbits are then closed together
+    (`_close_orbits`).
     """
     n = spec.kernel_order
-    half = n // 2
     kappa = spec.complement
     orders = _element_orders(spec)
     primary = np.isin(orders, [o for o in sorted_unique(orders).tolist() if prime_power(o)])
+    strides, radices = _radix_arrays(spec.radices)
+    # least[x]: least element of the class of x.  The orbit minimum is
+    # constant on orbits; fold in the multiples by each new unit u, the
+    # powers u^j for j < 2^i after i doubling steps.
+    orbit_min = kappa.min(axis=0)
+    least = orbit_min.copy()
+    exponent = int(np.lcm.reduce(radices))
+    reached = {1}
+    for u in range(2, exponent):
+        if gcd(u, exponent) == 1 and u not in reached:
+            powers = [1]
+            while (v := powers[-1] * u % exponent) != 1:
+                powers.append(v)
+            v, span = u, 1
+            while span < len(powers):
+                np.minimum(least, least[spec.digits * v % radices @ strides], out=least)
+                v, span = v * v % exponent, 2 * span
+            reached = {a * b % exponent for a in reached for b in powers}
+    reps = np.flatnonzero(primary & (least == np.arange(n)))
+    return [(1, 1)] + _close_orbits(spec, reps, orbit_min)
 
-    def close(gens: np.ndarray) -> np.ndarray | None:
-        """Additive closure of a complement-invariant generating set.
 
-        A proper subgroup has order at most n/2, so exceeding that proves
-        the closure is the whole kernel (returned as None).
-        """
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        seen[gens] = True
-        frontier = gens
-        while frontier.size:
-            nxt = sorted_unique(digit_add(frontier[:, None], gens[None, :], spec.radices))
-            nxt = nxt[~seen[nxt]]
-            seen[nxt] = True
-            if int(seen.sum()) > half:
-                return None
-            frontier = nxt
-        return seen
+def _close_orbits(spec: FrobeniusSpec, reps: np.ndarray,
+                  orbit_min: np.ndarray) -> list[tuple[int, int]]:
+    """(bitset, order) of the subgroup S that the complement orbit of each
+    of `reps` generates, for those that generate a proper subgroup, in
+    the order of `reps`.
 
-    strides = np.asarray(digit_strides(spec.radices), dtype=np.int64)
-    radices = np.asarray(spec.radices, dtype=np.int64)
-    out = [(1, 1)]
-    done = ~primary                # elements whose orbit needs no closure
-    for i in range(1, n):
-        if done[i]:
-            continue
-        o = int(orders[i])
-        units = np.array([m for m in range(1, o) if gcd(m, o) == 1], dtype=np.int64)
-        # m x digitwise for every unit m modulo ord x, m = 1 included
-        multiples = units[:, None] * (i // strides % radices) % radices @ strides
-        done[kappa[:, multiples]] = True
-        orbit = sorted_unique(kappa[:, i])
-        sub = close(orbit)
-        if sub is not None:
-            out.append((bits_of(sub), int(sub.sum())))
-    return out
+    S is complement-invariant, so it is 0 and a union of orbits, each of
+    k elements (the complement fixes no nonzero element).  The search
+    runs over orbits, named by their least elements (`orbit_min`), on
+    keys row * n + orbit: adding every generator to one element of an
+    orbit reaches the same orbits as adding them to all of it, since the
+    generators form an orbit too.  A proper subgroup has order at most
+    n/2, so a row whose closure passes that generates the whole kernel and
+    is dropped from the search.  Each step takes at most _SUMSET_CHUNK
+    sums at a time."""
+    n = spec.kernel_order
+    kappa = spec.complement
+    k, rows = len(kappa), len(reps)
+    gens = kappa[:, reps].T
+    seen = np.zeros(rows * n, dtype=bool)     # orbits reached, by least element
+    offsets = np.arange(rows, dtype=np.int64) * n
+    frontier = offsets + reps
+    seen[offsets] = seen[frontier] = True
+    counts = np.full(rows, 1 + k)
+    alive = counts <= n // 2
+    found = [frontier]
+    frontier = frontier[alive]
+    step = max(1, _SUMSET_CHUNK // k)
+    while frontier.size:
+        keys = []
+        for i in range(0, len(frontier), step):
+            row, elem = np.divmod(frontier[i:i + step], n)
+            sums = digit_add(elem[:, None], gens[row], spec.radices)
+            keys.append((orbit_min[sums] + row[:, None] * n).ravel())
+        nxt = sorted_unique(np.concatenate(keys))
+        nxt = nxt[~seen[nxt]]
+        seen[nxt] = True
+        found.append(nxt)
+        counts += k * np.bincount(nxt // n, minlength=rows)
+        alive &= counts <= n // 2
+        frontier = nxt[alive[nxt // n]]
+    row, orbit = np.divmod(np.concatenate(found), n)
+    keep = alive[row]
+    members = np.zeros((int(alive.sum()), n), dtype=bool)
+    members[:, 0] = True
+    members[(np.cumsum(alive) - 1)[row[keep]], kappa[:, orbit[keep]]] = True
+    packed = np.packbits(members, axis=1, bitorder="little")
+    return [(int.from_bytes(bits.tobytes(), "little"), int(c))
+            for bits, c in zip(packed, counts[alive])]
 
 
 def _generator_tables(spec: FrobeniusSpec) -> list[np.ndarray]:
     """For each complement generator j, the image of every kernel index:
     a unit multiplies the digit of its cyclic factor, a matrix acts on the
     digit vector of its elementary abelian factor."""
-    strides = np.asarray(digit_strides(spec.radices), dtype=np.int64)
-    digits = np.arange(spec.kernel_order, dtype=np.int64)[:, None] // strides % spec.radices
+    strides, _ = _radix_arrays(spec.radices)
+    digits = spec.digits
     out = []
     for j in range(spec.num_generators):
         img = np.zeros(spec.kernel_order, dtype=np.int64)
@@ -506,15 +561,16 @@ def principal_sections(spec: FrobeniusSpec,
     chain = lattice.maximal_chain()
     out = []
     for lo_i, hi_i in zip(chain, chain[1:]):
-        lo = np.asarray(sorted(lattice.subgroups[lo_i].elements), dtype=np.int64)
-        hi = sorted(lattice.subgroups[hi_i].elements)
+        lo = indices_of(lattice.subgroups[lo_i].bits)
+        hi = indices_of(lattice.subgroups[hi_i].bits)
         degree = len(hi) // len(lo)
-        # rep[h]: smallest element of the coset h + lo.  Scanning hi in
-        # ascending order, the first element of each coset is its minimum.
+        # rep[h]: smallest element of the coset h + lo.  hi is ascending, so
+        # the first element not yet in a coset is the minimum of its own.
         rep = np.full(spec.kernel_order, -1, dtype=np.int64)
-        for h in hi:
-            if rep[h] < 0:
-                rep[digit_add(h, lo, spec.radices)] = h
+        todo = hi
+        while todo.size:
+            rep[digit_add(todo[0], lo, spec.radices)] = todo[0]
+            todo = todo[rep[todo] < 0]
         reps = sorted_unique(rep[hi])
         # The complement elements form a group, so the least image of a
         # coset under all of them names its orbit; the zero coset is an

@@ -28,6 +28,7 @@ class FiniteField:
         self.q = p**e
         self.modulus = self._smallest_irreducible() if e > 1 else (0, 1)
         self._mul: list[list[int]] | None = None
+        self._primitive: int | None = 1 if self.q == 2 else None
 
     # -- coefficient coding -------------------------------------------------
 
@@ -117,18 +118,18 @@ class FiniteField:
         return self.pow(a, self.q - 2)
 
     def primitive_element(self) -> int:
-        """Smallest generator of the multiplicative group.
+        """Smallest generator of the multiplicative group, found once per field.
 
         a generates exactly when a^((q-1)/r) != 1 for every prime r
         dividing q - 1, which takes O(log q) multiplications per prime.
+        The constants 0..p-1 have orders dividing p - 1, so for e > 1 the
+        search starts at p.
         """
-        if self.q == 2:
-            return 1
-        cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
-        for a in range(2, self.q):
-            if all(self.pow(a, k) != 1 for k in cofactors):
-                return a
-        raise RuntimeError("no primitive element found")  # pragma: no cover
+        if self._primitive is None:
+            cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
+            self._primitive = next(a for a in range(2 if self.e == 1 else self.p, self.q)
+                                   if all(self.pow(a, k) != 1 for k in cofactors))
+        return self._primitive
 
     def norm_to_subfield(self, a: int, s: int) -> int:
         """Norm into F_s for q = s^2: a^(s+1)."""

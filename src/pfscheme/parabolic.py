@@ -183,9 +183,6 @@ class SeparabilityVerdict(NamedTuple):
         }
 
 
-_ALLOWED_MULTISETS = ("kkk", "kk2k")
-
-
 def _verdict_from_chains(n: int, k: int, sizes: list[int], incl: np.ndarray,
                          d: int, cases: tuple[str, ...]) -> SeparabilityVerdict:
     """Core arithmetic: sizes/inclusion describe the nontrivial lattice part.
@@ -203,28 +200,30 @@ def _verdict_from_chains(n: int, k: int, sizes: list[int], incl: np.ndarray,
         return SeparabilityVerdict(True, n, k, reason="bound",
                                    witness=(n, 3 * k * (k - 1) ** 2),
                                    pi_count=pi_count, d=d, cases=cases)
-    # Scan pairs and triples in size order, first hit wins.
-    order = sorted(range(len(sizes)), key=lambda i: sizes[i])
-    s = [sizes[i] for i in order]
+    # Scan triples, then pairs, in size order and row-major: first hit wins.
+    order = np.argsort(np.asarray(sizes, dtype=np.int64), kind="stable")
+    s = np.asarray(sizes, dtype=np.int64)[order]
     below = np.asarray(incl, dtype=bool)[np.ix_(order, order)]
-    has_above = below.any(axis=1)
-    for a, row in enumerate(below):
-        mids = np.flatnonzero(row & has_above)
-        if len(mids):
-            b = int(mids[0])
-            c = int(np.flatnonzero(below[b])[0])
-            return SeparabilityVerdict(
-                True, n, k, reason="long-chain",
-                witness=(1, s[a], s[b], s[c], n),
-                pi_count=pi_count, d=d, cases=cases)
-    for a, row in enumerate(below):
-        for b in np.flatnonzero(row).tolist():
-            mset = tuple(sorted((s[a] - 1, s[b] // s[a] - 1, n // s[b] - 1)))
-            if mset != (k, k, k) and mset != tuple(sorted((k, k, 2 * k))):
-                return SeparabilityVerdict(
-                    True, n, k, reason="multiset",
-                    witness=(s[a], s[b]) + mset,
-                    pi_count=pi_count, d=d, cases=cases)
+    mids = below & below.any(axis=1)
+    hits = np.flatnonzero(mids.any(axis=1))
+    if hits.size:
+        a = int(hits[0])
+        b = int(np.flatnonzero(mids[a])[0])
+        c = int(np.flatnonzero(below[b])[0])
+        return SeparabilityVerdict(
+            True, n, k, reason="long-chain",
+            witness=(1, int(s[a]), int(s[b]), int(s[c]), n),
+            pi_count=pi_count, d=d, cases=cases)
+    lo, hi = np.nonzero(below)
+    msets = np.sort(np.stack([s[lo] - 1, s[hi] // s[lo] - 1, n // s[hi] - 1], axis=1), axis=1)
+    allowed = (msets == k).all(axis=1) | (msets == sorted((k, k, 2 * k))).all(axis=1)
+    bad = np.flatnonzero(~allowed)
+    if bad.size:
+        i = int(bad[0])
+        return SeparabilityVerdict(
+            True, n, k, reason="multiset",
+            witness=(int(s[lo[i]]), int(s[hi[i]])) + tuple(msets[i].tolist()),
+            pi_count=pi_count, d=d, cases=cases)
     return SeparabilityVerdict(False, n, k, pi_count=pi_count, d=d, cases=cases)
 
 

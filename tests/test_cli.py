@@ -636,3 +636,43 @@ def test_perfbench_traces_orbitals(tmp_path):
     # `pairs` is read as len() of the orbital labels
     names = _perfbench_spans(tmp_path, "gen", "frobenius", "--scalar", "7")
     assert {"perms.PermGroup.orbitals", "scheme.from_orbitals"} <= names
+
+
+@pytest.mark.parametrize("level", ["alg", "induced"])
+def test_iso_on_one_file_builds_one_tensor(tmp_path, capsys, monkeypatch, level):
+    from pfscheme import scheme as scheme_module
+
+    z9 = gen_scheme(capsys, tmp_path, "z9.json", "gen", "frobenius", "--cyclic", "9,8")
+    twin = tmp_path / "twin.json"
+    twin.write_bytes(Path(z9).read_bytes())
+    built = []
+
+    def counted(s):
+        built.append(s)
+        return tensor(s)
+
+    tensor = scheme_module.compute_tensor
+    monkeypatch.setattr(scheme_module, "compute_tensor", counted)
+    same = run_cli(capsys, "iso", level, z9, z9)
+    assert len(built) == 1
+    two = run_cli(capsys, "iso", level, z9, str(twin))
+    assert len(built) == 3
+    assert same == two and same[0] == 0
+
+
+def test_lattices_past_the_member_bound_exit_2(tmp_path, capsys, monkeypatch):
+    from pfscheme import lattice
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(scalar_spec(3, 2).to_json_dict()))
+    f32 = gen_scheme(capsys, tmp_path, "f32.json", "gen", "frobenius", "--scalar", "3,2")
+    monkeypatch.setattr(lattice, "MAX_MEMBERS", 5)      # both lattices have 6 members
+    for argv in (["classify", "thm2", "--scalar", "3,2"],
+                 ["check", "separability", "--spec", str(spec)],
+                 ["check", "separability", "--scheme", f32],
+                 ["check", "parabolics", "--scheme", f32],
+                 ["iso", "induced", f32, f32]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "more than 5 members" in err, argv

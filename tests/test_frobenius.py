@@ -283,13 +283,77 @@ def test_principal_subgroups_skip_the_orbits_of_unit_multiples():
 
     checked = 0
     for name, spec in batch_specs():
-        if _is_cyclic(spec) or spec.kernel_order > 1400:
+        if _is_cyclic(spec):
             continue
         assert set(_principal_subgroups(spec)) == reference_principal_subgroups(spec), name
         checked += 1
-    assert checked >= 20
+    assert checked == 26
     # each of the 183 invariant lines of F_13^3 is met as two orbits of the
     # order-6 complement, x and 2x, and closed once
     lines = _principal_subgroups(dict(batch_specs())["cube-13-6"])
     assert len(lines) == len(set(lines)) == 184
     assert {order for _, order in lines} == {1, 13}
+
+
+def reference_principal_subgroup_list(spec):
+    """One closure per element x of prime power order whose class (its
+    complement orbit times the units modulo ord x) holds no smaller
+    element, one orbit at a time, in ascending x: a list of (bitset, order)."""
+    from math import gcd
+
+    from pfscheme.arith import prime_power
+    from pfscheme.frobenius import _element_orders
+    from pfscheme.lattice import bits_of
+
+    n = spec.kernel_order
+    orders = _element_orders(spec)
+    strides = np.asarray(digit_strides(spec.radices))
+    radices = np.asarray(spec.radices)
+    out = [(1, 1)]
+    done = np.zeros(n, dtype=bool)
+    for x in range(1, n):
+        o = int(orders[x])
+        if done[x] or not prime_power(o):
+            continue
+        units = np.array([m for m in range(1, o) if gcd(m, o) == 1])
+        done[spec.complement[:, units[:, None] * (x // strides % radices) % radices @ strides]] = True
+        gens = np.unique(spec.complement[:, x])
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = seen[gens] = True
+        while True:
+            grown = seen.copy()
+            grown[digit_add(np.flatnonzero(seen)[:, None], gens[None, :], spec.radices)] = True
+            if np.array_equal(grown, seen):
+                break
+            seen = grown
+        if seen.sum() <= n // 2:
+            out.append((bits_of(seen), int(seen.sum())))
+    return out
+
+
+def test_principal_subgroups_close_one_orbit_per_class_in_order():
+    from pfscheme.catalog import batch_specs
+    from pfscheme.frobenius import _is_cyclic, _principal_subgroups
+
+    # negation on (Z_11)^2 and on Z_9 x Z_3: the units do most of the merging
+    negation = [("neg-11^2", FrobeniusSpec(
+                    (ElementaryAbelianFactor(11, 2, (((10, 0), (0, 10)),)),), 2)),
+                ("neg-9x3", FrobeniusSpec((CyclicFactor(9, (8,)), CyclicFactor(3, (2,))), 2))]
+    for name, spec in batch_specs() + negation:
+        if not _is_cyclic(spec):
+            assert _principal_subgroups(spec) == reference_principal_subgroup_list(spec), name
+
+
+def test_an_irreducible_complement_leaves_only_the_trivial_seed():
+    # F_16 as (Z_2)^4 under the multiplications of order 5 (orbits of 5
+    # elements, under n/2, that span the whole kernel) and of order 15
+    from pfscheme.frobenius import _principal_subgroups
+    from pfscheme.gf import GF
+
+    F = GF(16)
+    for k in (5, 15):
+        w = F.pow(F.primitive_element(), 15 // k)
+        spec = FrobeniusSpec((ElementaryAbelianFactor(2, 4, (F.mul_matrix(w),)),), k)
+        assert _principal_subgroups(spec) == [(1, 1)]
+        assert reference_principal_subgroups(spec) == {(1, 1)}
+        assert [s.order for s in invariant_lattice(spec).subgroups] == [1, 16]

@@ -225,3 +225,74 @@ def test_invariant_subspaces_of_f3_fourth_are_gaussian_binomials():
     assert Counter(s.order for s in lat.subgroups) == {1: 1, 3: 40, 9: 130, 27: 40, 81: 1}
     assert lat.d == 4 and lat.chain_lengths_equal
     assert np.array_equal(lat.covers(), reference_covers(lat.inclusion))
+
+
+@pytest.mark.parametrize("q, dim, members", [(3, 4, 212), (4, 3, 44)], ids=["F3^4", "F4^3"])
+def test_seed_scan_matches_the_pair_scan_on_subspace_lattices(monkeypatch, q, dim, members):
+    # F_4^3 is a non-prime field: its subspaces are the F_2-subspaces of
+    # (Z_2)^6 that the scalars of order 3 fix
+    compared = _compare_with_reference(monkeypatch, frobenius)
+    invariant_lattice(scalar_spec(q, dim))
+    assert compared == [members]
+
+
+def test_the_member_bound_refuses_a_larger_lattice(monkeypatch):
+    assert lattice.MAX_MEMBERS ** 2 == 256 * 2 ** 20     # bytes of the inclusion matrix
+    spec = scalar_spec(3, 2)              # 6 invariant subgroups
+    monkeypatch.setattr(lattice, "MAX_MEMBERS", 6)
+    assert len(invariant_lattice(spec).subgroups) == 6
+    monkeypatch.setattr(lattice, "MAX_MEMBERS", 5)
+    with pytest.raises(lattice.LatticeTooLarge, match="more than 5 members") as err:
+        invariant_lattice(spec)
+    assert isinstance(err.value, ValueError)
+    with pytest.raises(lattice.LatticeTooLarge):
+        _parabolic_lattice(from_orbitals(build_frobenius(spec)))
+
+
+def _traced_peak(fn, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lattice_peak_memory_on_cube_13_6_and_scalar_3_5():
+    # One seed-in-seed table as an s x s x W broadcast would take
+    # 184 * 185 * 280 bytes = 9.5 MB on cube-13-6 alone.
+    spec = dict(batch_specs())["cube-13-6"]
+    invariant_lattice(spec)                                  # warm: complement, imports
+    assert _traced_peak(invariant_lattice, spec) < 4 * 2 ** 20
+    big = scalar_spec(3, 5)                                  # 2664 members
+    big.validate()
+    assert _traced_peak(frobenius.thm2_profile, big) <= 1.1 * 24.9 * 2 ** 20
+
+
+def test_no_join_is_asked_that_a_known_member_of_floor_size_decides(monkeypatch):
+    # the floor of a pair: the least divisor of N that is a common multiple
+    # of both sizes and exceeds each
+    def checked(seeds, top, join):
+        seeds = list(seeds)
+        n = top[1]
+        known = {bits: size for bits, size in [*seeds, top]}
+
+        def asked(a, b):
+            lcm = known[a] * known[b] // gcd(known[a], known[b])
+            floor = min(d for d in divisors(n) if d % lcm == 0 and d > max(known[a], known[b]))
+            assert not any(size == floor and bits & a == a and bits & b == b
+                           for bits, size in known.items()), (a, b)
+            bits, size = join(a, b)
+            known[bits] = size
+            return bits, size
+
+        return lattice.join_closure(seeds, top, asked)
+
+    monkeypatch.setattr(frobenius, "join_closure", checked)
+    for name in ("cube-7-6", "double-3-5-2", "mixed-7-4", "scalar-9"):
+        invariant_lattice(dict(batch_specs())[name])
+    invariant_lattice(scalar_spec(3, 4))
+    monkeypatch.setattr(parabolic, "join_closure", checked)
+    _parabolic_lattice(spread_scheme(hall_spread(9)))
