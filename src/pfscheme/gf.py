@@ -14,7 +14,8 @@ from .arith import factorize, is_prime
 
 
 class FiniteField:
-    """F_q with a full multiplication table below the tabulation cutoff."""
+    """F_q with tabulated products below the tabulation cutoff: one row of
+    products per left factor, built when that factor is first used."""
 
     TABLE_CUTOFF = 256
 
@@ -27,7 +28,7 @@ class FiniteField:
         self.e = e
         self.q = p**e
         self.modulus = self._smallest_irreducible() if e > 1 else (0, 1)
-        self._mul: list[list[int]] | None = None
+        self._rows: dict[int, list[int]] = {}      # a -> [a * b for every b]
         self._primitive: int | None = 1 if self.q == 2 else None
 
     # -- coefficient coding -------------------------------------------------
@@ -60,23 +61,24 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if self.q > self.TABLE_CUTOFF:
             return self.mul_slow(a, b)
-        if self._mul is None:
-            self._mul = self._mul_table()
-        return self._mul[a][b]
+        row = self._rows.get(a)
+        if row is None:
+            row = self._rows[a] = self._mul_row(a)
+        return row[b]
 
-    def _mul_table(self) -> list[list[int]]:
-        """All q*q products of mul_slow at once, as nested lists."""
+    def _mul_row(self, a: int) -> list[int]:
+        """The q products mul_slow(a, b), b = 0..q-1, at once."""
         p, e, q = self.p, self.e, self.q
-        digits = np.array([self.coeffs(a) for a in range(q)], dtype=np.int64)
-        prod = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
-        for i in range(e):
-            prod[:, :, i:i + e] += digits[:, None, i, None] * digits[None, :, :]
+        digits = np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(e) % p
+        prod = np.zeros((q, 2 * e - 1), dtype=np.int64)
+        for i, x in enumerate(self.coeffs(a)):
+            prod[:, i:i + e] += x * digits
         prod %= p
         low = np.asarray(self.modulus[:-1], dtype=np.int64)
         for i in range(2 * e - 2, e - 1, -1):   # x^i = -x^(i-e) * (low part)
-            prod[:, :, i - e:i] -= prod[:, :, i, None] * low
-            prod[:, :, i - e:i] %= p
-        return (prod[:, :, :e] @ (p ** np.arange(e))).tolist()
+            prod[:, i - e:i] -= prod[:, i, None] * low
+            prod[:, i - e:i] %= p
+        return (prod[:, :e] @ (p ** np.arange(e))).tolist()
 
     def mul_slow(self, a: int, b: int) -> int:
         if self.e == 1:

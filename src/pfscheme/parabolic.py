@@ -5,10 +5,12 @@ A parabolic is an equivalence on the point set that is a union of
 relations (a closed subset); they form a lattice under join.  In a
 coherent scheme the class of point 0 settles a parabolic, so closures
 work from row 0 alone once the intersection tensor has verified
-coherence; an incoherent scheme raises NotCoherentError.  For
-equivalenced schemes the verdict machinery decides separability from n,
-the valency k, and the index chains of the parabolic (or
-invariant-subgroup) lattice.
+coherence; an incoherent scheme raises NotCoherentError.  Under a
+translation certificate the class of 0 is a subgroup, generated by the
+row-0 points of the relations.  Each scheme keeps its parabolic lattice
+once built.  For equivalenced schemes the verdict machinery decides
+separability from n, the valency k, and the index chains of the
+parabolic (or invariant-subgroup) lattice.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .arith import prime_divisors
 from .frobenius import FrobeniusSpec, d3_cases, invariant_lattice, principal_sections
-from .lattice import JoinLattice, indices_of, join_closure
+from .lattice import JoinLattice, bits_of, indices_of, join_closure
 from .scheme import Scheme, SchemeError
 
 
@@ -50,32 +52,89 @@ def parabolic_closure(scheme: Scheme, rels) -> Parabolic:
     """Smallest parabolic containing the given relations.
 
     Needs a coherent scheme: `scheme.tensor()` verifies that first and
-    raises NotCoherentError otherwise.  Then whether y lies within
-    distance d of x in the graph of E = rels, their transposes and the
-    diagonal depends only on the colour of (x, y), so the ball of radius
-    d around 0 names, through its row-0 colours S, the ball of radius d
-    around every point; the ball of radius 2d around 0 is the union of
-    the balls {y : P[x, y] in S} of its points x.  Squaring until the
-    ball stops growing reaches the class of point 0: the parabolic is
-    the set of colours on it, and every class has its size n_e.
+    raises NotCoherentError otherwise.  The class of point 0 is the
+    connected component of 0 in the graph of E = rels, their transposes
+    and the diagonal; the parabolic is the set of colours on it, and
+    every class has its size n_e.
     """
+    return _as_parabolic(scheme, *_closure_mask(scheme, rels))
+
+
+def _as_parabolic(scheme: Scheme, within: np.ndarray, n_e: int) -> Parabolic:
+    return Parabolic(relations=frozenset(np.flatnonzero(within).tolist()),
+                     n_e=n_e, num_classes=scheme.n // n_e)
+
+
+def _closure_mask(scheme: Scheme, rels) -> tuple[np.ndarray, int]:
+    """(colour mask, n_e) of `parabolic_closure(scheme, rels)`: the class
+    of 0 by squaring, or, under a translation certificate, as the subgroup
+    that the row-0 points of the relations generate."""
     scheme.tensor()
-    P = scheme.colors
     mask = np.zeros(scheme.rank, dtype=bool)
     mask[0] = True
     for s in rels:
         mask[[s, scheme.star[s]]] = True
+    P, D = scheme.colors, scheme.translations
+    if D is None:
+        block = _squaring_class(P, mask)
+    elif D[-1, 0] == 1:                 # Z_n, the one candidate with 0 - (n - 1) = 1
+        step = int(np.gcd.reduce(np.flatnonzero(mask[P[0]]), initial=scheme.n))
+        block = np.zeros(scheme.n, dtype=bool)
+        block[::step] = True
+    else:
+        block = _subgroup_class(D, mask[P[0]])
+    within = np.zeros(scheme.rank, dtype=bool)
+    within[P[0, block]] = True
+    return within, int(np.count_nonzero(block))
+
+
+def _squaring_class(P: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The class of point 0 (a point mask) in a coherent scheme, by squaring.
+
+    Whether y lies within distance d of x in the graph of the colours in
+    `mask` depends only on the colour of (x, y), so the ball of radius d
+    around 0 names, through its row-0 colours S, the ball of radius d
+    around every point; the ball of radius 2d around 0 is the union of the
+    balls {y : P[x, y] in S} of its points x.  Squaring until the ball
+    stops growing reaches the class of 0.
+    """
     block = mask[P[0]]
     while True:
-        within = np.zeros(scheme.rank, dtype=bool)
+        within = np.zeros(len(mask), dtype=bool)
         within[P[0, block]] = True
         grown = within[P[block]].any(axis=0)
         if np.array_equal(grown, block):
-            break
+            return block
         block = grown
-    n_e = int(np.count_nonzero(block))
-    return Parabolic(relations=frozenset(np.flatnonzero(within).tolist()),
-                     n_e=n_e, num_classes=scheme.n // n_e)
+
+
+def _subgroup_class(D: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """The subgroup generated by the points of the mask `gens`, under the
+    translation certificate D (x + g = D[D[g, 0], x]), as a point mask.
+
+    When translations are automorphisms, y is adjacent to x exactly when
+    y - x is in `gens`, so the class of 0 is the subgroup the generators
+    generate.  It grows one generator g at a time, by doubling: B_{j+1} =
+    B_j | (B_j + 2^j g), until B_j + 2^j g lies inside B_j; then B_j is
+    closed under g.  The next generator is the first one outside B.
+    """
+    inside = np.zeros(len(D), dtype=bool)
+    inside[0] = True
+    members = np.zeros(1, dtype=np.intp)
+    candidates = np.flatnonzero(gens)
+    while True:
+        candidates = candidates[~inside[candidates]]
+        if not candidates.size:
+            return inside
+        step = int(candidates[0])
+        while True:
+            shifted = D[D[step, 0], members]
+            fresh = shifted[~inside[shifted]]
+            if not fresh.size:
+                break
+            inside[fresh] = True
+            members = np.concatenate((members, fresh))
+            step = int(D[D[step, 0], step])
 
 
 def enumerate_parabolics(scheme: Scheme) -> list[Parabolic]:
@@ -84,23 +143,28 @@ def enumerate_parabolics(scheme: Scheme) -> list[Parabolic]:
     Returned sorted by (n_e, relation list); includes the trivial and full
     parabolics.
     """
-    return _parabolic_lattice(scheme)[0]
+    return list(_parabolic_lattice(scheme)[0])
 
 
 def _parabolic_lattice(scheme: Scheme) -> tuple[list[Parabolic], JoinLattice]:
-    """Parabolics with their join lattice (bit s of a member is relation s)."""
+    """Parabolics with their join lattice (bit s of a member is relation s),
+    built once per scheme and kept on it."""
+    if scheme._parabolics is not None:
+        return scheme._parabolics
     found: dict[int, Parabolic] = {}
 
     def member(rels) -> tuple[int, int]:
-        e = parabolic_closure(scheme, rels)
-        bits = sum(1 << s for s in e.relations)
-        found[bits] = e
-        return bits, e.n_e
+        within, n_e = _closure_mask(scheme, rels)
+        bits = bits_of(within)
+        if bits not in found:
+            found[bits] = _as_parabolic(scheme, within, n_e)
+        return bits, n_e
 
-    seeds = [member(())] + [member({s}) for s in range(1, scheme.rank)]
+    seeds = [member(())] + [member((s,)) for s in range(1, scheme.rank)]
     lattice = join_closure(seeds, member(range(scheme.rank)),
                            lambda a, b: member(indices_of(a | b).tolist()))
-    return [found[bits] for bits in lattice.members], lattice
+    scheme._parabolics = [found[bits] for bits in lattice.members], lattice
+    return scheme._parabolics
 
 
 def is_primitive(scheme: Scheme) -> bool:
@@ -227,15 +291,14 @@ def _verdict_from_chains(n: int, k: int, sizes: list[int], incl: np.ndarray,
     return SeparabilityVerdict(False, n, k, pi_count=pi_count, d=d, cases=cases)
 
 
-def separability_verdict(subject, parabolics=None) -> SeparabilityVerdict:
+def separability_verdict(subject) -> SeparabilityVerdict:
     """Arithmetic separability for a Scheme or a FrobeniusSpec.
 
     Separable when (a) n > 3k(k-1)^2, (b) some strict chain of three nested
     nontrivial parabolics exists, or (c) some two-step chain's index
     multiset avoids {{k,k,k}} and {{k,k,2k}}.  Otherwise Undecided, with
     the matching d = 3 parameter cases annotated.  The subject must be
-    imprimitive (equivalenced, for schemes).  For a Scheme, `parabolics`
-    is its `_parabolic_lattice` when the caller has built it already.
+    imprimitive (equivalenced, for schemes).
     """
     if isinstance(subject, FrobeniusSpec):
         lattice = invariant_lattice(subject)
@@ -256,7 +319,7 @@ def separability_verdict(subject, parabolics=None) -> SeparabilityVerdict:
     if kk == scheme.n - 1:
         return _verdict_from_chains(scheme.n, kk, [],
                                     np.zeros((0, 0), dtype=bool), 1, ())
-    paras, lattice = _parabolic_lattice(scheme) if parabolics is None else parabolics
+    paras, lattice = _parabolic_lattice(scheme)
     if len(paras) <= 2:
         raise SchemeError("primitive scheme: separability criteria need a parabolic")
     d = lattice.longest

@@ -107,6 +107,7 @@ class Scheme:
         self.star = tuple(st)
         self._first = first
         self._tensor: IntersectionTensor | None = None
+        self._parabolics = None         # parabolic._parabolic_lattice, once built
 
     # -- basic structure -------------------------------------------------
 
@@ -216,44 +217,52 @@ class IntersectionTensor:
         row, code = self.ref[t], r * self.rank + s
         return int(np.searchsorted(row, code, "right") - np.searchsorted(row, code, "left"))
 
-    def _grouped(self, part: int):
-        """(keys, bounds) for the (R, R) slices c[x, :, :] (part 0) or
-        c[:, x, :] (part 1): the codes of `ref` stably sorted by their r
-        part (or s part), each recoded as (other part) * R + t, with group
-        x at keys[bounds[x]:bounds[x + 1]]."""
-        R = self.rank
-        codes = self.ref.ravel()
-        pair = np.divmod(codes, R)
-        key, other = pair[part], pair[1 - part]
-        order = np.argsort(key, kind="stable")
-        t_of = order // self.n
-        keys = other[order] * R + t_of.astype(codes.dtype)
-        bounds = np.zeros(R + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key, minlength=R), out=bounds[1:])
-        return keys, bounds
-
     def verify_triangle(self):
         """n_t c[r,s,t*] = n_r c[s,t,r*] = n_s c[t,r,s*] for all triples.
 
-        One r at a time, from three (R, R) slices: c[r, :, :] and c[:, r, :]
-        are bincounts of the codes grouped by their r part and by their s
-        part (`_grouped`), and c[:, :, r*] is `slice(r*)`.
+        With u = t*, the three counts are w(x), w(phi x) and w(phi^2 x) for
+        x = (r, s, u), the weight w(r, s, u) = n_u c[r, s, u] and the
+        order-3 map phi(r, s, u) = (s, u*, r*).  So the identities say that
+        w is constant on every phi-orbit.  The distinct codes x of `ref`
+        (at most R n of them, keyed u R^2 + r R + s) are the support of w;
+        the identities hold exactly when phi maps the support onto itself
+        and w(phi x) = w(x) on it, which one sort of the keys of phi x
+        decides.  Otherwise every triple of an orbit on which w is not
+        constant fails, such an orbit holds a nonzero count, and the error
+        names the least failing (r, s, t).
         """
         R = self.rank
         nv = np.asarray(self.valencies, dtype=np.int64)
-        st = np.asarray(self.star)
-        by_r, r_bounds = self._grouped(0)
-        by_s, s_bounds = self._grouped(1)
-        for r in range(R):
-            c_r = np.bincount(by_r[r_bounds[r]:r_bounds[r + 1]], minlength=R * R).reshape(R, R)
-            c_s = np.bincount(by_s[s_bounds[r]:s_bounds[r + 1]], minlength=R * R).reshape(R, R)
-            a = c_r[:, st] * nv[None, :]                 # n_t c[r,s,t*]
-            b = self.slice(st[r]) * nv[r]                # n_r c[s,t,r*]
-            cc = c_s[:, st].T * nv[:, None]              # n_s c[t,r,s*]
-            if not (np.array_equal(a, b) and np.array_equal(a, cc)):
-                s, t = np.argwhere((a != b) | (a != cc))[0]
-                raise SchemeError("triangle identity fails at (r,s,t)=%s"
-                                  % ((r, int(s), int(t)),))
+        st = np.asarray(self.star, dtype=np.int64)
+        # ascending: ref is u-major with sorted rows
+        keys = (self.ref + (np.arange(R, dtype=np.int64) * (R * R))[:, None]).ravel()
+        new = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        x = keys[first]
+        del keys, new
+        w = np.diff(first, append=self.ref.size) * nv[x // (R * R)]
+        del first
+        y = np.empty_like(x)            # y[i]: key of phi x[i], in blocks: small temporaries
+        for lo in range(0, x.size, _BLOCK):
+            y[lo:lo + _BLOCK] = _phi_keys(x[lo:lo + _BLOCK], st, R)
+        order = np.argsort(y)
+        if np.array_equal(y[order], x) and np.array_equal(w[order], w):
+            return
+
+        def weight(at):
+            i = np.searchsorted(x, at)
+            i[i == x.size] = 0
+            return np.where(x[i] == at, w[i], 0)
+
+        y2 = _phi_keys(y, st, R)
+        bad = (weight(y) != w) | (weight(y2) != w)
+        u, rs = np.divmod(np.concatenate((x[bad], y[bad], y2[bad])), R * R)
+        r, s = np.divmod(rs, R)
+        t = st[u]
+        i = np.lexsort((t, s, r))[0]
+        raise SchemeError("triangle identity fails at (r,s,t)=%s"
+                          % ((int(r[i]), int(s[i]), int(t[i])),))
 
     def verify_row_sums(self):
         """sum_t c[r,s,t] n_t = n_r n_s for all r, s: each code of ref[t]
@@ -267,6 +276,14 @@ class IntersectionTensor:
         if not np.array_equal(lhs, rhs):
             bad = np.argwhere(lhs != rhs)[0]
             raise SchemeError("row-sum identity fails at (r,s)=%s" % (tuple(int(x) for x in bad),))
+
+
+def _phi_keys(keys: np.ndarray, st: np.ndarray, R: int) -> np.ndarray:
+    """The keys u R^2 + r R + s of phi(r, s, u) = (s, u*, r*), given the
+    keys of (r, s, u) and the star permutation st."""
+    u, rs = np.divmod(keys, R * R)
+    r, s = np.divmod(rs, R)
+    return (st[r] * R + s) * R + st[u]
 
 
 def _difference_tables(n: int):
@@ -291,9 +308,12 @@ def translation_table(P) -> np.ndarray | None:
     and so does the first pair at which any such count breaks.
     """
     P = np.asarray(P)
+    n = P.shape[0]
     P0 = P[0]
-    for D in _difference_tables(P.shape[0]):
-        if all(np.array_equal(row, P0[d]) for row, d in zip(P, D)):
+    step = max(1, _BLOCK // n)          # rows per compared block
+    for D in _difference_tables(n):
+        if all(np.array_equal(P[lo:lo + step], P0[D[lo:lo + step]])
+               for lo in range(0, n, step)):
             return D
     return None
 

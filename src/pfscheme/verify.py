@@ -8,12 +8,12 @@ the test suite share one implementation and report identical outcomes.
 from __future__ import annotations
 
 import time
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .algiso import base_triple_counts, find_algebraic_isomorphisms, schurity_via_base_triples
-from .arith import mult_order
 from .catalog import KERNEL_CAP, batch_specs
 from .circulants import CirculantSpec, circulant_from_connection, color_matrix
 from .frobenius import CyclicFactor, ElementaryAbelianFactor, FrobeniusSpec, build_frobenius
@@ -50,41 +50,46 @@ class CriterionResult(NamedTuple):
         }
 
 
-def _cyclic_scheme(m: int, u: int = None) -> Scheme:
-    u = m - 1 if u is None else u
-    spec = FrobeniusSpec((CyclicFactor(m, (u,)),), mult_order(u, m))
+def _orbital_scheme(spec: FrobeniusSpec) -> Scheme:
     return from_orbitals(build_frobenius(spec))
 
 
-def corpus_schemes() -> list[tuple[str, Scheme]]:
-    """Criterion-1 corpus: spec examples plus cyclic closures up to 105."""
-    out = [
-        ("z9", from_orbitals(build_frobenius(
-            FrobeniusSpec((CyclicFactor(9, (8,)),), 2)))),
-        ("f3x3-spread", spread_scheme(desarguesian_spread(3))),
-        ("f9x9-desarguesian", spread_scheme(desarguesian_spread(9))),
-        ("f9x9-hall", spread_scheme(hall_spread(9))),
-    ]
-    for n in (9, 15, 21, 25, 27, 35, 45, 49, 63, 75, 81, 99, 105):
-        cl = wl_closure(color_matrix(circulant_from_connection(n, (1, n - 1))))
-        out.append(("cycle-closure-%d" % n, cl))
-    return out
+# name -> builder of the named schemes other than the cycle closures
+_BUILDERS = {
+    "z9": lambda: _orbital_scheme(FrobeniusSpec((CyclicFactor(9, (8,)),), 2)),
+    "z63": lambda: _orbital_scheme(FrobeniusSpec((CyclicFactor(63, (62,)),), 2)),
+    "z65-u57": lambda: _orbital_scheme(FrobeniusSpec((CyclicFactor(65, (57,)),), 4)),
+    "scalar-3": lambda: _orbital_scheme(scalar_spec(3, 2)),
+    "scalar-4": lambda: _orbital_scheme(scalar_spec(4, 2)),
+    "scalar-5": lambda: _orbital_scheme(scalar_spec(5, 2)),
+    "ea-3-2-full": lambda: _orbital_scheme(FrobeniusSpec((ElementaryAbelianFactor(
+        3, 2, (GF(9).mul_matrix(GF(9).primitive_element()),)),), 8)),
+    "f3x3-spread": lambda: spread_scheme(desarguesian_spread(3)),
+    "f9x9-desarguesian": lambda: spread_scheme(desarguesian_spread(9)),
+    "f9x9-hall": lambda: spread_scheme(hall_spread(9)),
+}
+
+# Criterion-1 corpus: spec examples plus cyclic closures up to 105
+CORPUS = ("z9", "f3x3-spread", "f9x9-desarguesian", "f9x9-hall") + tuple(
+    "cycle-closure-%d" % n for n in (9, 15, 21, 25, 27, 35, 45, 49, 63, 75, 81, 99, 105))
+
+# Imprimitive pseudofrobenius schemes for the structural sweeps
+PSEUDOFROBENIUS = ("z9", "z63", "z65-u57", "scalar-3", "scalar-4", "scalar-5",
+                   "f3x3-spread", "f9x9-hall")
 
 
-def pseudofrobenius_corpus() -> list[tuple[str, Scheme]]:
-    """Imprimitive pseudofrobenius schemes for the structural sweeps."""
-    names = [
-        ("z9", FrobeniusSpec((CyclicFactor(9, (8,)),), 2)),
-        ("z63", FrobeniusSpec((CyclicFactor(63, (62,)),), 2)),
-        ("z65-u57", FrobeniusSpec((CyclicFactor(65, (57,)),), 4)),
-        ("scalar-3", scalar_spec(3, 2)),
-        ("scalar-4", scalar_spec(4, 2)),
-        ("scalar-5", scalar_spec(5, 2)),
-    ]
-    out = [(nm, from_orbitals(build_frobenius(sp))) for nm, sp in names]
-    out.append(("f3x3-spread", spread_scheme(desarguesian_spread(3))))
-    out.append(("f9x9-hall", spread_scheme(hall_spread(9))))
-    return out
+@cache
+def named_scheme(name: str) -> Scheme:
+    """The scheme of a corpus name, built once per process.
+
+    The criteria share these schemes: a Scheme is read-only, and what it
+    caches (its tensor, verified when first built, its translations and
+    its parabolic lattice) is exact, so sharing changes no outcome.
+    """
+    if name in _BUILDERS:
+        return _BUILDERS[name]()
+    n = int(name.removeprefix("cycle-closure-"))
+    return wl_closure(color_matrix(circulant_from_connection(n, (1, n - 1))))
 
 
 def criterion_1() -> CriterionResult:
@@ -92,7 +97,8 @@ def criterion_1() -> CriterionResult:
     t0 = time.perf_counter()
     checked = []
     ok = True
-    for name, s in corpus_schemes():
+    for name in CORPUS:
+        s = named_scheme(name)
         try:
             Scheme(s.colors)           # re-run the C1/C2 structural checks
             s.tensor()                 # C3, triangle identities and row sums
@@ -108,19 +114,11 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """Equivalenced valency, indistinguishing number k-1, divide lemma."""
     t0 = time.perf_counter()
-    specs = [
-        ("z9", FrobeniusSpec((CyclicFactor(9, (8,)),), 2), 2),
-        ("z63", FrobeniusSpec((CyclicFactor(63, (62,)),), 2), 2),
-        ("scalar-3", scalar_spec(3, 2), 2),
-        ("scalar-4", scalar_spec(4, 2), 3),
-        ("scalar-5", scalar_spec(5, 2), 4),
-        ("ea-3-2-full", FrobeniusSpec((ElementaryAbelianFactor(
-            3, 2, (GF(9).mul_matrix(GF(9).primitive_element()),)),), 8), 8),
-    ]
     detail = {}
     ok = True
-    for name, spec, k in specs:
-        s = from_orbitals(build_frobenius(spec))
+    for name, k in (("z9", 2), ("z63", 2), ("scalar-3", 2), ("scalar-4", 3),
+                    ("scalar-5", 4), ("ea-3-2-full", 8)):
+        s = named_scheme(name)
         got_k = s.is_equivalenced()
         indist = indistinguishing_number(s)
         divides = all(r.ok for r in divide_check(s))
@@ -133,8 +131,8 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     """Order-81 spread schemes: tensor-equal, only one passes the 4-condition."""
     t0 = time.perf_counter()
-    desarg = spread_scheme(desarguesian_spread(9))
-    hall = spread_scheme(hall_spread(9))
+    desarg = named_scheme("f9x9-desarguesian")
+    hall = named_scheme("f9x9-hall")
     isos, _ = find_algebraic_isomorphisms(hall, desarg, limit=1)
     alg_iso = bool(isos)
     rep_d = check_t_condition(desarg, 4)
@@ -166,9 +164,8 @@ def criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
     detail = {}
     ok = True
-    for name, s in (("z9", _cyclic_scheme(9)),
-                    ("f3x3-spread", spread_scheme(desarguesian_spread(3)))):
-        res = schurity_via_base_triples(s)
+    for name in ("z9", "f3x3-spread"):
+        res = schurity_via_base_triples(named_scheme(name))
         detail[name] = {
             "schurian": res.schurian,
             "group_order": res.group_order,
@@ -229,7 +226,8 @@ def criterion_6() -> CriterionResult:
     triples_checked = 0
     ok = True
     witness = None
-    for name, s in pseudofrobenius_corpus():
+    for name in PSEUDOFROBENIUS:
+        s = named_scheme(name)
         T = s.tensor()
         R = s.rank
         for e in enumerate_parabolics(s):
@@ -268,10 +266,8 @@ def criterion_7() -> CriterionResult:
     total = 0
     ok = True
     witness = None
-    for name, s in (("z9", _cyclic_scheme(9)),
-                    ("f3x3-spread", spread_scheme(desarguesian_spread(3))),
-                    ("f9x9-desarguesian", spread_scheme(desarguesian_spread(9))),
-                    ("f9x9-hall", spread_scheme(hall_spread(9)))):
+    for name in ("z9", "f3x3-spread", "f9x9-desarguesian", "f9x9-hall"):
+        s = named_scheme(name)
         for e in enumerate_parabolics(s):
             if e.is_trivial() or e.is_full():
                 continue
@@ -316,10 +312,8 @@ def criterion_9() -> CriterionResult:
     fixed = 0
     ok = True
     witness = None
-    corpus = [(nm, s) for nm, s in pseudofrobenius_corpus()]
-    corpus.append(("cycle-closure-45", wl_closure(
-        color_matrix(circulant_from_connection(45, (1, 44))))))
-    for name, s in corpus:
+    for name in PSEUDOFROBENIUS + ("cycle-closure-45",):
+        s = named_scheme(name)
         again = wl_closure(s.colors)
         if not partition_equal(again.colors, s.colors):
             ok = False

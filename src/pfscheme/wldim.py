@@ -29,7 +29,6 @@ from .parabolic import (
     SeparabilityVerdict,
     _parabolic_lattice,
     divide_check,
-    enumerate_parabolics,
     indistinguishing_number,
     separability_verdict,
 )
@@ -152,15 +151,17 @@ def exception_set_crosscheck(limit: int = 10 ** 6) -> int:
     by_shape[primes] = True
     by_shape[small * small] = True
     by_shape[small[small ** 3 <= limit] ** 3] = True
+    # primes[i] = p; the primes q <= limit // p^k are primes[:end]
+    ends = np.searchsorted(primes, limit // small, side="right").tolist()
     for i, p in enumerate(small.tolist()):
-        qs = primes[i + 1:]
-        by_shape[p * qs[qs <= limit // p]] = True
-    for p in small.tolist():
+        by_shape[p * primes[i + 1:ends[i]]] = True
+    ends = np.searchsorted(primes, limit // (small * small), side="right").tolist()
+    for i, p in enumerate(small.tolist()):
         sq = p * p
         if 2 * sq > limit:
             break
-        qs = primes[primes != p]
-        by_shape[sq * qs[qs <= limit // sq]] = True
+        by_shape[sq * primes[:min(i, ends[i])]] = True
+        by_shape[sq * primes[i + 1:ends[i]]] = True
 
     if not np.array_equal(by_formula, by_shape):
         bad = int(np.flatnonzero(by_formula != by_shape)[0])
@@ -190,17 +191,15 @@ class FrobeniusScreen(NamedTuple):
         }
 
 
-def frobenius_screen(scheme: Scheme, parabolics=None) -> FrobeniusScreen:
+def frobenius_screen(scheme: Scheme) -> FrobeniusScreen:
     """Equivalenced with valency k >= 2, indistinguishing number k - 1, and
-    the divide check on every nested pair of parabolics.  `parabolics` is
-    the scheme's `_parabolic_lattice` when the caller has built it already.
+    the divide check on every nested pair of parabolics.
     """
     k = scheme.is_equivalenced()
     if k is None or k < 2:
         return FrobeniusScreen(False, k, False, False)
     indist_ok = indistinguishing_number(scheme) == k - 1
-    paras = enumerate_parabolics(scheme) if parabolics is None else parabolics[0]
-    divide_ok = all(rec.ok for rec in divide_check(scheme, paras))
+    divide_ok = all(rec.ok for rec in divide_check(scheme, _parabolic_lattice(scheme)[0]))
     return FrobeniusScreen(True, k, indist_ok, divide_ok)
 
 
@@ -293,11 +292,9 @@ def dimwl_verdict(circ) -> WlVerdict:
         raise TypeError("expected a Circulant or CirculantSpec")
     n = circ.n
     closure = wl_closure(color_matrix(circ))
-    # One parabolic lattice serves both the screen and the separability
-    # verdict; a closure the screen rejects on its valencies needs none.
-    k = closure.is_equivalenced()
-    parabolics = _parabolic_lattice(closure) if k is not None and k >= 2 else None
-    screen = frobenius_screen(closure, parabolics)
+    # The screen and the separability verdict share the closure's one
+    # parabolic lattice, which the scheme keeps.
+    screen = frobenius_screen(closure)
     exc = exception_check(n)
     base = {
         "n": n,
@@ -360,7 +357,7 @@ def dimwl_verdict(circ) -> WlVerdict:
             **base,
         )
 
-    sep = separability_verdict(closure, parabolics)
+    sep = separability_verdict(closure)
     if not sep.separable:
         raise AssertionError(
             "certified Frobenius closure outside the exception set must be "

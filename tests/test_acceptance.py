@@ -4,7 +4,7 @@ Each test runs one criterion, prints its pass/fail line, and asserts both
 the outcome and the criterion's runtime budget.
 """
 
-from pfscheme import verify
+from pfscheme import scheme, verify
 
 
 def run_criterion(fn, budget_seconds):
@@ -88,3 +88,27 @@ def test_criterion_9_closure_stability():
     r = run_criterion(verify.criterion_9, 60)
     assert r.detail["witness"] is None
     assert r.detail["fixed_points"] > 0
+
+
+def test_run_all_builds_each_named_scheme_once(monkeypatch):
+    # the criteria share one corpus: each named scheme is built, and its
+    # tensor verified, once per process
+    builds, tensors = [], []
+    for name in ("from_orbitals", "spread_scheme"):
+        build = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, b=build, nm=name: builds.append(nm) or b(*a))
+    compute_tensor = scheme.compute_tensor
+    monkeypatch.setattr(scheme, "compute_tensor",
+                        lambda s: tensors.append(s) or compute_tensor(s))
+    verify.named_scheme.cache_clear()
+    try:
+        results = verify.run_all()
+        info = verify.named_scheme.cache_info()
+    finally:
+        verify.named_scheme.cache_clear()
+    assert all(r.passed for r in results)
+    names = set(verify.CORPUS + verify.PSEUDOFROBENIUS) | {"ea-3-2-full"}
+    assert info.misses == info.currsize == len(names) == 23
+    assert info.hits >= 20
+    assert builds.count("from_orbitals") == 7 and builds.count("spread_scheme") == 3
+    assert len(tensors) == len({id(s) for s in tensors}) >= len(names)

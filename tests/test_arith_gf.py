@@ -16,7 +16,7 @@ from pfscheme.arith import (
     prime_divisors,
     prime_power,
 )
-from pfscheme.gf import GF
+from pfscheme.gf import FiniteField, GF
 
 
 @pytest.mark.parametrize("radices", [[12], [2, 2, 2], [7, 2, 2], [3, 5, 3]])
@@ -105,6 +105,14 @@ def test_gf_mul_matches_slow_path():
         for a in range(q):
             for b in range(q):
                 assert F.mul(a, b) == F.mul_slow(a, b)
+
+
+def test_gf_products_build_only_the_rows_they_use():
+    F = FiniteField(2, 8)
+    assert F.mul(3, 5) == F.mul_slow(3, 5)
+    assert F.mul(3, 200) == F.mul_slow(3, 200)
+    assert F.mul(7, 9) == F.mul_slow(7, 9)
+    assert sorted(F._rows) == [3, 7]
 
 
 def element_order(F, a):

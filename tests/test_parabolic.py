@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from pfscheme import parabolic
 from pfscheme.algiso import _transversal
+from pfscheme.arith import difference_table
 from pfscheme.catalog import (
     batch_specs,
     cyclic_unit_spec,
@@ -11,7 +13,12 @@ from pfscheme.catalog import (
     field_cube_spec,
     negation_spec,
 )
-from pfscheme.circulants import circulant_from_connection, color_matrix
+from pfscheme.circulants import (
+    CirculantSpec,
+    circulant_from_connection,
+    color_matrix,
+    frobenius_circulant,
+)
 from pfscheme.frobenius import build_frobenius
 from pfscheme.parabolic import (
     SeparabilityVerdict,
@@ -24,7 +31,7 @@ from pfscheme.parabolic import (
     separability_verdict,
 )
 from pfscheme.scheme import NotCoherentError, Scheme, SchemeError, from_orbitals, wl_closure
-from pfscheme.spreads import hall_spread, scalar_spec, spread_scheme
+from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
 
 
 def frobenius_scheme(spec):
@@ -325,3 +332,84 @@ def test_transversal_is_the_least_point_of_each_class():
             assert _transversal(s, e) == least, (name, e)
         checked += 1
     assert checked >= 30
+
+
+# -- the closure under a translation certificate ----------------------------
+
+
+def squaring_closure(scheme, rels):
+    """(relations, n_e) of the closure by squaring, the path of a scheme
+    without a translation certificate (the reference)."""
+    mask = np.zeros(scheme.rank, dtype=bool)
+    mask[0] = True
+    for r in rels:
+        mask[[r, scheme.star[r]]] = True
+    block = parabolic._squaring_class(scheme.colors, mask)
+    return frozenset(np.unique(scheme.colors[0, block]).tolist()), int(block.sum())
+
+
+def certified_schemes():
+    for n in (9, 15, 20, 45, 105):
+        yield "cycle-closure-%d" % n, wl_closure(
+            color_matrix(circulant_from_connection(n, (1, n - 1))))
+    # the circulants of the benchmark's classify wl jobs
+    for n in (64, 81, 99, 101, 127, 165, 189, 243):
+        yield "circulant-%d" % n, wl_closure(
+            color_matrix(circulant_from_connection(n, (1, n - 1))))
+    for n, units, reps in ((105, (104,), (1, 2)), (157, (14,), (1,)), (195, (194,), (1, 2))):
+        yield "units-%d" % n, wl_closure(
+            color_matrix(frobenius_circulant(CirculantSpec(n, units, reps))))
+    yield "desarguesian-3", spread_scheme(desarguesian_spread(3))
+    for q in (9, 16):
+        yield "desarguesian-%d" % q, spread_scheme(desarguesian_spread(q))
+        yield "hall-%d" % q, spread_scheme(hall_spread(q))
+    yield "z9", frobenius_scheme(negation_spec(9))
+    yield "scalar7", frobenius_scheme(scalar_spec(7))
+    yield "one-point", Scheme(np.zeros((1, 1), dtype=np.int64))
+    for radices in ([3, 3], [5, 5], [3, 3, 3]):        # thin: W need not hold 2g
+        yield "thin-%s" % radices, Scheme(difference_table(radices))
+
+
+def test_subgroup_closure_equals_the_squaring_closure_on_certified_schemes():
+    kinds = set()
+    for name, s in certified_schemes():
+        D = s.translations
+        assert D is not None, name
+        kinds.add(bool(D[-1, 0] == 1))
+        rel_sets = [(r,) for r in range(s.rank)]
+        rel_sets += [(r, r + 1) for r in range(1, s.rank - 1)]
+        rel_sets += [sorted(e.relations) for e in enumerate_parabolics(s)]
+        for rels in rel_sets:
+            e = parabolic_closure(s, rels)
+            assert (e.relations, e.n_e) == squaring_closure(s, rels), (name, rels)
+    assert kinds == {True, False}          # both Z_n and (Z_p)^k tables
+
+
+def test_a_point_permuted_scheme_takes_the_squaring_path(monkeypatch):
+    hall = spread_scheme(hall_spread(9))
+    expected = enumerate_parabolics(hall)
+    perm = np.random.default_rng(5).permutation(hall.n)
+    moved = Scheme(hall.colors[np.ix_(perm, perm)])
+    assert moved.translations is None
+    paths = []
+    for path in ("_squaring_class", "_subgroup_class"):
+        monkeypatch.setattr(parabolic, path, lambda *a, f=getattr(parabolic, path), p=path:
+                            paths.append(p) or f(*a))
+    assert enumerate_parabolics(moved) == expected
+    assert set(paths) == {"_squaring_class"}
+
+
+def test_a_second_enumeration_runs_no_closure(monkeypatch):
+    calls = []
+    closure_mask = parabolic._closure_mask
+    monkeypatch.setattr(parabolic, "_closure_mask",
+                        lambda *a: calls.append(a[1]) or closure_mask(*a))
+    s = spread_scheme(hall_spread(9))
+    first = enumerate_parabolics(s)
+    built = len(calls)
+    assert built >= s.rank
+    again = enumerate_parabolics(s)
+    assert len(calls) == built
+    assert again == first and again is not first
+    separability_verdict(s)
+    assert len(calls) == built

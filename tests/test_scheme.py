@@ -444,6 +444,17 @@ def test_translation_table_is_none_without_a_certificate():
     assert Scheme(P).translations is None
 
 
+def test_translation_table_compares_every_row_block():
+    from pfscheme.scheme import _BLOCK, translation_table
+
+    n = 600                              # rows in blocks of _BLOCK // n
+    assert 2 < n // (_BLOCK // n) < n
+    Q = zn_table(n)
+    assert np.array_equal(translation_table(Q), Q)
+    Q[n - 2, n - 1], Q[n - 1, n - 2] = Q[n - 1, n - 2], Q[n - 2, n - 1]
+    assert translation_table(Q) is None
+
+
 def swapped_thin_scheme(n=12):
     """The thin scheme of Z_n with two symmetric pairs swapped off row 0.
 

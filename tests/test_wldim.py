@@ -271,17 +271,16 @@ def test_dimwl_prime_within_search_limit():
 
 
 def test_dimwl_builds_the_parabolic_lattice_once(monkeypatch):
-    from pfscheme import parabolic, wldim
+    from pfscheme import parabolic
 
     calls = []
 
-    def counted(scheme):
-        calls.append(scheme.n)
-        return parabolic_lattice(scheme)
+    def counted(seeds, top, join):
+        calls.append(top[1])
+        return join_closure(seeds, top, join)
 
-    parabolic_lattice = parabolic._parabolic_lattice
-    monkeypatch.setattr(parabolic, "_parabolic_lattice", counted)
-    monkeypatch.setattr(wldim, "_parabolic_lattice", counted)
+    join_closure = parabolic.join_closure
+    monkeypatch.setattr(parabolic, "join_closure", counted)
     v = dimwl_verdict(circulant_from_connection(81, [1, 80]))
     assert v.verdict == "Exactly2" and v.separability is not None
     assert calls == [81]

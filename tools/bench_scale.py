@@ -5,10 +5,12 @@
 Runs every recipe (or the named ones) with `python -m pfscheme.cli` on the
 sources of this checkout and writes BENCH_scale.json at its root: per
 recipe the argument list, exit code, wall time, CPU time (user + system)
-and peak RSS of the child process, read with `os.wait4`.  The scheme
-files the recipes read are written first into a temporary directory by
-untimed `gen` commands (and, for the thin scheme of Z_300, by this
-script).  Standard library only; the JSON is written with sorted keys.
+and peak RSS of the child process, read with `os.wait4`.  Named recipes
+replace their rows of an existing BENCH_scale.json and keep the others.
+The scheme files the recipes read are written first into a temporary
+directory by untimed `gen` commands (and, for the thin scheme of Z_300,
+by this script).  Standard library only; the JSON is written with sorted
+keys.
 """
 
 from __future__ import annotations
@@ -98,8 +100,9 @@ def main(names: list[str]) -> int:
         for name in chosen:
             results[name] = {"argv": RECIPES[name], **run([a.format(**files) for a in RECIPES[name]])}
             print("%-26s %s" % (name, json.dumps(results[name])), flush=True)
+    kept = json.loads(OUT.read_text())["recipes"] if names and OUT.exists() else {}
     doc = {"python": platform.python_version(), "cpus": os.cpu_count(),
-           "machine": platform.machine(), "recipes": results}
+           "machine": platform.machine(), "recipes": {**kept, **results}}
     OUT.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
 
