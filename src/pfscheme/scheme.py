@@ -463,10 +463,13 @@ def wl_closure(colors) -> Scheme:
     growing.  New classes are numbered in row-major order of first
     appearance, one dict lookup per pair on the signature's bytes.
 
-    When `translation_table` certifies the pre-split colouring, each
-    iteration computes row 0 only and sets P[a, b] = P[0, D[a, b]]:
-    refinement commutes with the translations, and every class first
-    appears in row 0, so the numbering is that of the full pass.
+    When `translation_table` certifies the initial colouring, the
+    pre-split and each iteration compute row 0 only and set P[a, b] =
+    P[0, D[a, b]]: the pre-split key of (a, b) is read off M[a, b],
+    M[b, a] and a == b, so every key occurs in row 0 and the keys of row 0
+    number as all n^2 keys do; refinement commutes with the translations,
+    and every class first appears in row 0, so the numbering is that of
+    the full pass.
     Raises SchemeError if the stable configuration is not homogeneous
     (cannot happen for vertex-transitive inputs).
     """
@@ -478,13 +481,19 @@ def wl_closure(colors) -> Scheme:
     n = M.shape[0]
     M = M.astype(np.int64)
     base = int(M.max()) + 1
-    eye = np.eye(n, dtype=np.int64)
-    keys = (eye * (base * base)) + M * base + M.T
-    _, P = np.unique(keys, return_inverse=True)
-    P = P.reshape(n, n).astype(np.int64)
+    D = translation_table(M)
+    if D is None:
+        keys = np.eye(n, dtype=np.int64) * (base * base) + M * base + M.T
+        _, P = np.unique(keys, return_inverse=True)
+        P = P.reshape(n, n).astype(np.int64)
+        rows = None
+    else:
+        keys = M[0] * base + M[:, 0]            # the keys of the pairs (0, b)
+        keys[0] += base * base
+        _, P = np.unique(keys, return_inverse=True)
+        P = P.astype(np.int64)[D]
+        rows = [0]
     R = int(P.max()) + 1
-    D = translation_table(P)
-    rows = [0] if D is not None else None
     while True:
         sig_ids: dict[bytes, int] = {}
         newP = np.empty((n, n), dtype=np.int64)

@@ -44,6 +44,8 @@ EXCEPTION_SHAPES = {
 
 SEARCH_LIMIT = 256
 
+_RUN = 1 << 14           # products per scatter of the crosscheck's large-prime pass
+
 
 def factorization_string(n: int) -> str:
     return "*".join(
@@ -119,7 +121,7 @@ def exception_set_crosscheck(limit: int = 10 ** 6) -> int:
     marks its multiples and those of its powers, one slice each; a prime
     above it divides n at most once, so the large primes are visited
     together by cofactor, n = m*p for m = 1 .. limit // (least large
-    prime).  Raises AssertionError at the first disagreement, otherwise
+    prime), in runs of cofactors.  Raises AssertionError at the first disagreement, otherwise
     returns the number of members.
     """
     primes = _prime_table(limit)
@@ -135,10 +137,23 @@ def exception_set_crosscheck(limit: int = 10 ** 6) -> int:
             big[pk::pk] += 1
             pk *= p
     if large.size:
-        for m in range(1, limit // int(large[0]) + 1):
-            multiples = m * large[:np.searchsorted(large, limit // m, side="right")]
+        # The products m * p, scattered for runs of cofactors m with about
+        # _RUN products at once: an increment through an index array counts
+        # a repeated index once, and no n is m * p in two ways.
+        ms = np.arange(1, limit // int(large[0]) + 1)
+        counts = np.searchsorted(large, limit // ms, side="right")
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        lo = 0
+        while lo < ms.size:
+            hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + _RUN, side="right")) - 1)
+            if hi == lo + 1:                    # one cofactor: a slice of the primes
+                multiples = ms[lo] * large[:counts[lo]]
+            else:
+                which = np.repeat(np.arange(lo, hi), counts[lo:hi])
+                multiples = ms[which] * large[np.arange(starts[lo], starts[hi]) - starts[which]]
             omega[multiples] += 1
             big[multiples] += 1
+            lo = hi
     # Only int8 counts and bool masks, and each count is dropped once read:
     # at limit 10^6 the peak stays near 4 MB.
     by_formula = omega <= 2
