@@ -121,8 +121,8 @@ def exception_set_crosscheck(limit: int = 10 ** 6) -> int:
     marks its multiples and those of its powers, one slice each; a prime
     above it divides n at most once, so the large primes are visited
     together by cofactor, n = m*p for m = 1 .. limit // (least large
-    prime), in runs of cofactors.  Raises AssertionError at the first disagreement, otherwise
-    returns the number of members.
+    prime), in runs of cofactors.  Raises AssertionError at the first
+    disagreement, otherwise returns the number of members.
     """
     primes = _prime_table(limit)
     split = int(np.searchsorted(primes, isqrt(limit), side="right"))
