@@ -5,12 +5,12 @@ A parabolic is an equivalence on the point set that is a union of
 relations (a closed subset); they form a lattice under join.  In a
 coherent scheme the class of point 0 settles a parabolic, so closures
 work from row 0 alone once the intersection tensor has verified
-coherence; an incoherent scheme raises NotCoherentError.  Under a
-translation certificate the class of 0 is a subgroup, generated by the
-row-0 points of the relations.  Each scheme keeps its parabolic lattice
-once built.  For equivalenced schemes the verdict machinery decides
-separability from n, the valency k, and the index chains of the
-parabolic (or invariant-subgroup) lattice.
+coherence; an incoherent scheme raises NotCoherentError.  Under the
+translation certificate of Z_n the class of 0 is the subgroup that the
+row-0 points of the relations generate.  Each scheme keeps its
+parabolic lattice once built.  For equivalenced schemes the verdict
+machinery decides separability from n, the valency k, and the index
+chains of the parabolic (or invariant-subgroup) lattice.
 """
 
 from __future__ import annotations
@@ -67,22 +67,21 @@ def _as_parabolic(scheme: Scheme, within: np.ndarray, n_e: int) -> Parabolic:
 
 def _closure_mask(scheme: Scheme, rels) -> tuple[np.ndarray, int]:
     """(colour mask, n_e) of `parabolic_closure(scheme, rels)`: the class
-    of 0 by squaring, or, under a translation certificate, as the subgroup
-    that the row-0 points of the relations generate."""
+    of 0 by squaring, or, under the translation certificate of Z_n, as the
+    multiples of the gcd of n and the row-0 points of the relations (the
+    subgroup they generate)."""
     scheme.tensor()
     mask = np.zeros(scheme.rank, dtype=bool)
     mask[0] = True
     for s in rels:
         mask[[s, scheme.star[s]]] = True
     P, D = scheme.colors, scheme.translations
-    if D is None:
-        block = _squaring_class(P, mask)
-    elif D[-1, 0] == 1:                 # Z_n, the one candidate with 0 - (n - 1) = 1
+    if D is not None and D[-1, 0] == 1:     # Z_n, the one candidate with 0 - (n - 1) = 1
         step = int(np.gcd.reduce(np.flatnonzero(mask[P[0]]), initial=scheme.n))
         block = np.zeros(scheme.n, dtype=bool)
         block[::step] = True
     else:
-        block = _subgroup_class(D, mask[P[0]])
+        block = _squaring_class(P, mask)
     within = np.zeros(scheme.rank, dtype=bool)
     within[P[0, block]] = True
     return within, int(np.count_nonzero(block))
@@ -106,35 +105,6 @@ def _squaring_class(P: np.ndarray, mask: np.ndarray) -> np.ndarray:
         if np.array_equal(grown, block):
             return block
         block = grown
-
-
-def _subgroup_class(D: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """The subgroup generated by the points of the mask `gens`, under the
-    translation certificate D (x + g = D[D[g, 0], x]), as a point mask.
-
-    When translations are automorphisms, y is adjacent to x exactly when
-    y - x is in `gens`, so the class of 0 is the subgroup the generators
-    generate.  It grows one generator g at a time, by doubling: B_{j+1} =
-    B_j | (B_j + 2^j g), until B_j + 2^j g lies inside B_j; then B_j is
-    closed under g.  The next generator is the first one outside B.
-    """
-    inside = np.zeros(len(D), dtype=bool)
-    inside[0] = True
-    members = np.zeros(1, dtype=np.intp)
-    candidates = np.flatnonzero(gens)
-    while True:
-        candidates = candidates[~inside[candidates]]
-        if not candidates.size:
-            return inside
-        step = int(candidates[0])
-        while True:
-            shifted = D[D[step, 0], members]
-            fresh = shifted[~inside[shifted]]
-            if not fresh.size:
-                break
-            inside[fresh] = True
-            members = np.concatenate((members, fresh))
-            step = int(D[D[step, 0], step])
 
 
 def enumerate_parabolics(scheme: Scheme) -> list[Parabolic]:

@@ -146,7 +146,10 @@ def exception_set_crosscheck(limit: int = 10 ** 6) -> int:
         lo = 0
         while lo < ms.size:
             hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + _RUN, side="right")) - 1)
-            if hi == lo + 1:                    # one cofactor: a slice of the primes
+            # One cofactor is a plain slice of the primes: at m = 1 (78498
+            # primes at limit 10^6) the index arrays of the general case would
+            # lift the tracemalloc peak from 3.9 to 5.2 MB.
+            if hi == lo + 1:
                 multiples = ms[lo] * large[:counts[lo]]
             else:
                 which = np.repeat(np.arange(lo, hi), counts[lo:hi])

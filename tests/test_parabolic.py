@@ -5,7 +5,6 @@ import pytest
 
 from pfscheme import parabolic
 from pfscheme.algiso import _transversal
-from pfscheme.arith import difference_table
 from pfscheme.catalog import (
     batch_specs,
     cyclic_unit_spec,
@@ -31,7 +30,7 @@ from pfscheme.parabolic import (
     separability_verdict,
 )
 from pfscheme.scheme import NotCoherentError, Scheme, SchemeError, from_orbitals, wl_closure
-from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
+from pfscheme.spreads import hall_spread, scalar_spec, spread_scheme
 
 
 def frobenius_scheme(spec):
@@ -334,12 +333,12 @@ def test_transversal_is_the_least_point_of_each_class():
     assert checked >= 30
 
 
-# -- the closure under a translation certificate ----------------------------
+# -- the closure under the Z_n translation certificate ---------------------
 
 
 def squaring_closure(scheme, rels):
     """(relations, n_e) of the closure by squaring, the path of a scheme
-    without a translation certificate (the reference)."""
+    without the Z_n certificate (the reference)."""
     mask = np.zeros(scheme.rank, dtype=bool)
     mask[0] = True
     for r in rels:
@@ -348,7 +347,7 @@ def squaring_closure(scheme, rels):
     return frozenset(np.unique(scheme.colors[0, block]).tolist()), int(block.sum())
 
 
-def certified_schemes():
+def cyclic_schemes():
     for n in (9, 15, 20, 45, 105):
         yield "cycle-closure-%d" % n, wl_closure(
             color_matrix(circulant_from_connection(n, (1, n - 1))))
@@ -359,44 +358,37 @@ def certified_schemes():
     for n, units, reps in ((105, (104,), (1, 2)), (157, (14,), (1,)), (195, (194,), (1, 2))):
         yield "units-%d" % n, wl_closure(
             color_matrix(frobenius_circulant(CirculantSpec(n, units, reps))))
-    yield "desarguesian-3", spread_scheme(desarguesian_spread(3))
-    for q in (9, 16):
-        yield "desarguesian-%d" % q, spread_scheme(desarguesian_spread(q))
-        yield "hall-%d" % q, spread_scheme(hall_spread(q))
     yield "z9", frobenius_scheme(negation_spec(9))
-    yield "scalar7", frobenius_scheme(scalar_spec(7))
-    yield "one-point", Scheme(np.zeros((1, 1), dtype=np.int64))
-    for radices in ([3, 3], [5, 5], [3, 3, 3]):        # thin: W need not hold 2g
-        yield "thin-%s" % radices, Scheme(difference_table(radices))
 
 
-def test_subgroup_closure_equals_the_squaring_closure_on_certified_schemes():
-    kinds = set()
-    for name, s in certified_schemes():
+def test_gcd_closure_equals_the_squaring_closure_on_cyclic_schemes():
+    for name, s in cyclic_schemes():
         D = s.translations
-        assert D is not None, name
-        kinds.add(bool(D[-1, 0] == 1))
+        assert D is not None and D[-1, 0] == 1, name
         rel_sets = [(r,) for r in range(s.rank)]
         rel_sets += [(r, r + 1) for r in range(1, s.rank - 1)]
         rel_sets += [sorted(e.relations) for e in enumerate_parabolics(s)]
         for rels in rel_sets:
             e = parabolic_closure(s, rels)
             assert (e.relations, e.n_e) == squaring_closure(s, rels), (name, rels)
-    assert kinds == {True, False}          # both Z_n and (Z_p)^k tables
 
 
-def test_a_point_permuted_scheme_takes_the_squaring_path(monkeypatch):
-    hall = spread_scheme(hall_spread(9))
-    expected = enumerate_parabolics(hall)
-    perm = np.random.default_rng(5).permutation(hall.n)
-    moved = Scheme(hall.colors[np.ix_(perm, perm)])
+@pytest.mark.parametrize("build", [
+    lambda: spread_scheme(hall_spread(9)),
+    lambda: wl_closure(color_matrix(circulant_from_connection(45, (1, 44)))),
+])
+def test_a_point_permuted_scheme_takes_the_squaring_path(monkeypatch, build):
+    s = build()
+    expected = enumerate_parabolics(s)
+    perm = np.random.default_rng(5).permutation(s.n)
+    moved = Scheme(s.colors[np.ix_(perm, perm)])
     assert moved.translations is None
-    paths = []
-    for path in ("_squaring_class", "_subgroup_class"):
-        monkeypatch.setattr(parabolic, path, lambda *a, f=getattr(parabolic, path), p=path:
-                            paths.append(p) or f(*a))
+    calls = {"_closure_mask": 0, "_squaring_class": 0}
+    for name in calls:
+        monkeypatch.setattr(parabolic, name, lambda *a, f=getattr(parabolic, name), k=name:
+                            calls.__setitem__(k, calls[k] + 1) or f(*a))
     assert enumerate_parabolics(moved) == expected
-    assert set(paths) == {"_squaring_class"}
+    assert calls["_squaring_class"] == calls["_closure_mask"] > 0
 
 
 def test_a_second_enumeration_runs_no_closure(monkeypatch):

@@ -489,7 +489,6 @@ def test_kernels_take_the_full_path_without_a_certificate(monkeypatch):
     assert seen and all(rows == [0] for rows in seen)
 
 
-
 def test_certified_presplit_keeps_the_diagonal_apart():
     # the diagonal colour recurs off the diagonal, so only the diagonal
     # marker of the pre-split keys tells the two apart
@@ -499,6 +498,7 @@ def test_certified_presplit_keeps_the_diagonal_apart():
     for M in (np.zeros((7, 7), dtype=np.int64), adjacency.astype(np.int64)):
         assert translation_table(M) is not None
         assert wl_closure(M) == reference_wl_closure(M)
+
 
 def random_circulant_schemes():
     """Schemes of symmetric Z_n-invariant colourings, mostly not coherent."""
