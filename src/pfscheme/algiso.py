@@ -13,15 +13,13 @@ maps, each verified exhaustively before being reported.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .arith import sorted_unique
 from .parabolic import Parabolic, enumerate_parabolics, parabolic_closure
-from .perms import PermGroup, Permutation
-from .scheme import IntersectionTensor, Scheme, SchemeError, partition_equal
+from .scheme import IntersectionTensor, Scheme, SchemeError, _carries, partition_equal
 from .tcond import TConditionReport, check_t_condition
 
 
@@ -206,21 +204,19 @@ class CoordinateMap:
     The pair set depends only on (e, in_color, out_color); the counted
     size pair_count equals n exactly when f is a bijection, which is a
     tensor-level property.  in_color is r(mu, nu), inside e; out_color is
-    r(mu, rho), outside e.
+    r(mu, rho), outside e.  keys are the codes x * rank + y, sorted, and
+    points[i] is the point with code keys[i] (the greatest, where codes
+    repeat): f^{-1} is one searchsorted in keys.
     """
 
     def __init__(self, triple: BaseTriple, e_relations: frozenset, in_color: int,
-                 out_color: int, x: np.ndarray, y: np.ndarray, pair_count: int,
-                 bijective: bool):
+                 out_color: int, x: np.ndarray, y: np.ndarray, keys: np.ndarray,
+                 points: np.ndarray, pair_count: int, bijective: bool):
         self.triple, self.e_relations = triple, e_relations
         self.in_color, self.out_color = in_color, out_color
         self.x, self.y = x, y
+        self.keys, self.points = keys, points
         self.pair_count, self.bijective = pair_count, bijective
-
-    @cached_property
-    def point_of(self) -> dict:
-        """(x, y) -> alpha; built on first use."""
-        return {pair: alpha for alpha, pair in enumerate(zip(self.x.tolist(), self.y.tolist()))}
 
 
 def _pair_counts(scheme: Scheme, in_e: np.ndarray) -> np.ndarray:
@@ -250,13 +246,16 @@ def _coordinate_map(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
     r_out = int(P[mu, rho])
     x = P[mu].copy()
     y = np.where(in_e[x], P[rho], P[nu])
+    codes = x * scheme.rank + y
+    points = np.argsort(codes, kind="stable").astype(np.int32)
+    keys = codes[points]
     pair_count = int(counts[s_in, r_out])
     bijective = pair_count == scheme.n
-    if bijective and len(sorted_unique(x * scheme.rank + y)) != scheme.n:
+    if bijective and (keys[1:] == keys[:-1]).any():
         raise AssertionError("pair-set count says bijective but coordinates collide")
     return CoordinateMap(triple=triple, e_relations=e.relations,
-                         in_color=s_in, out_color=r_out, x=x, y=y,
-                         pair_count=pair_count, bijective=bijective)
+                         in_color=s_in, out_color=r_out, x=x, y=y, keys=keys,
+                         points=points, pair_count=pair_count, bijective=bijective)
 
 
 def base_coordinates(scheme: Scheme, e: Parabolic, triple: BaseTriple) -> CoordinateMap:
@@ -304,42 +303,29 @@ def base_triple_counts(scheme: Scheme, e: Parabolic):
 # -- induced point maps ------------------------------------------------------
 
 
-def verify_induced(source: Scheme, target: Scheme, psi: RelationBijection,
-                   g: np.ndarray) -> bool:
-    """g is a point bijection with r'(g a, g b) = psi(r(a, b)) everywhere."""
-    g = np.asarray(g)
-    if sorted(g.tolist()) != list(range(source.n)):
-        return False
-    perm = np.asarray(psi.mapping)
-    return bool(np.array_equal(target.colors[g[:, None], g[None, :]],
-                               perm[source.colors]))
-
-
 def induced_point_map(psi: RelationBijection, f1: CoordinateMap,
                       f2: CoordinateMap) -> np.ndarray | None:
-    """Compose f1, the color transport, and f2^{-1}; None if a pair is missing."""
+    """Compose f1, the color transport, and f2^{-1} (one searchsorted in
+    f2's keys); None if a pair is missing."""
     perm = np.asarray(psi.mapping)
-    xs, ys = perm[f1.x], perm[f1.y]
-    g = np.empty(len(xs), dtype=np.int64)
-    for alpha in range(len(xs)):
-        beta = f2.point_of.get((int(xs[alpha]), int(ys[alpha])))
-        if beta is None:
-            return None
-        g[alpha] = beta
-    return g
+    want = perm[f1.x] * len(perm) + perm[f1.y]
+    at = np.searchsorted(f2.keys, want, side="right") - 1
+    if at.min() < 0 or not np.array_equal(f2.keys[at], want):
+        return None
+    return f2.points[at]
 
 
 class InducedIsomorphism(NamedTuple):
     psi: RelationBijection
     tau: BaseTriple
     tau_prime: BaseTriple
-    g: tuple
+    g: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {"mapping": list(self.psi.mapping),
                 "tau": list(self.tau),
                 "tau_prime": list(self.tau_prime),
-                "g": list(self.g)}
+                "g": self.g.tolist()}
 
 
 def _first_valid_triple(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
@@ -375,7 +361,10 @@ def _verified_maps(source: Scheme, target: Scheme, psi: RelationBijection,
         raise SchemeError("no bijective base triple exists for the parabolic")
     in_e2 = _relation_mask(target, e2)
     counts2 = _pair_counts(target, in_e2)
-    P2 = target.colors
+    # both colourings in the least dtype that holds the rank: each map's
+    # n^2 gather and comparison then move the fewest bytes
+    dt = np.min_scalar_type(target.rank - 1)
+    P2, image = target.colors.astype(dt), np.asarray(psi.mapping, dtype=dt)[source.colors]
     s2, r2 = psi[f1.in_color], psi[f1.out_color]
     t2 = psi[int(source.colors[tau.nu, tau.rho])]
     # psi preserves the tensor, so every tau2 has tau's pair count n:
@@ -385,8 +374,8 @@ def _verified_maps(source: Scheme, target: Scheme, psi: RelationBijection,
             for rho2 in np.flatnonzero((P2[mu2] == r2) & (P2[nu2] == t2)):
                 tau2 = BaseTriple(int(mu2), int(nu2), int(rho2))
                 g = induced_point_map(psi, f1, _coordinate_map(target, e2, in_e2, counts2, tau2))
-                if g is not None and verify_induced(source, target, psi, g):
-                    yield e, tau, tau2, tuple(int(v) for v in g)
+                if g is not None and _carries(g, P2, image):
+                    yield e, tau, tau2, g
 
 
 def induced_isomorphism(source: Scheme, target: Scheme, psi: RelationBijection,
@@ -412,7 +401,7 @@ def induced_isomorphism(source: Scheme, target: Scheme, psi: RelationBijection,
 class SchurityResult(NamedTuple):
     schurian: bool
     four_condition_passed: bool
-    automorphisms: tuple
+    automorphisms: np.ndarray      # int32, one verified map per row
     group_order: int
     relation_transitive: tuple
     orbital_scheme_equal: bool
@@ -435,18 +424,17 @@ class SchurityResult(NamedTuple):
 
 
 def _symmetric_group_result(scheme: Scheme) -> SchurityResult:
-    n = scheme.n
-    gens = [Permutation([1, 0] + list(range(2, n))),
-            Permutation(list(range(1, n)) + [0])] if n >= 2 else []
-    identity = RelationBijection(scheme, scheme, tuple(range(scheme.rank)))
-    if not all(verify_induced(scheme, scheme, identity, np.asarray(p.images)) for p in gens):
+    """A transposition and an n-cycle, both verified, generate S_n, whose
+    orbitals are the diagonal and its complement."""
+    n, P = scheme.n, scheme.colors
+    gens = np.array([[1, 0, *range(2, n)], [*range(1, n), 0]] if n >= 2 else [],
+                    dtype=np.int32).reshape(-1, n)
+    if not all(_carries(g, P, P) for g in gens):
         raise AssertionError("symmetric generator is not an automorphism")
-    labels = PermGroup(gens, n).orbitals().reshape(n, n)
-    # a transposition and an n-cycle generate S_n
     return SchurityResult(schurian=True, four_condition_passed=True,
-                          automorphisms=tuple(gens), group_order=math.factorial(n),
+                          automorphisms=gens, group_order=math.factorial(n),
                           relation_transitive=tuple([True] * scheme.rank),
-                          orbital_scheme_equal=partition_equal(labels, scheme.colors),
+                          orbital_scheme_equal=partition_equal(np.eye(n, dtype=np.int64), P),
                           parabolic_rels=(), tau=None, reason="rank <= 2")
 
 
@@ -460,8 +448,10 @@ def schurity_via_base_triples(scheme: Scheme,
     tau' carrying the same three colors the transported coordinate map is
     built and verified.  Each automorphism sends tau to such a triple and
     is fixed by it, so the maps are the whole group G (the orbit-
-    stabilizer equation is asserted).  G must be transitive, and the
-    orbits of its stabilizer of 0 must be the colour classes of row 0.
+    stabilizer equation is asserted).  They are distinct, as each sends
+    tau to its own tau', the points with tau's coordinates.  G must be
+    transitive, and the orbits of its stabilizer of 0 must be the colour
+    classes of row 0.  The maps are the rows of one int32 array.
     """
     if scheme.rank <= 2:
         return _symmetric_group_result(scheme)
@@ -472,7 +462,8 @@ def schurity_via_base_triples(scheme: Scheme,
         raise SchemeError("4-condition report does not match the scheme")
     if not four_report.passed:
         return SchurityResult(
-            schurian=False, four_condition_passed=False, automorphisms=(),
+            schurian=False, four_condition_passed=False,
+            automorphisms=np.empty((0, scheme.n), dtype=np.int32),
             group_order=0, relation_transitive=tuple([False] * scheme.rank),
             orbital_scheme_equal=False, parabolic_rels=(), tau=None,
             reason="4-condition fails; reconstruction not applicable")
@@ -481,8 +472,7 @@ def schurity_via_base_triples(scheme: Scheme,
     if not maps:
         raise SchemeError("no verified automorphism arises from the base triple")
     e, tau = maps[0][:2]
-    distinct = list(dict.fromkeys(g for *_, g in maps))
-    A = np.array(distinct, dtype=np.int64)
+    A = np.array([g for *_, g in maps], dtype=np.int32)
     n, P0 = scheme.n, scheme.colors[0]
     orbit, stab = sorted_unique(A[:, 0]), A[A[:, 0] == 0]
     if len(A) != len(orbit) * len(stab):
@@ -496,7 +486,7 @@ def schurity_via_base_triples(scheme: Scheme,
     schurian = eq and all(rel_trans)
     return SchurityResult(
         schurian=schurian, four_condition_passed=True,
-        automorphisms=tuple(map(Permutation, distinct)), group_order=len(A),
+        automorphisms=A, group_order=len(A),
         relation_transitive=rel_trans, orbital_scheme_equal=eq,
         parabolic_rels=tuple(sorted(e.relations)), tau=tuple(tau),
         reason="verified base-triple automorphisms" if schurian

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scheme import Scheme
+from .scheme import Scheme, _carries
 
 
 class _Search:
@@ -38,7 +38,8 @@ class _Search:
         return img, cand
 
     def solutions(self, partial: dict, limit: int | None = None):
-        """Yield complete color-preserving maps extending the partial one."""
+        """Yield complete color-preserving maps extending the partial one,
+        each an int64 array verified on all n^2 pairs."""
         state = self._start(partial)
         if state is None:
             return
@@ -51,9 +52,9 @@ class _Search:
             while True:
                 unassigned = np.nonzero(img < 0)[0]
                 if len(unassigned) == 0:
-                    if not np.array_equal(P[np.ix_(img, img)], P):
+                    if not _carries(img, P, P):
                         raise AssertionError("search produced a non-automorphism")
-                    yield tuple(int(v) for v in img)
+                    yield img
                     found += 1
                     if limit is not None and found >= limit:
                         return
@@ -82,12 +83,10 @@ class _Search:
 def automorphism_stabilizer(scheme: Scheme, point: int = 0,
                             cap: int | None = None):
     """All automorphisms fixing the point, up to cap; returns (maps, capped)."""
-    out = []
     limit = None if cap is None else cap + 1
-    for img in _Search(scheme).solutions({point: point}, limit=limit):
-        out.append(img)
-        if cap is not None and len(out) > cap:
-            return out[:cap], True
+    out = list(_Search(scheme).solutions({point: point}, limit=limit))
+    if cap is not None and len(out) > cap:
+        return out[:cap], True
     return out, False
 
 
@@ -124,16 +123,13 @@ def frobenius_certificate(scheme: Scheme, cap: int | None = None) -> FrobeniusCe
     if cap is None:
         cap = n
     stab, capped = automorphism_stabilizer(scheme, 0, cap=cap)
-    identity = tuple(range(n))
     for img in stab:
-        if img == identity:
-            continue
-        fixed = [i for i in range(n) if img[i] == i]
-        if len(fixed) >= 2:
+        fixed = np.flatnonzero(img == np.arange(n))
+        if 2 <= len(fixed) < n:
             return FrobeniusCertificate(
                 False, None, None, None,
                 "automorphism fixes points %d and %d" % (fixed[0], fixed[1]),
-                witness=img)
+                witness=tuple(img.tolist()))
     if capped:
         return FrobeniusCertificate(None, None, None, None,
                                     "stabilizer enumeration capped at %d" % cap)
@@ -144,10 +140,7 @@ def frobenius_certificate(scheme: Scheme, cap: int | None = None) -> FrobeniusCe
     if scheme.translations is None:
         search = _Search(scheme)
         for alpha in range(1, n):
-            hit = None
-            for img in search.solutions({0: alpha}, limit=1):
-                hit = img
-            if hit is None:
+            if next(search.solutions({0: alpha}, limit=1), None) is None:
                 return FrobeniusCertificate(False, False, m, None,
                                             "no automorphism moves 0 to %d" % alpha)
     return FrobeniusCertificate(True, True, m, n * m,

@@ -75,8 +75,8 @@ def _closure_mask(scheme: Scheme, rels) -> tuple[np.ndarray, int]:
     mask[0] = True
     for s in rels:
         mask[[s, scheme.star[s]]] = True
-    P, D = scheme.colors, scheme.translations
-    if D is not None and D[-1, 0] == 1:     # Z_n, the one candidate with 0 - (n - 1) = 1
+    P = scheme.colors
+    if scheme.cyclic:
         step = int(np.gcd.reduce(np.flatnonzero(mask[P[0]]), initial=scheme.n))
         block = np.zeros(scheme.n, dtype=bool)
         block[::step] = True

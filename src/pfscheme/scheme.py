@@ -132,6 +132,11 @@ class Scheme:
         """`translation_table` of the colours, computed once per scheme."""
         return translation_table(self.colors)
 
+    @property
+    def cyclic(self) -> bool:
+        """Whether `translations` is the Z_n table (the one with D[-1, 0] = 1)."""
+        return self.translations is not None and bool(self.translations[-1, 0] == 1)
+
     def fingerprint(self) -> str:
         """Hex blake2b (16 bytes) of the colours, as native int64 in row-major
         order, followed by the star: one byte per relation up to rank 256,
@@ -445,6 +450,15 @@ def partition_equal(first, second) -> bool:
         return False
     combo = A * (int(B.max()) + 1) + B
     return len(sorted_unique(combo)) == len(sorted_unique(A)) == len(sorted_unique(B))
+
+
+def _carries(g: np.ndarray, colors: np.ndarray, image: np.ndarray) -> bool:
+    """Whether the point map g is a bijection with colors[g a, g b] ==
+    image[a, b] on all n^2 pairs.  For a colour map psi from P1 to P2,
+    image is psi[P1], which a scan of many maps computes once."""
+    g = np.asarray(g)
+    return (np.array_equal(np.sort(g), np.arange(len(image)))
+            and np.array_equal(colors[g][:, g], image))
 
 
 def from_orbitals(group) -> Scheme:

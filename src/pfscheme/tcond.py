@@ -185,7 +185,8 @@ def check_t_condition(scheme: Scheme, t: int) -> TConditionReport:
     The reference histogram of each color is that of its first row-major
     pair.  The scanned pairs (row 0 when `Scheme.translations` certifies
     the scheme, see the module docstring, else all of them) are grouped by
-    color, and the colors are visited in the order of their first pair.
+    color, one boolean mask per color, and the colors are visited in the
+    order of their first pair.
     Within a color each pair's sorted codes are compared with the
     reference's, up to the first mismatch; pairs and colors at or after
     the earliest mismatch found so far are skipped, so the witness is the
@@ -199,22 +200,21 @@ def check_t_condition(scheme: Scheme, t: int) -> TConditionReport:
         raise ValueError("only t = 3 and t = 4 are supported")
     P, R, n = scheme.colors, scheme.rank, scheme.n
     _check_code_range(R, t)
+    # under a certificate every colour has its first pair in row 0
     scanned = P[0] if scheme.translations is not None else P.ravel()
-    order = np.argsort(scanned, kind="stable")
-    groups = np.split(order, np.cumsum(np.bincount(scanned, minlength=R))[:-1])
     best = scanned.size                 # position of the earliest mismatch
     ref_fp: dict[int, str] = {}
     witness = None
     # the scan's only two n^(t-2) arrays, refilled for every pair
     ref, codes = (np.empty(n ** (t - 2), dtype=_code_dtype(R, t)) for _ in range(2))
-    for color in sorted(range(R), key=lambda c: groups[c][0]):
-        first = int(groups[color][0])
+    for first in np.sort(scheme._first).tolist():
         if first >= best:
             break
+        color = int(scanned[first])
         ref_pair = divmod(first, n)
         _sorted_codes(P, R, *ref_pair, t, out=ref)
         ref_fp[color] = _fingerprint(ref)
-        for pos in groups[color][1:].tolist():
+        for pos in np.flatnonzero(scanned == color)[1:].tolist():
             if pos >= best:
                 break
             pair = divmod(pos, n)

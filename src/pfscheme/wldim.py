@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import difference_table, factorize
+from .arith import factorize
 from .autgrp import FrobeniusCertificate, frobenius_certificate
 from .circulants import (
     Circulant,
@@ -282,16 +282,15 @@ def _construction_certificate(circ: Circulant, closure: Scheme):
     orbital scheme, so a partition match certifies the Frobenius property
     of the closure's automorphism group.
 
-    The orbitals are the K-orbit labels of the differences (b - a) mod n,
-    compared with the closure on every pair.
+    The orbitals are the K-orbit labels of the differences (b - a) mod n.
+    A closure that matches them is Z_n-invariant as they are, so it has the
+    Z_n translation table, and then row 0 decides the match on all pairs.
     """
     n = circ.n
-    fac = factorize(n)
-    if len(fac) == 1 and next(iter(fac.values())) == 1:
+    if factorize(n) == {n: 1} or not closure.cyclic:
         return None
-    D = difference_table([n])
     for K in certificate_unit_groups(circ):
-        if partition_equal(_unit_orbit_labels(n, K)[D], closure.colors):
+        if partition_equal(_unit_orbit_labels(n, K), closure.colors[0]):
             return len(K), n * len(K)
     return None
 

@@ -21,7 +21,7 @@ from pfscheme.algiso import (
 from pfscheme.catalog import cyclic_unit_spec, negation_spec
 from pfscheme.frobenius import build_frobenius
 from pfscheme.parabolic import enumerate_parabolics, parabolic_closure
-from pfscheme.perms import PermGroup
+from pfscheme.perms import PermGroup, Permutation
 from pfscheme.scheme import Scheme, SchemeError, from_orbitals, partition_equal
 from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
 from test_perms import reference_orbitals
@@ -206,8 +206,10 @@ def test_base_coordinates_bijective_on_frobenius_scheme():
     f = base_coordinates(s, e, tr)
     assert f.bijective
     assert f.pair_count == 9
-    assert len(f.point_of) == 9
-    assert sorted(f.point_of.values()) == list(range(9))
+    # f^{-1}: nine distinct sorted codes x R + y, each with its point
+    assert len(np.unique(f.keys)) == 9 and np.all(f.keys[1:] > f.keys[:-1])
+    assert sorted(f.points.tolist()) == list(range(9))
+    assert np.array_equal(f.keys, f.x[f.points] * s.rank + f.y[f.points])
     # coordinates are colors: x inside-agnostic, y switches on membership
     in_e = {0, 3}
     for alpha in range(9):
@@ -248,6 +250,78 @@ def test_induced_isomorphism_nontrivial_color_map():
             assert s.colors[g[x]][g[y]] == psi[s.colors[x][y]]
 
 
+def reference_induced_point_map(psi, f1, f2):
+    """The dict lookup of f2^{-1} that `induced_point_map` replaced: the
+    last point with a pair wins."""
+    point_of = {pair: alpha for alpha, pair in enumerate(zip(f2.x.tolist(), f2.y.tolist()))}
+    perm = np.asarray(psi.mapping)
+    xs, ys = perm[f1.x], perm[f1.y]
+    g = np.empty(len(xs), dtype=np.int64)
+    for alpha in range(len(xs)):
+        beta = point_of.get((int(xs[alpha]), int(ys[alpha])))
+        if beta is None:
+            return None
+        g[alpha] = beta
+    return g
+
+
+# scheme, and whether its second algebraic automorphism is induced
+INDUCED_CASES = {
+    "z9": (z9, True),
+    "f3x3-spread": (lambda: spread_scheme(desarguesian_spread(3)), True),
+    "desarguesian-9": (lambda: spread_scheme(desarguesian_spread(9)), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDUCED_CASES))
+def test_induced_point_map_matches_the_dict_lookup(name):
+    # every transversal base triple of the target parabolic, bijective or
+    # not, for the identity and for a second algebraic automorphism
+    build, second_induced = INDUCED_CASES[name]
+    s = build()
+    psis, _ = algebraic_automorphisms(s, limit=2)
+    assert [induced_isomorphism(s, s, psi) is not None for psi in psis] == [True, second_induced]
+    e = next(p for p in enumerate_parabolics(s) if not p.is_trivial() and not p.is_full())
+    in_e = algiso._relation_mask(s, e)
+    _, f1 = algiso._first_valid_triple(s, e, in_e, algiso._pair_counts(s, in_e))
+    seen = set()
+    for psi in psis:
+        e2 = psi.image_parabolic(e)
+        in_e2 = algiso._relation_mask(s, e2)
+        counts2 = algiso._pair_counts(s, in_e2)
+        for tau2 in base_triples(s, e2):
+            f2 = algiso._coordinate_map(s, e2, in_e2, counts2, tau2)
+            g = algiso.induced_point_map(psi, f1, f2)
+            ref = reference_induced_point_map(psi, f1, f2)
+            assert (g is None) == (ref is None)
+            assert g is None or np.array_equal(g, ref)
+            seen.add((f2.bijective, g is None))
+    # both outcomes occur; every base triple of these schemes is bijective
+    assert seen == {(True, False), (True, True)}
+
+
+def test_induced_point_map_keeps_the_last_point_of_a_repeated_pair():
+    # three blocks of three points: no base triple is bijective, so pairs
+    # repeat, and the lookup must pick the point the dict kept
+    P = np.array([[0 if a == b else 1 if a // 3 == b // 3 else 2 for b in range(9)]
+                  for a in range(9)])
+    s = Scheme(P)
+    e = parabolic_closure(s, {1})
+    ident = RelationBijection(s, s, (0, 1, 2))
+    maps = [base_coordinates(s, e, tr) for tr in base_triples(s, e)]
+    assert not any(f.bijective for f in maps)
+    found = 0
+    for f1 in maps:
+        for f2 in maps:
+            g = algiso.induced_point_map(ident, f1, f2)
+            ref = reference_induced_point_map(ident, f1, f2)
+            assert (g is None) == (ref is None)
+            if g is not None:
+                assert np.array_equal(g, ref)
+                found += 1
+    assert found
+
+
 def test_schurity_of_frobenius_schemes():
     res = schurity_via_base_triples(z9())
     assert res.schurian
@@ -280,7 +354,7 @@ def test_schurity_complete_scheme_shortcut():
         res = schurity_via_base_triples(Scheme(M))
         assert res.schurian and res.orbital_scheme_equal
         assert res.group_order == math.factorial(n)
-        assert PermGroup(res.automorphisms, n).order() == res.group_order
+        assert PermGroup(map(Permutation, res.automorphisms), n).order() == res.group_order
 
 
 ORACLE_SCHEMES = {
@@ -298,7 +372,8 @@ def test_schurity_matches_the_group_of_its_maps(name):
     # group they generate by Schreier-Sims and its orbitals by pair BFS
     s = ORACLE_SCHEMES[name]()
     res = schurity_via_base_triples(s)
-    G = PermGroup(res.automorphisms, s.n)
+    assert res.automorphisms.dtype == np.int32
+    G = PermGroup(map(Permutation, res.automorphisms), s.n)
     assert res.group_order == len(res.automorphisms) == G.order()
     ref = np.asarray(reference_orbitals(G)).reshape(s.n, s.n)
     assert partition_equal(G.orbitals().reshape(s.n, s.n), ref)
@@ -322,7 +397,7 @@ def test_schurity_of_map_lists_that_generate_a_smaller_group(monkeypatch):
     assert res.reason == "generated group misses some relation"
     # the translations of Z_9 alone: transitive, but the stabilizer of 0
     # is trivial, so only the diagonal is one orbital
-    shifts = [m for m in real if m[3] == tuple((x + m[3][0]) % 9 for x in range(9))]
+    shifts = [m for m in real if np.array_equal(m[3], (np.arange(9) + m[3][0]) % 9)]
     monkeypatch.setattr(algiso, "_verified_maps", lambda *a: iter(shifts))
     res = schurity_via_base_triples(s)
     assert res.group_order == len(shifts) == 9

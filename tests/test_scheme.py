@@ -11,6 +11,7 @@ from pfscheme.scheme import (
     Scheme,
     SchemeError,
     NotCoherentError,
+    _carries,
     canonical_relabel,
     partition_equal,
     from_orbitals,
@@ -180,6 +181,21 @@ def test_partition_equal_with_gapped_labels_in_either_order():
     finer = np.array([[0, 5], [7, 0]])
     assert not partition_equal(finer, dense) and not partition_equal(dense, finer)
     assert partition_equal(finer, np.array([[3, 1], [0, 3]]))
+
+
+def test_carries_checks_the_bijection_and_every_pair():
+    n = 9
+    P = cyclic_colors(n)
+    shift = (np.arange(n) + 1) % n
+    double = (2 * np.arange(n)) % n             # x -> 2x: classes 1 -> 2 -> 4 -> 1
+    assert _carries(shift, P, P)
+    lut = np.array([0, 2, 4, 3, 1])             # the colour map that doubling induces
+    assert _carries(double, P, lut[P]) and not _carries(double, P, P)
+    assert not _carries(np.zeros(n, dtype=np.int64), P, P)      # not a bijection
+    assert not _carries(shift[:-1], P, P)                       # wrong length
+    swap = np.arange(n)
+    swap[[1, 2]] = 2, 1
+    assert not _carries(swap, P, P)             # a bijection that breaks colours
 
 
 def test_json_round_trip_preserves_scheme():

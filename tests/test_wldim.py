@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from pfscheme import autgrp, wldim
+from pfscheme.arith import difference_table
 from pfscheme.autgrp import frobenius_certificate
 from pfscheme.circulants import (
     CirculantSpec,
     certificate_unit_groups,
     circulant_from_connection,
+    color_matrix,
     frobenius_circulant,
 )
 from pfscheme.perms import PermGroup, Permutation
@@ -196,6 +198,26 @@ def test_construction_certificate_checks_every_row():
     swapped = closure.colors[np.ix_(perm, perm)]
     assert np.array_equal(swapped[0], closure.colors[0])
     assert _construction_certificate(circ, Scheme(swapped)) is None
+
+
+@pytest.mark.parametrize("circ", COMPOSITE_CIRCULANTS, ids=lambda c: "n%d" % c.n)
+def test_construction_certificate_row_zero_verdict_is_the_pair_verdict(circ):
+    # On the Z_n-certified closure, row 0 decides each K as the n^2 pairs
+    # do; the trivial group {1}, whose orbitals are thin, is a K that fails.
+    n = circ.n
+    closure = wl_closure(color_matrix(circ))
+    assert closure.cyclic
+    D = difference_table([n])
+    groups = certificate_unit_groups(circ)
+    on_pairs, on_row_zero = [], []
+    for K in groups + [frozenset({1})]:
+        labels = _unit_orbit_labels(n, K)
+        on_pairs.append(partition_equal(labels[D], closure.colors))
+        on_row_zero.append(partition_equal(labels, closure.colors[0]))
+    assert on_row_zero == on_pairs
+    assert on_pairs[-1] is False
+    first = next(((len(K), n * len(K)) for K, hit in zip(groups, on_pairs) if hit), None)
+    assert _construction_certificate(circ, closure) == first
 
 
 def test_frobenius_screen_fails_on_non_equivalenced():

@@ -8,9 +8,9 @@ recipe the argument list, exit code, wall time, CPU time (user + system)
 and peak RSS of the child process, read with `os.wait4`.  Named recipes
 replace their rows of an existing BENCH_scale.json and keep the others.
 The scheme files the recipes read are written first into a temporary
-directory by untimed `gen` commands (and, for the thin scheme of Z_300,
-by this script).  Standard library only; the JSON is written with sorted
-keys.
+directory by untimed `gen` commands (and, for the thin scheme of Z_300 and
+the point-permuted Hall q = 25 scheme, by this script).  Standard library
+only; the JSON is written with sorted keys.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import tempfile
@@ -35,6 +36,7 @@ RECIPES = {
     "schurity-desarguesian25": ["check", "schurity", "--scheme", "{des25}"],
     "tcond4-desarguesian25": ["check", "tcond", "--t", "4", "--scheme", "{des25}"],
     "tcond4-hall25": ["check", "tcond", "--t", "4", "--scheme", "{hall25}"],
+    "tcond4-hall25-permuted": ["check", "tcond", "--t", "4", "--scheme", "{hall25p}"],
     "parabolics-mixed-17-9": ["check", "parabolics", "--scheme", "{mixed17}"],
     "tcond3-mixed-17-9": ["check", "tcond", "--t", "3", "--scheme", "{mixed17}"],
     "thm2-scalar-3-5": ["classify", "thm2", "--scalar", "3,5"],
@@ -84,18 +86,27 @@ def main(names: list[str]) -> int:
     chosen = names or list(RECIPES)
     with tempfile.TemporaryDirectory() as work:
         files = {key: os.path.join(work, key + ".json")
-                 for key in [*SETUP, "thin300", "mixed17spec", "scratch"]}
+                 for key in [*SETUP, "thin300", "hall25p", "mixed17spec", "scratch"]}
         with open(files["mixed17spec"], "w") as fh:
             json.dump(MIXED_17_9, fh)
         with open(files["thin300"], "w") as fh:
             # the thin scheme of Z_300: colour (x, y) is y - x mod 300
             json.dump({"colors": [[(y - x) % 300 for y in range(300)] for x in range(300)]}, fh)
         needed = {arg[1:-1] for n in chosen for arg in RECIPES[n] if arg.startswith("{")}
+        if "hall25p" in needed:
+            needed.add("hall25")
         for key in sorted(needed & set(SETUP)):
             args = [a.format(**files) for a in SETUP[key]] + ["--out", files[key]]
             if run(args)["exit"] != 0:
                 print("setup failed: %s" % " ".join(SETUP[key]), file=sys.stderr)
                 return 1
+        if "hall25p" in needed:
+            # hall25 with its points shuffled: no translation certificate
+            colors = json.loads(Path(files["hall25"]).read_text())["colors"]
+            perm = list(range(len(colors)))
+            random.Random(0).shuffle(perm)
+            with open(files["hall25p"], "w") as fh:
+                json.dump({"colors": [[colors[a][b] for b in perm] for a in perm]}, fh)
         results = {}
         for name in chosen:
             results[name] = {"argv": RECIPES[name], **run([a.format(**files) for a in RECIPES[name]])}
