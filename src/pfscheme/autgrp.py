@@ -3,6 +3,8 @@
 Backtracking over point images with a boolean candidate matrix: fixing
 u -> v prunes every pair constraint in two vectorized comparisons, and
 the diagonal color makes assigned rows and columns exclusive for free.
+A branch on which every unassigned point has one candidate left is
+completed in one step and verified on all pairs.
 Used to certify that the automorphism group of a coherent closure is a
 Frobenius group (transitive, nontrivial point stabilizer, and no
 nonidentity automorphism fixing two points).  The point stabilizer is
@@ -44,27 +46,30 @@ class _Search:
         if state is None:
             return
         img0, cand0 = state
-        P, n = self.P, self.n
+        P = self.P
         found = 0
         stack = [(img0, cand0)]
         while stack:
             img, cand = stack.pop()
             while True:
                 unassigned = np.nonzero(img < 0)[0]
-                if len(unassigned) == 0:
-                    if not _carries(img, P, P):
-                        raise AssertionError("search produced a non-automorphism")
-                    yield img
-                    found += 1
-                    if limit is not None and found >= limit:
-                        return
-                    break
                 counts = cand[unassigned].sum(axis=1)
+                if (counts == 0).any():
+                    break
+                if (counts == 1).all():
+                    # Forced: candidate sets only shrink, so this is the only
+                    # completion, and assigning point by point would end in
+                    # it exactly when it carries every pair.
+                    img[unassigned] = cand[unassigned].argmax(axis=1)
+                    if _carries(img, P, P):
+                        yield img
+                        found += 1
+                        if limit is not None and found >= limit:
+                            return
+                    break
                 pos = int(np.argmin(counts))
                 u = int(unassigned[pos])
                 m = int(counts[pos])
-                if m == 0:
-                    break
                 vs = np.nonzero(cand[u])[0]
                 if m > 1:
                     for v in vs[:0:-1]:

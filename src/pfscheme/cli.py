@@ -38,22 +38,10 @@ from functools import partial
 
 import numpy as np
 
-from .algiso import (
-    RelationBijection,
-    find_algebraic_isomorphisms,
-    induced_isomorphism,
-    schurity_via_base_triples,
-)
-from .circulants import CirculantSpec, circulant_from_connection, color_matrix, frobenius_circulant
-from .frobenius import FrobeniusError, FrobeniusSpec, CyclicFactor, build_frobenius, invariant_lattice, thm2_profile
-from .arith import mult_order
-from .lattice import LatticeTooLarge
-from .parabolic import divide_check, enumerate_parabolics, indistinguishing_number, separability_verdict
-from .scheme import Scheme, SchemeError, from_orbitals, wl_closure
-from .spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
-from .tcond import check_t_condition
-from .verify import run_all
-from .wldim import dimwl_verdict
+# The package registers its modules lazily (see pfscheme/__init__), so
+# each handler imports what it uses on entry, before it reads a file, and a
+# process compiles only the modules of its command.
+from . import lattice
 
 PASS, INPUT_ERROR, CHECK_FAILED, UNRESOLVED = 0, 2, 3, 4
 GLOBAL_DEFAULTS = {"format": "json", "seed": 0}
@@ -118,7 +106,8 @@ def _load_colors(path: str, d: dict) -> np.ndarray:
     return colors
 
 
-def _load_scheme(path: str) -> Scheme:
+def _load_scheme(path: str):
+    from .scheme import Scheme
     d = _load_json(path)
     colors = _load_colors(path, d)
     try:
@@ -129,7 +118,7 @@ def _load_scheme(path: str) -> Scheme:
         raise SystemExit(_fail("%s: %s" % (path, exc)))
 
 
-def _load_pair(source: str, target: str) -> tuple[Scheme, Scheme]:
+def _load_pair(source: str, target: str):
     """The schemes of two files; one Scheme, and so one tensor, when both
     name the same file."""
     src = _load_scheme(source)
@@ -147,7 +136,9 @@ def _parse_ints(raw: str) -> list[int]:
         raise SystemExit(_fail("expected a comma-separated integer list, got %r" % raw))
 
 
-def _spec_from_args(args) -> FrobeniusSpec:
+def _spec_from_args(args):
+    from .arith import mult_order
+    from .frobenius import CyclicFactor, FrobeniusSpec
     try:
         if args.spec:
             return FrobeniusSpec.from_json_dict(_load_json(args.spec))
@@ -158,6 +149,7 @@ def _spec_from_args(args) -> FrobeniusSpec:
             m, u = vals
             return FrobeniusSpec((CyclicFactor(m, (u,)),), mult_order(u, m))
         if args.scalar:
+            from .spreads import scalar_spec
             vals = _parse_ints(args.scalar)
             if not 1 <= len(vals) <= 2:
                 raise SystemExit(_fail("--scalar needs Q or Q,DIM"))
@@ -169,6 +161,7 @@ def _spec_from_args(args) -> FrobeniusSpec:
 
 def _circulant_from_args(args):
     """The circulant of --n with --units/--reps, or else with --conn."""
+    from .circulants import CirculantSpec, circulant_from_connection, frobenius_circulant
     try:
         if args.units:
             spec = CirculantSpec(args.n, tuple(_parse_ints(args.units)),
@@ -184,15 +177,19 @@ def _circulant_from_args(args):
 
 def cmd_gen(args) -> int:
     if args.kind == "circulant":
+        from .circulants import color_matrix
         circ = _circulant_from_args(args)
         payload = {"n": circ.n, "connection": sorted(circ.connection),
                    "colors": color_matrix(circ).tolist()}
     else:
         try:
             if args.kind == "frobenius":
+                from .frobenius import build_frobenius
+                from .scheme import from_orbitals
                 scheme = from_orbitals(build_frobenius(_spec_from_args(args)))
                 payload = {"valency": scheme.is_equivalenced()}
             else:
+                from .spreads import desarguesian_spread, hall_spread, spread_scheme
                 scheme = spread_scheme(hall_spread(args.q) if args.plane == "hall"
                                        else desarguesian_spread(args.q))
                 payload = {"plane": args.plane}
@@ -207,6 +204,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check_axioms(args) -> int:
+    from .scheme import Scheme, SchemeError
     colors = _load_colors(args.scheme, _load_json(args.scheme))
     try:
         s = Scheme(colors)
@@ -220,6 +218,7 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_check_tcond(args) -> int:
+    from .tcond import check_t_condition
     s = _load_scheme(args.scheme)
     try:
         report = check_t_condition(s, args.t)
@@ -230,6 +229,8 @@ def cmd_check_tcond(args) -> int:
 
 
 def cmd_check_parabolics(args) -> int:
+    from .parabolic import divide_check, enumerate_parabolics, indistinguishing_number
+    from .scheme import SchemeError
     s = _load_scheme(args.scheme)
     try:
         paras = enumerate_parabolics(s)
@@ -253,6 +254,9 @@ def cmd_check_parabolics(args) -> int:
 
 
 def cmd_check_separability(args) -> int:
+    from .frobenius import FrobeniusSpec
+    from .parabolic import separability_verdict
+    from .scheme import SchemeError
     if args.spec:
         try:
             verdict = separability_verdict(FrobeniusSpec.from_json_dict(_load_json(args.spec)))
@@ -271,6 +275,8 @@ def cmd_check_separability(args) -> int:
 
 
 def cmd_check_schurity(args) -> int:
+    from .algiso import schurity_via_base_triples
+    from .scheme import SchemeError
     s = _load_scheme(args.scheme)
     try:
         result = schurity_via_base_triples(s)
@@ -284,6 +290,8 @@ def cmd_check_schurity(args) -> int:
 
 
 def cmd_iso_alg(args) -> int:
+    from .algiso import find_algebraic_isomorphisms
+    from .scheme import SchemeError
     if args.limit is not None and args.limit < 1:
         return _fail("--limit must be at least 1, got %d" % args.limit)
     src, dst = _load_pair(args.source, args.target)
@@ -303,6 +311,8 @@ def cmd_iso_alg(args) -> int:
 
 
 def cmd_iso_induced(args) -> int:
+    from .algiso import RelationBijection, induced_isomorphism
+    from .scheme import SchemeError
     src, dst = _load_pair(args.source, args.target)
     if args.psi:
         mapping = _load_json(args.psi).get("mapping")
@@ -342,6 +352,7 @@ def cmd_iso_induced(args) -> int:
 
 
 def cmd_classify_thm2(args) -> int:
+    from .frobenius import FrobeniusError, invariant_lattice, thm2_profile
     spec = _spec_from_args(args)
     try:
         lattice = invariant_lattice(spec)
@@ -353,6 +364,7 @@ def cmd_classify_thm2(args) -> int:
 
 
 def cmd_classify_wl(args) -> int:
+    from .wldim import dimwl_verdict
     verdict = dimwl_verdict(_circulant_from_args(args))
     _emit(verdict.to_json_dict(), args.format)
     if verdict.verdict == "Exactly2":
@@ -366,6 +378,7 @@ def cmd_classify_wl(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all
     results = run_all()
     # In json mode stdout carries the document alone; the lines go to stderr.
     lines = sys.stdout if args.format == "text" else sys.stderr
@@ -481,11 +494,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
         return args.func(args)
-    except LatticeTooLarge as exc:         # any command that enumerates a lattice
-        return _fail(str(exc))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else INPUT_ERROR
+    except MemoryError as exc:             # an input too large for this host
+        return _fail("out of memory: %s" % (str(exc) or "allocation failed"))
+    # Read only when an exception gets here, so that `lattice` is loaded by
+    # the commands that enumerate a lattice and by no other.
+    except lattice.LatticeTooLarge as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

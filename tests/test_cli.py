@@ -329,10 +329,11 @@ def test_iso_induced_malformed_psi_exits_2(tmp_path, capsys, mapping):
 
 
 def test_verify_paper_json_stdout_is_one_document(capsys, monkeypatch):
-    from pfscheme import cli
+    from pfscheme import verify
     from pfscheme.verify import CriterionResult
 
-    monkeypatch.setattr(cli, "run_all", lambda: [
+    # the handler imports run_all from `verify` when it runs
+    monkeypatch.setattr(verify, "run_all", lambda: [
         CriterionResult(1, "first", True, {"k": 1}, 0.5),
         CriterionResult(2, "second", False, {}, 0.3)])
     code, out, err = run_cli(capsys, "verify-paper")
@@ -529,7 +530,7 @@ def test_text_format(tmp_path, capsys):
 
 
 def test_global_options_before_and_after_the_subcommand(tmp_path, capsys, monkeypatch):
-    from pfscheme import cli
+    from pfscheme import verify
     from pfscheme.verify import CriterionResult
 
     z9 = gen_scheme(capsys, tmp_path, "z9.json",
@@ -545,7 +546,7 @@ def test_global_options_before_and_after_the_subcommand(tmp_path, capsys, monkey
     _, last, _ = run_cli(capsys, "--format", "text", *axioms, "--format", "json")
     assert last == default
 
-    monkeypatch.setattr(cli, "run_all", lambda: [
+    monkeypatch.setattr(verify, "run_all", lambda: [
         CriterionResult(1, "first", True, {"k": 1}, 0.5)])
     for argv in (("--format", "text", "verify-paper"),
                  ("verify-paper", "--format", "text")):
@@ -577,12 +578,15 @@ print(json.dumps([after_import, code, loaded(("numpy.ma", "_hashlib"))]))
 """
 
 
-def _fresh_process(script: str, cwd=None):
-    """The JSON that `script` prints, run in a new interpreter on src/."""
+def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+
+
+def _fresh_process(script: str, cwd=None, argv=()):
+    """The JSON that `script` prints, run in a new interpreter on src/."""
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=_src_env(), cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -593,6 +597,105 @@ def test_a_classify_wl_process_loads_only_code_that_runs():
     is never imported, and no plain `np.unique` pulls in `numpy.ma`, so a
     `classify wl` process loads none of them."""
     assert _fresh_process(_LEAN_START) == [[], 0, []]
+
+
+_EXECUTED = """
+import contextlib, io, json, sys, types
+import numpy
+from pfscheme import cli, verify
+# a lazily registered module that has not run is of a ModuleType subclass
+executed = lambda: sorted(name.split(".", 1)[1] for name, m in sys.modules.items()
+                          if name.startswith("pfscheme.") and type(m) is types.ModuleType)
+after_import = executed()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([after_import, code, executed()]))
+"""
+
+
+def test_a_process_runs_only_the_modules_of_its_command(tmp_path, capsys):
+    hall9 = gen_scheme(capsys, tmp_path, "hall9.json", "gen", "spread", "--q", "9",
+                       "--plane", "hall")
+    assert _fresh_process(_EXECUTED, argv=["check", "tcond", "--t", "4", "--scheme", hall9]) \
+        == [["cli"], 3, ["arith", "cli", "scheme", "tcond"]]
+    after_import, code, executed = _fresh_process(
+        _EXECUTED, argv=["classify", "wl", "--n", "81", "--conn", "1,-1"])
+    assert (after_import, code) == (["cli"], 0)
+    assert "wldim" in executed
+    assert not {"algiso", "gf", "spreads", "tcond", "verify", "catalog"} & set(executed)
+
+
+# the names the package re-exports, by module
+EXPORTS = {
+    "arith": ["divisors", "factorize", "is_prime", "mult_order", "prime_power"],
+    "perms": ["Permutation", "PermGroup", "group_order"],
+    "scheme": ["Scheme", "SchemeError", "NotCoherentError", "IntersectionTensor",
+               "compute_tensor", "canonical_relabel", "partition_equal", "from_orbitals",
+               "wl_closure"],
+    "gf": ["GF", "FiniteField"],
+    "frobenius": ["FrobeniusError", "CyclicFactor", "ElementaryAbelianFactor",
+                  "FrobeniusSpec", "build_frobenius", "InvariantLattice",
+                  "invariant_lattice", "PrincipalSection", "principal_sections",
+                  "ClassificationProfile", "thm2_profile"],
+    "parabolic": ["Parabolic", "parabolic_closure", "enumerate_parabolics", "is_primitive",
+                  "DivideRecord", "divide_check", "indistinguishing_number",
+                  "SeparabilityVerdict", "separability_verdict"],
+    "tcond": ["TConditionWitness", "TConditionReport", "check_t_condition",
+              "four_condition_frobenius_verdict"],
+    "algiso": ["RelationBijection", "find_algebraic_isomorphisms", "algebraic_automorphisms",
+               "BaseTriple", "base_triples", "CoordinateMap", "base_coordinates",
+               "InducedIsomorphism", "induced_isomorphism", "SchurityResult",
+               "schurity_via_base_triples"],
+    "spreads": ["Spread", "verify_spread", "desarguesian_spread", "andre_spread",
+                "hall_spread", "spread_scheme", "scalar_spec"],
+    "circulants": ["CirculantSpec", "Circulant", "frobenius_circulant",
+                   "circulant_from_connection", "color_matrix", "preserving_units",
+                   "certificate_unit_groups"],
+    "autgrp": ["FrobeniusCertificate", "frobenius_certificate", "automorphism_stabilizer"],
+    "wldim": ["ExceptionCheck", "exception_check", "exception_set_crosscheck",
+              "FrobeniusScreen", "frobenius_screen", "WlVerdict", "dimwl_verdict"],
+}
+
+
+def test_the_package_serves_every_re_exported_name():
+    import importlib
+
+    import pfscheme
+
+    star: dict = {}
+    exec("from pfscheme import *", star)
+    names = [(module, name) for module, names in EXPORTS.items() for name in names]
+    assert len(names) == 78
+    for module, name in names:
+        assert getattr(pfscheme, name) is getattr(importlib.import_module(
+            "pfscheme." + module), name), name
+        assert name in dir(pfscheme) and star[name] is getattr(pfscheme, name), name
+    with pytest.raises(AttributeError):
+        pfscheme.no_such_name
+
+
+def test_module_entry_point_writes_nothing_to_stderr(tmp_path, capsys):
+    # runpy warns, and runs the module twice, when `pfscheme.cli` is
+    # already in sys.modules before it runs as __main__
+    hall9 = gen_scheme(capsys, tmp_path, "hall9.json", "gen", "spread", "--q", "9",
+                       "--plane", "hall")
+    proc = subprocess.run([sys.executable, "-m", "pfscheme.cli", "check", "axioms",
+                           "--scheme", hall9], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["passed"]
+
+
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
+    from pfscheme import wldim
+
+    def too_large(circ):
+        raise MemoryError("Unable to allocate 5.96 GiB for an array")
+
+    monkeypatch.setattr(wldim, "dimwl_verdict", too_large)
+    code, out, err = run_cli(capsys, "classify", "wl", "--n", "40000", "--conn", "1,-1")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 5.96 GiB for an array\n"
 
 
 _NO_OPENSSL = """

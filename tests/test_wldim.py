@@ -16,7 +16,7 @@ from pfscheme.circulants import (
     frobenius_circulant,
 )
 from pfscheme.perms import PermGroup, Permutation
-from pfscheme.scheme import Scheme, partition_equal, wl_closure
+from pfscheme.scheme import Scheme, _carries, partition_equal, wl_closure
 from pfscheme.wldim import (
     SEARCH_LIMIT,
     _construction_certificate,
@@ -159,6 +159,105 @@ def test_frobenius_certificate_searches_only_the_stabilizer(monkeypatch):
     cert = frobenius_certificate(wl_closure(cycle_colors(31)))
     assert cert.frobenius
     assert calls == [{0: 0}]
+
+
+def reference_solutions(search, partial, limit=None, levels=None):
+    """`_Search.solutions` as it was before forced branches were completed
+    in one step: one point per step, two n x n comparisons each.  Appends
+    to `levels` the number of branch points above each branch point."""
+    img, cand = search._start(partial)
+    P, found = search.P, 0
+    stack = [(img, cand, 0)]
+    while stack:
+        img, cand, level = stack.pop()
+        while True:
+            unassigned = np.nonzero(img < 0)[0]
+            if len(unassigned) == 0:
+                assert _carries(img, P, P)
+                yield img
+                found += 1
+                if limit is not None and found >= limit:
+                    return
+                break
+            counts = cand[unassigned].sum(axis=1)
+            pos = int(np.argmin(counts))
+            u, m = int(unassigned[pos]), int(counts[pos])
+            if m == 0:
+                break
+            vs = np.nonzero(cand[u])[0]
+            if m > 1:
+                if levels is not None:
+                    levels.append(level)
+                for v in vs[:0:-1]:
+                    img2, cand2 = img.copy(), cand.copy()
+                    img2[u] = v
+                    cand2 &= np.equal.outer(P[:, u], P[:, int(v)])
+                    cand2 &= np.equal.outer(P[u, :], P[int(v), :])
+                    stack.append((img2, cand2, level + 1))
+                level += 1
+            v = int(vs[0])
+            img[u] = v
+            cand &= np.equal.outer(P[:, u], P[:, v])
+            cand &= np.equal.outer(P[u, :], P[v, :])
+
+
+# the circulants of the benchmark's 11 `classify wl` jobs
+BENCH_CIRCULANTS = [
+    circulant_from_connection(n, [1, -1]) for n in (64, 81, 99, 101, 127, 165, 189, 243)
+] + [frobenius_circulant(CirculantSpec(n, (n - 1,), (1, 2))) for n in (105, 195)] + [
+    frobenius_circulant(CirculantSpec(157, (14,), (1,)))]
+
+
+def _same_maps(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_forced_completion_matches_the_point_by_point_search(monkeypatch):
+    from pfscheme.frobenius import CyclicFactor, FrobeniusSpec, build_frobenius
+    from pfscheme.scheme import from_orbitals
+    from pfscheme.spreads import desarguesian_spread, hall_spread, spread_scheme
+
+    closures = [wl_closure(color_matrix(c)) for c in BENCH_CIRCULANTS]
+    for s in closures:
+        search = autgrp._Search(s)
+        assert _same_maps(list(search.solutions({0: 0})),
+                          list(reference_solutions(search, {0: 0})))
+        assert _same_maps(list(search.solutions({0: 1}, limit=1)),
+                          list(reference_solutions(search, {0: 1}, limit=1)))
+    # The rook's graph on 4 x 4 points (stabilizer of order 72) and K_6
+    # branch below the root of the search.
+    rook = [(i, j) for i in range(4) for j in range(4)]
+    others = [spread_scheme(hall_spread(9)), spread_scheme(desarguesian_spread(9)),
+              from_orbitals(build_frobenius(FrobeniusSpec((CyclicFactor(9, (8,)),), 2))),
+              Scheme(np.array([[0 if a == b else 1 if a[0] == b[0] or a[1] == b[1] else 2
+                                for b in rook] for a in rook])),
+              Scheme(complete_colors(6))]
+    levels = []
+    for s in others:
+        maps, capped = autgrp.automorphism_stabilizer(s)
+        assert not capped
+        assert _same_maps(maps, list(reference_solutions(autgrp._Search(s), {0: 0},
+                                                         levels=levels)))
+    assert max(levels) >= 2
+    # On random graphs some forced completions do not carry every pair;
+    # the point-by-point search reaches an empty candidate set there.
+    refused = []
+    carries = autgrp._carries
+
+    def counted(g, colors, image):
+        ok = carries(g, colors, image)
+        refused.append(not ok)
+        return ok
+
+    monkeypatch.setattr(autgrp, "_carries", counted)
+    rng = np.random.default_rng(0)
+    for n in (6, 7, 8, 9, 10) * 6:
+        upper = np.triu(rng.integers(0, 2, (n, n)), 1)
+        search = autgrp._Search(Scheme(upper + upper.T + 1 - np.eye(n, dtype=np.int64)))
+        for partial in ({0: 0}, {0: 1}, {0: 1, 1: 0}):
+            assert _same_maps(list(search.solutions(partial)),
+                              list(reference_solutions(search, partial)))
+    assert any(refused)
 
 
 # the composite circulants of the benchmark that admit a K, and one K of

@@ -46,6 +46,8 @@ RECIPES = {
     "thin300-iso-alg": ["iso", "alg", "{thin300}", "{thin300}", "--limit", "1"],
     "thin300-iso-induced": ["iso", "induced", "{thin300}", "{thin300}"],
     "gen-frobenius-521-520": ["gen", "frobenius", "--cyclic", "521,520", "--out", "{scratch}"],
+    # almost all start-up: imports and the compilation of the modules it runs
+    "gen-circulant-64": ["gen", "circulant", "--n", "64", "--conn", "1,-1", "--out", "{scratch}"],
 }
 
 # catalog spec mixed-17-9: Z_17 x (Z_3)^4, complement of order 8
