@@ -2,7 +2,7 @@
 
 Subpackage map:
     arith       number-theory helpers and mixed-radix index arithmetic
-    perms       permutations, Schreier-Sims groups, orbitals from a Schreier tree
+    perms       reference permutation groups: Schreier-Sims order, orbitals
     scheme      association schemes, intersection tensors, WL closure
     lattice     shared join-closure engine for subgroup and parabolic lattices
     gf          finite field arithmetic GF(p^e)
@@ -30,24 +30,22 @@ import sys
 
 _EXPORTS = {
     "arith": ("divisors", "factorize", "is_prime", "mult_order", "prime_power"),
-    "perms": ("Permutation", "PermGroup", "group_order"),
+    "perms": ("Permutation", "PermGroup"),
     "scheme": ("Scheme", "SchemeError", "NotCoherentError", "IntersectionTensor",
                "compute_tensor", "canonical_relabel", "partition_equal",
-               "from_orbitals", "wl_closure"),
+               "from_orbitals", "frobenius_scheme", "wl_closure"),
     "gf": ("GF", "FiniteField"),
     "frobenius": ("FrobeniusError", "CyclicFactor", "ElementaryAbelianFactor",
                   "FrobeniusSpec", "build_frobenius", "InvariantLattice",
                   "invariant_lattice", "PrincipalSection", "principal_sections",
                   "ClassificationProfile", "thm2_profile"),
     "parabolic": ("Parabolic", "parabolic_closure", "enumerate_parabolics",
-                  "is_primitive", "DivideRecord", "divide_check",
-                  "indistinguishing_number", "SeparabilityVerdict",
-                  "separability_verdict"),
+                  "DivideRecord", "divide_check", "indistinguishing_number",
+                  "SeparabilityVerdict", "separability_verdict"),
     "tcond": ("TConditionWitness", "TConditionReport", "check_t_condition",
               "four_condition_frobenius_verdict"),
-    "algiso": ("RelationBijection", "find_algebraic_isomorphisms",
-               "algebraic_automorphisms", "BaseTriple", "base_triples",
-               "CoordinateMap", "base_coordinates", "InducedIsomorphism",
+    "algiso": ("RelationBijection", "find_algebraic_isomorphisms", "BaseTriple",
+               "base_triples", "CoordinateMap", "base_coordinates", "InducedIsomorphism",
                "induced_isomorphism", "SchurityResult", "schurity_via_base_triples"),
     "spreads": ("Spread", "verify_spread", "desarguesian_spread", "andre_spread",
                 "hall_spread", "spread_scheme", "scalar_spec"),

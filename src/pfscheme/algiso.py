@@ -20,7 +20,7 @@ import numpy as np
 from .arith import sorted_unique
 from .parabolic import Parabolic, enumerate_parabolics, parabolic_closure
 from .scheme import IntersectionTensor, Scheme, SchemeError, _carries, partition_equal
-from .tcond import TConditionReport, check_t_condition
+from .tcond import check_t_condition
 
 
 def _mismatched_rows(T1: IntersectionTensor, T2: IntersectionTensor,
@@ -148,10 +148,6 @@ def find_algebraic_isomorphisms(source: Scheme, target: Scheme,
 
     rec(0)
     return out, truncated
-
-
-def algebraic_automorphisms(scheme: Scheme, limit: int | None = None):
-    return find_algebraic_isomorphisms(scheme, scheme, limit)
 
 
 # -- base triples and coordinates -------------------------------------------
@@ -337,23 +333,20 @@ def _first_valid_triple(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
     return None, None
 
 
-def _verified_maps(source: Scheme, target: Scheme, psi: RelationBijection,
-                   e: Parabolic | None, mus):
+def _verified_maps(source: Scheme, target: Scheme, psi: RelationBijection, mus):
     """Yield (e, tau, tau2, g) for every verified point map g inducing psi.
 
-    e defaults to the first nontrivial parabolic of the source, and tau is
-    its first bijective base triple.  tau2 runs over the target triples
-    (mu2 in `mus`, default every point) carrying the psi-images of tau's
-    three colours; each transported coordinate map g is verified before
-    it is yielded.  Any point map inducing psi sends tau to such a triple,
-    so the scan finds every one.
+    e is the first nontrivial parabolic of the source, and tau is its
+    first bijective base triple.  tau2 runs over the target triples (mu2
+    in `mus`, or every point when it is None) carrying the psi-images of
+    tau's three colours; each transported coordinate map g is verified
+    before it is yielded.  Any point map inducing psi sends tau to such a
+    triple, so the scan finds every one.
     """
+    e = next((p for p in enumerate_parabolics(source)
+              if not p.is_trivial() and not p.is_full()), None)
     if e is None:
-        nontrivial = [p for p in enumerate_parabolics(source)
-                      if not p.is_trivial() and not p.is_full()]
-        if not nontrivial:
-            raise SchemeError("base-triple reconstruction needs a nontrivial parabolic")
-        e = nontrivial[0]
+        raise SchemeError("base-triple reconstruction needs a nontrivial parabolic")
     e2 = psi.image_parabolic(e)
     in_e = _relation_mask(source, e)
     tau, f1 = _first_valid_triple(source, e, in_e, _pair_counts(source, in_e))
@@ -379,7 +372,6 @@ def _verified_maps(source: Scheme, target: Scheme, psi: RelationBijection,
 
 
 def induced_isomorphism(source: Scheme, target: Scheme, psi: RelationBijection,
-                        e: Parabolic | None = None,
                         mu_candidates=None) -> InducedIsomorphism | None:
     """First verified point map inducing psi, or None if there is none.
 
@@ -388,7 +380,7 @@ def induced_isomorphism(source: Scheme, target: Scheme, psi: RelationBijection,
     Any point map inducing psi sends tau to such a triple, so the scan
     decides inducedness of psi completely.
     """
-    found = next(_verified_maps(source, target, psi, e, mu_candidates), None)
+    found = next(_verified_maps(source, target, psi, mu_candidates), None)
     if found is None:
         return None
     _, tau, tau2, g = found
@@ -438,29 +430,22 @@ def _symmetric_group_result(scheme: Scheme) -> SchurityResult:
                           parabolic_rels=(), tau=None, reason="rank <= 2")
 
 
-def schurity_via_base_triples(scheme: Scheme,
-                              four_report: TConditionReport | None = None,
-                              e: Parabolic | None = None) -> SchurityResult:
+def schurity_via_base_triples(scheme: Scheme) -> SchurityResult:
     """Certify schurity by reconstructing automorphisms from base triples.
 
-    Requires the 4-condition (checked here unless a matching report is
-    supplied).  One bijective base triple tau is fixed; for every triple
-    tau' carrying the same three colors the transported coordinate map is
-    built and verified.  Each automorphism sends tau to such a triple and
-    is fixed by it, so the maps are the whole group G (the orbit-
-    stabilizer equation is asserted).  They are distinct, as each sends
-    tau to its own tau', the points with tau's coordinates.  G must be
-    transitive, and the orbits of its stabilizer of 0 must be the colour
-    classes of row 0.  The maps are the rows of one int32 array.
+    Requires the 4-condition, which is checked first.  One bijective base
+    triple tau is fixed; for every triple tau' carrying the same three
+    colors the transported coordinate map is built and verified.  Each
+    automorphism sends tau to such a triple and is fixed by it, so the
+    maps are the whole group G (the orbit-stabilizer equation is
+    asserted).  They are distinct, as each sends tau to its own tau', the
+    points with tau's coordinates.  G must be transitive, and the orbits
+    of its stabilizer of 0 must be the colour classes of row 0.  The maps
+    are the rows of one int32 array.
     """
     if scheme.rank <= 2:
         return _symmetric_group_result(scheme)
-    if four_report is None:
-        four_report = check_t_condition(scheme, 4)
-    elif (four_report.t != 4
-          or four_report.scheme_fingerprint != scheme.fingerprint()):
-        raise SchemeError("4-condition report does not match the scheme")
-    if not four_report.passed:
+    if not check_t_condition(scheme, 4).passed:
         return SchurityResult(
             schurian=False, four_condition_passed=False,
             automorphisms=np.empty((0, scheme.n), dtype=np.int32),
@@ -468,7 +453,7 @@ def schurity_via_base_triples(scheme: Scheme,
             orbital_scheme_equal=False, parabolic_rels=(), tau=None,
             reason="4-condition fails; reconstruction not applicable")
     identity = RelationBijection(scheme, scheme, tuple(range(scheme.rank)))
-    maps = list(_verified_maps(scheme, scheme, identity, e, None))
+    maps = list(_verified_maps(scheme, scheme, identity, None))
     if not maps:
         raise SchemeError("no verified automorphism arises from the base triple")
     e, tau = maps[0][:2]

@@ -24,7 +24,10 @@ from .scheme import Scheme, _carries
 
 class _Search:
     def __init__(self, scheme: Scheme):
-        self.P = scheme.colors
+        # the colours in the least dtype that holds the rank, as in
+        # `algiso._verified_maps`: the masks and each verifying n^2 gather
+        # then move the fewest bytes
+        self.P = scheme.colors.astype(np.min_scalar_type(scheme.rank - 1))
         self.n = scheme.n
 
     def _start(self, partial: dict):
@@ -85,11 +88,10 @@ class _Search:
                 cand &= np.equal.outer(P[u, :], P[v, :])
 
 
-def automorphism_stabilizer(scheme: Scheme, point: int = 0,
-                            cap: int | None = None):
-    """All automorphisms fixing the point, up to cap; returns (maps, capped)."""
+def automorphism_stabilizer(scheme: Scheme, cap: int | None = None):
+    """All automorphisms fixing point 0, up to cap; returns (maps, capped)."""
     limit = None if cap is None else cap + 1
-    out = list(_Search(scheme).solutions({point: point}, limit=limit))
+    out = list(_Search(scheme).solutions({0: 0}, limit=limit))
     if cap is not None and len(out) > cap:
         return out[:cap], True
     return out, False
@@ -112,12 +114,12 @@ class FrobeniusCertificate(NamedTuple):
                 "witness": list(self.witness)}
 
 
-def frobenius_certificate(scheme: Scheme, cap: int | None = None) -> FrobeniusCertificate:
+def frobenius_certificate(scheme: Scheme) -> FrobeniusCertificate:
     """Transitive + nontrivial stabilizer + nonidentity maps fix one point.
 
-    The stabilizer of point 0 is enumerated in full (fixed-point-free
-    stabilizers have at most n - 1 elements, so the default cap of n only
-    triggers when the group is already disqualified).  Transitivity is
+    The stabilizer of point 0 is enumerated up to a cap of n maps
+    (fixed-point-free stabilizers have at most n - 1 elements, so the cap
+    only triggers when the group is already disqualified).  Transitivity is
     free when `scheme.translations` certifies the scheme: every
     translation x -> x + c is then a verified automorphism.  Without a
     certificate it is established by one map 0 -> alpha per point.
@@ -125,9 +127,7 @@ def frobenius_certificate(scheme: Scheme, cap: int | None = None) -> FrobeniusCe
     n = scheme.n
     if n < 2:
         return FrobeniusCertificate(False, True, 1, 1, "degenerate scheme")
-    if cap is None:
-        cap = n
-    stab, capped = automorphism_stabilizer(scheme, 0, cap=cap)
+    stab, capped = automorphism_stabilizer(scheme, cap=n)
     for img in stab:
         fixed = np.flatnonzero(img == np.arange(n))
         if 2 <= len(fixed) < n:
@@ -137,7 +137,7 @@ def frobenius_certificate(scheme: Scheme, cap: int | None = None) -> FrobeniusCe
                 witness=tuple(img.tolist()))
     if capped:
         return FrobeniusCertificate(None, None, None, None,
-                                    "stabilizer enumeration capped at %d" % cap)
+                                    "stabilizer enumeration capped at %d" % n)
     m = len(stab)
     if m < 2:
         return FrobeniusCertificate(False, None, m, None,

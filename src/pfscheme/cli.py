@@ -184,9 +184,8 @@ def cmd_gen(args) -> int:
     else:
         try:
             if args.kind == "frobenius":
-                from .frobenius import build_frobenius
-                from .scheme import from_orbitals
-                scheme = from_orbitals(build_frobenius(_spec_from_args(args)))
+                from .scheme import frobenius_scheme
+                scheme = frobenius_scheme(_spec_from_args(args))
                 payload = {"valency": scheme.is_equivalenced()}
             else:
                 from .spreads import desarguesian_spread, hall_spread, spread_scheme

@@ -13,15 +13,17 @@ complement is one cached (k, n) table, `FrobeniusSpec.complement`: the
 generator tables (`_generator_tables`) closed under composition, with the
 identity in row 0.  `validate` checks that the table has exactly
 `complement_order` rows and that no row but the identity fixes a nonzero
-index; `build_frobenius` then returns the permutation group on H
-generated by the translations and the complement.
+index.  `scheme.frobenius_scheme` builds the orbital scheme from these
+tables; `build_frobenius` returns the permutation group on H generated by
+the translations and the complement, the reference that scheme is tested
+against.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -36,7 +38,9 @@ from .arith import (
     sorted_unique,
 )
 from .lattice import bits_of, indices_of, join_closure
-from .perms import PermGroup, Permutation
+
+if TYPE_CHECKING:                       # imported by build_frobenius alone
+    from .perms import PermGroup
 
 
 class FrobeniusError(ValueError):
@@ -285,6 +289,7 @@ def build_frobenius(spec: FrobeniusSpec) -> PermGroup:
     complement closes to exactly k elements, all acting without nonzero
     fixed points, hence faithfully and with trivial two-point stabilizers).
     """
+    from .perms import PermGroup, Permutation
     spec.validate()
     idx = np.arange(spec.kernel_order, dtype=np.int64)
     gens = [digit_add(idx, b, spec.radices)

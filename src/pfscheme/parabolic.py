@@ -137,10 +137,6 @@ def _parabolic_lattice(scheme: Scheme) -> tuple[list[Parabolic], JoinLattice]:
     return scheme._parabolics
 
 
-def is_primitive(scheme: Scheme) -> bool:
-    return len(enumerate_parabolics(scheme)) == 2 if scheme.rank > 1 else True
-
-
 # -- valency-divide check --------------------------------------------------
 
 

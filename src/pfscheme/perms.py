@@ -1,4 +1,7 @@
-"""Permutations on {0,...,n-1} and finitely generated permutation groups.
+"""Permutations on {0,...,n-1} and finitely generated permutation groups:
+the reference groups.  `frobenius.build_frobenius` returns a Frobenius
+group as a PermGroup, and the tests compare `scheme.frobenius_scheme`
+with its orbitals; the commands build schemes from tables alone.
 
 Composition is a right action throughout: (p * q)(x) = q(p(x)), so that
 x^(p*q) = (x^p)^q.  Group order comes from a deterministic Schreier-Sims
@@ -40,14 +43,8 @@ class Permutation:
         o = other.images
         return Permutation([o[i] for i in self.images])
 
-    def inverse(self) -> "Permutation":
-        return Permutation(_invert(self.images))
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
-
-    def fixed_points(self) -> list[int]:
-        return [i for i, j in enumerate(self.images) if i == j]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
@@ -72,10 +69,6 @@ class Permutation:
         if not cycs:
             return "()"
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -141,19 +134,6 @@ class PermGroup:
                         nxt.append(y)
             frontier = nxt
         return seen
-
-    def orbits(self) -> list[list[int]]:
-        """All point orbits, each sorted, ordered by smallest point."""
-        seen = [False] * self.degree
-        out = []
-        for x in range(self.degree):
-            if seen[x]:
-                continue
-            orb = sorted(self.orbit(x))
-            for y in orb:
-                seen[y] = True
-            out.append(orb)
-        return out
 
     def orbitals(self) -> np.ndarray:
         """Class labels for the diagonal action on ordered pairs.
@@ -261,16 +241,5 @@ class PermGroup:
             self._order = n
         return self._order
 
-    def __contains__(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
-            return False
-        self._build_chain()
-        residue, _ = self._sift(p.images)
-        return all(i == j for i, j in enumerate(residue))
-
     def __repr__(self) -> str:
         return "PermGroup(degree=%d, gens=%d)" % (self.degree, len(self.generators))
-
-
-def group_order(generators: Sequence[Permutation], degree: int | None = None) -> int:
-    return PermGroup(generators, degree).order()

@@ -467,6 +467,19 @@ def from_orbitals(group) -> Scheme:
     return canonical_relabel(group.orbitals().reshape(n, n))
 
 
+def frobenius_scheme(spec) -> Scheme:
+    """The orbital scheme of a Frobenius spec's group, without the group:
+    `from_orbitals(build_frobenius(spec))`, computed from tables.
+
+    The kernel is abelian and regular, so a translation takes (a, b) to
+    (0, b - a), and the stabilizer of 0 is the complement.  The orbital of
+    (a, b) is thus named by the least member of the complement orbit of
+    b - a: the column minimum of the table that `spec.validate()` checks
+    and returns, read at `difference_table(spec.radices)[a, b]`.
+    """
+    return canonical_relabel(spec.validate().min(axis=0)[difference_table(spec.radices)])
+
+
 def wl_closure(colors) -> Scheme:
     """Coherent closure of an initial n x n pair coloring.
 

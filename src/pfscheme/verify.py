@@ -16,7 +16,7 @@ import numpy as np
 from .algiso import base_triple_counts, find_algebraic_isomorphisms, schurity_via_base_triples
 from .catalog import KERNEL_CAP, batch_specs
 from .circulants import CirculantSpec, circulant_from_connection, color_matrix
-from .frobenius import CyclicFactor, ElementaryAbelianFactor, FrobeniusSpec, build_frobenius
+from .frobenius import CyclicFactor, ElementaryAbelianFactor, FrobeniusSpec
 from .gf import GF
 from .parabolic import (
     divide_check,
@@ -24,7 +24,7 @@ from .parabolic import (
     indistinguishing_number,
     separability_verdict,
 )
-from .scheme import Scheme, from_orbitals, partition_equal, wl_closure
+from .scheme import Scheme, frobenius_scheme, partition_equal, wl_closure
 from .spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
 from .tcond import check_t_condition, four_condition_frobenius_verdict
 from .wldim import dimwl_verdict, exception_set_crosscheck
@@ -50,19 +50,15 @@ class CriterionResult(NamedTuple):
         }
 
 
-def _orbital_scheme(spec: FrobeniusSpec) -> Scheme:
-    return from_orbitals(build_frobenius(spec))
-
-
 # name -> builder of the named schemes other than the cycle closures
 _BUILDERS = {
-    "z9": lambda: _orbital_scheme(FrobeniusSpec((CyclicFactor(9, (8,)),), 2)),
-    "z63": lambda: _orbital_scheme(FrobeniusSpec((CyclicFactor(63, (62,)),), 2)),
-    "z65-u57": lambda: _orbital_scheme(FrobeniusSpec((CyclicFactor(65, (57,)),), 4)),
-    "scalar-3": lambda: _orbital_scheme(scalar_spec(3, 2)),
-    "scalar-4": lambda: _orbital_scheme(scalar_spec(4, 2)),
-    "scalar-5": lambda: _orbital_scheme(scalar_spec(5, 2)),
-    "ea-3-2-full": lambda: _orbital_scheme(FrobeniusSpec((ElementaryAbelianFactor(
+    "z9": lambda: frobenius_scheme(FrobeniusSpec((CyclicFactor(9, (8,)),), 2)),
+    "z63": lambda: frobenius_scheme(FrobeniusSpec((CyclicFactor(63, (62,)),), 2)),
+    "z65-u57": lambda: frobenius_scheme(FrobeniusSpec((CyclicFactor(65, (57,)),), 4)),
+    "scalar-3": lambda: frobenius_scheme(scalar_spec(3, 2)),
+    "scalar-4": lambda: frobenius_scheme(scalar_spec(4, 2)),
+    "scalar-5": lambda: frobenius_scheme(scalar_spec(5, 2)),
+    "ea-3-2-full": lambda: frobenius_scheme(FrobeniusSpec((ElementaryAbelianFactor(
         3, 2, (GF(9).mul_matrix(GF(9).primitive_element()),)),), 8)),
     "f3x3-spread": lambda: spread_scheme(desarguesian_spread(3)),
     "f9x9-desarguesian": lambda: spread_scheme(desarguesian_spread(9)),

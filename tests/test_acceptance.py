@@ -94,7 +94,7 @@ def test_run_all_builds_each_named_scheme_once(monkeypatch):
     # the criteria share one corpus: each named scheme is built, and its
     # tensor verified, once per process
     builds, tensors = [], []
-    for name in ("from_orbitals", "spread_scheme"):
+    for name in ("frobenius_scheme", "spread_scheme"):
         build = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda *a, b=build, nm=name: builds.append(nm) or b(*a))
     compute_tensor = scheme.compute_tensor
@@ -110,5 +110,5 @@ def test_run_all_builds_each_named_scheme_once(monkeypatch):
     names = set(verify.CORPUS + verify.PSEUDOFROBENIUS) | {"ea-3-2-full"}
     assert info.misses == info.currsize == len(names) == 23
     assert info.hits >= 20
-    assert builds.count("from_orbitals") == 7 and builds.count("spread_scheme") == 3
+    assert builds.count("frobenius_scheme") == 7 and builds.count("spread_scheme") == 3
     assert len(tensors) == len({id(s) for s in tensors}) >= len(names)

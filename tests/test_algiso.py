@@ -10,7 +10,6 @@ import pfscheme.algiso as algiso
 from pfscheme.algiso import (
     BaseTriple,
     RelationBijection,
-    algebraic_automorphisms,
     base_coordinates,
     base_triples,
     find_algebraic_isomorphisms,
@@ -51,7 +50,7 @@ def test_relation_bijection_validates():
 
 def test_algebraic_automorphisms_of_z9():
     s = z9()
-    isos, truncated = algebraic_automorphisms(s)
+    isos, truncated = find_algebraic_isomorphisms(s, s)
     assert not truncated
     # multiplication by units modulo +-1 gives the three tensor symmetries
     assert len(isos) == 3
@@ -61,7 +60,7 @@ def test_algebraic_automorphisms_of_z9():
     assert (0, 2, 4, 3, 1) in maps
     # the inverse of each is one of them
     assert {tuple(int(i) for i in np.argsort(m)) for m in maps} == maps
-    isos1, truncated1 = algebraic_automorphisms(s, limit=1)
+    isos1, truncated1 = find_algebraic_isomorphisms(s, s, limit=1)
     assert len(isos1) == 1 and truncated1
 
 
@@ -279,7 +278,7 @@ def test_induced_point_map_matches_the_dict_lookup(name):
     # not, for the identity and for a second algebraic automorphism
     build, second_induced = INDUCED_CASES[name]
     s = build()
-    psis, _ = algebraic_automorphisms(s, limit=2)
+    psis, _ = find_algebraic_isomorphisms(s, s, limit=2)
     assert [induced_isomorphism(s, s, psi) is not None for psi in psis] == [True, second_induced]
     e = next(p for p in enumerate_parabolics(s) if not p.is_trivial() and not p.is_full())
     in_e = algiso._relation_mask(s, e)
@@ -387,7 +386,7 @@ def test_schurity_matches_the_group_of_its_maps(name):
 def test_schurity_of_map_lists_that_generate_a_smaller_group(monkeypatch):
     s = z9()
     identity = RelationBijection(s, s, tuple(range(s.rank)))
-    real = list(algiso._verified_maps(s, s, identity, None, None))
+    real = list(algiso._verified_maps(s, s, identity, None))
     fixing = [m for m in real if m[3][0] == 0]
     monkeypatch.setattr(algiso, "_verified_maps", lambda *a: iter(fixing))
     res = schurity_via_base_triples(s)

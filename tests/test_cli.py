@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pfscheme.circulants import CirculantSpec, circulant_from_connection, color_matrix, frobenius_circulant
-from pfscheme.cli import main
+from pfscheme.cli import _emit, main
 from pfscheme.frobenius import CyclicFactor, FrobeniusSpec, build_frobenius
 from pfscheme.scheme import Scheme, from_orbitals
 from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
@@ -471,6 +471,12 @@ def test_gen_writes_each_colour_row_on_one_line(tmp_path, capsys, args):
     assert json.loads(out) == json.loads(old_layout(payload))
     assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
     assert path.read_text() == out
+    # the bytes of the document built from the library: for `frobenius`,
+    # the orbital route (these two files are the benchmark's `spreads`
+    # set-up, whose digest it checks)
+    library = tmp_path / "library.json"
+    _emit(payload, "json", str(library), rows="colors")
+    assert path.read_bytes() == library.read_bytes()
     assert run_cli(capsys, *argv)[1] == out
     # each row on one line; every other key in the old two-space layout
     lines = out.splitlines()
@@ -623,29 +629,34 @@ def test_a_process_runs_only_the_modules_of_its_command(tmp_path, capsys):
     assert (after_import, code) == (["cli"], 0)
     assert "wldim" in executed
     assert not {"algiso", "gf", "spreads", "tcond", "verify", "catalog"} & set(executed)
+    # schemes are built from tables: no command runs the permutation groups
+    for argv in (["gen", "frobenius", "--cyclic", "9,8", "--out", str(tmp_path / "z9.json")],
+                 ["classify", "thm2", "--cyclic", "105,104"], ["verify-paper"]):
+        after_import, code, executed = _fresh_process(_EXECUTED, argv=argv)
+        assert (after_import, code) == (["cli"], 0), argv
+        assert "frobenius" in executed and "perms" not in executed, argv
 
 
 # the names the package re-exports, by module
 EXPORTS = {
     "arith": ["divisors", "factorize", "is_prime", "mult_order", "prime_power"],
-    "perms": ["Permutation", "PermGroup", "group_order"],
+    "perms": ["Permutation", "PermGroup"],
     "scheme": ["Scheme", "SchemeError", "NotCoherentError", "IntersectionTensor",
                "compute_tensor", "canonical_relabel", "partition_equal", "from_orbitals",
-               "wl_closure"],
+               "frobenius_scheme", "wl_closure"],
     "gf": ["GF", "FiniteField"],
     "frobenius": ["FrobeniusError", "CyclicFactor", "ElementaryAbelianFactor",
                   "FrobeniusSpec", "build_frobenius", "InvariantLattice",
                   "invariant_lattice", "PrincipalSection", "principal_sections",
                   "ClassificationProfile", "thm2_profile"],
-    "parabolic": ["Parabolic", "parabolic_closure", "enumerate_parabolics", "is_primitive",
+    "parabolic": ["Parabolic", "parabolic_closure", "enumerate_parabolics",
                   "DivideRecord", "divide_check", "indistinguishing_number",
                   "SeparabilityVerdict", "separability_verdict"],
     "tcond": ["TConditionWitness", "TConditionReport", "check_t_condition",
               "four_condition_frobenius_verdict"],
-    "algiso": ["RelationBijection", "find_algebraic_isomorphisms", "algebraic_automorphisms",
-               "BaseTriple", "base_triples", "CoordinateMap", "base_coordinates",
-               "InducedIsomorphism", "induced_isomorphism", "SchurityResult",
-               "schurity_via_base_triples"],
+    "algiso": ["RelationBijection", "find_algebraic_isomorphisms", "BaseTriple",
+               "base_triples", "CoordinateMap", "base_coordinates", "InducedIsomorphism",
+               "induced_isomorphism", "SchurityResult", "schurity_via_base_triples"],
     "spreads": ["Spread", "verify_spread", "desarguesian_spread", "andre_spread",
                 "hall_spread", "spread_scheme", "scalar_spec"],
     "circulants": ["CirculantSpec", "Circulant", "frobenius_circulant",
@@ -665,7 +676,7 @@ def test_the_package_serves_every_re_exported_name():
     star: dict = {}
     exec("from pfscheme import *", star)
     names = [(module, name) for module, names in EXPORTS.items() for name in names]
-    assert len(names) == 78
+    assert len(names) == 76
     for module, name in names:
         assert getattr(pfscheme, name) is getattr(importlib.import_module(
             "pfscheme." + module), name), name
@@ -735,10 +746,27 @@ def test_perfbench_traces_every_entry_point(tmp_path):
     assert {"cli.main", "scheme.compute_tensor", "wldim.dimwl_verdict"} <= names
 
 
-def test_perfbench_traces_orbitals(tmp_path):
-    # `pairs` is read as len() of the orbital labels
-    names = _perfbench_spans(tmp_path, "gen", "frobenius", "--scalar", "7")
-    assert {"perms.PermGroup.orbitals", "scheme.from_orbitals"} <= names
+_TRACED_ORBITALS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from layers import Tracer
+from pfscheme import cli, frobenius, scheme, spreads     # cli.main is a target too
+tracer = Tracer()
+tracer.install()
+scheme.from_orbitals(frobenius.build_frobenius(spreads.scalar_spec(7)))
+print(json.dumps([tracer.missing, [[s[0], s[4]] for s in tracer.spans]]))
+"""
+
+
+def test_perfbench_traces_orbitals():
+    # No command builds a permutation group, so the traced reference route
+    # runs here; `pairs` is read as len() of the orbital labels.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    missing, spans = _fresh_process(_TRACED_ORBITALS, argv=[str(perfbench)])
+    assert missing == []
+    assert ["perms.PermGroup.orbitals", {"pairs": 2401}] in spans
+    assert {"frobenius.build_frobenius", "scheme.from_orbitals"} <= {name for name, _ in spans}
+    assert not [counts for _, counts in spans if "count_errors" in (counts or {})]
 
 
 @pytest.mark.parametrize("level", ["alg", "induced"])

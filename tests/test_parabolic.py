@@ -25,7 +25,6 @@ from pfscheme.parabolic import (
     divide_check,
     enumerate_parabolics,
     indistinguishing_number,
-    is_primitive,
     parabolic_closure,
     separability_verdict,
 )
@@ -132,9 +131,10 @@ def test_enumerate_matches_exhaustive_scan():
 
 
 def test_is_primitive():
-    assert is_primitive(complete_scheme(5))
-    assert is_primitive(paley_13())
-    assert not is_primitive(frobenius_scheme(negation_spec(9)))
+    # primitive: the trivial and the full parabolic, and no other
+    assert len(enumerate_parabolics(complete_scheme(5))) == 2
+    assert len(enumerate_parabolics(paley_13())) == 2
+    assert len(enumerate_parabolics(frobenius_scheme(negation_spec(9)))) > 2
 
 
 def test_divide_check_records():

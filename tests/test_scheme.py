@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from pfscheme.catalog import batch_specs
+from pfscheme.frobenius import CyclicFactor, FrobeniusSpec, build_frobenius
 from pfscheme.perms import Permutation, PermGroup
 from pfscheme.scheme import (
     IntersectionTensor,
@@ -15,6 +17,7 @@ from pfscheme.scheme import (
     canonical_relabel,
     partition_equal,
     from_orbitals,
+    frobenius_scheme,
     wl_closure,
     compute_tensor,
 )
@@ -135,6 +138,16 @@ def test_from_orbitals_matches_cyclic_construction():
     s = from_orbitals(G)
     t = canonical_relabel(cyclic_colors(n))
     assert canonical_relabel(s.colors) == t
+
+
+def test_frobenius_scheme_is_the_orbital_scheme():
+    # the complement orbits of the differences name the orbitals of H x| K
+    specs = [spec for _, spec in batch_specs()]
+    assert len(specs) == 64
+    for spec in specs + [FrobeniusSpec((CyclicFactor(521, (3,)),), 520)]:
+        direct, orbital = frobenius_scheme(spec), from_orbitals(build_frobenius(spec))
+        assert np.array_equal(direct.colors, orbital.colors)
+        assert direct.star == orbital.star
 
 
 def test_wl_closure_is_idempotent_and_refines():

@@ -46,6 +46,7 @@ RECIPES = {
     "thin300-iso-alg": ["iso", "alg", "{thin300}", "{thin300}", "--limit", "1"],
     "thin300-iso-induced": ["iso", "induced", "{thin300}", "{thin300}"],
     "gen-frobenius-521-520": ["gen", "frobenius", "--cyclic", "521,520", "--out", "{scratch}"],
+    "gen-frobenius-mixed-17-9": ["gen", "frobenius", "--spec", "{mixed17spec}", "--out", "{scratch}"],
     # almost all start-up: imports and the compilation of the modules it runs
     "gen-circulant-64": ["gen", "circulant", "--n", "64", "--conn", "1,-1", "--out", "{scratch}"],
 }
