@@ -12,6 +12,7 @@ maps, each verified exhaustively before being reported.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -453,12 +454,13 @@ def schurity_via_base_triples(scheme: Scheme) -> SchurityResult:
             orbital_scheme_equal=False, parabolic_rels=(), tau=None,
             reason="4-condition fails; reconstruction not applicable")
     identity = RelationBijection(scheme, scheme, tuple(range(scheme.rank)))
-    maps = list(_verified_maps(scheme, scheme, identity, None))
-    if not maps:
+    maps = _verified_maps(scheme, scheme, identity, None)
+    first = next(maps, None)
+    if first is None:
         raise SchemeError("no verified automorphism arises from the base triple")
-    e, tau = maps[0][:2]
-    A = np.array([g for *_, g in maps], dtype=np.int32)
+    e, tau, _, g = first
     n, P0 = scheme.n, scheme.colors[0]
+    A = np.fromiter(itertools.chain([g], (h for *_, h in maps)), dtype=np.dtype((np.int32, (n,))))
     orbit, stab = sorted_unique(A[:, 0]), A[A[:, 0] == 0]
     if len(A) != len(orbit) * len(stab):
         raise AssertionError("verified maps break the orbit-stabilizer equation")

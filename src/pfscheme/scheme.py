@@ -8,9 +8,10 @@ beta s*| for (alpha, beta) in t.  All arithmetic is exact integer.
 
 Every scheme the package builds is a translation scheme on its own point
 indices: translation by an abelian group on range(n) is an automorphism.
-`translation_table` certifies this exactly for Z_n or (Z_p)^k, read on the
-mixed-radix digits of `arith.difference_table`, and the kernels then
-compute row 0 only, since pair (a, b) behaves as pair (0, b - a).
+The certificate is the `arith.difference_table` that `translation_scheme`
+built the scheme from, or else the Z_n or (Z_p)^k table that
+`translation_table` finds; the kernels then compute row 0 only, since
+pair (a, b) behaves as pair (0, b - a).
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class Scheme:
 
     @cached_property
     def translations(self) -> np.ndarray | None:
-        """`translation_table` of the colours, computed once per scheme."""
+        """The table `translation_scheme` kept, else the colours' `translation_table`."""
         return translation_table(self.colors)
 
     @property
@@ -302,25 +303,23 @@ def _difference_tables(n: int):
         yield difference_table([p] * k)
 
 
-def translation_table(P) -> np.ndarray | None:
-    """Difference table D certifying that translations are automorphisms.
-
-    Returns the first candidate of `_difference_tables` with
-    P[a, b] == P[0, D[a, b]] for every pair, else None.  Then x -> x + c
-    preserves P for every c, so the pair (a, b) has the same colour and
-    the same counts through intermediate points as (0, D[a, b]): every
-    colour occurs in row 0, a colour's first row-major pair lies there,
-    and so does the first pair at which any such count breaks.
-    """
-    P = np.asarray(P)
-    n = P.shape[0]
-    P0 = P[0]
+def _translates_row_zero(P: np.ndarray, D: np.ndarray) -> bool:
+    """The row test P[a, b] == P[0, D[a, b]], in row blocks.  For a
+    difference table D, x -> x + c then preserves P, so the pair (a, b) has
+    the colour and the counts through intermediate points of (0, D[a, b]):
+    every colour, its first row-major pair and the first pair at which any
+    such count breaks all lie in row 0."""
+    n, P0 = P.shape[0], P[0]
     step = max(1, _BLOCK // n)          # rows per compared block
-    for D in _difference_tables(n):
-        if all(np.array_equal(P[lo:lo + step], P0[D[lo:lo + step]])
-               for lo in range(0, n, step)):
-            return D
-    return None
+    return all(np.array_equal(P[lo:lo + step], P0[D[lo:lo + step]])
+               for lo in range(0, n, step))
+
+
+def translation_table(P) -> np.ndarray | None:
+    """The first candidate of `_difference_tables` passing the row test:
+    the table certifying that translations are automorphisms, or None."""
+    P = np.asarray(P)
+    return next((D for D in _difference_tables(P.shape[0]) if _translates_row_zero(P, D)), None)
 
 
 def first_pairs(P):
@@ -429,16 +428,36 @@ def canonical_relabel(colors) -> Scheme:
     pair row-major).  Input must already partition into scheme relations.
     """
     P = np.asarray(colors, dtype=np.int64)
-    n = P.shape[0]
     diag_color = int(P[0, 0])
     if not (np.diagonal(P) == diag_color).all():
         raise SchemeError("diagonal is not a single class")
     first, total = first_pairs(P)
-    old = np.flatnonzero(total)
-    order = np.lexsort((first[old], total[old] // n, old != diag_color))
-    lut = np.zeros(len(total), dtype=np.int64)
-    lut[old[order]] = np.arange(len(old))
-    return Scheme(lut[P])
+    return Scheme(_canonical_lut(first, total // len(P), diag_color)[P])
+
+
+def _canonical_lut(first, valency, diag) -> np.ndarray:
+    """Canonical number of each label (`first_pairs` of the labels, their
+    valencies): `diag` first, the others by (valency, first pair)."""
+    old = np.flatnonzero(first >= 0)
+    lut = np.zeros(len(first), dtype=np.int64)
+    lut[old[np.lexsort((first[old], valency[old], old != diag))]] = np.arange(len(old))
+    return lut
+
+
+def translation_scheme(labels, D) -> Scheme:
+    """The scheme colouring (a, b) by labels[D[a, b]] for a difference
+    table D and non-negative labels, labels[0] naming only the diagonal.
+    They are numbered as `canonical_relabel` numbers the matrix, off row 0,
+    which holds each colour's first pair and valency, and gathered once in
+    the least dtype holding the rank: the `Scheme`'s copy is the only n^2
+    int64 array.  D becomes its `translations` once the row test passes."""
+    labels = np.asarray(labels)
+    first, valency = first_pairs(labels[None, :])
+    row = _canonical_lut(first, valency, int(labels[0]))[labels]
+    scheme = Scheme(row.astype(np.min_scalar_type(int(row.max())))[D])
+    if _translates_row_zero(scheme.colors, D):
+        scheme.translations = D
+    return scheme
 
 
 def partition_equal(first, second) -> bool:
@@ -469,15 +488,12 @@ def from_orbitals(group) -> Scheme:
 
 def frobenius_scheme(spec) -> Scheme:
     """The orbital scheme of a Frobenius spec's group, without the group:
-    `from_orbitals(build_frobenius(spec))`, computed from tables.
-
-    The kernel is abelian and regular, so a translation takes (a, b) to
-    (0, b - a), and the stabilizer of 0 is the complement.  The orbital of
-    (a, b) is thus named by the least member of the complement orbit of
-    b - a: the column minimum of the table that `spec.validate()` checks
-    and returns, read at `difference_table(spec.radices)[a, b]`.
-    """
-    return canonical_relabel(spec.validate().min(axis=0)[difference_table(spec.radices)])
+    `from_orbitals(build_frobenius(spec))`, computed from tables.  The
+    kernel is abelian and regular and the stabilizer of 0 is the
+    complement, so the orbital of (a, b) is named by the least member of
+    the complement orbit of b - a: row 0 is the column minima of the table
+    `spec.validate()` checks and returns, D the kernel's difference table."""
+    return translation_scheme(spec.validate().min(axis=0), difference_table(spec.radices))
 
 
 def wl_closure(colors) -> Scheme:
@@ -495,8 +511,8 @@ def wl_closure(colors) -> Scheme:
     P[0, D[a, b]]: the pre-split key of (a, b) is read off M[a, b],
     M[b, a] and a == b, so every key occurs in row 0 and the keys of row 0
     number as all n^2 keys do; refinement commutes with the translations,
-    and every class first appears in row 0, so the numbering is that of
-    the full pass.
+    and every class first appears in row 0, so the closure is the
+    `translation_scheme` of its row 0 and D, numbered as by the full pass.
     Raises SchemeError if the stable configuration is not homogeneous
     (cannot happen for vertex-transitive inputs).
     """
@@ -533,6 +549,8 @@ def wl_closure(colors) -> Scheme:
         if newR == R:
             break
         P, R = newP, newR
+    if D is not None:
+        return translation_scheme(P[0], D)
     if len(sorted_unique(np.diagonal(P))) != 1:
         raise SchemeError("stable coloring is not homogeneous (diagonal splits)")
     return canonical_relabel(P)

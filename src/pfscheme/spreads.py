@@ -25,7 +25,7 @@ import numpy as np
 from .arith import difference_table, digit_add, prime_power
 from .frobenius import ElementaryAbelianFactor, FrobeniusSpec
 from .gf import GF, FiniteField
-from .scheme import Scheme, SchemeError
+from .scheme import Scheme, SchemeError, translation_scheme
 
 
 class Spread(NamedTuple):
@@ -140,10 +140,10 @@ def hall_spread(q: int) -> Spread:
 
 def spread_scheme(spread: Spread) -> Scheme:
     """Color pairs by the component of their difference (b - a and a - b
-    lie in the same component, a subgroup)."""
-    colors = spread.component_of()[difference_table(_vector_radices(spread.q))] + 1
-    np.fill_diagonal(colors, 0)
-    return Scheme(colors)
+    lie in the same component, a subgroup), component i as colour i + 1.
+    That is the canonical numbering: the components have one valency, and
+    as sorted tuples they are ordered by their least nonzero point."""
+    return translation_scheme(spread.component_of() + 1, difference_table(_vector_radices(spread.q)))
 
 
 def scalar_spec(q: int, dim: int = 2) -> FrobeniusSpec:

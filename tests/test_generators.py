@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pfscheme.arith import difference_table
 from pfscheme.circulants import (
     CirculantSpec,
     certificate_unit_groups,
@@ -90,13 +91,28 @@ def reference_closed(spread) -> bool:
     return True
 
 
-@pytest.mark.parametrize("spread", [desarguesian_spread(q) for q in (4, 9, 16)]
-                         + [hall_spread(q) for q in (9, 16)],
-                         ids=["desarguesian4", "desarguesian9", "desarguesian16",
-                              "hall9", "hall16"])
-def test_spread_scheme_matches_the_scalar_field_construction(spread):
+def pairwise_spread_scheme(spread):
+    """The spread scheme built on all n^2 pairs: the component of each
+    digitwise difference, with the diagonal as colour 0."""
+    colors = spread.component_of()[difference_table([spread.p] * (2 * spread.e))] + 1
+    np.fill_diagonal(colors, 0)
+    return Scheme(colors)
+
+
+SPREADS = {"desarguesian%d" % q: (desarguesian_spread, q) for q in (3, 4, 5, 7, 8, 9, 16, 25)}
+SPREADS.update({"hall%d" % q: (hall_spread, q) for q in (9, 16, 25)})
+
+
+@pytest.mark.parametrize("name", SPREADS)
+def test_spread_scheme_matches_the_scalar_field_construction(name):
+    make, q = SPREADS[name]
+    spread = make(q)
     assert reference_closed(spread)
-    assert np.array_equal(spread_scheme(spread).colors, reference_spread_colors(spread))
+    built, pairwise = spread_scheme(spread), pairwise_spread_scheme(spread)
+    assert np.array_equal(built.colors, reference_spread_colors(spread))
+    # the row-0 build numbers and certifies as the n^2 build and the search do
+    assert built == pairwise
+    assert np.array_equal(built.translations, pairwise.translations)
 
 
 def test_verify_spread_catches_corruption():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pfscheme.arith import difference_table
 from pfscheme.catalog import batch_specs
 from pfscheme.frobenius import CyclicFactor, FrobeniusSpec, build_frobenius
 from pfscheme.perms import Permutation, PermGroup
@@ -148,6 +149,9 @@ def test_frobenius_scheme_is_the_orbital_scheme():
         direct, orbital = frobenius_scheme(spec), from_orbitals(build_frobenius(spec))
         assert np.array_equal(direct.colors, orbital.colors)
         assert direct.star == orbital.star
+        # the kernel's own table is the certificate, mixed radices included
+        assert np.array_equal(direct.translations, difference_table(spec.radices))
+        assert direct.cyclic == (len(spec.radices) == 1)
 
 
 def test_wl_closure_is_idempotent_and_refines():
@@ -459,6 +463,51 @@ def test_translation_table_recognises_cyclic_and_digit_translations():
         assert s.translations is s.translations
         assert np.array_equal(translation_table(s.colors), s.translations)
         assert not np.array_equal(s.colors, s.colors[0][zn_table(s.n)]), name
+
+
+def test_the_row_test_rejects_a_forged_table():
+    from pfscheme.scheme import _translates_row_zero
+    from pfscheme.spreads import hall_spread, spread_scheme
+
+    Q = swapped_thin_scheme()
+    assert not _translates_row_zero(Q, zn_table(len(Q)))
+    hall = spread_scheme(hall_spread(9))
+    assert not _translates_row_zero(hall.colors, zn_table(hall.n))
+    assert _translates_row_zero(hall.colors, hall.translations)
+
+
+def test_a_built_scheme_keeps_its_table_only_after_the_row_test(monkeypatch):
+    import pfscheme.scheme as scheme_mod
+
+    spec = dict(batch_specs())["mixed-7-4"]
+    tested = []
+    monkeypatch.setattr(scheme_mod, "_translates_row_zero",
+                        lambda P, D: tested.append(D.shape) or False)
+    s = frobenius_scheme(spec)
+    assert s.translations is None and tested[0] == (112, 112)
+
+
+def test_mixed_kernel_certificate_equals_the_exact_path(monkeypatch):
+    import pfscheme.scheme as scheme_mod
+    from pfscheme.parabolic import enumerate_parabolics
+    from pfscheme.tcond import check_t_condition
+
+    specs = dict(batch_specs())
+    for name, ts in (("mixed-7-4", (3, 4)), ("double-3-5-2", (3,))):
+        s = frobenius_scheme(specs[name])
+        assert s.translations is not None and not s.cyclic, name
+        assert Scheme(s.colors).translations is None, name    # as loaded from a file
+
+        def results(scheme):
+            return (scheme.tensor().ref.tobytes(), enumerate_parabolics(scheme),
+                    [check_t_condition(scheme, t) for t in ts])
+
+        certified = results(s)
+        with monkeypatch.context() as m:
+            m.setattr(scheme_mod, "translation_table", lambda P: None)
+            exact = Scheme(s.colors)
+            assert exact.translations is None
+            assert results(exact) == certified, name
 
 
 def test_translation_table_is_none_without_a_certificate():

@@ -405,3 +405,21 @@ def test_dimwl_builds_the_parabolic_lattice_once(monkeypatch):
     v = dimwl_verdict(circulant_from_connection(81, [1, 80]))
     assert v.verdict == "Exactly2" and v.separability is not None
     assert calls == [81]
+
+
+def test_dimwl_builds_two_difference_tables(monkeypatch):
+    # color_matrix's table and the one wl_closure verifies; the closure
+    # keeps the latter as its certificate, so no stage builds a third
+    from pfscheme import circulants, scheme
+
+    calls = []
+
+    def counted(radices):
+        calls.append(tuple(radices))
+        return difference_table(radices)
+
+    for module in (circulants, scheme):
+        monkeypatch.setattr(module, "difference_table", counted)
+    v = dimwl_verdict(circulant_from_connection(81, [1, 80]))
+    assert v.verdict == "Exactly2" and v.certification == "construction"
+    assert calls == [(81,), (81,)]
