@@ -241,8 +241,8 @@ def _coordinate_map(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
     mu, nu, rho = triple.mu, triple.nu, triple.rho
     s_in = int(P[mu, nu])
     r_out = int(P[mu, rho])
-    x = P[mu].copy()
-    y = np.where(in_e[x], P[rho], P[nu])
+    x = P[mu].astype(np.int64)          # widened for the codes
+    y = np.where(in_e[x], P[rho], P[nu]).astype(np.int64)
     codes = x * scheme.rank + y
     points = np.argsort(codes, kind="stable").astype(np.int32)
     keys = codes[points]
@@ -285,7 +285,7 @@ def base_triple_counts(scheme: Scheme, e: Parabolic):
         return (codes[:, 1:] == codes[:, :-1]).any(axis=1)
 
     for mu in _transversal(scheme, e):
-        x = P[mu]
+        x = P[mu].astype(np.int64)      # widened for the codes of `collide`
         inside = in_e[x]
         members = np.flatnonzero(inside)
         nus = members[members != mu]
@@ -355,10 +355,10 @@ def _verified_maps(source: Scheme, target: Scheme, psi: RelationBijection, mus):
         raise SchemeError("no bijective base triple exists for the parabolic")
     in_e2 = _relation_mask(target, e2)
     counts2 = _pair_counts(target, in_e2)
-    # both colourings in the least dtype that holds the rank: each map's
-    # n^2 gather and comparison then move the fewest bytes
-    dt = np.min_scalar_type(target.rank - 1)
-    P2, image = target.colors.astype(dt), np.asarray(psi.mapping, dtype=dt)[source.colors]
+    # the image in the colours' dtype: each map's n^2 gather and
+    # comparison move the fewest bytes
+    P2 = target.colors
+    image = np.asarray(psi.mapping, dtype=P2.dtype)[source.colors]
     s2, r2 = psi[f1.in_color], psi[f1.out_color]
     t2 = psi[int(source.colors[tau.nu, tau.rho])]
     # psi preserves the tensor, so every tau2 has tau's pair count n:
@@ -467,7 +467,8 @@ def schurity_via_base_triples(scheme: Scheme) -> SchurityResult:
     # each stabilizer orbit named by its least point; row 0 meets every
     # orbital of a transitive group
     transitive, least = len(orbit) == n, stab.min(axis=0)
-    spread = np.bincount(sorted_unique(P0 * n + least) // n, minlength=scheme.rank)
+    spread = np.bincount(sorted_unique(P0.astype(np.int64) * n + least) // n,
+                         minlength=scheme.rank)
     rel_trans = tuple((transitive & (spread == 1)).tolist())
     eq = transitive and partition_equal(least, P0)
     schurian = eq and all(rel_trans)

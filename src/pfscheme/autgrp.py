@@ -24,10 +24,7 @@ from .scheme import Scheme, _carries
 
 class _Search:
     def __init__(self, scheme: Scheme):
-        # the colours in the least dtype that holds the rank, as in
-        # `algiso._verified_maps`: the masks and each verifying n^2 gather
-        # then move the fewest bytes
-        self.P = scheme.colors.astype(np.min_scalar_type(scheme.rank - 1))
+        self.P = scheme.colors
         self.n = scheme.n
 
     def _start(self, partial: dict):

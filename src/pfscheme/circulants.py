@@ -98,13 +98,19 @@ def circulant_from_connection(n: int, connection) -> Circulant:
     return Circulant(n=n, connection=conn)
 
 
+def arc_coloring(circ: Circulant) -> tuple[np.ndarray, np.ndarray]:
+    """(M, D): the 0/1 arc matrix M, one byte per pair, and the Z_n
+    difference table D it is gathered at, M[a, b] = [b - a in S].  D is the
+    translation table `wl_closure` certifies M with."""
+    row = np.zeros(circ.n, dtype=np.uint8)
+    row[list(circ.connection)] = 1
+    D = difference_table([circ.n])
+    return row[D], D
+
+
 def color_matrix(circ: Circulant) -> np.ndarray:
-    """0/1 arc matrix; the WL closure does its own diagonal/transpose split."""
-    n = circ.n
-    row = np.zeros(n, dtype=np.int64)
-    for c in circ.connection:
-        row[c] = 1
-    return row[difference_table([n])]
+    """0/1 arc matrix (uint8); the WL closure does its own diagonal/transpose split."""
+    return arc_coloring(circ)[0]
 
 
 def preserving_units(circ: Circulant) -> frozenset:

@@ -33,7 +33,9 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -47,29 +49,31 @@ PASS, INPUT_ERROR, CHECK_FAILED, UNRESOLVED = 0, 2, 3, 4
 GLOBAL_DEFAULTS = {"format": "json", "seed": 0}
 
 
+def _plain(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def _emit(payload: dict, fmt: str, out_path: str | None = None,
           rows: str | None = None) -> None:
     """Write `payload` as "key: value" lines or as JSON with sorted keys and
-    two-space indentation, each row of the matrix under `rows` on one line."""
-    if fmt == "text":
-        text = "".join("%s: %s\n" % (k, payload[k]) for k in sorted(payload))
-    elif rows is None:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        fields = []
-        for key, value in sorted(payload.items()):
-            if key == rows:
-                # json's C encoder runs only without `indent`: one call per row
-                body = "[\n    %s\n  ]" % ",\n    ".join(map(json.dumps, value))
-            else:
-                body = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-            fields.append("  %s: %s" % (json.dumps(key), body))
-        text = "{\n%s\n}\n" % ",\n".join(fields)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    two-space indentation, each row of the matrix under `rows` (a list of
+    lists or an array) on one line, written as it is formatted."""
+    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+        if fmt == "text":
+            fh.write("".join("%s: %s\n" % (k, _plain(payload[k])) for k in sorted(payload)))
+        elif rows is None:
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        else:
+            for i, (key, value) in enumerate(sorted(payload.items())):
+                fh.write("%s  %s: " % (",\n" if i else "{\n", json.dumps(key)))
+                if key == rows:
+                    # json's C encoder runs only without `indent`: one call per row
+                    for j, row in enumerate(value):
+                        fh.write("%s    %s" % (",\n" if j else "[\n", json.dumps(_plain(row))))
+                    fh.write("\n  ]")
+                else:
+                    fh.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+            fh.write("\n}\n")
 
 
 def _load_json(path: str) -> dict:
@@ -91,9 +95,63 @@ def _fail(message: str) -> int:
     return INPUT_ERROR
 
 
-def _load_colors(path: str, d: dict) -> np.ndarray:
-    """The 'colors' entry of a loaded document as an integer array.  The
-    entry is popped, so its lists are freed once converted."""
+# a row of `gen`'s layout; json.loads then checks its numbers as json.load does
+_GEN_ROW = re.compile(r"    \[[0-9, ]*\],?\n")
+_GEN_HEAD = ("{\n", '  "colors": [\n')
+
+
+def _read_gen_layout(path: str):
+    """(colors, the other entries) of a file in the layout `gen` writes,
+    read one line at a time into a read-only array of the least unsigned
+    dtype that holds its values (which `Scheme` keeps uncopied), or None
+    for any other text.  A file read here gives what `json.load` gives, so
+    None also stands for every layout this reader does not prove equal:
+    the caller then takes the `json.load` path and its error messages."""
+    try:
+        with open(path) as fh:
+            if any(fh.readline(len(head)) != head for head in _GEN_HEAD):
+                return None
+            colors, n = None, 0
+            for i, line in enumerate(fh):
+                if i == n and colors is not None:
+                    break
+                if not _GEN_ROW.fullmatch(line):
+                    return None
+                row = json.loads(line[4:line.rindex("]") + 1])
+                if colors is None:
+                    n = len(row)
+                    colors = np.zeros((n, n), dtype=np.uint8)
+                if not n or len(row) != n or line.endswith(",\n") != (i < n - 1):
+                    return None
+                try:
+                    colors[i] = row
+                except OverflowError:       # widen to the row's maximum
+                    top = max(row)
+                    if top >= n * n:        # no scheme: json.load's path names it
+                        return None
+                    colors = colors.astype(np.min_scalar_type(top))
+                    colors[i] = row
+            else:
+                return None                 # ends inside the matrix
+            if line not in ("  ],\n", "  ]\n"):
+                return None
+            rest = json.loads("{" + fh.read())
+    except (OSError, ValueError):           # JSONDecodeError, UnicodeDecodeError
+        return None
+    if not isinstance(rest, dict) or "colors" in rest or bool(rest) != line.endswith(",\n"):
+        return None
+    colors.setflags(write=False)
+    return colors, rest
+
+
+def _load_document(path: str) -> tuple[np.ndarray, dict]:
+    """(colors, the other entries) of a scheme file: `gen`'s layout line by
+    line, anything else through `json.load`, whose lists are freed once
+    converted."""
+    found = _read_gen_layout(path)
+    if found is not None:
+        return found
+    d = _load_json(path)
     if "colors" not in d:
         raise SystemExit(_fail("%s: missing 'colors'" % path))
     try:
@@ -103,13 +161,12 @@ def _load_colors(path: str, d: dict) -> np.ndarray:
     if (colors.ndim != 2 or colors.shape[0] != colors.shape[1]
             or not np.issubdtype(colors.dtype, np.integer)):
         raise SystemExit(_fail("%s: 'colors' must be a square matrix of integers" % path))
-    return colors
+    return colors, d
 
 
 def _load_scheme(path: str):
     from .scheme import Scheme
-    d = _load_json(path)
-    colors = _load_colors(path, d)
+    colors, d = _load_document(path)
     try:
         if "star" in d and "rank" in d:
             return Scheme.from_json_dict({**d, "colors": colors})
@@ -180,7 +237,7 @@ def cmd_gen(args) -> int:
         from .circulants import color_matrix
         circ = _circulant_from_args(args)
         payload = {"n": circ.n, "connection": sorted(circ.connection),
-                   "colors": color_matrix(circ).tolist()}
+                   "colors": color_matrix(circ)}
     else:
         try:
             if args.kind == "frobenius":
@@ -194,7 +251,9 @@ def cmd_gen(args) -> int:
                 payload = {"plane": args.plane}
         except (ValueError, ArithmeticError) as exc:   # FrobeniusError, or a bad q
             return _fail(str(exc))
-        payload.update(scheme.to_json_dict(), fingerprint=scheme.fingerprint())
+        # the fields of `Scheme.to_json_dict`, the colours kept as the array
+        payload.update(n=scheme.n, rank=scheme.rank, star=list(scheme.star),
+                       colors=scheme.colors, fingerprint=scheme.fingerprint())
     _emit(payload, args.format, args.out, rows="colors")
     return PASS
 
@@ -204,7 +263,7 @@ def cmd_gen(args) -> int:
 
 def cmd_check_axioms(args) -> int:
     from .scheme import Scheme, SchemeError
-    colors = _load_colors(args.scheme, _load_json(args.scheme))
+    colors, _ = _load_document(args.scheme)
     try:
         s = Scheme(colors)
         s.tensor()              # C3, triangle identities and row sums

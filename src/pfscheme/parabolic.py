@@ -101,7 +101,7 @@ def _squaring_class(P: np.ndarray, mask: np.ndarray) -> np.ndarray:
     while True:
         within = np.zeros(len(mask), dtype=bool)
         within[P[0, block]] = True
-        grown = within[P[block]].any(axis=0)
+        grown = within.take(P[block]).any(axis=0)
         if np.array_equal(grown, block):
             return block
         block = grown

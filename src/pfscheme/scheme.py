@@ -26,6 +26,17 @@ from .arith import difference_table, prime_power, sorted_unique
 _BLOCK = 1 << 16         # matrix entries per block of a row-blocked pass
 
 
+def color_dtype(rank: int) -> np.dtype:
+    """The least unsigned dtype holding the colours 0..rank-1: uint8 up to
+    rank 256, uint16 up to 65536."""
+    return np.min_scalar_type(rank - 1)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def blake2b_16():
     """A new blake2b hash with a 16-byte digest.  CPython's hashlib.blake2b
     is _blake2.blake2b; importing it from there skips the OpenSSL module
@@ -59,7 +70,17 @@ class NotCoherentError(SchemeError):
 
 
 class Scheme:
-    """n x n relation-index matrix with validated C1/C2 axioms."""
+    """n x n relation-index matrix with validated C1/C2 axioms.
+
+    `colors` is read-only, in the least unsigned dtype that holds the rank
+    (`color_dtype`): one byte per pair up to rank 256, two up to 65536.
+    Arithmetic on colours widens them first.  Indexing a table by uint8
+    colours casts them one at a time, about four times slower than intp
+    indices, so the repeated lookups at a block of colours use `take`,
+    which converts the block to intp once.  An input that already is such
+    an array, read-only, C-contiguous and owning its data, is kept without
+    a copy; any other input is copied.
+    """
 
     def __init__(self, colors, star=None):
         P = np.asarray(colors)
@@ -67,7 +88,6 @@ class Scheme:
             raise SchemeError("colors must be a square matrix")
         if not np.issubdtype(P.dtype, np.integer):
             raise SchemeError("colors must be integers")
-        P = P.astype(np.int64, order="C", copy=True)
         n = P.shape[0]
         if n == 0:
             raise SchemeError("empty point set")
@@ -75,6 +95,10 @@ class Scheme:
         # rank <= n^2 also bounds the bincount of first_pairs
         if int(P.min()) < 0 or rank > P.size:
             raise SchemeError("colors must use every index in 0..rank-1")
+        dt = color_dtype(rank)
+        if not (P.dtype == dt and P.flags.c_contiguous and P.flags.owndata
+                and not P.flags.writeable):
+            P = _read_only(P.astype(dt, order="C"))
         first, counts = first_pairs(P)
         if not counts.all():
             raise SchemeError("colors must use every index in 0..rank-1")
@@ -94,14 +118,13 @@ class Scheme:
         stv = np.asarray(st, dtype=np.int64)
         step = max(1, _BLOCK // n)      # rows per block: no n^2 temporary
         for lo in range(0, n, step):
-            bad = np.argwhere(stv[P[lo:lo + step]] != P.T[lo:lo + step])
+            bad = np.argwhere(stv.take(P[lo:lo + step]) != P.T[lo:lo + step])
             if len(bad):
                 a, b = lo + int(bad[0, 0]), int(bad[0, 1])
                 raise SchemeError("transpose of relation %d is not a relation (pair %s)"
                                   % (int(P[a, b]), (a, b)))
         if st[0] != 0 or any(st[st[s]] != s for s in range(rank)):
             raise SchemeError("star is not an involution fixing the diagonal")
-        P.setflags(write=False)
         self.colors = P
         self.n = n
         self.rank = rank
@@ -143,7 +166,9 @@ class Scheme:
         order, followed by the star: one byte per relation up to rank 256,
         and one little-endian int64 per relation above it."""
         h = blake2b_16()
-        h.update(self.colors)           # C-contiguous int64: its tobytes(), uncopied
+        step = max(1, _BLOCK // self.n)
+        for lo in range(0, self.n, step):   # widened a row block at a time
+            h.update(self.colors[lo:lo + step].astype(np.int64))
         h.update(bytes(self.star) if self.rank <= 256 else np.asarray(self.star, dtype="<i8"))
         return h.hexdigest()
 
@@ -328,8 +353,12 @@ def first_pairs(P):
     none) and its number of pairs.  Rows are scanned only until every
     colour has been met, which is row 0 for a homogeneous scheme."""
     P = np.asarray(P)
-    counts = np.bincount(P.ravel())
-    first = np.full(len(counts), -1, dtype=np.int64)
+    size = int(P.max()) + 1
+    # bincount widens its input to intp: row blocks keep that copy small
+    step = max(1, _BLOCK // P.shape[1])
+    counts = sum(np.bincount(P[lo:lo + step].ravel(), minlength=size)
+                 for lo in range(0, len(P), step))
+    first = np.full(size, -1, dtype=np.int64)
     missing = np.count_nonzero(counts)
     for a, row in enumerate(P):
         cols, idx = np.unique(row, return_index=True)
@@ -347,6 +376,20 @@ def _code_dtype(R: int):
         if R * R - 1 <= np.iinfo(dt).max:
             return dt
     return np.int64
+
+
+def _row_zero_blocks(P: np.ndarray, R: int):
+    """Yield (lo, V) over the pairs (0, b) in blocks of `_BLOCK // n`
+    columns b = lo, lo + 1, ...: row i of V is the sorted column of codes
+    P[0, g] * R + P[g, lo + i] over all g, the signature of `_signature_rows`
+    without its colour.  No n^2 array is built."""
+    n, dt = P.shape[0], _code_dtype(R)
+    row = P[0].astype(dt) * R
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n, step):
+        V = np.add(P[:, lo:lo + step].T, row, dtype=dt)
+        V.sort(axis=1)
+        yield lo, V
 
 
 def _signature_rows(P: np.ndarray, R: int, rows=None):
@@ -384,25 +427,32 @@ def compute_tensor(scheme: Scheme) -> IntersectionTensor:
     bincount of the reference, and NotCoherentError carries both counts.
 
     When `Scheme.translations` certifies the scheme, only row 0 is
-    compared: every other pair has the signature of its translate in row
-    0, so the verdict and the first mismatching pair are those of the full
-    pass.  Without a certificate every row is compared.
+    compared, a block of columns at a time (`_row_zero_blocks`): every
+    other pair has the signature of its translate in row 0, so the verdict
+    and the first mismatching pair are those of the full pass.  Without a
+    certificate every row is compared.
     """
     P = scheme.colors
     n, R = scheme.n, scheme.rank
     reps = [scheme.representative(t) for t in range(R)]
     ref = np.empty((R, n), dtype=_code_dtype(R))
     for t, (a, b) in enumerate(reps):
-        ref[t] = np.sort(P[a, :] * R + P[:, b])
-    expect = np.empty((n, n), dtype=ref.dtype)
-    rows = [0] if scheme.translations is not None else None
-    for a, S in _signature_rows(P, R, rows):
-        np.take(ref, P[a], axis=0, out=expect)
-        V = S[:, 1:]                    # S[:, 0] = P[a] names the reference row
-        if not np.array_equal(V, expect):
-            b = int(np.nonzero((V != expect).any(axis=1))[0][0])
+        ref[t] = np.sort(P[a].astype(np.int64) * R + P[:, b])
+    # (a, lo, V): row i of V is the code column of the pair (a, lo + i)
+    if scheme.translations is not None:
+        blocks = ((0, lo, V) for lo, V in _row_zero_blocks(P, R))
+    else:
+        blocks = ((a, 0, S[:, 1:]) for a, S in _signature_rows(P, R))
+    expect = None
+    for a, lo, V in blocks:
+        if expect is None:              # one buffer, the shape of a full block
+            expect = np.empty(V.shape, dtype=ref.dtype)
+        E = np.take(ref, P[a, lo:lo + len(V)], axis=0, out=expect[:len(V)])
+        if not np.array_equal(V, E):
+            i = int(np.nonzero((V != E).any(axis=1))[0][0])
+            b = lo + i
             t = int(P[a, b])
-            hist = np.bincount(V[b], minlength=R * R)
+            hist = np.bincount(V[i], minlength=R * R)
             claimed = np.bincount(ref[t], minlength=R * R)
             cell = int(np.nonzero(hist != claimed)[0][0])
             r, s = divmod(cell, R)
@@ -427,12 +477,13 @@ def canonical_relabel(colors) -> Scheme:
     Relation 0 is the diagonal; the rest are ordered by (valency, smallest
     pair row-major).  Input must already partition into scheme relations.
     """
-    P = np.asarray(colors, dtype=np.int64)
+    P = np.asarray(colors)
     diag_color = int(P[0, 0])
     if not (np.diagonal(P) == diag_color).all():
         raise SchemeError("diagonal is not a single class")
     first, total = first_pairs(P)
-    return Scheme(_canonical_lut(first, total // len(P), diag_color)[P])
+    lut = _canonical_lut(first, total // len(P), diag_color)
+    return Scheme(_read_only(lut.astype(color_dtype(int(lut.max()) + 1))[P]))
 
 
 def _canonical_lut(first, valency, diag) -> np.ndarray:
@@ -449,12 +500,12 @@ def translation_scheme(labels, D) -> Scheme:
     table D and non-negative labels, labels[0] naming only the diagonal.
     They are numbered as `canonical_relabel` numbers the matrix, off row 0,
     which holds each colour's first pair and valency, and gathered once in
-    the least dtype holding the rank: the `Scheme`'s copy is the only n^2
-    int64 array.  D becomes its `translations` once the row test passes."""
+    `color_dtype`: the `Scheme` keeps that array, the only n^2 one besides
+    D.  D becomes its `translations` once the row test passes."""
     labels = np.asarray(labels)
     first, valency = first_pairs(labels[None, :])
     row = _canonical_lut(first, valency, int(labels[0]))[labels]
-    scheme = Scheme(row.astype(np.min_scalar_type(int(row.max())))[D])
+    scheme = Scheme(_read_only(row.astype(color_dtype(int(row.max()) + 1))[D]))
     if _translates_row_zero(scheme.colors, D):
         scheme.translations = D
     return scheme
@@ -496,7 +547,7 @@ def frobenius_scheme(spec) -> Scheme:
     return translation_scheme(spec.validate().min(axis=0), difference_table(spec.radices))
 
 
-def wl_closure(colors) -> Scheme:
+def wl_closure(colors, table=None) -> Scheme:
     """Coherent closure of an initial n x n pair coloring.
 
     Pre-splits classes by (diagonal?, color, transposed color) so the stable
@@ -506,13 +557,15 @@ def wl_closure(colors) -> Scheme:
     growing.  New classes are numbered in row-major order of first
     appearance, one dict lookup per pair on the signature's bytes.
 
-    When `translation_table` certifies the initial colouring, the
+    When a difference table D certifies the initial colouring, the
     pre-split and each iteration compute row 0 only and set P[a, b] =
     P[0, D[a, b]]: the pre-split key of (a, b) is read off M[a, b],
     M[b, a] and a == b, so every key occurs in row 0 and the keys of row 0
     number as all n^2 keys do; refinement commutes with the translations,
     and every class first appears in row 0, so the closure is the
     `translation_scheme` of its row 0 and D, numbered as by the full pass.
+    D is `table`, the table the colouring was gathered at, when it passes
+    the row test, else the one `translation_table` finds.
     Raises SchemeError if the stable configuration is not homogeneous
     (cannot happen for vertex-transitive inputs).
     """
@@ -522,33 +575,34 @@ def wl_closure(colors) -> Scheme:
     if not np.issubdtype(M.dtype, np.integer):
         raise SchemeError("initial coloring must be integers")
     n = M.shape[0]
-    M = M.astype(np.int64)
     base = int(M.max()) + 1
-    D = translation_table(M)
+    if table is not None and _translates_row_zero(M, table):
+        D = table
+    else:
+        D = translation_table(M)
     if D is None:
+        M = M.astype(np.int64)
         keys = np.eye(n, dtype=np.int64) * (base * base) + M * base + M.T
         _, P = np.unique(keys, return_inverse=True)
         P = P.reshape(n, n).astype(np.int64)
         rows = None
     else:
-        keys = M[0] * base + M[:, 0]            # the keys of the pairs (0, b)
+        keys = M[0].astype(np.int64) * base + M[:, 0]   # the keys of the pairs (0, b)
         keys[0] += base * base
         _, P = np.unique(keys, return_inverse=True)
-        P = P.astype(np.int64)[D]
+        P = P.astype(color_dtype(int(P.max()) + 1))[D]
         rows = [0]
     R = int(P.max()) + 1
     while True:
         sig_ids: dict[bytes, int] = {}
-        newP = np.empty((n, n), dtype=np.int64)
+        newP = np.empty((n if D is None else 1, n), dtype=np.int64)
         for a, S in _signature_rows(P, R, rows):
             keys = S.view(np.dtype((np.void, S.itemsize * (n + 1)))).ravel().tolist()
             newP[a] = [sig_ids.setdefault(k, len(sig_ids)) for k in keys]
-        if D is not None:
-            newP = newP[0][D]
         newR = len(sig_ids)
         if newR == R:
             break
-        P, R = newP, newR
+        P, R = newP if D is None else newP[0].astype(color_dtype(newR))[D], newR
     if D is not None:
         return translation_scheme(P[0], D)
     if len(sorted_unique(np.diagonal(P))) != 1:

@@ -93,10 +93,10 @@ def _sorted_codes(P: np.ndarray, R: int, a: int, b: int, t: int,
     n = len(P)
     if out is None:
         out = np.empty(n ** (t - 2), dtype=_code_dtype(R, t))
-    ab = P[a] * R + P[b]                    # P is int64 (Scheme.colors)
-    if t == 3:
-        out[:] = ab
-    else:
+    ab = out if t == 3 else np.empty(n, dtype=out.dtype)
+    np.multiply(P[a], R, out=ab, dtype=ab.dtype)    # widened: P is uint8 or uint16
+    ab += P[b]
+    if t == 4:
         codes = out.reshape(n, n)           # rows g3, columns g4
         np.add((ab * R)[:, None], P[a], out=codes, casting="same_kind")
         codes *= R

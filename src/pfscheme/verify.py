@@ -15,7 +15,7 @@ import numpy as np
 
 from .algiso import base_triple_counts, find_algebraic_isomorphisms, schurity_via_base_triples
 from .catalog import KERNEL_CAP, batch_specs
-from .circulants import CirculantSpec, circulant_from_connection, color_matrix
+from .circulants import CirculantSpec, arc_coloring, circulant_from_connection
 from .frobenius import CyclicFactor, ElementaryAbelianFactor, FrobeniusSpec
 from .gf import GF
 from .parabolic import (
@@ -85,7 +85,7 @@ def named_scheme(name: str) -> Scheme:
     if name in _BUILDERS:
         return _BUILDERS[name]()
     n = int(name.removeprefix("cycle-closure-"))
-    return wl_closure(color_matrix(circulant_from_connection(n, (1, n - 1))))
+    return wl_closure(*arc_coloring(circulant_from_connection(n, (1, n - 1))))
 
 
 def criterion_1() -> CriterionResult:

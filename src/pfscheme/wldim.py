@@ -21,8 +21,8 @@ from .autgrp import FrobeniusCertificate, frobenius_certificate
 from .circulants import (
     Circulant,
     CirculantSpec,
+    arc_coloring,
     certificate_unit_groups,
-    color_matrix,
     frobenius_circulant,
 )
 from .parabolic import (
@@ -308,7 +308,7 @@ def dimwl_verdict(circ) -> WlVerdict:
     if not isinstance(circ, Circulant):
         raise TypeError("expected a Circulant or CirculantSpec")
     n = circ.n
-    closure = wl_closure(color_matrix(circ))
+    closure = wl_closure(*arc_coloring(circ))      # one Z_n table per command
     # The screen and the separability verdict share the closure's one
     # parabolic lattice, which the scheme keeps.
     screen = frobenius_screen(closure)

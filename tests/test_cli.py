@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pfscheme.circulants import CirculantSpec, circulant_from_connection, color_matrix, frobenius_circulant
+from pfscheme import cli
 from pfscheme.cli import _emit, main
 from pfscheme.frobenius import CyclicFactor, FrobeniusSpec, build_frobenius
 from pfscheme.scheme import Scheme, from_orbitals
@@ -485,6 +487,71 @@ def test_gen_writes_each_colour_row_on_one_line(tmp_path, capsys, args):
     assert [json.loads(ln.strip().rstrip(",")) for ln in lines[2:n + 2]] == payload["colors"]
     rest = {k: v for k, v in payload.items() if k != "colors"}
     assert "\n".join(lines[:1] + lines[n + 3:]) + "\n" == old_layout(rest)
+
+
+def gen_layout_variants(text):
+    """A file in `gen`'s layout, and corruptions of it that keep its first
+    lines, keyed by name."""
+    lines = text.splitlines(keepends=True)
+    row = lines[3]                                  # the colours of point 1
+
+    def with_row(new):
+        return "".join(lines[:3] + [new] + lines[4:])
+
+    cut = row.index(", ")
+    yield "valid", text
+    yield "ragged row", with_row(row[:row.rindex(", ")] + "],\n")
+    yield "float", with_row(row.replace(", ", ".0, ", 1))
+    yield "true", with_row(row[:5] + "true" + row[row.index(","):])
+    yield "leading zero", with_row(row.replace(", ", ", 0", 1))
+    yield "negative", with_row(row.replace(", ", ", -", 1))
+    yield "large value", with_row(row.replace(", ", ", 9999999", 1))
+    yield "row split over two lines", with_row(row[:cut + 1] + "\n     " + row[cut + 2:])
+    yield "row without its comma", with_row(row.replace("],", "]"))
+    yield "extra row", "".join(lines[:3] + [row] + lines[3:])
+    yield "missing row", "".join(lines[:3] + lines[4:])
+    yield "second colours", text.replace('"n": ', '"colors": [[0]],\n  "n": ', 1)
+    yield "trailing garbage", text + "]\n"
+    yield "truncated end", text[:len(text) // 2]
+
+
+@pytest.mark.parametrize("command", [("check", "axioms"), ("check", "tcond", "--t", "3")])
+def test_gen_layout_loads_as_json_load_does(tmp_path, capsys, monkeypatch, command):
+    text = Path(gen_scheme(capsys, tmp_path, "hall9.json",
+                           "gen", "spread", "--q", "9", "--plane", "hall")).read_text()
+    path = tmp_path / "variant.json"
+    for name, variant in gen_layout_variants(text):
+        path.write_text(variant)
+        read = cli._read_gen_layout(str(path))
+        assert (read is not None) == (name == "valid"), name
+        lean = run_cli(capsys, *command, "--scheme", str(path))
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_gen_layout", lambda p: None)       # json.load only
+            assert run_cli(capsys, *command, "--scheme", str(path)) == lean, name
+    path.write_text(text)
+    colors, rest = cli._read_gen_layout(str(path))
+    d = json.loads(text)
+    assert colors.dtype == np.uint8 and not colors.flags.writeable
+    assert colors.tolist() == d.pop("colors") and rest == d
+
+
+def test_gen_layout_widens_past_one_byte(tmp_path, capsys):
+    path = gen_scheme(capsys, tmp_path, "z521.json", "gen", "frobenius", "--cyclic", "521,520")
+    colors, rest = cli._read_gen_layout(path)
+    assert rest["rank"] == 261 and colors.dtype == np.uint16
+    assert colors.tolist() == json.loads(Path(path).read_text())["colors"]
+
+
+def test_loading_hall25_adds_under_2_mb_above_its_array(tmp_path, capsys):
+    path = gen_scheme(capsys, tmp_path, "hall25.json", "gen", "spread", "--q", "25", "--plane", "hall")
+    tracemalloc.start()
+    try:
+        s = cli._load_scheme(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.n == 625 and s.colors.dtype == np.uint8
+    assert peak - s.colors.nbytes < 2e6
 
 
 def test_scheme_json_colors_are_plain_ints():

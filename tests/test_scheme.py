@@ -22,6 +22,7 @@ from pfscheme.scheme import (
     wl_closure,
     compute_tensor,
 )
+from pfscheme.spreads import desarguesian_spread, spread_scheme
 
 
 def cyclic_colors(n):
@@ -240,9 +241,28 @@ def test_fingerprint_hashes_the_star_by_rank():
 
     for n, star_bytes in ((256, bytes), (257, lambda st: np.asarray(st, dtype="<i8").tobytes())):
         s = Scheme(zn_table(n))
-        h = hashlib.blake2b(s.colors.tobytes(), digest_size=16)
+        # the colours are hashed as int64 whatever dtype holds them
+        h = hashlib.blake2b(s.colors.astype(np.int64).tobytes(), digest_size=16)
         h.update(star_bytes(s.star))
         assert s.rank == n and s.fingerprint() == h.hexdigest()
+
+
+FROZEN_FINGERPRINTS = {           # the digests int64 colours gave
+    "Z_256 (uint8, rank 256)": ("992009c76b91acb0049a37f2ce2c88e1",
+                                lambda: Scheme(zn_table(256))),
+    "Z_257 (uint16)": ("2db4763f39ba6ff78c153dd2824ea49e", lambda: Scheme(zn_table(257))),
+    "thin Z_300 (uint16)": ("a82bf2afce9b5e955b0aa787200aabd4", lambda: Scheme(zn_table(300))),
+    "Desarguesian q = 16": ("efd05b36171a914ede7802c7ab0f13bf",
+                            lambda: spread_scheme(desarguesian_spread(16))),
+    "mixed-7-4": ("b9cd0d2f1e55ba2228f0591460bf3f3b",
+                  lambda: frobenius_scheme(dict(batch_specs())["mixed-7-4"])),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_FINGERPRINTS)
+def test_fingerprints_at_the_colour_dtype_boundaries_are_frozen(name):
+    digest, build = FROZEN_FINGERPRINTS[name]
+    assert build().fingerprint() == digest
 
 
 def test_is_equivalenced():
@@ -262,8 +282,9 @@ def test_compute_tensor_standalone():
 
 
 def reference_tensor(scheme):
-    """compute_tensor as a per-point n x R^2 histogram pass (the reference)."""
-    P = scheme.colors
+    """compute_tensor as a per-point n x R^2 histogram pass (the reference),
+    on the colours widened to int64."""
+    P = scheme.colors.astype(np.int64)
     n, R = scheme.n, scheme.rank
     reps = [scheme.representative(t) for t in range(R)]
     claimed = np.zeros((R, R * R), dtype=np.int64)

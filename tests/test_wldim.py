@@ -407,9 +407,9 @@ def test_dimwl_builds_the_parabolic_lattice_once(monkeypatch):
     assert calls == [81]
 
 
-def test_dimwl_builds_two_difference_tables(monkeypatch):
-    # color_matrix's table and the one wl_closure verifies; the closure
-    # keeps the latter as its certificate, so no stage builds a third
+def test_dimwl_builds_one_difference_table(monkeypatch):
+    # arc_coloring's table: wl_closure certifies the colouring with it, and
+    # the closure keeps it as its certificate, so no stage builds another
     from pfscheme import circulants, scheme
 
     calls = []
@@ -422,4 +422,15 @@ def test_dimwl_builds_two_difference_tables(monkeypatch):
         monkeypatch.setattr(module, "difference_table", counted)
     v = dimwl_verdict(circulant_from_connection(81, [1, 80]))
     assert v.verdict == "Exactly2" and v.certification == "construction"
-    assert calls == [(81,), (81,)]
+    assert calls == [(81,)]
+
+
+def test_wl_closure_searches_when_the_given_table_fails_the_row_test():
+    from pfscheme.circulants import arc_coloring
+
+    M, D = arc_coloring(circulant_from_connection(20, [1, 19]))
+    wrong = D[::-1].copy()                    # no translation table of M
+    for table in (D, wrong, None):
+        closure = wl_closure(M, table)
+        assert closure == wl_closure(M.astype(np.int64))
+        assert np.array_equal(closure.translations, D)
