@@ -1,5 +1,6 @@
-"""Small exact number-theory helpers (trial division scale), and the
-mixed-radix index arithmetic every translation scheme is built on.
+"""Small exact number-theory helpers (trial division scale), the d = 3
+parameter cases of the classification, and the mixed-radix index
+arithmetic every translation scheme is built on.
 
 The points of an abelian kernel H are indices in range(|H|), read as
 little-endian mixed-radix digits with one radix per cyclic coordinate:
@@ -89,6 +90,29 @@ def mult_order(u: int, m: int) -> int:
         x = x * u % m
         k += 1
     return k
+
+
+def d3_cases(n: int, k: int, sections=None) -> tuple[str, ...]:
+    """The d = 3 parameter cases that admit proper schemes.
+
+    "one-prime-cube": |H| = (k+1)^3 with every section two-transitive of
+    degree k+1.  "two-prime-double": |H| = (k+1)^2 (2k+1) with k+1 and
+    2k+1 prime powers, sections of degrees k+1, k+1 (two-transitive) and
+    2k+1 (rank 3).  Either shape fixes the number of primes of |H|.
+    `sections` are the principal sections (anything with `degree` and
+    `rank`); without them only the arithmetic is checked.
+    """
+    cases = []
+    if n == (k + 1) ** 3 and prime_power(k + 1):
+        if sections is None or all(s.degree == k + 1 and s.rank == 2 for s in sections):
+            cases.append("one-prime-cube")
+    if n == (k + 1) ** 2 * (2 * k + 1) and prime_power(k + 1) and prime_power(2 * k + 1):
+        if sections is None or (
+                sorted(s.degree for s in sections) == [k + 1, k + 1, 2 * k + 1]
+                and all((s.degree == k + 1 and s.rank == 2)
+                        or (s.degree == 2 * k + 1 and s.rank == 3) for s in sections)):
+            cases.append("two-prime-double")
+    return tuple(cases)
 
 
 # -- mixed-radix indices ---------------------------------------------------

@@ -312,10 +312,10 @@ def cmd_check_parabolics(args) -> int:
 
 
 def cmd_check_separability(args) -> int:
-    from .frobenius import FrobeniusSpec
     from .parabolic import separability_verdict
     from .scheme import SchemeError
     if args.spec:
+        from .frobenius import FrobeniusSpec
         try:
             verdict = separability_verdict(FrobeniusSpec.from_json_dict(_load_json(args.spec)))
         except ValueError as exc:          # FrobeniusError, or a primitive spec
@@ -410,11 +410,10 @@ def cmd_iso_induced(args) -> int:
 
 
 def cmd_classify_thm2(args) -> int:
-    from .frobenius import FrobeniusError, invariant_lattice, thm2_profile
+    from .frobenius import FrobeniusError, thm2_profile
     spec = _spec_from_args(args)
     try:
-        lattice = invariant_lattice(spec)
-        profile = thm2_profile(spec, lattice)
+        profile = thm2_profile(spec)
     except FrobeniusError as exc:
         return _fail(str(exc))
     _emit(profile.to_json_dict(), args.format)

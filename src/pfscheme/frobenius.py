@@ -29,6 +29,7 @@ import numpy as np
 
 from .arith import (
     _radix_arrays,
+    d3_cases,
     digit_add,
     digit_strides,
     divisors,
@@ -337,7 +338,8 @@ class InvariantLattice(NamedTuple):
                 if 1 < s.order < self.subgroups[self.top].order]
 
     def maximal_chain(self) -> list[int]:
-        """Deterministic maximal chain bottom..top (smallest cover first).
+        """Deterministic maximal chain bottom..top (smallest cover first),
+        the chain that `invariant_chain` builds without the lattice.
 
         Subgroups are sorted by (order, sorted elements), so the smallest
         cover is the one with the lowest index.
@@ -355,18 +357,85 @@ _SUMSET_CHUNK = 1 << 16
 
 
 def invariant_lattice(spec: FrobeniusSpec) -> InvariantLattice:
-    """All complement-invariant subgroups of the kernel.
+    """All complement-invariant subgroups of the kernel: the join closure
+    of `_seeds` under `_joiner`."""
+    spec.validate()
+    n = spec.kernel_order
+    lat = join_closure(_seeds(spec), ((1 << n) - 1, n), _joiner(spec))
+    subs = [Subgroup(size, bits) for bits, size in zip(lat.members, lat.sizes)]
+    return InvariantLattice(spec=spec, subgroups=subs, inclusion=lat.inclusion,
+                            d=lat.longest, pi=prime_divisors(n), cover=lat.cover,
+                            chain_lengths_equal=lat.longest == lat.shortest)
 
-    Cyclic kernels (pairwise coprime cyclic factors) seed the join closure
-    with the whole divisor lattice; otherwise the seeds are the subgroups
-    generated by single complement orbits (`_principal_subgroups`).  The
-    kernel is abelian, so the join of two invariant subgroups is their sum
-    set, taken on the digit vectors of its operands, which `join` keeps
-    (b is always a seed, and a is the same member for several seeds in a
-    row).  The sum of subgroups A and B has order |A| |B| / |A ∩ B|, read
-    off popcounts, so a join that is the whole kernel needs no sum set.
+
+def invariant_chain(spec: FrobeniusSpec) -> list[Subgroup]:
+    """The maximal chain {0} = M_0 < ... < M_d = H of complement-invariant
+    subgroups that `InvariantLattice.maximal_chain` walks, without the
+    lattice.
+
+    Each step goes from M to its least cover, least by order and then by
+    sorted elements, as the lattice sorts its members.  Every cover of M is
+    M + P for some seed P not inside M, since the seeds generate the
+    lattice under join; and a candidate M + P of least order is a cover,
+    since a subgroup strictly between would be a cover of smaller order,
+    hence a candidate of smaller order.  The order |M| |P| / |M ∩ P| of a
+    candidate comes from popcounts.  A sum set is built only for the
+    least-order seeds that no join already built at that order contains
+    (such a join is M + P itself).
+
+    The invariant subgroups are the submodules of the abelian kernel under
+    the complement, so their lattice is modular.  By Jordan–Hölder every
+    maximal chain then has the same length d and the same multiset of
+    section orders: all that the separability verdict and the Theorem 2
+    profile read of the lattice.
     """
     spec.validate()
+    n = spec.kernel_order
+    seeds = [*_seeds(spec), ((1 << n) - 1, n)]
+    join = _joiner(spec)
+    chain = [Subgroup(1, 1)]
+    bits, order = 1, 1
+    while order < n:
+        candidates = [(b, order * size // (bits & b).bit_count())
+                      for b, size in seeds if b & ~bits]
+        least = min(size for _, size in candidates)
+        built: list[int] = []
+        for b, size in candidates:
+            if size != least:
+                continue
+            if bits & b == bits:                  # M + P = P
+                built.append(b)
+            elif not any(b & j == b for j in built):
+                built.append(join(bits, b)[0])
+        # same order: the sorted elements differ first at the least
+        # element of the symmetric difference, and the set holding it
+        # comes first
+        bits = built[0]
+        for j in built[1:]:
+            x = bits ^ j
+            if j & x & -x:
+                bits = j
+        order = least
+        chain.append(Subgroup(order, bits))
+    return chain
+
+
+def _seeds(spec: FrobeniusSpec) -> list[tuple[int, int]]:
+    """(bitset, order) of invariant subgroups that, with the whole kernel,
+    generate every invariant subgroup under join: the divisor lattice for
+    a cyclic kernel (pairwise coprime radices), else `_principal_subgroups`."""
+    return _cyclic_subgroups(spec) if _is_cyclic(spec) else _principal_subgroups(spec)
+
+
+def _joiner(spec: FrobeniusSpec):
+    """join(a, b) -> (bits, order) of two invariant subgroups (bitsets).
+
+    The kernel is abelian, so the join is the sum set, taken on the digit
+    vectors of its operands, which `join` keeps (in the join closure b is
+    always a seed, and a is the same member for several seeds in a row).
+    The sum of subgroups A and B has order |A| |B| / |A ∩ B|, read off
+    popcounts, so a join that is the whole kernel needs no sum set.
+    """
     n = spec.kernel_order
     strides, radices = _radix_arrays(spec.radices)
     operands = cache(lambda bits: spec.digits[indices_of(bits)])
@@ -384,12 +453,7 @@ def invariant_lattice(spec: FrobeniusSpec) -> InvariantLattice:
             seen[sums @ strides] = True
         return bits_of(seen), order
 
-    seeds = _cyclic_subgroups(spec) if _is_cyclic(spec) else _principal_subgroups(spec)
-    lat = join_closure(seeds, ((1 << n) - 1, n), join)
-    subs = [Subgroup(size, bits) for bits, size in zip(lat.members, lat.sizes)]
-    return InvariantLattice(spec=spec, subgroups=subs, inclusion=lat.inclusion,
-                            d=lat.longest, pi=prime_divisors(n), cover=lat.cover,
-                            chain_lengths_equal=lat.longest == lat.shortest)
+    return join
 
 
 def _is_cyclic(spec: FrobeniusSpec) -> bool:
@@ -552,22 +616,23 @@ class PrincipalSection(NamedTuple):
         return 1 + self.orbit_count
 
 
-def principal_sections(spec: FrobeniusSpec,
-                       lattice: InvariantLattice | None = None) -> list[PrincipalSection]:
-    """Sections along the deterministic maximal chain of the lattice.
+def principal_sections(spec: FrobeniusSpec) -> list[PrincipalSection]:
+    """The sections along `invariant_chain` (`chain_sections`)."""
+    return chain_sections(spec, invariant_chain(spec))
+
+
+def chain_sections(spec: FrobeniusSpec, chain: list[Subgroup]) -> list[PrincipalSection]:
+    """The quotients of consecutive members of a maximal invariant chain.
 
     Each degree must be a prime power (principal sections are primitive of
     prime power degree); a violation raises, since it would contradict the
     fixed-point-free action.
     """
-    if lattice is None:
-        lattice = invariant_lattice(spec)
     kappa = spec.complement
-    chain = lattice.maximal_chain()
     out = []
-    for lo_i, hi_i in zip(chain, chain[1:]):
-        lo = indices_of(lattice.subgroups[lo_i].bits)
-        hi = indices_of(lattice.subgroups[hi_i].bits)
+    for lo_s, hi_s in zip(chain, chain[1:]):
+        lo = indices_of(lo_s.bits)
+        hi = indices_of(hi_s.bits)
         degree = len(hi) // len(lo)
         # rep[h]: smallest element of the coset h + lo.  hi is ascending, so
         # the first element not yet in a coset is the minimum of its own.
@@ -617,45 +682,22 @@ class ClassificationProfile(NamedTuple):
         }
 
 
-def d3_cases(n: int, k: int, sections=None) -> tuple[str, ...]:
-    """The d = 3 parameter cases that admit proper schemes.
-
-    "one-prime-cube": |H| = (k+1)^3 with every section two-transitive of
-    degree k+1.  "two-prime-double": |H| = (k+1)^2 (2k+1) with k+1 and
-    2k+1 prime powers, sections of degrees k+1, k+1 (two-transitive) and
-    2k+1 (rank 3).  Either shape fixes the number of primes of |H|.
-    Without `sections` only the arithmetic is checked.
-    """
-    cases = []
-    if n == (k + 1) ** 3 and prime_power(k + 1):
-        if sections is None or all(s.degree == k + 1 and s.rank == 2 for s in sections):
-            cases.append("one-prime-cube")
-    if n == (k + 1) ** 2 * (2 * k + 1) and prime_power(k + 1) and prime_power(2 * k + 1):
-        if sections is None or (
-                sorted(s.degree for s in sections) == [k + 1, k + 1, 2 * k + 1]
-                and all((s.degree == k + 1 and s.rank == 2)
-                        or (s.degree == 2 * k + 1 and s.rank == 3) for s in sections)):
-            cases.append("two-prime-double")
-    return tuple(cases)
-
-
-def thm2_profile(spec: FrobeniusSpec,
-                 lattice: InvariantLattice | None = None) -> ClassificationProfile:
+def thm2_profile(spec: FrobeniusSpec) -> ClassificationProfile:
     """(|pi|, d) table membership plus the d = 3 parameter cases
-    (`d3_cases`).  Anything else in the table stays "open" only for d = 2.
+    (`d3_cases`), read off `invariant_chain`.  Anything else in the table
+    stays "open" only for d = 2.
     """
-    if lattice is None:
-        lattice = invariant_lattice(spec)
     n = spec.kernel_order
     k = spec.complement_order
-    d = lattice.d
-    pi = lattice.pi
+    chain = invariant_chain(spec)
+    d = len(chain) - 1
+    pi = prime_divisors(n)
     if d <= 1:
         return ClassificationProfile(
             n=n, k=k, pi=pi, d=d, primitive=True, in_table=False,
             section_degrees=(), section_ranks=(), d3_cases=(),
             verdict="primitive")
-    sections = principal_sections(spec, lattice)
+    sections = chain_sections(spec, chain)
     degrees = tuple(s.degree for s in sections)
     ranks = tuple(s.rank for s in sections)
     in_table = len(pi) in (1, 2) and d in (2, 3)

@@ -10,7 +10,8 @@ translation certificate of Z_n the class of 0 is the subgroup that the
 row-0 points of the relations generate.  Each scheme keeps its
 parabolic lattice once built.  For equivalenced schemes the verdict
 machinery decides separability from n, the valency k, and the index
-chains of the parabolic (or invariant-subgroup) lattice.
+chains of the parabolic lattice; for a Frobenius spec, from one maximal
+chain of invariant subgroups, with the whole lattice as the fallback.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import prime_divisors
-from .frobenius import FrobeniusSpec, d3_cases, invariant_lattice, principal_sections
+from .arith import d3_cases, prime_divisors
 from .lattice import JoinLattice, bits_of, indices_of, join_closure
 from .scheme import Scheme, SchemeError
 
@@ -258,7 +258,8 @@ def _verdict_from_chains(n: int, k: int, sizes: list[int], incl: np.ndarray,
 
 
 def separability_verdict(subject) -> SeparabilityVerdict:
-    """Arithmetic separability for a Scheme or a FrobeniusSpec.
+    """Arithmetic separability for a Scheme or a FrobeniusSpec
+    (`_spec_verdict`).
 
     Separable when (a) n > 3k(k-1)^2, (b) some strict chain of three nested
     nontrivial parabolics exists, or (c) some two-step chain's index
@@ -266,18 +267,8 @@ def separability_verdict(subject) -> SeparabilityVerdict:
     the matching d = 3 parameter cases annotated.  The subject must be
     imprimitive (equivalenced, for schemes).
     """
-    if isinstance(subject, FrobeniusSpec):
-        lattice = invariant_lattice(subject)
-        n = subject.kernel_order
-        kk = subject.complement_order
-        if lattice.d < 2:
-            raise ValueError("primitive subject: no nontrivial invariant subgroup")
-        nt = lattice.nontrivial()
-        sizes = [lattice.subgroups[i].order for i in nt]
-        incl = lattice.inclusion[np.ix_(nt, nt)]
-        d = lattice.d
-        cases = d3_cases(n, kk, principal_sections(subject, lattice)) if d == 3 else ()
-        return _verdict_from_chains(n, kk, sizes, incl, d, cases)
+    if not isinstance(subject, Scheme):
+        return _spec_verdict(subject)
     scheme: Scheme = subject
     kk = scheme.is_equivalenced()
     if kk is None:
@@ -292,3 +283,36 @@ def separability_verdict(subject) -> SeparabilityVerdict:
     cases = d3_cases(scheme.n, kk) if d == 3 else ()
     return _verdict_from_chains(scheme.n, kk, lattice.sizes[1:-1],
                                 lattice.inclusion[1:-1, 1:-1], d, cases)
+
+
+def _spec_verdict(spec) -> SeparabilityVerdict:
+    """`separability_verdict` of a FrobeniusSpec, from `invariant_chain`.
+
+    Every maximal chain of invariant subgroups has the length d of that
+    chain and its multiset of indices (see `invariant_chain`).  So for
+    d <= 3 the lattice holds no three nested nontrivial members, and for
+    d = 3 every two-step chain of nontrivial members has the chain's
+    multiset.  The chain alone therefore decides when k = n - 1, when
+    n > 3k(k-1)^2, when d = 2, and when d = 3 with index multiset
+    {k+1, k+1, k+1} or {k+1, k+1, 2k+1}.  Otherwise the witness depends on
+    the whole lattice, which is then enumerated.  Each index is 1 mod k,
+    since the complement acts fixed-point-freely on every section, so no
+    valid spec gets there; but no verdict rests on that argument.
+    """
+    from .frobenius import chain_sections, invariant_chain, invariant_lattice
+    chain = invariant_chain(spec)
+    n, k, d = spec.kernel_order, spec.complement_order, len(chain) - 1
+    if d < 2:
+        raise ValueError("primitive subject: no nontrivial invariant subgroup")
+    steps = sorted(hi.order // lo.order - 1 for lo, hi in zip(chain, chain[1:]))
+    sizes, incl = [], np.zeros((0, 0), dtype=bool)
+    if not (k == n - 1 or n > 3 * k * (k - 1) ** 2 or d == 2
+            or (d == 3 and steps in ([k, k, k], [k, k, 2 * k]))):
+        lattice = invariant_lattice(spec)
+        nt = lattice.nontrivial()
+        sizes = [lattice.subgroups[i].order for i in nt]
+        incl = lattice.inclusion[np.ix_(nt, nt)]
+        d = lattice.d
+        chain = [lattice.subgroups[i] for i in lattice.maximal_chain()]
+    cases = d3_cases(n, k, chain_sections(spec, chain)) if d == 3 else ()
+    return _verdict_from_chains(n, k, sizes, incl, d, cases)

@@ -695,7 +695,11 @@ def test_a_process_runs_only_the_modules_of_its_command(tmp_path, capsys):
         _EXECUTED, argv=["classify", "wl", "--n", "81", "--conn", "1,-1"])
     assert (after_import, code) == (["cli"], 0)
     assert "wldim" in executed
-    assert not {"algiso", "gf", "spreads", "tcond", "verify", "catalog"} & set(executed)
+    assert not {"algiso", "gf", "spreads", "tcond", "verify", "catalog",
+                "frobenius"} & set(executed)
+    # a scheme's parabolics need no Frobenius spec
+    assert _fresh_process(_EXECUTED, argv=["check", "parabolics", "--scheme", hall9]) \
+        == [["cli"], 0, ["arith", "cli", "lattice", "parabolic", "scheme"]]
     # schemes are built from tables: no command runs the permutation groups
     for argv in (["gen", "frobenius", "--cyclic", "9,8", "--out", str(tmp_path / "z9.json")],
                  ["classify", "thm2", "--cyclic", "105,104"], ["verify-paper"]):
@@ -861,16 +865,28 @@ def test_iso_on_one_file_builds_one_tensor(tmp_path, capsys, monkeypatch, level)
 def test_lattices_past_the_member_bound_exit_2(tmp_path, capsys, monkeypatch):
     from pfscheme import lattice
 
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(scalar_spec(3, 2).to_json_dict()))
     f32 = gen_scheme(capsys, tmp_path, "f32.json", "gen", "frobenius", "--scalar", "3,2")
-    monkeypatch.setattr(lattice, "MAX_MEMBERS", 5)      # both lattices have 6 members
-    for argv in (["classify", "thm2", "--scalar", "3,2"],
-                 ["check", "separability", "--spec", str(spec)],
-                 ["check", "separability", "--scheme", f32],
+    monkeypatch.setattr(lattice, "MAX_MEMBERS", 5)      # the lattice has 6 members
+    for argv in (["check", "separability", "--scheme", f32],
                  ["check", "parabolics", "--scheme", f32],
                  ["iso", "induced", f32, f32]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
         assert "more than 5 members" in err, argv
+
+
+def test_a_spec_is_classified_without_its_lattice(tmp_path, capsys, monkeypatch):
+    # the profile and the separability verdict of a spec read one invariant
+    # chain, so the member bound does not apply to them
+    from pfscheme import lattice
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(scalar_spec(3, 2).to_json_dict()))
+    argvs = (["classify", "thm2", "--scalar", "3,2"],
+             ["check", "separability", "--spec", str(spec)])
+    unbounded = [run_cli(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(lattice, "MAX_MEMBERS", 5)      # the lattice has 6 members
+    for argv, (code, out, err) in zip(argvs, unbounded):
+        assert (code, err) == (0, ""), argv
+        assert run_cli(capsys, *argv) == (code, out, err), argv

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from pfscheme.arith import digit_add, digit_strides
+from pfscheme import frobenius
+from pfscheme.arith import d3_cases, digit_add, digit_strides
 from pfscheme.catalog import (
+    batch_specs,
     negation_spec,
     cyclic_unit_spec,
     field_cube_spec,
@@ -19,10 +21,13 @@ from pfscheme.frobenius import (
     FrobeniusError,
     FrobeniusSpec,
     build_frobenius,
+    chain_sections,
+    invariant_chain,
     invariant_lattice,
     principal_sections,
     thm2_profile,
 )
+from pfscheme.parabolic import _verdict_from_chains, separability_verdict
 from pfscheme.perms import PermGroup, Permutation
 from pfscheme.scheme import from_orbitals
 from pfscheme.spreads import scalar_spec
@@ -239,6 +244,74 @@ def test_thm2_profile_d3_two_prime_double():
     prof2 = thm2_profile(double_prime_spec(3, 5, 2))
     assert prof2.d == 4
     assert prof2.verdict == "excluded"
+
+
+# -- the invariant chain against the whole lattice -------------------------
+
+
+def _least_cover_chain(lat):
+    """Indices of the chain that steps to the first cover each time."""
+    chain = [lat.bottom]
+    while chain[-1] != lat.top:
+        chain.append(int(np.flatnonzero(lat.cover[chain[-1]])[0]))
+    return chain
+
+
+def _lattice_route(spec):
+    """(sections, profile, verdict) as read off the whole invariant lattice."""
+    lat = invariant_lattice(spec)
+    n, k, d = spec.kernel_order, spec.complement_order, lat.d
+    sections = chain_sections(spec, [lat.subgroups[i] for i in _least_cover_chain(lat)])
+    cases = d3_cases(n, k, sections) if d == 3 else ()
+    if d <= 1:
+        return sections, frobenius.ClassificationProfile(
+            n=n, k=k, pi=lat.pi, d=d, primitive=True, in_table=False, section_degrees=(),
+            section_ranks=(), d3_cases=(), verdict="primitive"), None
+    in_table = len(lat.pi) in (1, 2) and d in (2, 3)
+    profile = frobenius.ClassificationProfile(
+        n=n, k=k, pi=lat.pi, d=d, primitive=False, in_table=in_table,
+        section_degrees=tuple(s.degree for s in sections),
+        section_ranks=tuple(s.rank for s in sections), d3_cases=cases,
+        verdict="open" if in_table and (d == 2 or cases) else "excluded")
+    nt = lat.nontrivial()
+    verdict = _verdict_from_chains(n, k, [lat.subgroups[i].order for i in nt],
+                                   lat.inclusion[np.ix_(nt, nt)], d, cases)
+    return sections, profile, verdict
+
+
+CHAIN_SPECS = [*batch_specs(),
+               ("scalar-3-4", scalar_spec(3, 4)), ("scalar-4-3", scalar_spec(4, 3)),
+               ("double-13-5-12", double_prime_spec(13, 5, 12)),
+               ("z343-19", FrobeniusSpec((CyclicFactor(343, (19,)),), 6)),
+               ("z49-18", FrobeniusSpec((CyclicFactor(49, (18,)),), 3))]
+
+
+@pytest.mark.parametrize("name, spec", CHAIN_SPECS, ids=[name for name, _ in CHAIN_SPECS])
+def test_the_invariant_chain_is_the_least_cover_chain_of_the_lattice(name, spec):
+    lat = invariant_lattice(spec)
+    chain = invariant_chain(spec)
+    assert [s.bits for s in chain] == [lat.subgroups[i].bits for i in _least_cover_chain(lat)]
+    assert [s.order for s in chain] == [s.bits.bit_count() for s in chain]
+    assert len(chain) - 1 == lat.d
+    sections, profile, verdict = _lattice_route(spec)
+    assert principal_sections(spec) == sections
+    assert thm2_profile(spec) == profile
+    assert separability_verdict(spec) == verdict
+
+
+@pytest.mark.parametrize("name", ["scalar-7", "cube-7-6"])
+def test_a_chain_that_does_not_decide_falls_back_to_the_lattice(monkeypatch, name):
+    # repeating the top adds a step of index 1, which no multiset of the
+    # table holds: d = 2 becomes 3, and d = 3 becomes 4
+    spec = dict(batch_specs())[name]
+    expected = _lattice_route(spec)[2]
+    assert not expected.separable
+    chain, lattices = invariant_chain(spec), []
+    monkeypatch.setattr(frobenius, "invariant_chain", lambda s: chain + chain[-1:])
+    monkeypatch.setattr(frobenius, "invariant_lattice",
+                        lambda s: lattices.append(s) or invariant_lattice(s))
+    assert separability_verdict(spec) == expected
+    assert lattices == [spec]
 
 
 def test_spec_json_round_trip():

@@ -268,7 +268,9 @@ def test_lattice_peak_memory_on_cube_13_6_and_scalar_3_5():
     assert _traced_peak(invariant_lattice, spec) < 4 * 2 ** 20
     big = scalar_spec(3, 5)                                  # 2664 members
     big.validate()
-    assert _traced_peak(frobenius.thm2_profile, big) <= 1.1 * 24.9 * 2 ** 20
+    assert _traced_peak(invariant_lattice, big) <= 1.1 * 24.9 * 2 ** 20
+    # the profile reads one chain of the lattice, not the lattice
+    assert _traced_peak(frobenius.thm2_profile, big) < 2 ** 20
 
 
 def test_no_join_is_asked_that_a_known_member_of_floor_size_decides(monkeypatch):

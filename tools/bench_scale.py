@@ -7,6 +7,8 @@ sources of this checkout and writes BENCH_scale.json at its root: per
 recipe the argument list, exit code, wall time, CPU time (user + system)
 and peak RSS of the child process, read with `os.wait4`.  Named recipes
 replace their rows of an existing BENCH_scale.json and keep the others.
+A row may carry a `before` object, the same figures at an earlier commit,
+added by hand to record a change; rerunning the recipe drops it.
 The scheme files the recipes read are written first into a temporary
 directory by untimed `gen` commands (and, for the thin scheme of Z_300 and
 the point-permuted Hall q = 25 scheme, by this script).  Standard library
@@ -44,6 +46,8 @@ RECIPES = {
     "tcond3-mixed-17-9": ["check", "tcond", "--t", "3", "--scheme", "{mixed17}"],
     "thm2-scalar-3-5": ["classify", "thm2", "--scalar", "3,5"],
     "thm2-scalar-7-4": ["classify", "thm2", "--scalar", "7,4"],
+    # 56632 invariant subspaces: more than the lattice engine's member bound
+    "thm2-scalar-3-6": ["classify", "thm2", "--scalar", "3,6"],
     "thin300-tcond3": ["check", "tcond", "--t", "3", "--scheme", "{thin300}"],
     "thin300-schurity": ["check", "schurity", "--scheme", "{thin300}"],
     "thin300-iso-alg": ["iso", "alg", "{thin300}", "{thin300}", "--limit", "1"],
