@@ -195,7 +195,7 @@ def base_triples(scheme: Scheme, e: Parabolic, transversal_only: bool = True):
                 yield BaseTriple(int(mu), int(nu), int(rho))
 
 
-class CoordinateMap:
+class CoordinateMap(NamedTuple):
     """f: alpha -> (x_alpha, y_alpha), with bijectivity onto the pair set.
 
     The pair set depends only on (e, in_color, out_color); the counted
@@ -206,14 +206,14 @@ class CoordinateMap:
     repeat): f^{-1} is one searchsorted in keys.
     """
 
-    def __init__(self, triple: BaseTriple, e_relations: frozenset, in_color: int,
-                 out_color: int, x: np.ndarray, y: np.ndarray, keys: np.ndarray,
-                 points: np.ndarray, pair_count: int, bijective: bool):
-        self.triple, self.e_relations = triple, e_relations
-        self.in_color, self.out_color = in_color, out_color
-        self.x, self.y = x, y
-        self.keys, self.points = keys, points
-        self.pair_count, self.bijective = pair_count, bijective
+    in_color: int
+    out_color: int
+    x: np.ndarray
+    y: np.ndarray
+    keys: np.ndarray
+    points: np.ndarray
+    pair_count: int
+    bijective: bool
 
 
 def _pair_counts(scheme: Scheme, in_e: np.ndarray) -> np.ndarray:
@@ -235,8 +235,8 @@ def _pair_counts(scheme: Scheme, in_e: np.ndarray) -> np.ndarray:
     return per_x[~in_e].sum(axis=0)[:, None] + per_x[in_e].sum(axis=0)[None, :]
 
 
-def _coordinate_map(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
-                    counts: np.ndarray, triple: BaseTriple) -> CoordinateMap:
+def _coordinate_map(scheme: Scheme, in_e: np.ndarray, counts: np.ndarray,
+                    triple: BaseTriple) -> CoordinateMap:
     P = scheme.colors
     mu, nu, rho = triple.mu, triple.nu, triple.rho
     s_in = int(P[mu, nu])
@@ -250,8 +250,7 @@ def _coordinate_map(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
     bijective = pair_count == scheme.n
     if bijective and (keys[1:] == keys[:-1]).any():
         raise AssertionError("pair-set count says bijective but coordinates collide")
-    return CoordinateMap(triple=triple, e_relations=e.relations,
-                         in_color=s_in, out_color=r_out, x=x, y=y, keys=keys,
+    return CoordinateMap(in_color=s_in, out_color=r_out, x=x, y=y, keys=keys,
                          points=points, pair_count=pair_count, bijective=bijective)
 
 
@@ -259,7 +258,7 @@ def base_coordinates(scheme: Scheme, e: Parabolic, triple: BaseTriple) -> Coordi
     if not is_base_triple(scheme, e, triple.mu, triple.nu, triple.rho):
         raise SchemeError("not a base triple for the given parabolic")
     in_e = _relation_mask(scheme, e)
-    return _coordinate_map(scheme, e, in_e, _pair_counts(scheme, in_e), triple)
+    return _coordinate_map(scheme, in_e, _pair_counts(scheme, in_e), triple)
 
 
 def base_triple_counts(scheme: Scheme, e: Parabolic):
@@ -330,7 +329,7 @@ def _first_valid_triple(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
     P = scheme.colors
     for triple in base_triples(scheme, e, transversal_only=True):
         if counts[P[triple.mu, triple.nu], P[triple.mu, triple.rho]] == scheme.n:
-            return triple, _coordinate_map(scheme, e, in_e, counts, triple)
+            return triple, _coordinate_map(scheme, in_e, counts, triple)
     return None, None
 
 
@@ -367,7 +366,7 @@ def _verified_maps(source: Scheme, target: Scheme, psi: RelationBijection, mus):
         for nu2 in np.flatnonzero(P2[mu2] == s2):
             for rho2 in np.flatnonzero((P2[mu2] == r2) & (P2[nu2] == t2)):
                 tau2 = BaseTriple(int(mu2), int(nu2), int(rho2))
-                g = induced_point_map(psi, f1, _coordinate_map(target, e2, in_e2, counts2, tau2))
+                g = induced_point_map(psi, f1, _coordinate_map(target, in_e2, counts2, tau2))
                 if g is not None and _carries(g, P2, image):
                     yield e, tau, tau2, g
 

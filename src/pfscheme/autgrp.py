@@ -27,16 +27,22 @@ class _Search:
         self.P = scheme.colors
         self.n = scheme.n
 
+    def _assign(self, img, cand, u: int, v: int):
+        """Fix u -> v: keep the candidates x -> y whose colours to and from
+        u and v agree, P[x, u] == P[y, v] and P[u, x] == P[v, y]."""
+        P = self.P
+        img[u] = v
+        cand &= np.equal.outer(P[:, u], P[:, v])
+        cand &= np.equal.outer(P[u, :], P[v, :])
+
     def _start(self, partial: dict):
-        n, P = self.n, self.P
+        n = self.n
         cand = np.ones((n, n), dtype=bool)
         img = np.full(n, -1, dtype=np.int64)
         for u, v in partial.items():
             if not cand[u, v]:
                 return None
-            img[u] = v
-            cand &= np.equal.outer(P[:, u], P[:, v])
-            cand &= np.equal.outer(P[u, :], P[v, :])
+            self._assign(img, cand, u, v)
         return img, cand
 
     def solutions(self, partial: dict, limit: int | None = None):
@@ -73,16 +79,10 @@ class _Search:
                 vs = np.nonzero(cand[u])[0]
                 if m > 1:
                     for v in vs[:0:-1]:
-                        img2 = img.copy()
-                        cand2 = cand.copy()
-                        img2[u] = v
-                        cand2 &= np.equal.outer(P[:, u], P[:, int(v)])
-                        cand2 &= np.equal.outer(P[u, :], P[int(v), :])
+                        img2, cand2 = img.copy(), cand.copy()
+                        self._assign(img2, cand2, u, int(v))
                         stack.append((img2, cand2))
-                v = int(vs[0])
-                img[u] = v
-                cand &= np.equal.outer(P[:, u], P[:, v])
-                cand &= np.equal.outer(P[u, :], P[v, :])
+                self._assign(img, cand, u, int(vs[0]))
 
 
 def automorphism_stabilizer(scheme: Scheme, cap: int | None = None):

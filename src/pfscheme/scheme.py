@@ -378,40 +378,34 @@ def _code_dtype(R: int):
     return np.int64
 
 
-def _row_zero_blocks(P: np.ndarray, R: int):
-    """Yield (lo, V) over the pairs (0, b) in blocks of `_BLOCK // n`
-    columns b = lo, lo + 1, ...: row i of V is the sorted column of codes
-    P[0, g] * R + P[g, lo + i] over all g, the signature of `_signature_rows`
-    without its colour.  No n^2 array is built."""
-    n, dt = P.shape[0], _code_dtype(R)
-    row = P[0].astype(dt) * R
-    step = max(1, _BLOCK // n)
-    for lo in range(0, n, step):
-        V = np.add(P[:, lo:lo + step].T, row, dtype=dt)
-        V.sort(axis=1)
-        yield lo, V
-
-
-def _signature_rows(P: np.ndarray, R: int, rows=None):
-    """Yield (a, S) for every point a in rows (default: all), where row b
-    of S is the signature of the pair (a, b): S[b, 0] = P[a, b] and
-    S[b, 1:] is the sorted column of codes P[a, g] * R + P[g, b] over all g.
+def _signature_blocks(P: np.ndarray, R: int, rows):
+    """Yield (a, lo, S) for the points a of rows and the columns
+    b = lo, lo + 1, ... of a block, in row-major order, where row i of S is
+    the signature of the pair (a, lo + i): S[i, 0] = P[a, lo + i] and
+    S[i, 1:] is the sorted column of codes P[a, g] * R + P[g, lo + i] over
+    all g.
 
     Two pairs with equal signatures have the same colour and the same
-    multiset of colour pairs through every intermediate point.  S is one
-    C-contiguous buffer in the smallest dtype that holds the codes, reused
-    (overwritten) for every a.
+    multiset of colour pairs through every intermediate point.  A block
+    holds `_BLOCK // n` columns (at least one), and S is a C-contiguous
+    view of one buffer in the smallest dtype that holds the codes, reused
+    (overwritten) for every block.  One row reads its columns off the
+    strided view P.T, with no n^2 copy; more rows share one copy of P.T
+    cast to that dtype, as contiguous reads pay for it over every row.
     """
     n, dt = P.shape[0], _code_dtype(R)
-    QT = P.T.astype(dt, order="C")      # QT[b, g] = P[g, b]
-    S = np.empty((n, n + 1), dtype=dt)
-    V = S[:, 1:]
-    for a in range(n) if rows is None else rows:
+    step = max(1, _BLOCK // n)
+    QT = P.T if len(rows) == 1 else P.T.astype(dt, order="C")   # QT[b, g] = P[g, b]
+    buf = np.empty((min(step, n), n + 1), dtype=dt)
+    for a in rows:
         row = P[a].astype(dt)
-        S[:, 0] = row
-        np.add(row * R, QT, out=V)      # V[b, g] = P[a, g] * R + P[g, b]
-        V.sort(axis=1)
-        yield a, S
+        codes = row * R
+        for lo in range(0, n, step):
+            S = buf[:min(step, n - lo)]
+            S[:, 0] = row[lo:lo + step]
+            np.add(codes, QT[lo:lo + step], out=S[:, 1:])
+            S[:, 1:].sort(axis=1)
+            yield a, lo, S
 
 
 def compute_tensor(scheme: Scheme) -> IntersectionTensor:
@@ -420,17 +414,17 @@ def compute_tensor(scheme: Scheme) -> IntersectionTensor:
     The representative pair of each relation gives its reference
     signature: the sorted column of codes (r, s) over intermediate points,
     which is row t of the returned tensor's `ref` (R rows of n codes; the
-    dense R^3 counts are not built).  Every row of pair signatures
-    (`_signature_rows`) is then compared with the references of its
-    relations; on the first row-major pair whose signature differs, its
-    histogram names the first (r, s) that differs from the claimed
-    bincount of the reference, and NotCoherentError carries both counts.
+    dense R^3 counts are not built).  The pair signatures are then
+    compared with the references of their relations, a block of columns
+    at a time (`_signature_blocks`); on the first row-major pair whose
+    code column differs, its histogram names the first (r, s) that differs
+    from the claimed bincount of the reference, and NotCoherentError
+    carries both counts.
 
     When `Scheme.translations` certifies the scheme, only row 0 is
-    compared, a block of columns at a time (`_row_zero_blocks`): every
-    other pair has the signature of its translate in row 0, so the verdict
-    and the first mismatching pair are those of the full pass.  Without a
-    certificate every row is compared.
+    compared: every other pair has the signature of its translate in row
+    0, so the verdict and the first mismatching pair are those of the full
+    pass.  Without a certificate every row is compared.
     """
     P = scheme.colors
     n, R = scheme.n, scheme.rank
@@ -438,13 +432,10 @@ def compute_tensor(scheme: Scheme) -> IntersectionTensor:
     ref = np.empty((R, n), dtype=_code_dtype(R))
     for t, (a, b) in enumerate(reps):
         ref[t] = np.sort(P[a].astype(np.int64) * R + P[:, b])
-    # (a, lo, V): row i of V is the code column of the pair (a, lo + i)
-    if scheme.translations is not None:
-        blocks = ((0, lo, V) for lo, V in _row_zero_blocks(P, R))
-    else:
-        blocks = ((a, 0, S[:, 1:]) for a, S in _signature_rows(P, R))
+    rows = [0] if scheme.translations is not None else range(n)
     expect = None
-    for a, lo, V in blocks:
+    for a, lo, S in _signature_blocks(P, R, rows):
+        V = S[:, 1:]                    # row i: the code column of the pair (a, lo + i)
         if expect is None:              # one buffer, the shape of a full block
             expect = np.empty(V.shape, dtype=ref.dtype)
         E = np.take(ref, P[a, lo:lo + len(V)], axis=0, out=expect[:len(V)])
@@ -550,12 +541,15 @@ def frobenius_scheme(spec) -> Scheme:
 def wl_closure(colors, table=None) -> Scheme:
     """Coherent closure of an initial n x n pair coloring.
 
-    Pre-splits classes by (diagonal?, color, transposed color) so the stable
-    partition is star-closed, then refines each pair by its exact
-    signature (`_signature_rows`: its color and the sorted multiset of
-    color pairs over intermediate points) until the class count stops
-    growing.  New classes are numbered in row-major order of first
-    appearance, one dict lookup per pair on the signature's bytes.
+    Pre-splits classes by the key (a == b) base^2 + M[a, b] base + M[b, a],
+    base = max + 1, so the stable partition is star-closed, then refines
+    each pair by its exact signature (`_signature_blocks`: its color and
+    the sorted multiset of color pairs over intermediate points) until the
+    class count stops growing.  New classes are numbered in row-major
+    order of first appearance, one dict lookup per pair on the signature's
+    bytes.  The keys are distinct and fit int64 when the colours are
+    non-negative and 2 base^2 <= 2^63, that is, at most 2^31 - 1; other
+    colours raise SchemeError.
 
     When a difference table D certifies the initial colouring, the
     pre-split and each iteration compute row 0 only and set P[a, b] =
@@ -564,8 +558,9 @@ def wl_closure(colors, table=None) -> Scheme:
     number as all n^2 keys do; refinement commutes with the translations,
     and every class first appears in row 0, so the closure is the
     `translation_scheme` of its row 0 and D, numbered as by the full pass.
-    D is `table`, the table the colouring was gathered at, when it passes
-    the row test, else the one `translation_table` finds.
+    Only row 0 and column 0 of M are widened for its keys.  D is `table`,
+    the table the colouring was gathered at, when it passes the row test,
+    else the one `translation_table` finds.
     Raises SchemeError if the stable configuration is not homogeneous
     (cannot happen for vertex-transitive inputs).
     """
@@ -576,33 +571,29 @@ def wl_closure(colors, table=None) -> Scheme:
         raise SchemeError("initial coloring must be integers")
     n = M.shape[0]
     base = int(M.max()) + 1
+    if int(M.min()) < 0 or 2 * base * base > 1 << 63:
+        raise SchemeError("initial colors must lie in 0..%d" % ((1 << 31) - 1))
     if table is not None and _translates_row_zero(M, table):
         D = table
     else:
         D = translation_table(M)
-    if D is None:
-        M = M.astype(np.int64)
-        keys = np.eye(n, dtype=np.int64) * (base * base) + M * base + M.T
-        _, P = np.unique(keys, return_inverse=True)
-        P = P.reshape(n, n).astype(np.int64)
-        rows = None
-    else:
-        keys = M[0].astype(np.int64) * base + M[:, 0]   # the keys of the pairs (0, b)
-        keys[0] += base * base
-        _, P = np.unique(keys, return_inverse=True)
-        P = P.astype(color_dtype(int(P.max()) + 1))[D]
-        rows = [0]
-    R = int(P.max()) + 1
-    while True:
+    rows = range(n) if D is None else [0]
+    keys = np.add(M[rows].astype(np.int64) * base, M.T[rows], dtype=np.int64)
+    keys[range(len(rows)), rows] += base * base         # the diagonal marker
+    distinct, newP = np.unique(keys, return_inverse=True)
+    R, newR = 0, len(distinct)
+    while newR != R:                    # until the class count stops growing
+        P, R = newP.reshape(len(rows), n).astype(color_dtype(newR)), newR
+        if D is not None:
+            P = P[0][D]
         sig_ids: dict[bytes, int] = {}
-        newP = np.empty((n if D is None else 1, n), dtype=np.int64)
-        for a, S in _signature_rows(P, R, rows):
+        newP = np.empty(len(rows) * n, dtype=np.int64)
+        at = 0
+        for _, _, S in _signature_blocks(P, R, rows):   # row-major: fills newP in order
             keys = S.view(np.dtype((np.void, S.itemsize * (n + 1)))).ravel().tolist()
-            newP[a] = [sig_ids.setdefault(k, len(sig_ids)) for k in keys]
+            newP[at:at + len(keys)] = [sig_ids.setdefault(k, len(sig_ids)) for k in keys]
+            at += len(keys)
         newR = len(sig_ids)
-        if newR == R:
-            break
-        P, R = newP if D is None else newP[0].astype(color_dtype(newR))[D], newR
     if D is not None:
         return translation_scheme(P[0], D)
     if len(sorted_unique(np.diagonal(P))) != 1:

@@ -289,7 +289,7 @@ def test_induced_point_map_matches_the_dict_lookup(name):
         in_e2 = algiso._relation_mask(s, e2)
         counts2 = algiso._pair_counts(s, in_e2)
         for tau2 in base_triples(s, e2):
-            f2 = algiso._coordinate_map(s, e2, in_e2, counts2, tau2)
+            f2 = algiso._coordinate_map(s, in_e2, counts2, tau2)
             g = algiso.induced_point_map(psi, f1, f2)
             ref = reference_induced_point_map(psi, f1, f2)
             assert (g is None) == (ref is None)

@@ -569,23 +569,60 @@ def test_kernels_take_the_full_path_without_a_certificate(monkeypatch):
     import pfscheme.scheme as scheme_mod
 
     seen = []
-    rows_of = scheme_mod._signature_rows
+    blocks_of = scheme_mod._signature_blocks
 
-    def spy(P, R, rows=None):
-        seen.append(rows)
-        return rows_of(P, R, rows)
+    def spy(P, R, rows):
+        seen.append((list(rows), len(P)))
+        return blocks_of(P, R, rows)
 
-    monkeypatch.setattr(scheme_mod, "_signature_rows", spy)
+    monkeypatch.setattr(scheme_mod, "_signature_blocks", spy)
     Q = swapped_thin_scheme()
     assert Scheme(Q).translations is None
     got = outcome(kernel_tensor, Scheme(Q))
     assert got[0] == "NotCoherentError" and got[5][0] > 0
     assert got == outcome(reference_tensor, Scheme(Q))
     assert wl_closure(petersen_coloring()) == reference_wl_closure(petersen_coloring())
-    assert seen and all(rows is None for rows in seen)
+    assert seen and all(rows == list(range(n)) for rows, n in seen)
     seen.clear()
     wl_closure(cycle_coloring(12)).tensor()
-    assert seen and all(rows == [0] for rows in seen)
+    assert seen and all(rows == [0] for rows, _ in seen)
+
+
+def test_signature_blocks_of_every_width_match_the_reference_loops(monkeypatch):
+    import pfscheme.scheme as scheme_mod
+
+    rng = np.random.default_rng(5)
+    perm = rng.permutation(15)
+    permuted_thin = zn_table(15)[np.ix_(perm, perm)]      # thin Z_15, points shuffled
+    cycle = cycle_coloring(13)
+    tensors = [Scheme(swapped_thin_scheme()), wl_closure(cycle), wl_closure(petersen_coloring()),
+               Scheme(permuted_thin)]
+    closures = [cycle, petersen_coloring(), permuted_thin]
+    assert Scheme(permuted_thin).translations is None and Scheme(cycle).translations is not None
+    expected = ([outcome(reference_tensor, s) for s in tensors]
+                + [reference_wl_closure(M) for M in closures])
+    assert expected[0][0] == "NotCoherentError"
+    for width in (1, 2, 3, 4, 7):       # columns per block; 7 divides none of n = 10, 12, 13, 15
+        got = []
+        for s in tensors:
+            monkeypatch.setattr(scheme_mod, "_BLOCK", width * s.n + s.n - 1)
+            got.append(outcome(kernel_tensor, Scheme(s.colors)))
+        for M in closures:
+            monkeypatch.setattr(scheme_mod, "_BLOCK", width * len(M) + len(M) - 1)
+            got.append(wl_closure(M))
+        assert got == expected, width
+
+
+def test_wl_closure_rejects_colours_its_keys_cannot_hold():
+    directed = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]])     # the directed 3-cycle
+    shifted = 2 - directed                  # -directed, coloured 0/-1/-2, shifted by 2
+    assert wl_closure(shifted) == wl_closure(directed) == reference_wl_closure(shifted)
+    assert wl_closure(shifted).rank == 3
+    for M in (-directed, np.array([[0, 1 << 31, 1 << 32]] * 3, dtype=np.int64)):
+        with pytest.raises(SchemeError, match="must lie in"):
+            wl_closure(M)
+    top = np.where(directed == 2, (1 << 31) - 1, directed)   # the largest colour allowed
+    assert wl_closure(top) == wl_closure(directed) == reference_wl_closure(top)
 
 
 def test_certified_presplit_keeps_the_diagonal_apart():

@@ -35,6 +35,7 @@ RECIPES = {
     "classify-wl-1331": ["classify", "wl", "--n", "1331", "--conn", "1,-1"],
     "classify-wl-2025": ["classify", "wl", "--n", "2025", "--conn", "1,-1"],
     "classify-wl-3025": ["classify", "wl", "--n", "3025", "--conn", "1,-1"],
+    "classify-wl-4913": ["classify", "wl", "--n", "4913", "--conn", "1,-1"],
     # the job that sets the peak RSS of the perfbench `spreads` workload
     "iso-alg-hall25-desarguesian25": ["iso", "alg", "{hall25}", "{des25}", "--limit", "1"],
     "schurity-desarguesian16": ["check", "schurity", "--scheme", "{des16}"],
