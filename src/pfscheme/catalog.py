@@ -10,7 +10,7 @@ subgroup), which is the hypothesis of the separability criteria.
 
 from __future__ import annotations
 
-from .arith import factorize, mult_order, prime_power
+from .arith import factorize, mult_order
 from .frobenius import CyclicFactor, ElementaryAbelianFactor, FrobeniusSpec
 from .gf import GF
 from .spreads import scalar_spec
@@ -49,17 +49,7 @@ def mixed_spec(m: int, u: int, q: int) -> FrobeniusSpec:
     k = q - 1
     if mult_order(u, m) != k:
         raise ValueError("unit order must match q - 1")
-    F = GF(q)
-    p, e = prime_power(q)
-    M = F.mul_matrix(F.primitive_element())
-    big = [[0] * (2 * e) for _ in range(2 * e)]
-    for blk in range(2):
-        for i in range(e):
-            for j in range(e):
-                big[blk * e + i][blk * e + j] = M[i][j]
-    return FrobeniusSpec(
-        (CyclicFactor(m, (u,)),
-         ElementaryAbelianFactor(p, 2 * e, (tuple(tuple(r) for r in big),))), k)
+    return FrobeniusSpec((CyclicFactor(m, (u,)), scalar_spec(q, 2).kernel_factors[0]), k)
 
 
 def _odd_composites(count: int) -> list[int]:

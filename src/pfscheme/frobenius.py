@@ -44,6 +44,12 @@ if TYPE_CHECKING:                       # imported by build_frobenius alone
     from .perms import PermGroup
 
 
+# Entries of the largest (k, n) complement or (n, len(radices)) digit table,
+# 512 MB as int64.  Past it a spec is refused: k rows of n entries would
+# exhaust memory with no single allocation large enough to raise MemoryError.
+MAX_TABLE_ENTRIES = 1 << 26
+
+
 class FrobeniusError(ValueError):
     """Spec fails to define a Frobenius group; carries a witness when one exists.
 
@@ -177,10 +183,18 @@ class FrobeniusSpec:
             out.extend([f.modulus] if isinstance(f, CyclicFactor) else [f.p] * f.dim)
         return tuple(out)
 
+    def _check_table_size(self) -> None:
+        n, k = self.kernel_order, self.complement_order
+        entries = n * max(k, len(self.radices))
+        if entries > MAX_TABLE_ENTRIES:
+            raise FrobeniusError("spec too large: its tables need %d entries (n = %d, k = %d), "
+                                 "more than %d" % (entries, n, k, MAX_TABLE_ENTRIES))
+
     @cached_property
     def digits(self) -> np.ndarray:
         """(n, len(radices)) read-only int64 table: row h holds the digits
         of index h."""
+        self._check_table_size()
         strides, radices = _radix_arrays(self.radices)
         table = np.arange(self.kernel_order, dtype=np.int64)[:, None] // strides % radices
         table.setflags(write=False)
@@ -193,20 +207,24 @@ class FrobeniusSpec:
         follow in breadth-first order from the generator tables.
 
         Raises when the generators close to a group of order other than
-        `complement_order`.
+        `complement_order`, or when the table would pass MAX_TABLE_ENTRIES.
+        Every element is an automorphism of the kernel, so its images of
+        the unit-vector indices name it.
         """
+        self._check_table_size()
         ident = np.arange(self.kernel_order, dtype=np.int64)
+        units = digit_strides(self.radices)
         gens = _generator_tables(self)
         cap = self.complement_order
         rows = [ident]
-        seen = {ident.tobytes()}
+        seen = {ident[units].tobytes()}
         frontier = [ident]
         while frontier:
             nxt = []
             for x in frontier:
                 for g in gens:
                     y = g[x]
-                    key = y.tobytes()
+                    key = y[units].tobytes()
                     if key not in seen:
                         if len(seen) >= cap:
                             raise FrobeniusError(

@@ -14,10 +14,13 @@ from .arith import factorize, is_prime
 
 
 class FiniteField:
-    """F_q with tabulated products below the tabulation cutoff: one row of
-    products per left factor, built when that factor is first used."""
+    """F_q on the antilog and log tables of its smallest generator g: every
+    product, power and inverse is a lookup.
 
-    TABLE_CUTOFF = 256
+    With L = q - 1, `exp` holds g^i at i < 2L and 0 from 2L to 4L, and
+    `log[0]` is 2L, so log[a] + log[b] indexes a * b for every a and b,
+    0 included.  Both tables are read-only int64.
+    """
 
     def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
@@ -28,8 +31,42 @@ class FiniteField:
         self.e = e
         self.q = p**e
         self.modulus = self._smallest_irreducible() if e > 1 else (0, 1)
-        self._rows: dict[int, list[int]] = {}      # a -> [a * b for every b]
-        self._primitive: int | None = 1 if self.q == 2 else None
+        L, powers = self.q - 1, self._generator_powers()
+        self.exp = np.concatenate((powers, powers, np.zeros(2 * L + 1, dtype=np.int64)))
+        self.log = np.full(self.q, 2 * L, dtype=np.int64)
+        self.log[powers] = np.arange(L)
+        self.exp.setflags(write=False)
+        self.log.setflags(write=False)
+
+    def _generator_powers(self) -> list[int]:
+        """g^0, ..., g^(q-2): the first candidate whose orbit of 1, followed
+        through its row of products, has q - 1 elements.  The constants
+        0..p-1 have orders dividing p - 1, so for e > 1 the candidates
+        start at p.  F_2 has no candidate: g = 1."""
+        for g in range(2 if self.e == 1 else self.p, self.q):
+            row = self._mul_row(g)
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = row[x]
+            if len(powers) == self.q - 1:
+                return powers
+        return [1]
+
+    def _mul_row(self, a: int) -> list[int]:
+        """The q products a * b, b = 0..q-1, as polynomials reduced by the
+        modulus: the one polynomial product, used to build the tables."""
+        p, e, q = self.p, self.e, self.q
+        digits = np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(e) % p
+        prod = np.zeros((q, 2 * e - 1), dtype=np.int64)
+        for i, x in enumerate(self.coeffs(a)):
+            prod[:, i:i + e] += x * digits
+        prod %= p
+        low = np.asarray(self.modulus[:-1], dtype=np.int64)
+        for i in range(2 * e - 2, e - 1, -1):   # x^i = -x^(i-e) * (low part)
+            prod[:, i - e:i] -= prod[:, i, None] * low
+            prod[:, i - e:i] %= p
+        return (prod[:, :e] @ (p ** np.arange(e))).tolist()
 
     # -- coefficient coding -------------------------------------------------
 
@@ -58,88 +95,36 @@ class FiniteField:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def mul(self, a: int, b: int) -> int:
-        if self.q > self.TABLE_CUTOFF:
-            return self.mul_slow(a, b)
-        row = self._rows.get(a)
-        if row is None:
-            row = self._rows[a] = self._mul_row(a)
-        return row[b]
+    def mul(self, a, b):
+        """a * b for ints or int arrays (broadcast together)."""
+        return _value(self.exp[self.log[a] + self.log[b]])
 
-    def _mul_row(self, a: int) -> list[int]:
-        """The q products mul_slow(a, b), b = 0..q-1, at once."""
-        p, e, q = self.p, self.e, self.q
-        digits = np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(e) % p
-        prod = np.zeros((q, 2 * e - 1), dtype=np.int64)
-        for i, x in enumerate(self.coeffs(a)):
-            prod[:, i:i + e] += x * digits
-        prod %= p
-        low = np.asarray(self.modulus[:-1], dtype=np.int64)
-        for i in range(2 * e - 2, e - 1, -1):   # x^i = -x^(i-e) * (low part)
-            prod[:, i - e:i] -= prod[:, i, None] * low
-            prod[:, i - e:i] %= p
-        return (prod[:, :e] @ (p ** np.arange(e))).tolist()
+    def pow(self, a, k):
+        """a^k for ints or int arrays (broadcast together).
 
-    def mul_slow(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self.encode(self._reduce(prod))
-
-    def _reduce(self, poly: list[int]) -> list[int]:
-        mod = self.modulus
-        poly = list(poly)
-        for i in range(len(poly) - 1, self.e - 1, -1):
-            c = poly[i]
-            if c:
-                poly[i] = 0
-                for j, m in enumerate(mod[:-1]):
-                    poly[i - self.e + j] = (poly[i - self.e + j] - c * m) % self.p
-        return poly[: self.e]
-
-    def pow(self, a: int, k: int) -> int:
-        out, base = 1, a
-        if k < 0:
-            base = self.inv(a)
-            k = -k
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
-    def inv(self, a: int) -> int:
-        if a == 0:
+        0^0 = 1 and 0^k = 0 for k > 0; 0^k with k < 0 raises
+        ZeroDivisionError.
+        """
+        a, k, L = np.asarray(a), np.asarray(k), self.q - 1
+        if ((a == 0) & (k < 0)).any():
             raise ZeroDivisionError("0 has no inverse")
-        return self.pow(a, self.q - 2)
+        i = self.log[a] * np.asarray(k % L, dtype=np.int64) % L     # k may pass int64
+        return _value(np.where((a == 0) & (k != 0), 0, self.exp[i]))
+
+    def inv(self, a):
+        return self.pow(a, -1)
 
     def primitive_element(self) -> int:
-        """Smallest generator of the multiplicative group, found once per field.
+        """The smallest generator of the multiplicative group."""
+        return int(self.exp[1])
 
-        a generates exactly when a^((q-1)/r) != 1 for every prime r
-        dividing q - 1, which takes O(log q) multiplications per prime.
-        The constants 0..p-1 have orders dividing p - 1, so for e > 1 the
-        search starts at p.
-        """
-        if self._primitive is None:
-            cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
-            self._primitive = next(a for a in range(2 if self.e == 1 else self.p, self.q)
-                                   if all(self.pow(a, k) != 1 for k in cofactors))
-        return self._primitive
-
-    def norm_to_subfield(self, a: int, s: int) -> int:
+    def norm_to_subfield(self, a, s: int):
         """Norm into F_s for q = s^2: a^(s+1)."""
         if s * s != self.q:
             raise ValueError("norm target %d is not the square-root subfield of %d" % (s, self.q))
         return self.pow(a, s + 1)
 
-    def frobenius(self, a: int, s: int) -> int:
+    def frobenius(self, a, s: int):
         """a^s (the subfield-fixing automorphism when q = s^2)."""
         return self.pow(a, s)
 
@@ -149,11 +134,7 @@ class FiniteField:
         Row convention: row i is the coefficient vector of a * x^i, so row
         vectors transform as v -> v M.
         """
-        rows = []
-        for i in range(self.e):
-            basis = self.encode([1 if j == i else 0 for j in range(self.e)])
-            rows.append(self.coeffs(self.mul(basis, a)))
-        return rows
+        return [self.coeffs(x) for x in self.mul(self.p ** np.arange(self.e), a).tolist()]
 
     def _smallest_irreducible(self) -> tuple[int, ...]:
         """Coefficients (c_0..c_{e-1}, 1) of the chosen modulus."""
@@ -205,6 +186,11 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
             if all(x == 0 for x in rem):
                 return False
     return True
+
+
+def _value(x):
+    """A Python int for a 0-d result, else the array."""
+    return int(x) if np.ndim(x) == 0 else x
 
 
 _cache: dict[tuple[int, int], FiniteField] = {}

@@ -272,13 +272,23 @@ class IntersectionTensor:
         first = np.flatnonzero(new)
         x = keys[first]
         del keys, new
-        w = np.diff(first, append=self.ref.size) * nv[x // (R * R)]
+        # w = run length of each code times n_u.  At most four arrays of the
+        # m distinct codes are live at once; other temporaries are slices.
+        w = np.empty_like(first)
+        np.subtract(first[1:], first[:-1], out=w[:-1])
+        w[-1] = self.ref.size - first[-1]
         del first
-        y = np.empty_like(x)            # y[i]: key of phi x[i], in blocks: small temporaries
+        y = np.empty_like(x)            # y[i]: key of phi x[i]
         for lo in range(0, x.size, _BLOCK):
-            y[lo:lo + _BLOCK] = _phi_keys(x[lo:lo + _BLOCK], st, R)
+            cut = slice(lo, lo + _BLOCK)
+            w[cut] *= nv[x[cut] // (R * R)]
+            y[cut] = _phi_keys(x[cut], st, R)
         order = np.argsort(y)
-        if np.array_equal(y[order], x) and np.array_equal(w[order], w):
+        held = all(np.array_equal(y[order[lo:lo + _BLOCK]], x[lo:lo + _BLOCK])
+                   and np.array_equal(w[order[lo:lo + _BLOCK]], w[lo:lo + _BLOCK])
+                   for lo in range(0, x.size, _BLOCK))
+        del order
+        if held:
             return
 
         def weight(at):

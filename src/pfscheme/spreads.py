@@ -92,10 +92,9 @@ def _canonical(q: int, comps) -> Spread:
 def desarguesian_spread(q: int) -> Spread:
     """Lines y = mx for m in F_q, plus the vertical line x = 0."""
     F = _field(q)
-    comps = [[0 + y * q for y in range(q)]]
-    for m in range(q):
-        comps.append([x + F.mul(m, x) * q for x in range(q)])
-    out = _canonical(q, comps)
+    xs = np.arange(q)
+    lines = xs + F.mul(xs[:, None], xs) * q          # row m: the line y = m x
+    out = _canonical(q, [(xs * q).tolist(), *lines.tolist()])
     verify_spread(out)
     return out
 
@@ -119,17 +118,13 @@ def andre_spread(q: int, s: int | None = None, delta: int = 1) -> Spread:
         raise ValueError("s must generate the automorphism x -> x^%d" % q0)
     if not 1 <= delta < q0:
         raise ValueError("delta must be a nonzero norm value below %d" % q0)
-    comps = [[0 + y * q for y in range(q)]]
-    replaced = 0
-    for m in range(q):
-        if m and F.norm_to_subfield(m, q0) == delta:
-            comps.append([x + F.mul(m, F.frobenius(x, s)) * q for x in range(q)])
-            replaced += 1
-        else:
-            comps.append([x + F.mul(m, x) * q for x in range(q)])
-    if replaced != q0 + 1:
-        raise AssertionError("norm class has unexpected size %d" % replaced)
-    out = _canonical(q, comps)
+    xs = np.arange(q)
+    twisted = F.norm_to_subfield(xs, q0) == delta     # slope 0 has norm 0
+    if twisted.sum() != q0 + 1:
+        raise AssertionError("norm class has unexpected size %d" % twisted.sum())
+    slopes = xs[:, None]
+    ys = np.where(twisted[:, None], F.mul(slopes, F.frobenius(xs, s)), F.mul(slopes, xs))
+    out = _canonical(q, [(xs * q).tolist(), *(xs + ys * q).tolist()])
     verify_spread(out)
     return out
 
@@ -151,13 +146,8 @@ def scalar_spec(q: int, dim: int = 2) -> FrobeniusSpec:
     if q < 3:
         raise ValueError("scalar complement needs q >= 3")
     F = _field(q)
-    p, e = prime_power(q)
     M = F.mul_matrix(F.primitive_element())
-    d = e * dim
-    big = [[0] * d for _ in range(d)]
-    for blk in range(dim):
-        for i in range(e):
-            for j in range(e):
-                big[blk * e + i][blk * e + j] = M[i][j]
-    factor = ElementaryAbelianFactor(p, d, (tuple(tuple(row) for row in big),))
+    # M in each of dim diagonal blocks; the factor refuses dim < 1
+    big = np.kron(np.eye(max(dim, 0), dtype=np.int64), M)
+    factor = ElementaryAbelianFactor(F.p, F.e * dim, (big.tolist(),))
     return FrobeniusSpec(kernel_factors=(factor,), complement_order=q - 1)

@@ -99,20 +99,85 @@ def test_gf9_field_axioms():
                 assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
 
 
-def test_gf_mul_matches_slow_path():
-    for q in (2, 4, 7, 8, 9, 25, 27, 49, 64, 125):
-        F = GF(q)
-        for a in range(q):
-            for b in range(q):
-                assert F.mul(a, b) == F.mul_slow(a, b)
+def poly_product(F, a, b):
+    """a * b as polynomials over F_p, one coefficient at a time, reduced by
+    the modulus: the product written independently of the field's tables."""
+    p, e = F.p, F.e
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(F.coeffs(a)):
+        for j, y in enumerate(F.coeffs(b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(2 * e - 2, e - 1, -1):        # x^e = -(c_0 + ... + c_(e-1) x^(e-1))
+        c, prod[i] = prod[i], 0
+        for j, m in enumerate(F.modulus[:-1]):
+            prod[i - e + j] = (prod[i - e + j] - c * m) % p
+    return F.encode(prod[:e])
 
 
-def test_gf_products_build_only_the_rows_they_use():
-    F = FiniteField(2, 8)
-    assert F.mul(3, 5) == F.mul_slow(3, 5)
-    assert F.mul(3, 200) == F.mul_slow(3, 200)
-    assert F.mul(7, 9) == F.mul_slow(7, 9)
-    assert sorted(F._rows) == [3, 7]
+def poly_power(F, a, k):
+    """a^k for k >= 0 by square and multiply on poly_product."""
+    out = 1
+    while k:
+        if k & 1:
+            out = poly_product(F, out, a)
+        a = poly_product(F, a, a)
+        k >>= 1
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 25, 27, 49, 64, 125, 256, 343, 1331, 2197])
+def test_gf_arithmetic_matches_the_polynomial_product(q):
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    if q <= 125:
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(q), np.arange(q)))
+    else:
+        a, b = rng.integers(0, q, 3000), rng.integers(0, q, 3000)
+    expected = [poly_product(F, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert F.mul(a, b).tolist() == expected                 # one array product
+    assert [F.mul(x, y) for x, y in zip(a.tolist()[:300], b.tolist()[:300])] == expected[:300]
+    for x in rng.integers(0, q, 40).tolist():
+        for k in (0, 1, 2, 5, q - 2, q, q + 3):
+            assert F.pow(x, k) == poly_power(F, x, k), (x, k)
+        if x:
+            assert F.inv(x) == poly_power(F, x, q - 2)
+            assert F.pow(x, -3) == poly_power(F, F.inv(x), 3)
+    xs = np.arange(q)
+    assert F.pow(xs, 5).tolist() == [poly_power(F, x, 5) for x in range(q)]
+    assert F.pow(3 % q, xs).tolist() == [poly_power(F, 3 % q, k) for k in range(q)]
+
+
+def test_gf_zero_products_and_powers():
+    F = GF(25)
+    assert F.mul(0, 7) == F.mul(7, 0) == F.mul(0, 0) == 0
+    assert F.pow(0, 0) == 1 and F.pow(0, 1) == F.pow(0, 24) == 0
+    assert F.pow(np.array([0, 0, 3]), np.array([0, 2, 0])).tolist() == [1, 0, 1]
+    for k in (2**63 + 5, 10**30, -10**30):                   # past int64
+        assert F.pow(3, k) == F.pow(3, k % 24) and F.pow(0, abs(k)) == 0
+    for bad in (lambda: F.inv(0), lambda: F.pow(0, -1), lambda: F.pow(np.arange(3), -2)):
+        with pytest.raises(ZeroDivisionError):
+            bad()
+    # scalars come back as Python ints, arrays as arrays
+    assert type(F.mul(3, 4)) is int and type(F.pow(3, 4)) is int and type(F.inv(3)) is int
+    assert F.mul(np.arange(25), 3).shape == (25,)
+
+
+def test_gf_builds_its_tables_once_per_field(monkeypatch):
+    from pfscheme import gf
+
+    rows = []
+    mul_row = FiniteField._mul_row
+    monkeypatch.setattr(gf, "_cache", {})
+    monkeypatch.setattr(FiniteField, "_mul_row",
+                        lambda self, a: rows.append((self.q, a)) or mul_row(self, a))
+    F = GF(343)
+    g = F.primitive_element()
+    # one row of products per candidate, from p up to the generator
+    assert rows == [(343, a) for a in range(7, g + 1)]
+    assert GF(7, 3) is F and GF(343) is F
+    F.mul(np.arange(343), g), F.pow(g, 100), F.inv(5), F.mul_matrix(g), F.frobenius(9, 7)
+    assert rows == [(343, a) for a in range(7, g + 1)]
+    assert not F.exp.flags.writeable and not F.log.flags.writeable
 
 
 def element_order(F, a):

@@ -876,6 +876,22 @@ def test_lattices_past_the_member_bound_exit_2(tmp_path, capsys, monkeypatch):
         assert "more than 5 members" in err, argv
 
 
+def test_specs_past_the_table_bound_exit_2(tmp_path, capsys, monkeypatch):
+    from pfscheme import frobenius
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(scalar_spec(3, 2).to_json_dict()))
+    monkeypatch.setattr(frobenius, "MAX_TABLE_ENTRIES", 17)    # k n = 2 * 9
+    monkeypatch.setattr(frobenius, "_generator_tables", lambda spec: pytest.fail("table built"))
+    for argv in (["classify", "thm2", "--scalar", "3,2"],
+                 ["gen", "frobenius", "--scalar", "3,2"],
+                 ["check", "separability", "--spec", str(spec)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "spec too large" in err and "more than 17" in err, argv
+
+
 def test_a_spec_is_classified_without_its_lattice(tmp_path, capsys, monkeypatch):
     # the profile and the separability verdict of a spec read one invariant
     # chain, so the member bound does not apply to them

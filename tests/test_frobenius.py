@@ -66,6 +66,22 @@ def test_spec_rejects_wrong_complement_order():
         spec.validate()
 
 
+def test_specs_past_the_table_bound_are_refused_before_any_table(monkeypatch):
+    negation = tuple(tuple(2 * (i == j) for j in range(4)) for i in range(4))
+    cases = ((FrobeniusSpec((ElementaryAbelianFactor(3, 4, (negation,)),), 2), 81 * 4),
+             (cyclic_unit_spec(65, 57), 65 * 4))      # digits: n len(radices); complement: k n
+    for spec, entries in cases:
+        with monkeypatch.context() as m:
+            m.setattr(frobenius, "MAX_TABLE_ENTRIES", entries - 1)
+            m.setattr(frobenius, "_generator_tables", lambda spec: pytest.fail("table built"))
+            for build in (lambda: spec.digits, lambda: spec.complement, spec.validate):
+                with pytest.raises(FrobeniusError, match="need %d entries" % entries):
+                    build()
+        with monkeypatch.context() as m:
+            m.setattr(frobenius, "MAX_TABLE_ENTRIES", entries)
+            assert spec.validate().shape == (spec.complement_order, spec.kernel_order)
+
+
 def test_negation_spec_validates_for_odd_moduli():
     for m in (9, 15, 21, 25, 27, 33):
         spec = negation_spec(m)
