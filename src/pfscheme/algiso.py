@@ -179,12 +179,11 @@ def _transversal(scheme: Scheme, e: Parabolic) -> list[int]:
     return np.flatnonzero(least == np.arange(scheme.n)).tolist()
 
 
-def base_triples(scheme: Scheme, e: Parabolic, transversal_only: bool = True):
-    """All base triples, with mu restricted to a class transversal by default."""
+def base_triples(scheme: Scheme, e: Parabolic):
+    """All base triples whose mu is the smallest point of its class of e."""
     P = scheme.colors
     in_e = _relation_mask(scheme, e)
-    mus = _transversal(scheme, e) if transversal_only else range(scheme.n)
-    for mu in mus:
+    for mu in _transversal(scheme, e):
         row = in_e[P[mu]]
         nus = np.nonzero(row)[0]
         rhos = np.nonzero(~row)[0]
@@ -327,7 +326,7 @@ class InducedIsomorphism(NamedTuple):
 def _first_valid_triple(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
                         counts: np.ndarray):
     P = scheme.colors
-    for triple in base_triples(scheme, e, transversal_only=True):
+    for triple in base_triples(scheme, e):
         if counts[P[triple.mu, triple.nu], P[triple.mu, triple.rho]] == scheme.n:
             return triple, _coordinate_map(scheme, in_e, counts, triple)
     return None, None

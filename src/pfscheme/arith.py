@@ -34,16 +34,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime divisors."""
-    return len(factorize(n))
-
-
-def big_omega(n: int) -> int:
-    """Number of prime divisors counted with multiplicity."""
-    return sum(factorize(n).values())
-
-
 def prime_divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(factorize(n)))
 

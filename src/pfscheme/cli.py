@@ -254,7 +254,10 @@ def cmd_gen(args) -> int:
         # the fields of `Scheme.to_json_dict`, the colours kept as the array
         payload.update(n=scheme.n, rank=scheme.rank, star=list(scheme.star),
                        colors=scheme.colors, fingerprint=scheme.fingerprint())
-    _emit(payload, args.format, args.out, rows="colors")
+    try:
+        _emit(payload, args.format, args.out, rows="colors")
+    except OSError as exc:
+        return _fail("cannot write %s: %s" % (args.out or "stdout", exc))
     return PASS
 
 
@@ -306,7 +309,7 @@ def cmd_check_parabolics(args) -> int:
         payload["indistinguishing"] = indistinguishing_number(s)
         payload["divide"] = [{"lower": r.n_lower, "upper": r.n_upper,
                               "quotient": r.quotient, "ok": r.ok}
-                             for r in divide_check(s, paras)]
+                             for r in divide_check(s)]
     _emit(payload, args.format)
     return PASS
 

@@ -337,36 +337,7 @@ class InvariantLattice(NamedTuple):
     inclusion: np.ndarray              # strict inclusion, bool matrix
     d: int                             # common length of maximal chains
     pi: tuple[int, ...]                # prime divisors of |H|
-    cover: np.ndarray                  # covering pairs of inclusion, from the join closure
     chain_lengths_equal: bool = True
-
-    @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return len(self.subgroups) - 1
-
-    def covers(self) -> np.ndarray:
-        return self.cover
-
-    def nontrivial(self) -> list[int]:
-        return [i for i, s in enumerate(self.subgroups)
-                if 1 < s.order < self.subgroups[self.top].order]
-
-    def maximal_chain(self) -> list[int]:
-        """Deterministic maximal chain bottom..top (smallest cover first),
-        the chain that `invariant_chain` builds without the lattice.
-
-        Subgroups are sorted by (order, sorted elements), so the smallest
-        cover is the one with the lowest index.
-        """
-        cov = self.covers()
-        chain = [self.bottom]
-        while chain[-1] != self.top:
-            chain.append(int(np.flatnonzero(cov[chain[-1]])[0]))
-        return chain
 
 
 # Sums per vectorized step of a join: at 8 bytes per digit of each sum,
@@ -382,13 +353,13 @@ def invariant_lattice(spec: FrobeniusSpec) -> InvariantLattice:
     lat = join_closure(_seeds(spec), ((1 << n) - 1, n), _joiner(spec))
     subs = [Subgroup(size, bits) for bits, size in zip(lat.members, lat.sizes)]
     return InvariantLattice(spec=spec, subgroups=subs, inclusion=lat.inclusion,
-                            d=lat.longest, pi=prime_divisors(n), cover=lat.cover,
+                            d=lat.longest, pi=prime_divisors(n),
                             chain_lengths_equal=lat.longest == lat.shortest)
 
 
 def invariant_chain(spec: FrobeniusSpec) -> list[Subgroup]:
     """The maximal chain {0} = M_0 < ... < M_d = H of complement-invariant
-    subgroups that `InvariantLattice.maximal_chain` walks, without the
+    subgroups that steps to the least cover each time, built without the
     lattice.
 
     Each step goes from M to its least cover, least by order and then by

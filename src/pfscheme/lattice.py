@@ -8,8 +8,8 @@ size divides N, a member strictly inside another has a size that
 strictly divides the other's, and the join of two members is a member
 whose size is a common multiple of theirs.  `join_closure` saturates a
 set of generating members under join and returns the whole lattice with
-its inclusion and cover matrices and the lengths of its longest and
-shortest maximal chains.
+its inclusion matrix and the lengths of its longest and shortest maximal
+chains.
 
 The seeds must generate the lattice under join.  Every member is then a
 join of seeds, and join is associative, so closing under "member v seed"
@@ -31,8 +31,8 @@ rather than the square of the member count:
   member of floor size removes that member's seeds, so the scan runs once
   per join asked.
 - At the end the up-sets, in sorted order, give the inclusion matrix, and
-  one walk per member over its up-set finds its covers and carries the
-  chain lengths up them.
+  one walk per member over its up-set carries the chain lengths one step
+  up to each member just above it.
 
 A lattice of more than MAX_MEMBERS members raises LatticeTooLarge.
 """
@@ -48,8 +48,8 @@ import numpy as np
 
 from .arith import prime_divisors
 
-# A lattice of m members has m x m inclusion and cover matrices: at this
-# bound each takes 256 MB, so a larger lattice is refused, not enumerated.
+# A lattice of m members has an m x m inclusion matrix: at this bound it
+# takes 256 MB, so a larger lattice is refused, not enumerated.
 MAX_MEMBERS = 16384
 
 
@@ -65,7 +65,6 @@ class JoinLattice(NamedTuple):
     inclusion: np.ndarray         # inclusion[i, j]: members[i] is strictly inside members[j]
     longest: int                  # steps of the longest maximal chain bottom..top
     shortest: int                 # steps of the shortest maximal chain
-    cover: np.ndarray             # covers(inclusion)
 
 
 # _REVERSED[b]: the byte b with its bit order reversed
@@ -208,10 +207,9 @@ def join_closure(seeds, top: tuple[int, int], join) -> JoinLattice:
     holds = _pack(moved)
     ups = [reduce(and_, map(holds.__getitem__, paths[i])) & ~(1 << r)
            for r, i in enumerate(order)]
-    cov, longest, shortest = _covers_and_chains(ups)
+    longest, shortest = _chain_lengths(ups)
     return JoinLattice(members=[members[i] for i in order], sizes=[sizes[i] for i in order],
-                       inclusion=_unpack(ups, m), longest=longest, shortest=shortest,
-                       cover=cov)
+                       inclusion=_unpack(ups, m), longest=longest, shortest=shortest)
 
 
 def _unpack(bitsets: list[int], m: int) -> np.ndarray:
@@ -229,10 +227,10 @@ def _pack(matrix: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[r * width:(r + 1) * width], "little") for r in range(len(packed))]
 
 
-def _covers_and_chains(ups: list[int]) -> tuple[np.ndarray, int, int]:
-    """Covering pairs, and the steps of the longest and shortest maximal
-    chains bottom..top, from strict up-sets over members in a linear
-    extension of the order (a member's index exceeds those below it).
+def _chain_lengths(ups: list[int]) -> tuple[int, int]:
+    """Steps of the longest and shortest maximal chains bottom..top, from
+    strict up-sets over members in a linear extension of the order (a
+    member's index exceeds those below it).
 
     Walk each up-set from its lowest index: that member has nothing of
     the up-set below it, so it is a cover, and everything above it is not;
@@ -243,25 +241,13 @@ def _covers_and_chains(ups: list[int]) -> tuple[np.ndarray, int, int]:
     rest = [~(up | 1 << j) for j, up in enumerate(ups)]
     longest = [0] * m
     shortest = [0] + [m] * (m - 1)
-    lows, highs = [], []
     for i, up in enumerate(ups):
         step_long, step_short = longest[i] + 1, shortest[i] + 1
         while up:
             j = (up & -up).bit_length() - 1
-            lows.append(i)
-            highs.append(j)
             if longest[j] < step_long:
                 longest[j] = step_long
             if shortest[j] > step_short:
                 shortest[j] = step_short
             up &= rest[j]
-    cov = np.zeros((m, m), dtype=bool)
-    cov[lows, highs] = True
-    return cov, longest[-1], shortest[-1]
-
-
-def covers(inclusion: np.ndarray) -> np.ndarray:
-    """Covering pairs of a strict inclusion matrix whose members are in a
-    linear extension of the order, as `join_closure` sorts them: j covers
-    i when no member lies in between."""
-    return _covers_and_chains(_pack(inclusion))[0]
+    return longest[-1], shortest[-1]

@@ -11,7 +11,7 @@ row-0 points of the relations generate.  Each scheme keeps its
 parabolic lattice once built.  For equivalenced schemes the verdict
 machinery decides separability from n, the valency k, and the index
 chains of the parabolic lattice; for a Frobenius spec, from one maximal
-chain of invariant subgroups, with the whole lattice as the fallback.
+chain of invariant subgroups.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class DivideRecord(NamedTuple):
     ok: bool
 
 
-def divide_check(scheme: Scheme, parabolics: list[Parabolic] | None = None) -> list[DivideRecord]:
+def divide_check(scheme: Scheme) -> list[DivideRecord]:
     """k must divide n_{e2}/n_{e1} - 1 for every nested parabolic pair.
 
     Requires an equivalenced scheme; raises on a non-integer block ratio
@@ -158,8 +158,7 @@ def divide_check(scheme: Scheme, parabolics: list[Parabolic] | None = None) -> l
     k = scheme.is_equivalenced()
     if k is None:
         raise SchemeError("divide check needs an equivalenced scheme")
-    if parabolics is None:
-        parabolics = enumerate_parabolics(scheme)
+    parabolics = enumerate_parabolics(scheme)
     out = []
     for e1 in parabolics:
         for e2 in parabolics:
@@ -294,25 +293,28 @@ def _spec_verdict(spec) -> SeparabilityVerdict:
     d = 3 every two-step chain of nontrivial members has the chain's
     multiset.  The chain alone therefore decides when k = n - 1, when
     n > 3k(k-1)^2, when d = 2, and when d = 3 with index multiset
-    {k+1, k+1, k+1} or {k+1, k+1, 2k+1}.  Otherwise the witness depends on
-    the whole lattice, which is then enumerated.  Each index is 1 mod k,
-    since the complement acts fixed-point-freely on every section, so no
-    valid spec gets there; but no verdict rests on that argument.
+    {k+1, k+1, k+1} or {k+1, k+1, 2k+1}.  No valid spec falls outside:
+
+    - The complement acts without fixed points on each section
+      M_{i+1}/M_i, so each index is 1 mod k: each step (index - 1) is a
+      positive multiple of k.
+    - If d >= 4, then n >= (k+1)^4 > 3k(k-1)^2.
+    - If d = 3 with steps other than {k, k, k} and {k, k, 2k}, then one
+      step is at least 3k or two are at least 2k, so
+      n >= (k+1)^2 (3k+1) > 3k(k-1)^2.
+
+    So the bound decides every chain that the multisets would not.  The
+    premise is checked on the chain: a step that is not a positive
+    multiple of k raises AssertionError.
     """
-    from .frobenius import chain_sections, invariant_chain, invariant_lattice
+    from .frobenius import chain_sections, invariant_chain
     chain = invariant_chain(spec)
     n, k, d = spec.kernel_order, spec.complement_order, len(chain) - 1
     if d < 2:
         raise ValueError("primitive subject: no nontrivial invariant subgroup")
-    steps = sorted(hi.order // lo.order - 1 for lo, hi in zip(chain, chain[1:]))
-    sizes, incl = [], np.zeros((0, 0), dtype=bool)
-    if not (k == n - 1 or n > 3 * k * (k - 1) ** 2 or d == 2
-            or (d == 3 and steps in ([k, k, k], [k, k, 2 * k]))):
-        lattice = invariant_lattice(spec)
-        nt = lattice.nontrivial()
-        sizes = [lattice.subgroups[i].order for i in nt]
-        incl = lattice.inclusion[np.ix_(nt, nt)]
-        d = lattice.d
-        chain = [lattice.subgroups[i] for i in lattice.maximal_chain()]
+    steps = [hi.order // lo.order - 1 for lo, hi in zip(chain, chain[1:])]
+    if any(step <= 0 or step % k for step in steps):
+        raise AssertionError("invariant chain steps %s are not all positive multiples "
+                             "of k = %d" % (steps, k))
     cases = d3_cases(n, k, chain_sections(spec, chain)) if d == 3 else ()
-    return _verdict_from_chains(n, k, sizes, incl, d, cases)
+    return _verdict_from_chains(n, k, [], np.zeros((0, 0), dtype=bool), d, cases)

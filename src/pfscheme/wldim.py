@@ -27,7 +27,6 @@ from .circulants import (
 )
 from .parabolic import (
     SeparabilityVerdict,
-    _parabolic_lattice,
     divide_check,
     indistinguishing_number,
     separability_verdict,
@@ -217,7 +216,7 @@ def frobenius_screen(scheme: Scheme) -> FrobeniusScreen:
     if k is None or k < 2:
         return FrobeniusScreen(False, k, False, False)
     indist_ok = indistinguishing_number(scheme) == k - 1
-    divide_ok = all(rec.ok for rec in divide_check(scheme, _parabolic_lattice(scheme)[0]))
+    divide_ok = all(rec.ok for rec in divide_check(scheme))
     return FrobeniusScreen(True, k, indist_ok, divide_ok)
 
 

@@ -182,20 +182,21 @@ def test_backtracking_matches_the_dense_oracle():
 def test_base_triples_and_predicate():
     s = z9()
     e = parabolic_closure(s, {3})
-    triples = list(base_triples(s, e, transversal_only=False))
-    assert triples
-    for tr in triples[:50]:
+    triples = list(base_triples(s, e))
+    for tr in triples:
         assert is_base_triple(s, e, tr.mu, tr.nu, tr.rho)
-    # brute-force count: mu anything, nu in mu's class, rho outside
+    # brute-force count: mu the least point of its class, nu in mu's class,
+    # rho outside
+    least = [mu for mu in range(9)
+             if min(nu for nu in range(9) if int(s.colors[mu, nu]) in e) == mu]
+    assert least == [0, 1, 2]
     count = 0
-    for mu in range(9):
+    for mu in least:
         for nu in range(9):
             for rho in range(9):
                 if is_base_triple(s, e, mu, nu, rho):
                     count += 1
-    assert len(triples) == count == 9 * 2 * 6
-    transversal = list(base_triples(s, e, transversal_only=True))
-    assert len(transversal) == 3 * 2 * 6
+    assert len(triples) == count == 3 * 2 * 6
 
 
 def test_base_coordinates_bijective_on_frobenius_scheme():

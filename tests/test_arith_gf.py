@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pfscheme.arith import (
-    big_omega,
     difference_table,
     digit_add,
     digit_strides,
@@ -12,11 +11,11 @@ from pfscheme.arith import (
     factorize,
     is_prime,
     mult_order,
-    omega,
     prime_divisors,
     prime_power,
 )
 from pfscheme.gf import FiniteField, GF
+from pfscheme.wldim import exception_check
 
 
 @pytest.mark.parametrize("radices", [[12], [2, 2, 2], [7, 2, 2], [3, 5, 3]])
@@ -42,8 +41,8 @@ def test_factorize_small_range():
             prod *= p ** e
         assert prod == n
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
-    assert omega(360) == 3
-    assert big_omega(360) == 6
+    assert exception_check(360).omega == 3
+    assert exception_check(360).big_omega == 6
     assert prime_divisors(360) == (2, 3, 5)
 
 

@@ -42,6 +42,19 @@ def test_gen_and_check_axioms(tmp_path, capsys):
     assert rep["valencies"] == [1, 2, 2, 2, 2]
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["frobenius", "--cyclic", "9,8"], "missing/x.json"),
+    (["circulant", "--n", "5"], "."),
+], ids=["missing-directory", "a-directory"])
+def test_gen_to_an_unwritable_path_exits_2_with_one_line(tmp_path, capsys, argv, target):
+    path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, "gen", *argv, "--out", path)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot write %s: " % path)
+    assert "Traceback" not in err
+
+
 def test_check_axioms_rejects_broken_coloring(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     # path P_4: star-closed but not coherent

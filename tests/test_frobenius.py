@@ -266,10 +266,14 @@ def test_thm2_profile_d3_two_prime_double():
 
 
 def _least_cover_chain(lat):
-    """Indices of the chain that steps to the first cover each time."""
-    chain = [lat.bottom]
-    while chain[-1] != lat.top:
-        chain.append(int(np.flatnonzero(lat.cover[chain[-1]])[0]))
+    """Indices of the chain that steps to the first cover each time: the
+    least member above the current one that has nothing strictly between."""
+    incl = lat.inclusion
+    chain = [0]
+    while chain[-1] != len(lat.subgroups) - 1:
+        above = incl[chain[-1]]
+        between = incl[above].any(axis=0)
+        chain.append(int(np.flatnonzero(above & ~between)[0]))
     return chain
 
 
@@ -289,7 +293,7 @@ def _lattice_route(spec):
         section_degrees=tuple(s.degree for s in sections),
         section_ranks=tuple(s.rank for s in sections), d3_cases=cases,
         verdict="open" if in_table and (d == 2 or cases) else "excluded")
-    nt = lat.nontrivial()
+    nt = [i for i, s in enumerate(lat.subgroups) if 1 < s.order < n]
     verdict = _verdict_from_chains(n, k, [lat.subgroups[i].order for i in nt],
                                    lat.inclusion[np.ix_(nt, nt)], d, cases)
     return sections, profile, verdict
@@ -316,18 +320,17 @@ def test_the_invariant_chain_is_the_least_cover_chain_of_the_lattice(name, spec)
 
 
 @pytest.mark.parametrize("name", ["scalar-7", "cube-7-6"])
-def test_a_chain_that_does_not_decide_falls_back_to_the_lattice(monkeypatch, name):
-    # repeating the top adds a step of index 1, which no multiset of the
-    # table holds: d = 2 becomes 3, and d = 3 becomes 4
+def test_a_chain_step_that_is_not_a_multiple_of_k_is_refused(monkeypatch, name):
+    # repeating the top adds a step of index 1 (step 0), which a valid spec
+    # cannot have: the verdict refuses it and never falls back to the lattice
     spec = dict(batch_specs())[name]
-    expected = _lattice_route(spec)[2]
-    assert not expected.separable
     chain, lattices = invariant_chain(spec), []
     monkeypatch.setattr(frobenius, "invariant_chain", lambda s: chain + chain[-1:])
     monkeypatch.setattr(frobenius, "invariant_lattice",
                         lambda s: lattices.append(s) or invariant_lattice(s))
-    assert separability_verdict(spec) == expected
-    assert lattices == [spec]
+    with pytest.raises(AssertionError, match="positive multiples"):
+        separability_verdict(spec)
+    assert lattices == []
 
 
 def test_spec_json_round_trip():

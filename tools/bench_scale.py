@@ -44,6 +44,8 @@ RECIPES = {
     "tcond4-hall25": ["check", "tcond", "--t", "4", "--scheme", "{hall25}"],
     "tcond4-hall25-permuted": ["check", "tcond", "--t", "4", "--scheme", "{hall25p}"],
     "parabolics-mixed-17-9": ["check", "parabolics", "--scheme", "{mixed17}"],
+    # a parabolic lattice of 2664 members
+    "parabolics-scalar-3-5": ["check", "parabolics", "--scheme", "{scalar35}"],
     "tcond3-mixed-17-9": ["check", "tcond", "--t", "3", "--scheme", "{mixed17}"],
     "thm2-scalar-3-5": ["classify", "thm2", "--scalar", "3,5"],
     "thm2-scalar-7-4": ["classify", "thm2", "--scalar", "7,4"],
@@ -71,6 +73,7 @@ SETUP = {
     "des25": ["gen", "spread", "--q", "25", "--plane", "desarguesian"],
     "hall25": ["gen", "spread", "--q", "25", "--plane", "hall"],
     "mixed17": ["gen", "frobenius", "--spec", "{mixed17spec}"],
+    "scalar35": ["gen", "frobenius", "--scalar", "3,5"],
 }
 
 
