@@ -8,10 +8,11 @@ work from row 0 alone once the intersection tensor has verified
 coherence; an incoherent scheme raises NotCoherentError.  Under the
 translation certificate of Z_n the class of 0 is the subgroup that the
 row-0 points of the relations generate.  Each scheme keeps its
-parabolic lattice once built.  For equivalenced schemes the verdict
-machinery decides separability from n, the valency k, and the index
-chains of the parabolic lattice; for a Frobenius spec, from one maximal
-chain of invariant subgroups.
+parabolic lattice once built; the valency-divide check reads the
+nested pairs off that lattice's inclusion matrix.  For equivalenced
+schemes the verdict machinery decides separability from n, the valency
+k, and the index chains of the parabolic lattice; for a Frobenius spec,
+from one maximal chain of invariant subgroups.
 """
 
 from __future__ import annotations
@@ -141,10 +142,8 @@ def _parabolic_lattice(scheme: Scheme) -> tuple[list[Parabolic], JoinLattice]:
 
 
 class DivideRecord(NamedTuple):
-    lower: tuple       # relation key of e1
-    upper: tuple
-    n_lower: int
-    n_upper: int
+    n_lower: int       # block size of e1
+    n_upper: int       # block size of e2
     quotient: int
     ok: bool
 
@@ -152,26 +151,26 @@ class DivideRecord(NamedTuple):
 def divide_check(scheme: Scheme) -> list[DivideRecord]:
     """k must divide n_{e2}/n_{e1} - 1 for every nested parabolic pair.
 
+    The pairs e1 < e2 are the nonzero entries of the lattice's inclusion
+    matrix, in row-major order over `enumerate_parabolics(scheme)`.
     Requires an equivalenced scheme; raises on a non-integer block ratio
     (impossible for genuine parabolics).
     """
     k = scheme.is_equivalenced()
     if k is None:
         raise SchemeError("divide check needs an equivalenced scheme")
-    parabolics = enumerate_parabolics(scheme)
-    out = []
-    for e1 in parabolics:
-        for e2 in parabolics:
-            if e1 is e2 or not e1.relations < e2.relations:
-                continue
-            if e2.n_e % e1.n_e:
-                raise SchemeError("nested parabolics with non-dividing sizes %d, %d"
-                                  % (e1.n_e, e2.n_e))
-            q = e2.n_e // e1.n_e
-            out.append(DivideRecord(lower=e1.key(), upper=e2.key(),
-                                    n_lower=e1.n_e, n_upper=e2.n_e,
-                                    quotient=q, ok=(q - 1) % k == 0))
-    return out
+    lattice = _parabolic_lattice(scheme)[1]
+    lo, hi = np.nonzero(lattice.inclusion)
+    sizes = np.asarray(lattice.sizes, dtype=np.int64)
+    n_lower, n_upper = sizes[lo], sizes[hi]
+    q, rest = np.divmod(n_upper, n_lower)
+    if rest.any():
+        i = int(np.flatnonzero(rest)[0])
+        raise SchemeError("nested parabolics with non-dividing sizes %d, %d"
+                          % (n_lower[i], n_upper[i]))
+    ok = (q - 1) % k == 0
+    return [DivideRecord(*row) for row in zip(n_lower.tolist(), n_upper.tolist(),
+                                              q.tolist(), ok.tolist())]
 
 
 def indistinguishing_number(scheme: Scheme) -> int:

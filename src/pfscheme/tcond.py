@@ -80,9 +80,14 @@ class TConditionReport(NamedTuple):
 
 
 def _code_dtype(R: int, t: int):
-    """int32 when every pattern code of rank R fits in it, else int64."""
+    """int32 when every pattern code of rank R fits in it, else int64;
+    ValueError when the codes pass int64."""
     width = 2 if t == 3 else 5
-    return np.int32 if R ** width - 1 <= np.iinfo(np.int32).max else np.int64
+    top = R ** width - 1
+    if top > np.iinfo(np.int64).max:
+        raise ValueError("rank %d is too large for t = %d: pattern codes reach "
+                         "%d^%d - 1, beyond int64" % (R, t, R, width))
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
 
 
 def _sorted_codes(P: np.ndarray, R: int, a: int, b: int, t: int,
@@ -168,17 +173,6 @@ def _witness(P: np.ndarray, R: int, t: int, pair: tuple, ref_pair: tuple,
                              ref_count=count(ref), count=count(codes))
 
 
-_CODE_MAX = np.iinfo(np.int64).max
-
-
-def _check_code_range(R: int, t: int) -> None:
-    """Raise ValueError when the int64 pattern codes of rank R overflow."""
-    width = 2 if t == 3 else 5
-    if R ** width - 1 > _CODE_MAX:
-        raise ValueError("rank %d is too large for t = %d: pattern codes reach "
-                         "%d^%d - 1, beyond int64" % (R, t, R, width))
-
-
 def check_t_condition(scheme: Scheme, t: int) -> TConditionReport:
     """Find the first row-major pair whose histogram deviates from its color's.
 
@@ -199,14 +193,14 @@ def check_t_condition(scheme: Scheme, t: int) -> TConditionReport:
     if t not in (3, 4):
         raise ValueError("only t = 3 and t = 4 are supported")
     P, R, n = scheme.colors, scheme.rank, scheme.n
-    _check_code_range(R, t)
+    dtype = _code_dtype(R, t)           # raises before anything is allocated
     # under a certificate every colour has its first pair in row 0
     scanned = P[0] if scheme.translations is not None else P.ravel()
     best = scanned.size                 # position of the earliest mismatch
     ref_fp: dict[int, str] = {}
     witness = None
     # the scan's only two n^(t-2) arrays, refilled for every pair
-    ref, codes = (np.empty(n ** (t - 2), dtype=_code_dtype(R, t)) for _ in range(2))
+    ref, codes = (np.empty(n ** (t - 2), dtype=dtype) for _ in range(2))
     for first in np.sort(scheme._first).tolist():
         if first >= best:
             break

@@ -312,66 +312,36 @@ def dimwl_verdict(circ) -> WlVerdict:
     # parabolic lattice, which the scheme keeps.
     screen = frobenius_screen(closure)
     exc = exception_check(n)
-    base = {
-        "n": n,
-        "factorization": factorization_string(n),
-        "connection_size": len(circ.connection),
-        "in_exception_set": exc.in_exception_set,
-        "closure_rank": closure.rank,
-        "closure_valency": screen.valency,
-        "screen": screen,
-    }
-    if not screen.passed:
-        return WlVerdict(
-            certification=None,
-            group_order=None,
-            separability=None,
-            verdict="NotFrobeniusCertified",
-            reason="closure fails the Frobenius screen",
-            **base,
-        )
 
-    certification = None
-    group_order = None
+    def outcome(verdict: str, reason: str, certification=None, group_order=None,
+                separability=None, search_limited=False) -> WlVerdict:
+        return WlVerdict(
+            n=n, factorization=factorization_string(n),
+            connection_size=len(circ.connection),
+            in_exception_set=exc.in_exception_set, closure_rank=closure.rank,
+            closure_valency=screen.valency, screen=screen,
+            certification=certification, group_order=group_order,
+            separability=separability, verdict=verdict, reason=reason,
+            search_limited=search_limited)
+
+    if not screen.passed:
+        return outcome("NotFrobeniusCertified", "closure fails the Frobenius screen")
+
     built = _construction_certificate(circ, closure)
     if built is not None:
-        certification = "construction"
-        group_order = built[1]
+        certification, group_order = "construction", built[1]
     elif n <= SEARCH_LIMIT:
         cert: FrobeniusCertificate = frobenius_certificate(closure)
-        if cert.frobenius:
-            certification = "search"
-            group_order = cert.group_order
-        else:
-            return WlVerdict(
-                certification=None,
-                group_order=None,
-                separability=None,
-                verdict="NotFrobeniusCertified",
-                reason="automorphism search: %s" % cert.reason,
-                **base,
-            )
+        if not cert.frobenius:
+            return outcome("NotFrobeniusCertified", "automorphism search: %s" % cert.reason)
+        certification, group_order = "search", cert.group_order
     else:
-        return WlVerdict(
-            certification=None,
-            group_order=None,
-            separability=None,
-            verdict="NotFrobeniusCertified",
-            reason="no construction certificate and n exceeds the search limit %d"
-            % SEARCH_LIMIT,
-            search_limited=True,
-            **base,
-        )
+        return outcome("NotFrobeniusCertified",
+                       "no construction certificate and n exceeds the search limit %d"
+                       % SEARCH_LIMIT, search_limited=True)
 
     if exc.in_exception_set:
-        return WlVerdict(
-            certification=certification,
-            group_order=group_order,
-            separability=None,
-            verdict="ExceptionUnresolved",
-            reason=exc.reason,
-            **base,
-        )
+        return outcome("ExceptionUnresolved", exc.reason, certification, group_order)
 
     sep = separability_verdict(closure)
     if not sep.separable:
@@ -380,12 +350,5 @@ def dimwl_verdict(circ) -> WlVerdict:
             "separable, n=%d" % n)
     if not 1 <= len(circ.connection) <= n - 2:
         raise AssertionError("empty or complete graph cannot reach Exactly2")
-    return WlVerdict(
-        certification=certification,
-        group_order=group_order,
-        separability=sep,
-        verdict="Exactly2",
-        reason="Frobenius closure (%s) with separability certificate (%s)"
-        % (certification, sep.reason),
-        **base,
-    )
+    return outcome("Exactly2", "Frobenius closure (%s) with separability certificate (%s)"
+                   % (certification, sep.reason), certification, group_order, sep)

@@ -20,6 +20,7 @@ from pfscheme.circulants import (
 )
 from pfscheme.frobenius import build_frobenius
 from pfscheme.parabolic import (
+    DivideRecord,
     SeparabilityVerdict,
     _verdict_from_chains,
     divide_check,
@@ -29,7 +30,7 @@ from pfscheme.parabolic import (
     separability_verdict,
 )
 from pfscheme.scheme import NotCoherentError, Scheme, SchemeError, from_orbitals, wl_closure
-from pfscheme.spreads import hall_spread, scalar_spec, spread_scheme
+from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
 
 
 def frobenius_scheme(spec):
@@ -145,6 +146,47 @@ def test_divide_check_records():
     pairs = sorted((r.n_lower, r.n_upper) for r in records)
     assert pairs == [(1, 3), (1, 9), (3, 9)]
     assert all(r.quotient == r.n_upper // r.n_lower for r in records)
+
+
+def pairwise_divide_records(scheme):
+    """(n_lower, n_upper, quotient, ok) of every nested parabolic pair, by
+    a frozenset `<` test on every ordered pair of `enumerate_parabolics`
+    in row-major order (the reference)."""
+    k = scheme.is_equivalenced()
+    paras = enumerate_parabolics(scheme)
+    return [(e1.n_e, e2.n_e, e2.n_e // e1.n_e, (e2.n_e // e1.n_e - 1) % k == 0)
+            for e1 in paras for e2 in paras if e1.relations < e2.relations]
+
+
+def divide_corpus():
+    for name, spec in batch_specs():
+        if spec.kernel_order <= 200:
+            yield name, frobenius_scheme(spec)
+    for q in (9, 16):
+        yield "hall-%d" % q, spread_scheme(hall_spread(q))
+        yield "desarguesian-%d" % q, spread_scheme(desarguesian_spread(q))
+    yield from cyclic_schemes()
+
+
+def test_divide_check_equals_the_pairwise_scan():
+    compared = 0
+    for name, s in divide_corpus():
+        if s.is_equivalenced() is None:
+            with pytest.raises(SchemeError):
+                divide_check(s)
+            continue
+        assert [tuple(r) for r in divide_check(s)] == pairwise_divide_records(s), name
+        compared += 1
+    assert compared >= 60
+
+
+def test_divide_check_of_the_scalar_3_5_scheme():
+    records = divide_check(frobenius_scheme(scalar_spec(3, 5)))
+    assert len(records) == 67035
+    assert all(r.ok for r in records)
+    assert tuple(records[0][:3]) == (1, 3, 3)
+    assert tuple(records[-1][:3]) == (81, 243, 3)
+    assert DivideRecord._fields == ("n_lower", "n_upper", "quotient", "ok")
 
 
 def test_divide_check_needs_equivalenced():

@@ -169,16 +169,19 @@ def test_full_scan_without_a_certificate_finds_the_swap(monkeypatch):
 
 
 def test_pattern_codes_overflow_is_rejected_before_the_scan(monkeypatch, tmp_path, capsys):
-    tcond_mod._check_code_range(6208, 4)
-    with pytest.raises(ValueError):
-        tcond_mod._check_code_range(6209, 4)
-    tcond_mod._check_code_range(3037000499, 3)
-    with pytest.raises(ValueError):
-        tcond_mod._check_code_range(3037000500, 3)
-    # the CLI turns the error into exit 2 with one stderr line
+    assert tcond_mod._code_dtype(6208, 4) == np.int64
+    with pytest.raises(ValueError, match="beyond int64"):
+        tcond_mod._code_dtype(6209, 4)
+    assert tcond_mod._code_dtype(3037000499, 3) == np.int64
+    with pytest.raises(ValueError, match="beyond int64"):
+        tcond_mod._code_dtype(3037000500, 3)
+    # the CLI turns the error into exit 2 with one stderr line, raised
+    # before any pattern code is computed: the rank is read as 6209
     path = tmp_path / "rook.json"
     path.write_text(json.dumps(rook_4x4().to_json_dict()))
-    monkeypatch.setattr(tcond_mod, "_CODE_MAX", 3 ** 5 - 2)
+    code_dtype = tcond_mod._code_dtype
+    monkeypatch.setattr(tcond_mod, "_code_dtype", lambda R, t: code_dtype(6209, t))
+    monkeypatch.setattr(tcond_mod, "_sorted_codes", None)
     assert cli.main(["check", "tcond", "--t", "4", "--scheme", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and "int64" in err

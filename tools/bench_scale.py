@@ -46,6 +46,8 @@ RECIPES = {
     "parabolics-mixed-17-9": ["check", "parabolics", "--scheme", "{mixed17}"],
     # a parabolic lattice of 2664 members
     "parabolics-scalar-3-5": ["check", "parabolics", "--scheme", "{scalar35}"],
+    # 75701 divide records
+    "parabolics-scalar-7-4": ["check", "parabolics", "--scheme", "{scalar74}"],
     "tcond3-mixed-17-9": ["check", "tcond", "--t", "3", "--scheme", "{mixed17}"],
     "thm2-scalar-3-5": ["classify", "thm2", "--scalar", "3,5"],
     "thm2-scalar-7-4": ["classify", "thm2", "--scalar", "7,4"],
@@ -74,6 +76,7 @@ SETUP = {
     "hall25": ["gen", "spread", "--q", "25", "--plane", "hall"],
     "mixed17": ["gen", "frobenius", "--spec", "{mixed17spec}"],
     "scalar35": ["gen", "frobenius", "--scalar", "3,5"],
+    "scalar74": ["gen", "frobenius", "--scalar", "7,4"],
 }
 
 
