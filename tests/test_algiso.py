@@ -17,22 +17,16 @@ from pfscheme.algiso import (
     is_base_triple,
     schurity_via_base_triples,
 )
-from pfscheme.catalog import cyclic_unit_spec, negation_spec
-from pfscheme.frobenius import build_frobenius
 from pfscheme.parabolic import enumerate_parabolics, parabolic_closure
 from pfscheme.perms import PermGroup, Permutation
-from pfscheme.scheme import Scheme, SchemeError, from_orbitals, partition_equal
-from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
-from test_perms import reference_orbitals
-from test_scheme import cycle_coloring, dense_tensor
-
-
-def frobenius_scheme(spec):
-    return from_orbitals(build_frobenius(spec))
+from pfscheme.scheme import Scheme, SchemeError, partition_equal
+import corpus
+from corpus import complete_colors
+from oracles import dense_isomorphisms, dense_tensor, reference_induced_point_map, reference_orbitals
 
 
 def z9():
-    return frobenius_scheme(negation_spec(9))
+    return corpus.scheme("neg-9")
 
 
 def test_relation_bijection_validates():
@@ -66,25 +60,21 @@ def test_algebraic_automorphisms_of_z9():
 
 def test_find_algebraic_isomorphisms_rejects_mismatched_shapes():
     a = z9()
-    b = frobenius_scheme(negation_spec(15))
+    b = corpus.scheme("neg-15")
     isos, truncated = find_algebraic_isomorphisms(a, b)
     assert isos == [] and not truncated
 
 
 def test_hall_desarguesian_tensors_agree():
-    hall = spread_scheme(hall_spread(9))
-    desarg = spread_scheme(desarguesian_spread(9))
+    hall, desarg = corpus.scheme("hall9"), corpus.scheme("desarguesian9")
     isos, _ = find_algebraic_isomorphisms(hall, desarg, limit=1)
     assert len(isos) == 1
     assert np.array_equal(dense_tensor(hall.tensor()), dense_tensor(desarg.tensor()))
 
 
 def test_relation_bijection_names_the_least_differing_triple():
-    from pfscheme.arith import difference_table
-
     rng = np.random.default_rng(5)
-    thin8, thin12 = Scheme(difference_table([8])), Scheme(difference_table([12]))
-    elem8 = Scheme(difference_table([2, 2, 2]))
+    thin8, thin12, elem8 = (corpus.scheme(name) for name in ("thin8", "thin12", "thin2-2-2"))
     cases = [(z9(), z9(), (0,) + p) for p in itertools.permutations(range(1, 5))]
     for source, target in ((thin12, thin12), (thin8, elem8), (elem8, thin8)):
         cases += [(source, target, (0,) + tuple(rng.permutation(range(1, source.rank)).tolist()))
@@ -112,65 +102,11 @@ def test_relation_bijection_names_the_least_differing_triple():
     assert failures >= 50 and later > 0
 
 
-def dense_isomorphisms(source, target, limit=None):
-    """find_algebraic_isomorphisms with its pruning read triple by triple
-    off the dense tensors (the reference); returns the mappings."""
-    R = source.rank
-    c1, c2 = dense_tensor(source.tensor()), dense_tensor(target.tensor())
-    nv1, nv2 = source.valencies(), target.valencies()
-    st1, st2 = source.star, target.star
-    order = sorted(range(1, R), key=lambda s: (nv1[s], s))
-    out, m, used = [], [0] + [-1] * (R - 1), [True] + [False] * (R - 1)
-
-    def consistent(newly):
-        assigned = [s for s in range(R) if m[s] >= 0]
-        return all(c1[a, x, y] == c2[m[a], m[x], m[y]]
-                   and c1[x, a, y] == c2[m[x], m[a], m[y]]
-                   and c1[x, y, a] == c2[m[x], m[y], m[a]]
-                   for a in newly for x in assigned for y in assigned)
-
-    def rec(pos):
-        while pos < len(order) and m[order[pos]] >= 0:
-            pos += 1
-        if pos == len(order):
-            out.append(tuple(m))
-            return len(out) == limit
-        s = order[pos]
-        for img in range(1, R):
-            if used[img] or nv1[s] != nv2[img] or (st1[s] == s) != (st2[img] == img):
-                continue
-            newly, ok = [s], True
-            m[s], used[img] = img, True
-            if st1[s] != s:
-                partner = st2[img]
-                if m[st1[s]] >= 0:
-                    ok = m[st1[s]] == partner
-                elif used[partner]:
-                    ok = False
-                else:
-                    m[st1[s]], used[partner] = partner, True
-                    newly.append(st1[s])
-            if ok and consistent(newly) and rec(pos + 1):
-                return True
-            for a in newly:
-                used[m[a]], m[a] = False, -1
-        return False
-
-    rec(0)
-    return out
-
-
 def test_backtracking_matches_the_dense_oracle():
-    from pfscheme.arith import difference_table
-    from pfscheme.scheme import wl_closure
-
-    hall = spread_scheme(hall_spread(9))
-    desarg = spread_scheme(desarguesian_spread(9))
-    cycle = wl_closure(cycle_coloring(17))
-    thin = Scheme(difference_table([12]))
+    hall, desarg, cycle, thin, thin26 = (corpus.scheme(name) for name in (
+        "hall9", "desarguesian9", "cycle17", "thin12", "thin2-6"))
     cases = [(hall, desarg, 40), (desarg, hall, 1), (z9(), z9(), None), (z9(), z9(), 2),
-             (cycle, cycle, None), (thin, thin, None),
-             (thin, Scheme(difference_table([2, 6])), None)]
+             (cycle, cycle, None), (thin, thin, None), (thin, thin26, None)]
     for source, target, limit in cases:
         isos, truncated = find_algebraic_isomorphisms(source, target, limit)
         expected = dense_isomorphisms(source, target, limit)
@@ -250,26 +186,11 @@ def test_induced_isomorphism_nontrivial_color_map():
             assert s.colors[g[x]][g[y]] == psi[s.colors[x][y]]
 
 
-def reference_induced_point_map(psi, f1, f2):
-    """The dict lookup of f2^{-1} that `induced_point_map` replaced: the
-    last point with a pair wins."""
-    point_of = {pair: alpha for alpha, pair in enumerate(zip(f2.x.tolist(), f2.y.tolist()))}
-    perm = np.asarray(psi.mapping)
-    xs, ys = perm[f1.x], perm[f1.y]
-    g = np.empty(len(xs), dtype=np.int64)
-    for alpha in range(len(xs)):
-        beta = point_of.get((int(xs[alpha]), int(ys[alpha])))
-        if beta is None:
-            return None
-        g[alpha] = beta
-    return g
-
-
-# scheme, and whether its second algebraic automorphism is induced
+# corpus name, and whether its second algebraic automorphism is induced
 INDUCED_CASES = {
-    "z9": (z9, True),
-    "f3x3-spread": (lambda: spread_scheme(desarguesian_spread(3)), True),
-    "desarguesian-9": (lambda: spread_scheme(desarguesian_spread(9)), False),
+    "z9": ("neg-9", True),
+    "f3x3-spread": ("desarguesian3", True),
+    "desarguesian-9": ("desarguesian9", False),
 }
 
 
@@ -277,8 +198,8 @@ INDUCED_CASES = {
 def test_induced_point_map_matches_the_dict_lookup(name):
     # every transversal base triple of the target parabolic, bijective or
     # not, for the identity and for a second algebraic automorphism
-    build, second_induced = INDUCED_CASES[name]
-    s = build()
+    scheme_name, second_induced = INDUCED_CASES[name]
+    s = corpus.scheme(scheme_name)
     psis, _ = find_algebraic_isomorphisms(s, s, limit=2)
     assert [induced_isomorphism(s, s, psi) is not None for psi in psis] == [True, second_induced]
     e = next(p for p in enumerate_parabolics(s) if not p.is_trivial() and not p.is_full())
@@ -332,14 +253,13 @@ def test_schurity_of_frobenius_schemes():
     d = res.to_json_dict()
     assert d["schurian"] is True and d["group_order"] == 18
 
-    res65 = schurity_via_base_triples(frobenius_scheme(cyclic_unit_spec(65, 57)))
+    res65 = schurity_via_base_triples(corpus.scheme("cyc-65-57"))
     assert res65.schurian
     assert res65.group_order == 260
 
 
 def test_schurity_bails_out_when_4condition_fails():
-    hall = spread_scheme(hall_spread(9))
-    res = schurity_via_base_triples(hall)
+    res = schurity_via_base_triples(corpus.scheme("hall9"))
     assert not res.schurian
     assert not res.four_condition_passed
     assert res.group_order == 0
@@ -349,20 +269,18 @@ def test_schurity_bails_out_when_4condition_fails():
 def test_schurity_complete_scheme_shortcut():
     # a transposition and an n-cycle generate S_n, reported as n!
     for n in range(1, 8):
-        M = np.ones((n, n), dtype=np.int64)
-        np.fill_diagonal(M, 0)
-        res = schurity_via_base_triples(Scheme(M))
+        res = schurity_via_base_triples(Scheme(complete_colors(n)))
         assert res.schurian and res.orbital_scheme_equal
         assert res.group_order == math.factorial(n)
         assert PermGroup(map(Permutation, res.automorphisms), n).order() == res.group_order
 
 
-ORACLE_SCHEMES = {
-    "z9": z9,
-    "z65-u57": lambda: frobenius_scheme(cyclic_unit_spec(65, 57)),
-    "scalar7": lambda: frobenius_scheme(scalar_spec(7)),
-    "f3x3-spread": lambda: spread_scheme(desarguesian_spread(3)),
-    "desarguesian-9": lambda: spread_scheme(desarguesian_spread(9)),
+ORACLE_SCHEMES = {                  # test id -> corpus name
+    "z9": "neg-9",
+    "z65-u57": "cyc-65-57",
+    "scalar7": "scalar-7",
+    "f3x3-spread": "desarguesian3",
+    "desarguesian-9": "desarguesian9",
 }
 
 
@@ -370,7 +288,7 @@ ORACLE_SCHEMES = {
 def test_schurity_matches_the_group_of_its_maps(name):
     # the verdict is read off the list of maps; the oracle rebuilds the
     # group they generate by Schreier-Sims and its orbitals by pair BFS
-    s = ORACLE_SCHEMES[name]()
+    s = corpus.scheme(ORACLE_SCHEMES[name])
     res = schurity_via_base_triples(s)
     assert res.automorphisms.dtype == np.int32
     G = PermGroup(map(Permutation, res.automorphisms), s.n)
@@ -411,12 +329,10 @@ def test_schurity_of_map_lists_that_generate_a_smaller_group(monkeypatch):
 
 def test_batched_pair_counts_match_per_triple_coordinates():
     from pfscheme.algiso import base_triple_counts
-    from pfscheme.circulants import circulant_from_connection, color_matrix
-    from pfscheme.scheme import wl_closure
 
     # the dihedral closure of C_12 has non-bijective base triples as well
-    c12 = wl_closure(color_matrix(circulant_from_connection(12, (1, 11))))
-    for s in (z9(), spread_scheme(desarguesian_spread(3)), c12):
+    c12 = corpus.scheme("cycle12")
+    for s in (z9(), corpus.scheme("desarguesian3"), c12):
         seen_bad = False
         for e in enumerate_parabolics(s):
             if e.is_trivial() or e.is_full():
@@ -444,12 +360,10 @@ def test_batched_pair_counts_match_per_triple_coordinates():
 
 def test_batched_counts_catch_a_count_that_claims_a_colliding_triple(monkeypatch):
     from pfscheme.algiso import base_triple_counts
-    from pfscheme.circulants import circulant_from_connection, color_matrix
-    from pfscheme.scheme import wl_closure
 
     # the dihedral closure of C_12 has non-bijective base triples; a pair
     # count that calls every triple bijective must meet their collisions
-    s = wl_closure(color_matrix(circulant_from_connection(12, (1, 11))))
+    s = corpus.scheme("cycle12")
     monkeypatch.setattr(algiso, "_pair_counts",
                         lambda scheme, in_e: np.full((scheme.rank, scheme.rank), scheme.n))
     with pytest.raises(AssertionError, match="coordinates collide"):

@@ -17,6 +17,7 @@ from pfscheme.cli import _emit, main
 from pfscheme.frobenius import CyclicFactor, FrobeniusSpec, build_frobenius
 from pfscheme.scheme import Scheme, from_orbitals
 from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
+import corpus
 
 
 def run_cli(capsys, *argv):
@@ -156,9 +157,8 @@ def test_every_command_completes_above_rank_256(tmp_path, capsys):
     # (rank 261) and the thin scheme of Z_258, which is imprimitive
     z521 = gen_scheme(capsys, tmp_path, "z521.json", "gen", "frobenius", "--cyclic", "521,520")
     assert json.loads(Path(z521).read_text())["rank"] == 261
-    idx = np.arange(258)
     thin = tmp_path / "thin258.json"
-    thin.write_text(json.dumps(Scheme((idx[None, :] - idx[:, None]) % 258).to_json_dict()))
+    thin.write_text(json.dumps(Scheme(corpus.zn_table(258)).to_json_dict()))
     f = str(thin)
     for argv in (["check", "axioms", "--scheme", f], ["check", "tcond", "--t", "3", "--scheme", f],
                  ["check", "parabolics", "--scheme", f], ["check", "separability", "--scheme", f],
@@ -287,16 +287,6 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def incoherent_hall9():
-    """Hall q=9 with the colours of (1, 2) and (1, 9) swapped, and of their
-    transposes: a valid scheme file whose colouring is not coherent."""
-    d = spread_scheme(hall_spread(9)).to_json_dict()
-    c = d["colors"]
-    c[1][2], c[1][9] = c[1][9], c[1][2]
-    c[2][1], c[9][1] = c[9][1], c[2][1]
-    return d
-
-
 INCOHERENT_EXIT = {"check-axioms": 3, "check-tcond": 3, "check-schurity": 3,
                    "check-parabolics": 2, "check-separability": 2,
                    "iso-alg": 2, "iso-induced": 2}
@@ -308,7 +298,9 @@ def test_incoherent_scheme_exit_codes(tmp_path, capsys, argv):
     # a check that certifies the failure reports it (exit 3); a command that
     # needs a coherent scheme gives a one-line input error (exit 2)
     path = tmp_path / "incoherent.json"
-    path.write_text(json.dumps(incoherent_hall9()))
+    # Hall q=9 with the colours of (1, 2) and (1, 9) swapped, and of their
+    # transposes: a valid scheme file whose colouring is not coherent
+    path.write_text(json.dumps(corpus.scheme("hall9-swapped").to_json_dict()))
     code, out, err = run_cli(capsys, *(a.format(f=path) for a in argv))
     assert code == INCOHERENT_EXIT["-".join(argv[:2])]
     if code == 2:
@@ -568,7 +560,7 @@ def test_loading_hall25_adds_under_2_mb_above_its_array(tmp_path, capsys):
 
 
 def test_scheme_json_colors_are_plain_ints():
-    colors = spread_scheme(hall_spread(9)).to_json_dict()["colors"]
+    colors = corpus.scheme("hall9").to_json_dict()["colors"]
     assert all(type(row) is list for row in colors)
     assert {type(x) for row in colors for x in row} == {int}
 

@@ -19,43 +19,16 @@ from pfscheme.algiso import (
 )
 from pfscheme.arith import difference_table
 from pfscheme.autgrp import frobenius_certificate
-from pfscheme.catalog import batch_specs
 from pfscheme.parabolic import enumerate_parabolics, separability_verdict
-from pfscheme.scheme import NotCoherentError, Scheme, color_dtype, frobenius_scheme
-from pfscheme.spreads import desarguesian_spread, hall_spread, spread_scheme
+from pfscheme.scheme import NotCoherentError, Scheme, color_dtype
 from pfscheme.tcond import check_t_condition
+import corpus
 
-
-def permuted(s, seed=0):
-    """The scheme with its points shuffled: it keeps no translation table."""
-    perm = np.random.default_rng(seed).permutation(s.n)
-    return Scheme(s.colors[np.ix_(perm, perm)])
-
-
-def perturbed(s):
-    """Swap the colours of (0, 1) and of the first (0, b) of another colour,
-    and of their transposes: still a scheme by C1 and C2, but not coherent."""
-    Q = s.colors.copy()
-    b = int(np.flatnonzero((Q[0] != Q[0, 1]) & (Q[0] != 0))[0])
-    Q[0, 1], Q[0, b] = Q[0, b], Q[0, 1]
-    Q[1, 0], Q[b, 0] = Q[b, 0], Q[1, 0]
-    return Scheme(Q)
-
-
-def schemes():
-    for name, spec in batch_specs():
-        if spec.kernel_order <= 200:
-            yield name, lambda spec=spec: frobenius_scheme(spec)
-    for q in (9, 16):
-        yield "desarguesian%d" % q, lambda q=q: spread_scheme(desarguesian_spread(q))
-        yield "hall%d" % q, lambda q=q: spread_scheme(hall_spread(q))
-    yield "hall9-permuted", lambda: permuted(spread_scheme(hall_spread(9)))
-    for n in (255, 256, 257, 300):
-        yield "thin%d" % n, lambda n=n: Scheme(difference_table([n]))
-    yield "hall9-incoherent", lambda: perturbed(spread_scheme(hall_spread(9)))
-
-
-SCHEMES = dict(schemes())
+# corpus names: the catalog up to n = 200, the spreads with q = 9 and 16,
+# thin schemes at both colour widths, and two that fail a premise
+SCHEMES = (corpus.names("catalog", max_n=200)
+           + ["desarguesian9", "hall9", "desarguesian16", "hall16", "hall9-permuted",
+              "thin255", "thin256", "thin257", "thin300", "hall9-incoherent"])
 
 
 def int64_twin(s):
@@ -124,7 +97,7 @@ def outcome(kernel, s):
 
 @pytest.mark.parametrize("name", SCHEMES)
 def test_every_kernel_gives_the_int64_twins_result(name):
-    s = SCHEMES[name]()
+    s = corpus.scheme(name)
     twin = int64_twin(s)
     assert s.colors.dtype == color_dtype(s.rank) and not s.colors.flags.writeable
     assert np.array_equal(s.colors, twin.colors) and twin.colors.dtype == np.int64
@@ -134,7 +107,7 @@ def test_every_kernel_gives_the_int64_twins_result(name):
 
 
 def test_the_corpus_covers_both_widths_and_both_paths():
-    built = {name: build() for name, build in SCHEMES.items()}
+    built = {name: corpus.scheme(name) for name in SCHEMES}
     dtypes = {s.colors.dtype for s in built.values()}
     assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16)}
     assert built["thin256"].colors.dtype == np.uint8 and built["thin257"].colors.dtype == np.uint16

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pfscheme import frobenius
-from pfscheme.arith import d3_cases, digit_add, digit_strides
+from pfscheme.arith import digit_add, digit_strides
 from pfscheme.catalog import (
     batch_specs,
     negation_spec,
@@ -21,16 +21,21 @@ from pfscheme.frobenius import (
     FrobeniusError,
     FrobeniusSpec,
     build_frobenius,
-    chain_sections,
     invariant_chain,
     invariant_lattice,
     principal_sections,
     thm2_profile,
 )
-from pfscheme.parabolic import _verdict_from_chains, separability_verdict
+from pfscheme.parabolic import separability_verdict
 from pfscheme.perms import PermGroup, Permutation
 from pfscheme.scheme import from_orbitals
 from pfscheme.spreads import scalar_spec
+from oracles import (
+    _lattice_route,
+    _least_cover_chain,
+    reference_principal_subgroup_list,
+    reference_principal_subgroups,
+)
 
 
 def test_cyclic_factor_rejects_non_units():
@@ -265,40 +270,6 @@ def test_thm2_profile_d3_two_prime_double():
 # -- the invariant chain against the whole lattice -------------------------
 
 
-def _least_cover_chain(lat):
-    """Indices of the chain that steps to the first cover each time: the
-    least member above the current one that has nothing strictly between."""
-    incl = lat.inclusion
-    chain = [0]
-    while chain[-1] != len(lat.subgroups) - 1:
-        above = incl[chain[-1]]
-        between = incl[above].any(axis=0)
-        chain.append(int(np.flatnonzero(above & ~between)[0]))
-    return chain
-
-
-def _lattice_route(spec):
-    """(sections, profile, verdict) as read off the whole invariant lattice."""
-    lat = invariant_lattice(spec)
-    n, k, d = spec.kernel_order, spec.complement_order, lat.d
-    sections = chain_sections(spec, [lat.subgroups[i] for i in _least_cover_chain(lat)])
-    cases = d3_cases(n, k, sections) if d == 3 else ()
-    if d <= 1:
-        return sections, frobenius.ClassificationProfile(
-            n=n, k=k, pi=lat.pi, d=d, primitive=True, in_table=False, section_degrees=(),
-            section_ranks=(), d3_cases=(), verdict="primitive"), None
-    in_table = len(lat.pi) in (1, 2) and d in (2, 3)
-    profile = frobenius.ClassificationProfile(
-        n=n, k=k, pi=lat.pi, d=d, primitive=False, in_table=in_table,
-        section_degrees=tuple(s.degree for s in sections),
-        section_ranks=tuple(s.rank for s in sections), d3_cases=cases,
-        verdict="open" if in_table and (d == 2 or cases) else "excluded")
-    nt = [i for i, s in enumerate(lat.subgroups) if 1 < s.order < n]
-    verdict = _verdict_from_chains(n, k, [lat.subgroups[i].order for i in nt],
-                                   lat.inclusion[np.ix_(nt, nt)], d, cases)
-    return sections, profile, verdict
-
-
 CHAIN_SPECS = [*batch_specs(),
                ("scalar-3-4", scalar_spec(3, 4)), ("scalar-4-3", scalar_spec(4, 3)),
                ("double-13-5-12", double_prime_spec(13, 5, 12)),
@@ -340,35 +311,6 @@ def test_spec_json_round_trip():
         assert again.kernel_order == spec.kernel_order
 
 
-def reference_principal_subgroups(spec):
-    """Close the complement orbit of every element of prime power order,
-    one orbit at a time, as a set of (bitset, order)."""
-    from pfscheme.arith import prime_power
-    from pfscheme.frobenius import _element_orders
-    from pfscheme.lattice import bits_of
-
-    n = spec.kernel_order
-    orders = _element_orders(spec)
-    out = {(1, 1)}
-    done = np.zeros(n, dtype=bool)
-    for i in range(1, n):
-        if done[i] or not prime_power(int(orders[i])):
-            continue
-        gens = np.unique(spec.complement[:, i])
-        done[gens] = True
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = seen[gens] = True
-        while True:
-            grown = seen.copy()
-            grown[digit_add(np.flatnonzero(seen)[:, None], gens[None, :], spec.radices)] = True
-            if np.array_equal(grown, seen):
-                break
-            seen = grown
-        if seen.sum() < n:
-            out.add((bits_of(seen), int(seen.sum())))
-    return out
-
-
 def test_principal_subgroups_skip_the_orbits_of_unit_multiples():
     from pfscheme.catalog import batch_specs
     from pfscheme.frobenius import _is_cyclic, _principal_subgroups
@@ -385,42 +327,6 @@ def test_principal_subgroups_skip_the_orbits_of_unit_multiples():
     lines = _principal_subgroups(dict(batch_specs())["cube-13-6"])
     assert len(lines) == len(set(lines)) == 184
     assert {order for _, order in lines} == {1, 13}
-
-
-def reference_principal_subgroup_list(spec):
-    """One closure per element x of prime power order whose class (its
-    complement orbit times the units modulo ord x) holds no smaller
-    element, one orbit at a time, in ascending x: a list of (bitset, order)."""
-    from math import gcd
-
-    from pfscheme.arith import prime_power
-    from pfscheme.frobenius import _element_orders
-    from pfscheme.lattice import bits_of
-
-    n = spec.kernel_order
-    orders = _element_orders(spec)
-    strides = np.asarray(digit_strides(spec.radices))
-    radices = np.asarray(spec.radices)
-    out = [(1, 1)]
-    done = np.zeros(n, dtype=bool)
-    for x in range(1, n):
-        o = int(orders[x])
-        if done[x] or not prime_power(o):
-            continue
-        units = np.array([m for m in range(1, o) if gcd(m, o) == 1])
-        done[spec.complement[:, units[:, None] * (x // strides % radices) % radices @ strides]] = True
-        gens = np.unique(spec.complement[:, x])
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = seen[gens] = True
-        while True:
-            grown = seen.copy()
-            grown[digit_add(np.flatnonzero(seen)[:, None], gens[None, :], spec.radices)] = True
-            if np.array_equal(grown, seen):
-                break
-            seen = grown
-        if seen.sum() <= n // 2:
-            out.append((bits_of(seen), int(seen.sum())))
-    return out
 
 
 def test_principal_subgroups_close_one_orbit_per_class_in_order():

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from pfscheme.arith import difference_table
 from pfscheme.circulants import (
     CirculantSpec,
     certificate_unit_groups,
@@ -15,8 +14,7 @@ from pfscheme.circulants import (
     unit_closure,
 )
 from pfscheme.frobenius import build_frobenius
-from pfscheme.gf import GF
-from pfscheme.scheme import Scheme, SchemeError, canonical_relabel, from_orbitals
+from pfscheme.scheme import SchemeError, canonical_relabel, from_orbitals
 from pfscheme.spreads import (
     Spread,
     andre_spread,
@@ -26,7 +24,8 @@ from pfscheme.spreads import (
     spread_scheme,
     verify_spread,
 )
-from test_scheme import dense_tensor
+import corpus
+from oracles import dense_tensor, pairwise_spread_scheme, reference_closed, reference_spread_colors
 
 
 # -- spreads ----------------------------------------------------------------
@@ -63,40 +62,6 @@ def test_andre_rejects_bad_parameters():
         andre_spread(9, delta=5)
     with pytest.raises(ValueError):
         andre_spread(9, s=2)     # not a power of p generating the twist
-
-
-def reference_spread_colors(spread):
-    """The scalar construction: an F.sub table colours (a, b) by the
-    component of a - b."""
-    q, F = spread.q, GF(spread.q)
-    sub = np.array([[F.sub(i, j) for j in range(q)] for i in range(q)])
-    idx = np.arange(spread.n)
-    x, y = idx % q, idx // q
-    diff = sub[x[:, None], x[None, :]] + sub[y[:, None], y[None, :]] * q
-    colors = spread.component_of()[diff] + 1
-    np.fill_diagonal(colors, 0)
-    return colors
-
-
-def reference_closed(spread) -> bool:
-    """The scalar closure loop: F.add on both coordinates of every pair of
-    vectors in a component stays in it."""
-    q, F = spread.q, GF(spread.q)
-    for comp in spread.components:
-        cs = set(comp)
-        for u in comp:
-            for v in comp:
-                if F.add(u % q, v % q) + F.add(u // q, v // q) * q not in cs:
-                    return False
-    return True
-
-
-def pairwise_spread_scheme(spread):
-    """The spread scheme built on all n^2 pairs: the component of each
-    digitwise difference, with the diagonal as colour 0."""
-    colors = spread.component_of()[difference_table([spread.p] * (2 * spread.e))] + 1
-    np.fill_diagonal(colors, 0)
-    return Scheme(colors)
 
 
 SPREADS = {"desarguesian%d" % q: (desarguesian_spread, q) for q in (3, 4, 5, 7, 8, 9, 16, 25)}
@@ -146,8 +111,7 @@ def test_desarguesian_scheme_is_the_scalar_orbital_scheme():
 
 
 def test_spread_schemes_all_share_the_desarguesian_tensor():
-    desarg = spread_scheme(desarguesian_spread(9))
-    hall = spread_scheme(hall_spread(9))
+    desarg, hall = corpus.scheme("desarguesian9"), corpus.scheme("hall9")
     assert np.array_equal(dense_tensor(desarg.tensor()), dense_tensor(hall.tensor()))
     assert desarg.fingerprint() != hall.fingerprint()
 

@@ -11,11 +11,12 @@ import pytest
 from pfscheme import frobenius, lattice, parabolic
 from pfscheme.arith import divisors
 from pfscheme.catalog import batch_specs
-from pfscheme.frobenius import build_frobenius, invariant_lattice
-from pfscheme.lattice import JoinLattice, bits_of, indices_of, join_closure
+from pfscheme.frobenius import invariant_lattice
+from pfscheme.lattice import bits_of, indices_of, join_closure
 from pfscheme.parabolic import _parabolic_lattice, separability_verdict
-from pfscheme.scheme import from_orbitals, wl_closure
-from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
+from pfscheme.spreads import scalar_spec
+import corpus
+from oracles import reference_join_closure
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,12 +57,11 @@ def test_engine_on_subspaces_of_f2_cubed_joins_each_pair_once():
 def test_invariant_lattice_matches_parabolics_of_the_orbital_scheme():
     # The parabolics of a Frobenius group's orbital scheme are the cosets of
     # its invariant subgroups: the class of point 0 is the subgroup.
+    specs = dict(batch_specs())
     checked = 0
-    for name, spec in batch_specs():
-        if spec.kernel_order > 100:
-            continue
-        lat = invariant_lattice(spec)
-        scheme = from_orbitals(build_frobenius(spec))
+    for name in corpus.names("catalog", max_n=100):
+        lat = invariant_lattice(specs[name])
+        scheme = corpus.scheme(name)
         paras, plat = _parabolic_lattice(scheme)
         blocks = [frozenset(np.flatnonzero(np.isin(scheme.colors[0], list(e.relations))).tolist())
                   for e in paras]
@@ -86,80 +86,6 @@ def test_catalog_verdicts_match_the_recorded_fixture():
                      "chain_lengths_equal": lat.chain_lengths_equal}
     text = json.dumps(out, sort_keys=True, indent=2) + "\n"
     assert text.encode() == (DATA / "separability_catalog.json").read_bytes()
-
-
-def reference_covers(inclusion):
-    """The earlier cover test: OR the outer products through every member."""
-    between = np.zeros_like(inclusion)
-    for k in np.flatnonzero(inclusion.any(axis=0) & inclusion.any(axis=1)):
-        between |= inclusion[:, k, None] & inclusion[None, k, :]
-    return inclusion & ~between
-
-
-def reference_join_closure(seeds, top, join) -> JoinLattice:
-    """The earlier engine: every new member is joined against every earlier
-    one (a pair scan), and inclusion is tested pairwise after the scan."""
-    top_bits, n = top
-    half = n // 2
-    divs = divisors(n)
-    members, sizes = [], []
-    by_size, known, floors = {}, set(), {}
-
-    def add(bits, size):
-        if bits not in known:
-            known.add(bits)
-            members.append(bits)
-            sizes.append(size)
-            by_size.setdefault(size, []).append(bits)
-
-    for bits, size in seeds:
-        add(bits, size)
-    add(top_bits, n)
-    i = 0
-    while i < len(members):
-        a, la = members[i], sizes[i]
-        above = {}
-        for j in range(i):
-            b, lb = members[j], sizes[j]
-            floor = floors.get((la, lb))
-            if floor is None:
-                lcm = la * lb // gcd(la, lb)
-                floor = floors[la, lb] = next(
-                    (d for d in divs if d % lcm == 0 and d > max(la, lb)), n)
-            if floor > half:
-                continue
-            if (la % lb == 0 and b & ~a == 0) or (lb % la == 0 and a & ~b == 0):
-                continue
-            ups = above.get(floor)
-            if ups is None:
-                ups = above[floor] = [s for s in by_size.get(floor, ()) if a & ~s == 0]
-            if any(b & ~s == 0 for s in ups):
-                continue
-            bits, size = join(a, b)
-            if bits not in known:
-                add(bits, size)
-                if size in above:
-                    above[size].append(bits)
-        i += 1
-
-    order = sorted(range(len(members)),
-                   key=lambda i: (sizes[i], indices_of(members[i]).tolist()))
-    members = [members[i] for i in order]
-    sizes = [sizes[i] for i in order]
-    m = len(members)
-    incl = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if sizes[i] < sizes[j] and members[i] & ~members[j] == 0:
-                incl[i, j] = True
-    cov = reference_covers(incl)
-    longest, shortest = [0] * m, [0] * m
-    for j in range(1, m):
-        preds = np.flatnonzero(cov[:, j])
-        longest[j] = max(longest[p] for p in preds) + 1
-        shortest[j] = min(shortest[p] for p in preds) + 1
-    return JoinLattice(members=members, sizes=sizes, inclusion=incl,
-                       longest=longest[-1], shortest=shortest[-1])
 
 
 def _compare_with_reference(monkeypatch, module):
@@ -197,23 +123,12 @@ def test_seed_scan_matches_the_pair_scan_on_the_catalog(monkeypatch):
     assert len(compared) == len(batch_specs())
 
 
-def _cycle_closure(n):
-    A = np.zeros((n, n), dtype=np.int64)
-    idx = np.arange(n)
-    A[idx, (idx + 1) % n] = A[(idx + 1) % n, idx] = 1
-    return wl_closure(A)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: spread_scheme(hall_spread(9)),
-    lambda: spread_scheme(hall_spread(16)),
-    lambda: spread_scheme(desarguesian_spread(9)),
-    lambda: _cycle_closure(105),
-    lambda: _cycle_closure(243),
-], ids=["hall9", "hall16", "desarguesian9", "C105", "C243"])
-def test_seed_scan_matches_the_pair_scan_on_parabolics(monkeypatch, make):
+@pytest.mark.parametrize("name", ["hall9", "hall16", "desarguesian9", "cycle105", "cycle243"],
+                         ids=["hall9", "hall16", "desarguesian9", "C105", "C243"])
+def test_seed_scan_matches_the_pair_scan_on_parabolics(monkeypatch, name):
+    s = corpus.scheme(name)
     compared = _compare_with_reference(monkeypatch, parabolic)
-    _parabolic_lattice(make())
+    _parabolic_lattice(s)
     assert len(compared) == 1 and compared[0] > 2
 
 
@@ -243,7 +158,7 @@ def test_the_member_bound_refuses_a_larger_lattice(monkeypatch):
         invariant_lattice(spec)
     assert isinstance(err.value, ValueError)
     with pytest.raises(lattice.LatticeTooLarge):
-        _parabolic_lattice(from_orbitals(build_frobenius(spec)))
+        _parabolic_lattice(corpus.scheme("scalar-3"))
 
 
 def _traced_peak(fn, *args):
@@ -293,5 +208,6 @@ def test_no_join_is_asked_that_a_known_member_of_floor_size_decides(monkeypatch)
     for name in ("cube-7-6", "double-3-5-2", "mixed-7-4", "scalar-9"):
         invariant_lattice(dict(batch_specs())[name])
     invariant_lattice(scalar_spec(3, 4))
+    hall9 = corpus.scheme("hall9")
     monkeypatch.setattr(parabolic, "join_closure", checked)
-    _parabolic_lattice(spread_scheme(hall_spread(9)))
+    _parabolic_lattice(hall9)

@@ -5,20 +5,7 @@ import pytest
 
 from pfscheme import parabolic
 from pfscheme.algiso import _transversal
-from pfscheme.catalog import (
-    batch_specs,
-    cyclic_unit_spec,
-    double_prime_spec,
-    field_cube_spec,
-    negation_spec,
-)
-from pfscheme.circulants import (
-    CirculantSpec,
-    circulant_from_connection,
-    color_matrix,
-    frobenius_circulant,
-)
-from pfscheme.frobenius import build_frobenius
+from pfscheme.catalog import cyclic_unit_spec, double_prime_spec, field_cube_spec, negation_spec
 from pfscheme.parabolic import (
     DivideRecord,
     SeparabilityVerdict,
@@ -29,80 +16,21 @@ from pfscheme.parabolic import (
     parabolic_closure,
     separability_verdict,
 )
-from pfscheme.scheme import NotCoherentError, Scheme, SchemeError, from_orbitals, wl_closure
-from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
-
-
-def frobenius_scheme(spec):
-    return from_orbitals(build_frobenius(spec))
-
-
-def complete_scheme(n):
-    M = np.full((n, n), 1, dtype=np.int64)
-    np.fill_diagonal(M, 0)
-    return Scheme(M)
-
-
-def paley_13():
-    n = 13
-    squares = {x * x % n for x in range(1, n)}
-    M = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                M[i][j] = 1 if (j - i) % n in squares else 2
-    return Scheme(M)
-
-
-def union_find(labels, pairs):
-    """Merge the classes of each pair, starting from `labels` (each point's
-    least class mate); returns the merged labels."""
-    parent = list(labels)
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        parent[max(ra, rb)] = min(ra, rb)
-    return [find(x) for x in range(len(parent))]
-
-
-def relation_pairs(scheme, s):
-    """Pairs a < b in relation s or its transpose."""
-    P = scheme.colors
-    return np.argwhere(np.triu((P == s) | (P == scheme.star[s]), 1)).tolist()
-
-
-def union_find_classes(scheme, rels):
-    labels = list(range(scheme.n))
-    for s in rels:
-        labels = union_find(labels, relation_pairs(scheme, s))
-    return np.array(labels)
-
-
-def exhaustive_parabolics(scheme):
-    """Every relation subset that covers exactly the pairs inside its
-    union-find classes, as sorted (n_e, relations); rank <= 12 only."""
-    assert scheme.rank <= 12
-    pairs = [relation_pairs(scheme, s) for s in range(scheme.rank)]
-    labels = {0: list(range(scheme.n))}     # bit s - 1 stands for relation s
-    out = []
-    for bits in range(1 << (scheme.rank - 1)):
-        if bits:
-            top = bits.bit_length()
-            labels[bits] = union_find(labels[bits ^ 1 << (top - 1)], pairs[top])
-        comp = np.array(labels[bits])
-        rels = [0] + [s for s in range(1, scheme.rank) if bits >> (s - 1) & 1]
-        if np.unique(scheme.colors[comp[:, None] == comp[None, :]]).tolist() == rels:
-            out.append((int(np.count_nonzero(comp == 0)), tuple(rels)))
-    return sorted(out)
+from pfscheme.scheme import NotCoherentError, Scheme, SchemeError, frobenius_scheme
+from pfscheme.spreads import scalar_spec
+import corpus
+from corpus import complete_colors, cyclic_colors
+from oracles import (
+    _reference_chain_verdict,
+    exhaustive_parabolics,
+    pairwise_divide_records,
+    squaring_closure,
+    union_find_classes,
+)
 
 
 def test_parabolic_closure_of_single_relation():
-    s = frobenius_scheme(negation_spec(9))
+    s = corpus.scheme("neg-9")
     # the +-3 difference class generates the subgroup {0, 3, 6}
     e = parabolic_closure(s, {3})
     assert e.n_e == 3
@@ -118,28 +46,25 @@ def test_parabolic_closure_of_single_relation():
 
 
 def test_enumerate_matches_exhaustive_scan():
-    schemes = [frobenius_scheme(spec)
-               for spec in (negation_spec(9), negation_spec(15), negation_spec(21))]
-    schemes += [spread_scheme(hall_spread(9)),                              # rank 11
-                wl_closure(color_matrix(circulant_from_connection(20, (1, 19))))]
+    schemes = [corpus.scheme(name) for name in ("neg-9", "neg-15", "neg-21", "hall9", "cycle20")]
     assert [s.rank for s in schemes[3:]] == [11, 11]
     for s in schemes:
         fast = enumerate_parabolics(s)
         assert [(e.n_e, e.key()) for e in fast] == exhaustive_parabolics(s)
         assert all(e.n_e * e.num_classes == s.n for e in fast)
-    s45 = frobenius_scheme(negation_spec(45))
+    s45 = corpus.scheme("neg-45")
     assert sorted(e.n_e for e in enumerate_parabolics(s45)) == [1, 3, 5, 9, 15, 45]
 
 
 def test_is_primitive():
     # primitive: the trivial and the full parabolic, and no other
-    assert len(enumerate_parabolics(complete_scheme(5))) == 2
-    assert len(enumerate_parabolics(paley_13())) == 2
-    assert len(enumerate_parabolics(frobenius_scheme(negation_spec(9)))) > 2
+    assert len(enumerate_parabolics(Scheme(complete_colors(5)))) == 2
+    assert len(enumerate_parabolics(corpus.scheme("paley13"))) == 2
+    assert len(enumerate_parabolics(corpus.scheme("neg-9"))) > 2
 
 
 def test_divide_check_records():
-    s = frobenius_scheme(negation_spec(9))
+    s = corpus.scheme("neg-9")
     records = divide_check(s)
     assert len(records) == 3
     assert all(r.ok for r in records)
@@ -148,23 +73,11 @@ def test_divide_check_records():
     assert all(r.quotient == r.n_upper // r.n_lower for r in records)
 
 
-def pairwise_divide_records(scheme):
-    """(n_lower, n_upper, quotient, ok) of every nested parabolic pair, by
-    a frozenset `<` test on every ordered pair of `enumerate_parabolics`
-    in row-major order (the reference)."""
-    k = scheme.is_equivalenced()
-    paras = enumerate_parabolics(scheme)
-    return [(e1.n_e, e2.n_e, e2.n_e // e1.n_e, (e2.n_e // e1.n_e - 1) % k == 0)
-            for e1 in paras for e2 in paras if e1.relations < e2.relations]
-
-
 def divide_corpus():
-    for name, spec in batch_specs():
-        if spec.kernel_order <= 200:
-            yield name, frobenius_scheme(spec)
-    for q in (9, 16):
-        yield "hall-%d" % q, spread_scheme(hall_spread(q))
-        yield "desarguesian-%d" % q, spread_scheme(desarguesian_spread(q))
+    """The catalog up to n = 200, the spreads, the cycle closures of the
+    parabolic tests, the benchmark's circulants and the unit circulants."""
+    for name in corpus.names("catalog", max_n=200) + corpus.names("spread", max_n=256):
+        yield name, corpus.scheme(name)
     yield from cyclic_schemes()
 
 
@@ -191,18 +104,7 @@ def test_divide_check_of_the_scalar_3_5_scheme():
 
 def test_divide_check_needs_equivalenced():
     # Z_12 with negation: class {6} has valency 1, the rest valency 2
-    n = 12
-    label = {}
-    M = np.zeros((n, n), dtype=np.int64)
-    nxt = 0
-    for d in range(n):
-        key = min(d, n - d)
-        if key not in label:
-            label[key] = nxt
-            nxt += 1
-        for i in range(n):
-            M[i][(i + d) % n] = label[key]
-    s = Scheme(M)
+    s = Scheme(cyclic_colors(12))
     with pytest.raises(SchemeError):
         divide_check(s)
 
@@ -210,10 +112,10 @@ def test_divide_check_needs_equivalenced():
 def test_indistinguishing_number_of_negation_schemes():
     # c(S) = k - 1 = 1 for the negation action
     for m in (9, 15, 25):
-        s = frobenius_scheme(negation_spec(m))
+        s = corpus.scheme("neg-%d" % m)
         assert indistinguishing_number(s) == 1
     # order-4 action on Z_65: c(S) = k - 1 = 3
-    s65 = frobenius_scheme(cyclic_unit_spec(65, 57))
+    s65 = corpus.scheme("cyc-65-57")
     assert indistinguishing_number(s65) == 3
 
 
@@ -224,7 +126,7 @@ def test_separability_bound_fires_for_negation():
     assert v.witness == (9, 6)
     assert (v.pi_count, v.d) == (1, 2)
     # same verdict through the scheme route
-    vs = separability_verdict(frobenius_scheme(negation_spec(9)))
+    vs = separability_verdict(corpus.scheme("neg-9"))
     assert vs.separable and vs.reason == "bound"
     assert (vs.pi_count, vs.d) == (1, 2)
 
@@ -232,7 +134,7 @@ def test_separability_bound_fires_for_negation():
 def test_separability_scheme_route_annotates_d3_case():
     # n = 45 = (k+1)^2 (2k+1) with k = 2; separable by the bound, but the
     # d = 3 parameter case is still recorded
-    s = frobenius_scheme(negation_spec(45))
+    s = corpus.scheme("neg-45")
     v = separability_verdict(s)
     assert v.separable and v.reason == "bound"
     assert v.d == 3
@@ -240,7 +142,7 @@ def test_separability_scheme_route_annotates_d3_case():
 
 
 def test_separability_complete_shortcut():
-    v = separability_verdict(complete_scheme(7))
+    v = separability_verdict(Scheme(complete_colors(7)))
     assert v.separable
     assert v.reason == "complete"
     assert (v.n, v.k) == (7, 6)
@@ -248,7 +150,7 @@ def test_separability_complete_shortcut():
 
 def test_separability_raises_on_primitive():
     with pytest.raises(SchemeError):
-        separability_verdict(paley_13())
+        separability_verdict(corpus.scheme("paley13"))
     with pytest.raises(ValueError):
         # full scalar group: no nontrivial invariant subgroup
         separability_verdict(scalar_spec(3, dim=1))
@@ -322,25 +224,6 @@ def test_verdict_json_shape():
     assert u.to_json_dict()["verdict"] == "undecided"
 
 
-def _reference_chain_verdict(n, k, sizes, incl):
-    """The verdict scan as plain loops over (i, j[, l]) in size order."""
-    order = sorted(range(len(sizes)), key=lambda i: sizes[i])
-    for i in order:
-        for j in order:
-            if incl[i, j]:
-                for l in order:
-                    if incl[j, l]:
-                        return "long-chain", (1, sizes[i], sizes[j], sizes[l], n)
-    for i in order:
-        for j in order:
-            if incl[i, j]:
-                mset = tuple(sorted((sizes[i] - 1, sizes[j] // sizes[i] - 1,
-                                     n // sizes[j] - 1)))
-                if mset != (k, k, k) and mset != tuple(sorted((k, k, 2 * k))):
-                    return "multiset", (sizes[i], sizes[j]) + mset
-    return None, ()
-
-
 def test_verdict_chain_scan_matches_reference_loops():
     rng = np.random.default_rng(7)
     for _ in range(300):
@@ -355,19 +238,14 @@ def test_verdict_chain_scan_matches_reference_loops():
 def test_parabolic_closure_rejects_an_incoherent_scheme():
     # Hall q=9 with the colours of (1, 2) and (1, 9) swapped, and of their
     # transposes: still a valid colouring with stars, but not coherent
-    P = spread_scheme(hall_spread(9)).colors.copy()
-    P[1, [2, 9]] = P[1, [9, 2]]
-    P[[2, 9], 1] = P[[9, 2], 1]
     with pytest.raises(NotCoherentError):
-        parabolic_closure(Scheme(P), {1})
+        parabolic_closure(corpus.scheme("hall9-swapped"), {1})
 
 
 def test_transversal_is_the_least_point_of_each_class():
     checked = 0
-    for name, spec in batch_specs():
-        if spec.kernel_order > 100:
-            continue
-        s = frobenius_scheme(spec)
+    for name in corpus.names("catalog", max_n=100):
+        s = corpus.scheme(name)
         for e in enumerate_parabolics(s):
             least = np.unique(union_find_classes(s, e.relations)).tolist()
             assert _transversal(s, e) == least, (name, e)
@@ -378,29 +256,11 @@ def test_transversal_is_the_least_point_of_each_class():
 # -- the closure under the Z_n translation certificate ---------------------
 
 
-def squaring_closure(scheme, rels):
-    """(relations, n_e) of the closure by squaring, the path of a scheme
-    without the Z_n certificate (the reference)."""
-    mask = np.zeros(scheme.rank, dtype=bool)
-    mask[0] = True
-    for r in rels:
-        mask[[r, scheme.star[r]]] = True
-    block = parabolic._squaring_class(scheme.colors, mask)
-    return frozenset(np.unique(scheme.colors[0, block]).tolist()), int(block.sum())
-
-
 def cyclic_schemes():
-    for n in (9, 15, 20, 45, 105):
-        yield "cycle-closure-%d" % n, wl_closure(
-            color_matrix(circulant_from_connection(n, (1, n - 1))))
-    # the circulants of the benchmark's classify wl jobs
-    for n in (64, 81, 99, 101, 127, 165, 189, 243):
-        yield "circulant-%d" % n, wl_closure(
-            color_matrix(circulant_from_connection(n, (1, n - 1))))
-    for n, units, reps in ((105, (104,), (1, 2)), (157, (14,), (1,)), (195, (194,), (1, 2))):
-        yield "units-%d" % n, wl_closure(
-            color_matrix(frobenius_circulant(CirculantSpec(n, units, reps))))
-    yield "z9", frobenius_scheme(negation_spec(9))
+    """The cycle and unit circulant closures of the corpus, and Z_9 under
+    negation: schemes certified by the Z_n table."""
+    for name in corpus.names("cycle", "units") + ["neg-9"]:
+        yield name, corpus.scheme(name)
 
 
 def test_gcd_closure_equals_the_squaring_closure_on_cyclic_schemes():
@@ -416,14 +276,13 @@ def test_gcd_closure_equals_the_squaring_closure_on_cyclic_schemes():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: spread_scheme(hall_spread(9)),
-    lambda: wl_closure(color_matrix(circulant_from_connection(45, (1, 44)))),
+    lambda: corpus.scheme("hall9"),
+    lambda: corpus.scheme("cycle45"),
 ])
 def test_a_point_permuted_scheme_takes_the_squaring_path(monkeypatch, build):
     s = build()
     expected = enumerate_parabolics(s)
-    perm = np.random.default_rng(5).permutation(s.n)
-    moved = Scheme(s.colors[np.ix_(perm, perm)])
+    moved = corpus.permuted(s, seed=5)
     assert moved.translations is None
     calls = {"_closure_mask": 0, "_squaring_class": 0}
     for name in calls:
@@ -438,7 +297,7 @@ def test_a_second_enumeration_runs_no_closure(monkeypatch):
     closure_mask = parabolic._closure_mask
     monkeypatch.setattr(parabolic, "_closure_mask",
                         lambda *a: calls.append(a[1]) or closure_mask(*a))
-    s = spread_scheme(hall_spread(9))
+    s = corpus.scheme("hall9")
     first = enumerate_parabolics(s)
     built = len(calls)
     assert built >= s.rank

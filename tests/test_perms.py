@@ -9,31 +9,7 @@ from pfscheme.catalog import batch_specs
 from pfscheme.frobenius import build_frobenius
 from pfscheme.perms import Permutation, PermGroup
 from pfscheme.scheme import partition_equal
-
-
-def reference_orbitals(G: PermGroup) -> list[int]:
-    """Orbital labels of all n^2 pairs by BFS over every generator."""
-    n = G.degree
-    labels = [-1] * (n * n)
-    gens = [g.images for g in G.generators]
-    cls = 0
-    for start in range(n * n):
-        if labels[start] != -1:
-            continue
-        labels[start] = cls
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for code in frontier:
-                a, b = divmod(code, n)
-                for img in gens:
-                    c = img[a] * n + img[b]
-                    if labels[c] == -1:
-                        labels[c] = cls
-                        nxt.append(c)
-            frontier = nxt
-        cls += 1
-    return labels
+from oracles import reference_orbitals
 
 
 def assert_orbitals_match_reference(G: PermGroup):
@@ -116,30 +92,23 @@ def test_permutation_cycles_and_fixed_points():
 def test_group_order_symmetric_and_cyclic():
     # S_n from a transposition and an n-cycle
     for n in range(2, 8):
-        cyc = Permutation([(i + 1) % n for i in range(n)])
-        swap = Permutation([1, 0] + list(range(2, n)))
-        G = PermGroup([cyc, swap], n)
+        G = PermGroup([_cyclic(n), Permutation([1, 0] + list(range(2, n)))], n)
         expected = 1
         for i in range(2, n + 1):
             expected *= i
         assert G.order() == expected
     # C_12
-    cyc = Permutation([(i + 1) % 12 for i in range(12)])
-    assert PermGroup([cyc], 12).order() == 12
+    assert PermGroup([_cyclic(12)], 12).order() == 12
 
 
 def test_group_order_dihedral():
     for n in (3, 4, 5, 6, 9):
-        rot = Permutation([(i + 1) % n for i in range(n)])
-        ref = Permutation([(-i) % n for i in range(n)])
-        G = PermGroup([rot, ref], n)
-        assert G.order() == 2 * n
+        assert PermGroup([_cyclic(n), _reflection(n)], n).order() == 2 * n
 
 
 def test_orbitals_of_regular_cyclic_group():
     n = 7
-    g = Permutation([(i + 1) % n for i in range(n)])
-    G = PermGroup([g], n)
+    G = PermGroup([_cyclic(n)], n)
     labels = G.orbitals()
     # regular action: orbitals are the difference classes, n of them
     assert len(set(labels)) == n
@@ -161,8 +130,7 @@ def test_orbitals_count_matches_rank_of_frobenius_group():
 
 def test_membership_agrees_with_brute_force_closure():
     n = 6
-    rot = Permutation([(i + 1) % n for i in range(n)])
-    ref = Permutation([(-i) % n for i in range(n)])
+    rot, ref = _cyclic(n), _reflection(n)
     G = PermGroup([rot, ref], n)
     # brute-force closure of the dihedral generators
     frontier = {rot.images, ref.images}

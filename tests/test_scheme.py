@@ -22,22 +22,25 @@ from pfscheme.scheme import (
     wl_closure,
     compute_tensor,
 )
-from pfscheme.spreads import desarguesian_spread, spread_scheme
-
-
-def cyclic_colors(n):
-    """Difference-class coloring of Z_n folded by negation."""
-    label = {}
-    nxt = 0
-    M = np.zeros((n, n), dtype=np.int64)
-    for d in range(n):
-        key = min(d, (-d) % n)
-        if key not in label:
-            label[key] = nxt
-            nxt += 1
-        for i in range(n):
-            M[i][(i + d) % n] = label[key]
-    return M
+import corpus
+from corpus import (
+    complete_colors,
+    cycle_coloring,
+    cyclic_colors,
+    permuted,
+    petersen_coloring,
+    swap_pairs,
+    swap_symmetric_pairs,
+    swapped_thin_scheme,
+    zn_table,
+)
+from oracles import (
+    kernel_tensor,
+    reference_digit_table,
+    reference_tensor,
+    reference_verify_triangle,
+    reference_wl_closure,
+)
 
 
 def test_cyclic_scheme_axioms_and_valencies():
@@ -94,20 +97,7 @@ def test_incoherent_coloring_rejected_by_tensor():
 
 def test_tensor_identities_on_petersen():
     # Petersen graph: strongly regular (10,3,0,1), so 2 classes + diagonal
-    verts = [frozenset(p) for p in
-             ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2),
-              (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))]
-    n = 10
-    M = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                M[i][j] = 0
-            elif verts[i] & verts[j]:
-                M[i][j] = 2
-            else:
-                M[i][j] = 1
-    s = Scheme(M)
+    s = corpus.scheme("petersen")
     T = s.tensor()
     T.verify_triangle()
     T.verify_row_sums()
@@ -157,26 +147,15 @@ def test_frobenius_scheme_is_the_orbital_scheme():
 
 def test_wl_closure_is_idempotent_and_refines():
     # closure of the 9-cycle adjacency recovers the full dihedral scheme
-    n = 9
-    A = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        A[i][(i + 1) % n] = A[(i + 1) % n][i] = 1
-    for i in range(n):
-        for j in range(n):
-            if i != j and A[i][j] == 0:
-                A[i][j] = 2
-    c = wl_closure(A)
+    c = wl_closure(cycle_coloring(9))
     assert c.rank == 5
-    assert canonical_relabel(c.colors) == canonical_relabel(cyclic_colors(n))
+    assert canonical_relabel(c.colors) == canonical_relabel(cyclic_colors(9))
     again = wl_closure(c.colors)
     assert partition_equal(again.colors, c.colors)
 
 
 def test_wl_closure_of_complete_graph():
-    n = 6
-    A = np.full((n, n), 1, dtype=np.int64)
-    np.fill_diagonal(A, 0)
-    c = wl_closure(A)
+    c = wl_closure(complete_colors(6))
     assert c.rank == 2
     assert c.valencies() == (1, 5)
 
@@ -240,29 +219,26 @@ def test_fingerprint_hashes_the_star_by_rank():
     import hashlib
 
     for n, star_bytes in ((256, bytes), (257, lambda st: np.asarray(st, dtype="<i8").tobytes())):
-        s = Scheme(zn_table(n))
+        s = corpus.scheme("thin%d" % n)
         # the colours are hashed as int64 whatever dtype holds them
         h = hashlib.blake2b(s.colors.astype(np.int64).tobytes(), digest_size=16)
         h.update(star_bytes(s.star))
         assert s.rank == n and s.fingerprint() == h.hexdigest()
 
 
-FROZEN_FINGERPRINTS = {           # the digests int64 colours gave
-    "Z_256 (uint8, rank 256)": ("992009c76b91acb0049a37f2ce2c88e1",
-                                lambda: Scheme(zn_table(256))),
-    "Z_257 (uint16)": ("2db4763f39ba6ff78c153dd2824ea49e", lambda: Scheme(zn_table(257))),
-    "thin Z_300 (uint16)": ("a82bf2afce9b5e955b0aa787200aabd4", lambda: Scheme(zn_table(300))),
-    "Desarguesian q = 16": ("efd05b36171a914ede7802c7ab0f13bf",
-                            lambda: spread_scheme(desarguesian_spread(16))),
-    "mixed-7-4": ("b9cd0d2f1e55ba2228f0591460bf3f3b",
-                  lambda: frobenius_scheme(dict(batch_specs())["mixed-7-4"])),
+FROZEN_FINGERPRINTS = {           # the digests int64 colours gave, by corpus name
+    "Z_256 (uint8, rank 256)": ("992009c76b91acb0049a37f2ce2c88e1", "thin256"),
+    "Z_257 (uint16)": ("2db4763f39ba6ff78c153dd2824ea49e", "thin257"),
+    "thin Z_300 (uint16)": ("a82bf2afce9b5e955b0aa787200aabd4", "thin300"),
+    "Desarguesian q = 16": ("efd05b36171a914ede7802c7ab0f13bf", "desarguesian16"),
+    "mixed-7-4": ("b9cd0d2f1e55ba2228f0591460bf3f3b", "mixed-7-4"),
 }
 
 
 @pytest.mark.parametrize("name", FROZEN_FINGERPRINTS)
 def test_fingerprints_at_the_colour_dtype_boundaries_are_frozen(name):
-    digest, build = FROZEN_FINGERPRINTS[name]
-    assert build().fingerprint() == digest
+    digest, scheme_name = FROZEN_FINGERPRINTS[name]
+    assert corpus.scheme(scheme_name).fingerprint() == digest
 
 
 def test_is_equivalenced():
@@ -281,90 +257,6 @@ def test_compute_tensor_standalone():
 # -- the sorted-column kernel against the per-point reference loops ------
 
 
-def reference_tensor(scheme):
-    """compute_tensor as a per-point n x R^2 histogram pass (the reference),
-    on the colours widened to int64."""
-    P = scheme.colors.astype(np.int64)
-    n, R = scheme.n, scheme.rank
-    reps = [scheme.representative(t) for t in range(R)]
-    claimed = np.zeros((R, R * R), dtype=np.int64)
-    for t, (a, b) in enumerate(reps):
-        claimed[t] = np.bincount(P[a, :] * R + P[:, b], minlength=R * R)
-    offsets = np.arange(n, dtype=np.int64)[None, :] * (R * R)
-    for a in range(n):
-        codes = P[a, :, None] * R + P
-        hist = np.bincount((codes + offsets).ravel(), minlength=n * R * R)
-        hist = hist.reshape(n, R * R)
-        expect = claimed[P[a]]
-        if not np.array_equal(hist, expect):
-            b = int(np.nonzero((hist != expect).any(axis=1))[0][0])
-            cell = int(np.nonzero(hist[b] != expect[b])[0][0])
-            r, s = divmod(cell, R)
-            t = int(P[a, b])
-            raise NotCoherentError(r, s, t, reps[t], (a, b),
-                                   int(expect[b, cell]), int(hist[b, cell]))
-    return claimed.reshape(R, R, R).transpose(1, 2, 0)
-
-
-def reference_wl_closure(colors):
-    """wl_closure with one Python dict lookup per pair (the reference)."""
-    M = np.asarray(colors, dtype=np.int64)
-    n = M.shape[0]
-    base = int(M.max()) + 1
-    keys = np.eye(n, dtype=np.int64) * (base * base) + M * base + M.T
-    _, P = np.unique(keys, return_inverse=True)
-    P = P.reshape(n, n).astype(np.int64)
-    R = int(P.max()) + 1
-    while True:
-        sig_ids = {}
-        newP = np.empty((n, n), dtype=np.int64)
-        for a in range(n):
-            V = P[a, :, None] * R + P
-            V.sort(axis=0)
-            cols = V.T.copy()
-            for b in range(n):
-                newP[a, b] = sig_ids.setdefault((int(P[a, b]), cols[b].tobytes()),
-                                                len(sig_ids))
-        if len(sig_ids) == R:
-            break
-        P, R = newP, len(sig_ids)
-    return canonical_relabel(P)
-
-
-def graph_coloring(n, edges):
-    """0 on the diagonal, 1 on the (symmetric) edges, 2 elsewhere."""
-    M = np.full((n, n), 2, dtype=np.int64)
-    np.fill_diagonal(M, 0)
-    for i, j in edges:
-        M[i, j] = M[j, i] = 1
-    return M
-
-
-def petersen_coloring():
-    verts = [frozenset(p) for p in
-             ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2),
-              (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))]
-    return graph_coloring(10, [(i, j) for i in range(10) for j in range(10)
-                               if i != j and not verts[i] & verts[j]])
-
-
-def cycle_coloring(n):
-    return graph_coloring(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def dense_tensor(T):
-    """The dense (R, R, R) int64 array c[r, s, t] of a tensor, one
-    `slice(t)` per t (the test oracle for readers of the counts)."""
-    c = np.empty((T.rank,) * 3, dtype=np.int64)
-    for t in range(T.rank):
-        c[:, :, t] = T.slice(t)
-    return c
-
-
-def kernel_tensor(scheme):
-    return dense_tensor(compute_tensor(scheme))
-
-
 def outcome(fn, scheme):
     """The tensor fn returns, or every field of the error it raises."""
     try:
@@ -376,14 +268,13 @@ def outcome(fn, scheme):
 
 
 def kernel_inputs():
-    from pfscheme.circulants import CirculantSpec, color_matrix, frobenius_circulant
-    from pfscheme.spreads import hall_spread, spread_scheme
+    from pfscheme.circulants import color_matrix
 
     for n in range(12, 61):
         yield "cycle-%d" % n, cycle_coloring(n)
-    for spec in (CirculantSpec(105, (104,), (1, 2)), CirculantSpec(91, (16,), (1,))):
-        yield "units-%d" % spec.n, color_matrix(frobenius_circulant(spec))
-    yield "hall-9", spread_scheme(hall_spread(9)).colors
+    for name in corpus.names("units", max_n=105):
+        yield name, color_matrix(corpus.CIRCULANTS[name])
+    yield "hall-9", corpus.scheme("hall9").colors
     yield "petersen", petersen_coloring()
 
 
@@ -394,23 +285,9 @@ def test_closures_and_tensors_match_the_reference_loops():
         assert outcome(kernel_tensor, closure) == outcome(reference_tensor, closure), name
 
 
-def swap_symmetric_pairs(P, rng):
-    """Swap the colours of two pairs of different colours, and of their
-    transposes, so the result is still a valid (but rarely coherent) scheme."""
-    n = P.shape[0]
-    Q = P.copy()
-    while True:
-        a, b, c, d = (int(x) for x in rng.integers(0, n, size=4))
-        if a != b and c != d and {a, b} != {c, d} and Q[a, b] != Q[c, d]:
-            break
-    Q[a, b], Q[c, d] = Q[c, d], Q[a, b]
-    Q[b, a], Q[d, c] = Q[d, c], Q[b, a]
-    return Scheme(Q)
-
-
 def test_not_coherent_witness_matches_the_reference_on_perturbed_closures():
-    closures = [wl_closure(cycle_coloring(n)) for n in (12, 17, 24, 30, 45)]
-    closures.append(wl_closure(petersen_coloring()))
+    closures = [corpus.scheme(name) for name in
+                ("cycle12", "cycle17", "cycle24", "cycle30", "cycle45", "petersen")]
     failures = 0
     for seed in range(60):
         rng = np.random.default_rng(seed)
@@ -447,40 +324,16 @@ def test_int32_codes_on_the_thin_scheme_of_z190():
 # -- the translation certificate ------------------------------------------
 
 
-def zn_table(n):
-    idx = np.arange(n)
-    return (idx[None, :] - idx[:, None]) % n
-
-
-def digit_table(p, k):
-    """D[a, b] = b - a in (Z_p)^k on little-endian base-p digits."""
-    n = p ** k
-    D = np.zeros((n, n), dtype=np.int64)
-    for j in range(k):
-        digit = np.arange(n) // p ** j % p
-        D += (digit[None, :] - digit[:, None]) % p * p ** j
-    return D
-
-
-def spread_schemes():
-    from pfscheme.spreads import desarguesian_spread, hall_spread, spread_scheme
-
-    for q in (9, 16):
-        for make in (desarguesian_spread, hall_spread):
-            yield "%s-%d" % (make.__name__, q), spread_scheme(make(q))
-
-
 def test_translation_table_recognises_cyclic_and_digit_translations():
-    from pfscheme.circulants import CirculantSpec, color_matrix, frobenius_circulant
     from pfscheme.scheme import translation_table
 
-    cyclic = [wl_closure(cycle_coloring(n)) for n in (12, 17, 30)]
-    cyclic.append(wl_closure(color_matrix(frobenius_circulant(CirculantSpec(105, (104,), (1, 2))))))
-    for s in cyclic:
-        assert np.array_equal(s.translations, zn_table(s.n)), s
-    for name, s in spread_schemes():
-        p, k = {81: (3, 4), 256: (2, 8)}[s.n]
-        assert np.array_equal(s.translations, digit_table(p, k)), name
+    for name in ("cycle12", "cycle17", "cycle30", "units-105"):
+        s = corpus.scheme(name)
+        assert np.array_equal(s.translations, zn_table(s.n)), name
+    for name in corpus.names("spread"):
+        s = corpus.scheme(name)
+        p, k = {9: (3, 2), 81: (3, 4), 256: (2, 8)}[s.n]
+        assert np.array_equal(s.translations, reference_digit_table(p, k)), name
         assert s.translations is s.translations
         assert np.array_equal(translation_table(s.colors), s.translations)
         assert not np.array_equal(s.colors, s.colors[0][zn_table(s.n)]), name
@@ -488,11 +341,10 @@ def test_translation_table_recognises_cyclic_and_digit_translations():
 
 def test_the_row_test_rejects_a_forged_table():
     from pfscheme.scheme import _translates_row_zero
-    from pfscheme.spreads import hall_spread, spread_scheme
 
     Q = swapped_thin_scheme()
     assert not _translates_row_zero(Q, zn_table(len(Q)))
-    hall = spread_scheme(hall_spread(9))
+    hall = corpus.scheme("hall9")
     assert not _translates_row_zero(hall.colors, zn_table(hall.n))
     assert _translates_row_zero(hall.colors, hall.translations)
 
@@ -513,9 +365,8 @@ def test_mixed_kernel_certificate_equals_the_exact_path(monkeypatch):
     from pfscheme.parabolic import enumerate_parabolics
     from pfscheme.tcond import check_t_condition
 
-    specs = dict(batch_specs())
     for name, ts in (("mixed-7-4", (3, 4)), ("double-3-5-2", (3,))):
-        s = frobenius_scheme(specs[name])
+        s = corpus.scheme(name)
         assert s.translations is not None and not s.cyclic, name
         assert Scheme(s.colors).translations is None, name    # as loaded from a file
 
@@ -532,15 +383,11 @@ def test_mixed_kernel_certificate_equals_the_exact_path(monkeypatch):
 
 
 def test_translation_table_is_none_without_a_certificate():
-    from pfscheme.spreads import desarguesian_spread, spread_scheme
-
-    assert Scheme(petersen_coloring()).translations is None
-    P = spread_scheme(desarguesian_spread(9)).colors.copy()
+    assert corpus.scheme("petersen").translations is None
+    P = corpus.scheme("desarguesian9").colors
     a, b, c, d = 1, 5, 2, 40           # two symmetric pairs off row 0
     assert P[a, b] != P[c, d]
-    P[a, b], P[c, d] = P[c, d], P[a, b]
-    P[b, a], P[d, c] = P[d, c], P[b, a]
-    assert Scheme(P).translations is None
+    assert Scheme(swap_pairs(P, (a, b), (c, d))).translations is None
 
 
 def test_translation_table_compares_every_row_block():
@@ -552,17 +399,6 @@ def test_translation_table_compares_every_row_block():
     assert np.array_equal(translation_table(Q), Q)
     Q[n - 2, n - 1], Q[n - 1, n - 2] = Q[n - 1, n - 2], Q[n - 2, n - 1]
     assert translation_table(Q) is None
-
-
-def swapped_thin_scheme(n=12):
-    """The thin scheme of Z_n with two symmetric pairs swapped off row 0.
-
-    Every colour occurs once in row 0, so row 0 alone agrees with its own
-    references; the full pass must find the swap."""
-    Q = zn_table(n)
-    Q[1, 3], Q[2, 7] = Q[2, 7], Q[1, 3]
-    Q[3, 1], Q[7, 2] = Q[7, 2], Q[3, 1]
-    return Q
 
 
 def test_kernels_take_the_full_path_without_a_certificate(monkeypatch):
@@ -591,9 +427,7 @@ def test_kernels_take_the_full_path_without_a_certificate(monkeypatch):
 def test_signature_blocks_of_every_width_match_the_reference_loops(monkeypatch):
     import pfscheme.scheme as scheme_mod
 
-    rng = np.random.default_rng(5)
-    perm = rng.permutation(15)
-    permuted_thin = zn_table(15)[np.ix_(perm, perm)]      # thin Z_15, points shuffled
+    permuted_thin = permuted(Scheme(zn_table(15)), seed=5).colors     # thin Z_15, shuffled
     cycle = cycle_coloring(13)
     tensors = [Scheme(swapped_thin_scheme()), wl_closure(cycle), wl_closure(petersen_coloring()),
                Scheme(permuted_thin)]
@@ -636,27 +470,15 @@ def test_certified_presplit_keeps_the_diagonal_apart():
         assert wl_closure(M) == reference_wl_closure(M)
 
 
-def random_circulant_schemes():
-    """Schemes of symmetric Z_n-invariant colourings, mostly not coherent."""
-    rng = np.random.default_rng(7)
-    for n in (9, 14, 21, 32):
-        for k in (2, 3, 4):
-            half = rng.integers(1, k + 1, size=n // 2 + 1)
-            col = np.array([0] + [half[min(d, n - d)] for d in range(1, n)])
-            yield "random-%d-%d" % (n, k), canonical_relabel(col[zn_table(n)])
-
-
 def certified_inputs():
     """(name, initial colouring, scheme) triples whose schemes carry a
     translation certificate; some schemes are not coherent."""
     for name, M in kernel_inputs():
         if name != "petersen":
             yield name, M, wl_closure(M)
-    for name, s in spread_schemes():
-        yield name, s.colors, s
-    for n in (6, 9, 16):
-        yield "cycle-graph-%d" % n, cycle_coloring(n), Scheme(cycle_coloring(n))
-    for name, s in random_circulant_schemes():
+    for name in (corpus.names("spread", "random")
+                 + ["cycle-graph-%d" % n for n in (6, 9, 16)]):
+        s = corpus.scheme(name)
         yield name, s.colors, s
 
 
@@ -676,19 +498,6 @@ def test_certified_row_zero_equals_the_full_path(monkeypatch):
         m.setattr(scheme_mod, "translation_table", lambda P: None)
         full = results()
     assert reduced == full
-
-
-def reference_verify_triangle(T):
-    """verify_triangle on four R^3 temporaries (the reference)."""
-    nv = np.asarray(T.valencies, dtype=np.int64)
-    st = np.asarray(T.star)
-    D = dense_tensor(T)[:, :, st]
-    a = nv[None, None, :] * D
-    b = nv[:, None, None] * D.transpose(2, 0, 1)
-    cc = nv[None, :, None] * D.transpose(1, 2, 0)
-    if not (np.array_equal(a, b) and np.array_equal(a, cc)):
-        bad = np.argwhere((a != b) | (a != cc))[0]
-        raise SchemeError("triangle identity fails at (r,s,t)=%s" % (tuple(int(x) for x in bad),))
 
 
 def test_verify_triangle_matches_the_reference_on_perturbed_tensors():
@@ -736,11 +545,10 @@ def assert_verify_triangle_matches_the_reference():
 
 def test_reference_codes_give_the_counts_of_the_dense_tensor():
     from pfscheme.parabolic import indistinguishing_number
-    from pfscheme.spreads import hall_spread, spread_scheme
 
-    schemes = [wl_closure(petersen_coloring()), spread_scheme(hall_spread(9))]
-    schemes += [wl_closure(cycle_coloring(n)) for n in (12, 17, 30)]
-    schemes.append(Scheme(zn_table(9)))            # thin: s* != s
+    # thin9: s* != s
+    schemes = [corpus.scheme(name) for name in
+               ("petersen", "hall9", "cycle12", "cycle17", "cycle30", "thin9")]
     assert any(s.star != tuple(range(s.rank)) for s in schemes)
     for s in schemes:
         T = s.tensor()
@@ -760,7 +568,7 @@ def test_reference_codes_give_the_counts_of_the_dense_tensor():
 def test_compute_tensor_peak_memory_on_the_c243_closure():
     import tracemalloc
 
-    s = wl_closure(cycle_coloring(243))
+    s = corpus.scheme("cycle243")
     assert s.rank == 122 and s.translations is not None
     tracemalloc.start()
     try:

@@ -1,6 +1,5 @@
 """t-condition checks: t = 3 always passes on coherent input, t = 4 separates."""
 
-import hashlib
 import json
 import tracemalloc
 
@@ -10,62 +9,15 @@ import pytest
 import pfscheme.scheme as scheme_mod
 import pfscheme.tcond as tcond_mod
 from pfscheme import cli
-from pfscheme.catalog import mixed_spec, negation_spec
-from pfscheme.frobenius import build_frobenius
-from pfscheme.scheme import Scheme, from_orbitals, wl_closure
-from pfscheme.spreads import desarguesian_spread, hall_spread, spread_scheme
-from pfscheme.tcond import (
-    TConditionReport,
-    TConditionWitness,
-    check_t_condition,
-    four_condition_frobenius_verdict,
-)
-from test_scheme import (
-    certified_inputs,
-    cycle_coloring,
-    dense_tensor,
-    swap_symmetric_pairs,
-    swapped_thin_scheme,
-    zn_table,
-)
-
-
-def srg_scheme_from_adjacency(A):
-    n = len(A)
-    M = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                M[i][j] = 1 if A[i][j] else 2
-    return Scheme(M)
-
-
-def rook_4x4():
-    """Line graph of K_{4,4}: srg(16, 6, 2, 2)."""
-    A = np.zeros((16, 16), dtype=np.int64)
-    for i in range(16):
-        for j in range(16):
-            if i != j and (i // 4 == j // 4 or i % 4 == j % 4):
-                A[i][j] = 1
-    return srg_scheme_from_adjacency(A)
-
-
-def shrikhande():
-    """Cayley graph of Z_4 x Z_4 with connection {+-(1,0), +-(0,1), +-(1,1)}:
-    srg(16, 6, 2, 2), same parameters as the rook graph."""
-    conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    A = np.zeros((16, 16), dtype=np.int64)
-    for x in range(16):
-        for y in range(16):
-            d = ((y // 4 - x // 4) % 4, (y % 4 - x % 4) % 4)
-            if d in conn:
-                A[x][y] = 1
-    return srg_scheme_from_adjacency(A)
+from pfscheme.scheme import Scheme
+from pfscheme.tcond import check_t_condition, four_condition_frobenius_verdict
+import corpus
+from corpus import swap_symmetric_pairs, zn_table
+from oracles import dense_tensor, reference_fingerprint, reference_t_condition, reference_witness
 
 
 def test_t3_restates_coherence():
-    for s in (rook_4x4(), shrikhande(),
-              from_orbitals(build_frobenius(negation_spec(9)))):
+    for s in (corpus.scheme("rook4x4"), corpus.scheme("shrikhande"), corpus.scheme("neg-9")):
         s.tensor()
         rep = check_t_condition(s, 3)
         assert rep.passed
@@ -74,8 +26,8 @@ def test_t3_restates_coherence():
 
 
 def test_rook_and_shrikhande_share_tensor_but_t4_separates():
-    rook = rook_4x4()
-    shr = shrikhande()
+    rook = corpus.scheme("rook4x4")
+    shr = corpus.scheme("shrikhande")
     assert np.array_equal(dense_tensor(rook.tensor()), dense_tensor(shr.tensor()))
     assert check_t_condition(rook, 4).passed
     rep = check_t_condition(shr, 4)
@@ -101,8 +53,8 @@ def test_rook_and_shrikhande_share_tensor_but_t4_separates():
 
 
 def test_spread_schemes_frozen_t4_outcomes():
-    desarg = spread_scheme(desarguesian_spread(9))
-    hall = spread_scheme(hall_spread(9))
+    desarg = corpus.scheme("desarguesian9")
+    hall = corpus.scheme("hall9")
     rep_d = check_t_condition(desarg, 4)
     assert rep_d.passed
     rep_h = check_t_condition(hall, 4)
@@ -115,20 +67,20 @@ def test_spread_schemes_frozen_t4_outcomes():
 
 
 def test_verdict_requires_t4_report():
-    rep3 = check_t_condition(rook_4x4(), 3)
+    rep3 = check_t_condition(corpus.scheme("rook4x4"), 3)
     with pytest.raises(ValueError):
         four_condition_frobenius_verdict(rep3, True)
 
 
 def test_unsupported_t_rejected():
     with pytest.raises(ValueError):
-        check_t_condition(rook_4x4(), 5)
+        check_t_condition(corpus.scheme("rook4x4"), 5)
 
 
 def test_spread_schemes_frozen_q16_t4_outcomes():
-    rep_d = check_t_condition(spread_scheme(desarguesian_spread(16)), 4)
+    rep_d = check_t_condition(corpus.scheme("desarguesian16"), 4)
     assert rep_d.passed and rep_d.pairs_checked == 256 * 256
-    rep_h = check_t_condition(spread_scheme(hall_spread(16)), 4)
+    rep_h = check_t_condition(corpus.scheme("hall16"), 4)
     assert not rep_h.passed and rep_h.pairs_checked == 3
     assert rep_h.witness.to_json_dict() == {
         "alpha": 0, "beta": 2, "color": 1, "count": 0,
@@ -138,9 +90,9 @@ def test_spread_schemes_frozen_q16_t4_outcomes():
 
 def small_certified_schemes():
     """Certified schemes small enough for a full t = 4 scan."""
-    for name, _, s in certified_inputs():
-        if s.n <= 32 or name == "hall_spread-9":
-            yield name, s
+    for name in (corpus.names("cycle", "random", max_n=32) + ["hall9"]
+                 + ["cycle-graph-%d" % n for n in (6, 9, 16)]):
+        yield name, corpus.scheme(name)
 
 
 def test_certified_row_zero_scan_equals_the_full_scan(monkeypatch):
@@ -156,7 +108,7 @@ def test_certified_row_zero_scan_equals_the_full_scan(monkeypatch):
 
 
 def test_full_scan_without_a_certificate_finds_the_swap(monkeypatch):
-    Q = Scheme(swapped_thin_scheme())
+    Q = corpus.scheme("thin12-swapped")
     assert Q.translations is None
     for t in (3, 4):
         rep = check_t_condition(Q, t)
@@ -178,83 +130,13 @@ def test_pattern_codes_overflow_is_rejected_before_the_scan(monkeypatch, tmp_pat
     # the CLI turns the error into exit 2 with one stderr line, raised
     # before any pattern code is computed: the rank is read as 6209
     path = tmp_path / "rook.json"
-    path.write_text(json.dumps(rook_4x4().to_json_dict()))
+    path.write_text(json.dumps(corpus.scheme("rook4x4").to_json_dict()))
     code_dtype = tcond_mod._code_dtype
     monkeypatch.setattr(tcond_mod, "_code_dtype", lambda R, t: code_dtype(6209, t))
     monkeypatch.setattr(tcond_mod, "_sorted_codes", None)
     assert cli.main(["check", "tcond", "--t", "4", "--scheme", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and "int64" in err
-
-
-def reference_signature(P, R, a, b, t):
-    """Sorted (codes, counts) histogram of the pair's pattern codes, through
-    np.unique on the unsorted codes (the reference)."""
-    if t == 3:
-        codes = P[a].astype(np.int64) * R + P[b]
-    else:
-        A = P[a][:, None].astype(np.int64)
-        B = P[b][:, None]
-        C = P[a][None, :]
-        D = P[b][None, :]
-        codes = ((((A * R + B) * R + C) * R + D) * R + P).ravel()
-    return np.unique(codes, return_counts=True)
-
-
-def reference_witness(scheme, a, b, ra, rb, t):
-    """The deviating histogram cell through union1d and searchsorted (the
-    reference): (code, ref_count, count)."""
-    P, R = scheme.colors, scheme.rank
-    v1, c1 = reference_signature(P, R, ra, rb, t)
-    v2, c2 = reference_signature(P, R, a, b, t)
-    allv = np.union1d(v1, v2)
-    i1 = np.minimum(np.searchsorted(v1, allv), len(v1) - 1)
-    i2 = np.minimum(np.searchsorted(v2, allv), len(v2) - 1)
-    f1 = np.where(v1[i1] == allv, c1[i1], 0)
-    f2 = np.where(v2[i2] == allv, c2[i2], 0)
-    j = int(np.nonzero(f1 != f2)[0][0])
-    return int(allv[j]), int(f1[j]), int(f2[j])
-
-
-def unique_fingerprint(vals, counts):
-    """blake2b of np.unique's histogram, the int64 bytes of the distinct
-    codes and then of their counts (the reference for the streamed
-    fingerprint)."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(vals.astype(np.int64).tobytes())
-    h.update(counts.astype(np.int64).tobytes())
-    return h.hexdigest()
-
-
-def reference_t_condition(scheme, t):
-    """Row-major scan that fingerprints every pair's histogram and compares
-    it with its colour's first pair (the reference).  Row 0 alone when the
-    scheme is certified, like the kernel."""
-    P, R, n = scheme.colors, scheme.rank, scheme.n
-    rows = range(1) if scheme.translations is not None else range(n)
-    ref_pair, ref_fp = {}, {}
-
-    def report(passed, pairs_checked, witness=None):
-        return TConditionReport(
-            t=t, passed=passed, n=n, rank=R, scheme_fingerprint=scheme.fingerprint(),
-            pairs_checked=pairs_checked,
-            class_fingerprints=tuple(ref_fp[c] for c in sorted(ref_fp)),
-            witness=witness)
-
-    for a in rows:
-        for b in range(n):
-            r = int(P[a, b])
-            fp = unique_fingerprint(*reference_signature(P, R, a, b, t))
-            if r not in ref_fp:
-                ref_fp[r], ref_pair[r] = fp, (a, b)
-            elif fp != ref_fp[r]:
-                ra, rb = ref_pair[r]
-                code, ref_count, count = reference_witness(scheme, a, b, ra, rb, t)
-                return report(False, a * n + b + 1, TConditionWitness(
-                    alpha=a, beta=b, color=r, ref_alpha=ra, ref_beta=rb, code=code,
-                    pattern=tcond_mod._decode(code, R, t),
-                    ref_count=ref_count, count=count))
-    return report(True, n * n)
 
 
 def scan_reports(schemes):
@@ -275,16 +157,16 @@ def failures(reports):
 
 def perturbed_schemes():
     """Seeded symmetric swaps of cycle closures and of Hall q = 9."""
-    bases = [wl_closure(cycle_coloring(n)).colors for n in (12, 17, 24, 30, 45)]
-    bases.append(spread_scheme(hall_spread(9)).colors)
+    bases = [corpus.scheme(name).colors for name in
+             ("cycle12", "cycle17", "cycle24", "cycle30", "cycle45", "hall9")]
     for seed in range(150):
         rng = np.random.default_rng(1000 + seed)
         yield "swap-%d" % seed, swap_symmetric_pairs(bases[seed % len(bases)], rng)
 
 
 def test_scan_matches_the_reference_on_named_schemes():
-    schemes = [("shrikhande", shrikhande()), ("rook", rook_4x4()),
-               ("swapped-z12", Scheme(swapped_thin_scheme()))]
+    schemes = [("shrikhande", corpus.scheme("shrikhande")), ("rook", corpus.scheme("rook4x4")),
+               ("swapped-z12", corpus.scheme("thin12-swapped"))]
     assert failures(scan_reports(schemes)) >= 3
 
 
@@ -295,7 +177,7 @@ def test_scan_matches_the_reference_on_perturbed_schemes():
 
 
 def test_scan_matches_the_reference_on_an_uncertified_frobenius_scheme():
-    s = from_orbitals(build_frobenius(mixed_spec(7, 2, 4)))
+    s = Scheme(corpus.scheme("mixed-7-4").colors)        # as loaded from a file
     assert s.translations is None
     got = check_t_condition(s, 3)
     assert got.passed
@@ -304,7 +186,7 @@ def test_scan_matches_the_reference_on_an_uncertified_frobenius_scheme():
 
 def test_witness_matches_the_reference_on_every_deviating_pair():
     checked = 0
-    for s in (shrikhande(), Scheme(swapped_thin_scheme()), spread_scheme(hall_spread(9))):
+    for s in (corpus.scheme("shrikhande"), corpus.scheme("thin12-swapped"), corpus.scheme("hall9")):
         P, R = s.colors, s.rank
         for t in (3, 4):
             refs = {}
@@ -338,12 +220,12 @@ def test_streamed_fingerprint_equals_the_unique_oracle(monkeypatch, chunk):
     for codes in fingerprint_cases():
         for dt in (np.int32, np.int64):
             c = codes.astype(dt)
-            oracle = unique_fingerprint(*np.unique(c, return_counts=True))
+            oracle = reference_fingerprint(*np.unique(c, return_counts=True))
             assert tcond_mod._fingerprint(c) == oracle
 
 
 def test_fingerprints_of_hall9_are_frozen(tmp_path, capsys):
-    s = spread_scheme(hall_spread(9))
+    s = corpus.scheme("hall9")
     assert s.fingerprint() == "849ac4428e4cbc0738e5c119d82f32a6"
     path = tmp_path / "hall9.json"
     path.write_text(json.dumps(s.to_json_dict()))
@@ -356,8 +238,7 @@ def test_fingerprints_of_hall9_are_frozen(tmp_path, capsys):
 
 def test_int64_pattern_codes_give_the_int32_reports(monkeypatch):
     # ranks up to 73 take int32 codes at t = 4; wider ones take int64
-    schemes = [rook_4x4(), shrikhande(), spread_scheme(hall_spread(9)),
-               Scheme(swapped_thin_scheme())]
+    schemes = [corpus.scheme(name) for name in ("rook4x4", "shrikhande", "hall9", "thin12-swapped")]
     narrow = [check_t_condition(s, t) for s in schemes for t in (3, 4)]
     assert tcond_mod._code_dtype(73, 4) == np.int32 and tcond_mod._code_dtype(74, 4) == np.int64
     monkeypatch.setattr(tcond_mod, "_code_dtype", lambda R, t: np.int64)
@@ -367,6 +248,8 @@ def test_int64_pattern_codes_give_the_int32_reports(monkeypatch):
 def test_t4_scan_of_a_625_point_scheme_holds_two_code_arrays():
     # n = 625: the scan keeps two n^2 code arrays (int32 at rank 27) and
     # the difference table, and allocates no n^2 int64 array besides
+    from pfscheme.spreads import hall_spread, spread_scheme
+
     s = spread_scheme(hall_spread(25))
     n = s.n
     tracemalloc.start()

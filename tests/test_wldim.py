@@ -8,15 +8,9 @@ import pytest
 from pfscheme import autgrp, wldim
 from pfscheme.arith import difference_table
 from pfscheme.autgrp import frobenius_certificate
-from pfscheme.circulants import (
-    CirculantSpec,
-    certificate_unit_groups,
-    circulant_from_connection,
-    color_matrix,
-    frobenius_circulant,
-)
+from pfscheme.circulants import CirculantSpec, certificate_unit_groups, circulant_from_connection
 from pfscheme.perms import PermGroup, Permutation
-from pfscheme.scheme import Scheme, _carries, partition_equal, wl_closure
+from pfscheme.scheme import Scheme, partition_equal, wl_closure
 from pfscheme.wldim import (
     SEARCH_LIMIT,
     _construction_certificate,
@@ -27,19 +21,9 @@ from pfscheme.wldim import (
     factorization_string,
     frobenius_screen,
 )
-
-
-def cycle_colors(n):
-    A = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        A[i][(i + 1) % n] = A[(i + 1) % n][i] = 1
-    return A
-
-
-def complete_colors(n):
-    A = np.ones((n, n), dtype=np.int64)
-    np.fill_diagonal(A, 0)
-    return A
+import corpus
+from corpus import complete_colors
+from oracles import reference_solutions
 
 
 def test_factorization_string():
@@ -115,7 +99,7 @@ def test_exception_set_crosscheck_peak_memory():
 
 def test_frobenius_certificate_on_cycle_closures():
     # closure of C_9 is the dihedral scheme; aut = D_9 is Frobenius
-    cert = frobenius_certificate(wl_closure(cycle_colors(9)))
+    cert = frobenius_certificate(corpus.scheme("cycle9"))
     assert cert.frobenius
     assert cert.transitive
     assert cert.group_order == 18
@@ -128,7 +112,7 @@ def test_frobenius_certificate_rejects_complete_and_sparse():
     assert cert.frobenius is False
     assert len(cert.witness) > 0
     # C_8 closure: reflection through an edge fixes two opposite points
-    cert8 = frobenius_certificate(wl_closure(cycle_colors(8)))
+    cert8 = frobenius_certificate(corpus.scheme("cycle8"))
     assert cert8.frobenius is False
 
 
@@ -136,7 +120,7 @@ def test_frobenius_certificate_rejects_complete_and_sparse():
 def test_frobenius_certificate_paths_agree(n):
     # Swapping points 1 and 2 hides the Z_n translations from
     # translation_table, so the relabelled closure takes the search path.
-    closure = wl_closure(cycle_colors(n))
+    closure = corpus.scheme("cycle%d" % n)
     assert closure.translations is not None
     perm = list(range(n))
     perm[1], perm[2] = 2, 1
@@ -156,56 +140,13 @@ def test_frobenius_certificate_searches_only_the_stabilizer(monkeypatch):
         return solutions(self, partial, limit)
 
     monkeypatch.setattr(autgrp._Search, "solutions", counted)
-    cert = frobenius_certificate(wl_closure(cycle_colors(31)))
+    cert = frobenius_certificate(corpus.scheme("cycle31"))
     assert cert.frobenius
     assert calls == [{0: 0}]
 
 
-def reference_solutions(search, partial, limit=None, levels=None):
-    """`_Search.solutions` as it was before forced branches were completed
-    in one step: one point per step, two n x n comparisons each.  Appends
-    to `levels` the number of branch points above each branch point."""
-    img, cand = search._start(partial)
-    P, found = search.P, 0
-    stack = [(img, cand, 0)]
-    while stack:
-        img, cand, level = stack.pop()
-        while True:
-            unassigned = np.nonzero(img < 0)[0]
-            if len(unassigned) == 0:
-                assert _carries(img, P, P)
-                yield img
-                found += 1
-                if limit is not None and found >= limit:
-                    return
-                break
-            counts = cand[unassigned].sum(axis=1)
-            pos = int(np.argmin(counts))
-            u, m = int(unassigned[pos]), int(counts[pos])
-            if m == 0:
-                break
-            vs = np.nonzero(cand[u])[0]
-            if m > 1:
-                if levels is not None:
-                    levels.append(level)
-                for v in vs[:0:-1]:
-                    img2, cand2 = img.copy(), cand.copy()
-                    img2[u] = v
-                    cand2 &= np.equal.outer(P[:, u], P[:, int(v)])
-                    cand2 &= np.equal.outer(P[u, :], P[int(v), :])
-                    stack.append((img2, cand2, level + 1))
-                level += 1
-            v = int(vs[0])
-            img[u] = v
-            cand &= np.equal.outer(P[:, u], P[:, v])
-            cand &= np.equal.outer(P[u, :], P[v, :])
-
-
 # the circulants of the benchmark's 11 `classify wl` jobs
-BENCH_CIRCULANTS = [
-    circulant_from_connection(n, [1, -1]) for n in (64, 81, 99, 101, 127, 165, 189, 243)
-] + [frobenius_circulant(CirculantSpec(n, (n - 1,), (1, 2))) for n in (105, 195)] + [
-    frobenius_circulant(CirculantSpec(157, (14,), (1,)))]
+BENCH_CIRCULANTS = [name for name in corpus.CIRCULANTS if name != "units-91"]
 
 
 def _same_maps(a, b):
@@ -213,11 +154,7 @@ def _same_maps(a, b):
 
 
 def test_forced_completion_matches_the_point_by_point_search(monkeypatch):
-    from pfscheme.frobenius import CyclicFactor, FrobeniusSpec, build_frobenius
-    from pfscheme.scheme import from_orbitals
-    from pfscheme.spreads import desarguesian_spread, hall_spread, spread_scheme
-
-    closures = [wl_closure(color_matrix(c)) for c in BENCH_CIRCULANTS]
+    closures = [corpus.scheme(name) for name in BENCH_CIRCULANTS]
     for s in closures:
         search = autgrp._Search(s)
         assert _same_maps(list(search.solutions({0: 0})),
@@ -226,12 +163,8 @@ def test_forced_completion_matches_the_point_by_point_search(monkeypatch):
                           list(reference_solutions(search, {0: 1}, limit=1)))
     # The rook's graph on 4 x 4 points (stabilizer of order 72) and K_6
     # branch below the root of the search.
-    rook = [(i, j) for i in range(4) for j in range(4)]
-    others = [spread_scheme(hall_spread(9)), spread_scheme(desarguesian_spread(9)),
-              from_orbitals(build_frobenius(FrobeniusSpec((CyclicFactor(9, (8,)),), 2))),
-              Scheme(np.array([[0 if a == b else 1 if a[0] == b[0] or a[1] == b[1] else 2
-                                for b in rook] for a in rook])),
-              Scheme(complete_colors(6))]
+    others = [corpus.scheme(name) for name in ("hall9", "desarguesian9", "neg-9", "rook4x4")]
+    others.append(Scheme(complete_colors(6)))
     levels = []
     for s in others:
         maps, capped = autgrp.automorphism_stabilizer(s)
@@ -262,14 +195,14 @@ def test_forced_completion_matches_the_point_by_point_search(monkeypatch):
 
 # the composite circulants of the benchmark that admit a K, and one K of
 # order 3
-COMPOSITE_CIRCULANTS = [
-    circulant_from_connection(n, [1, -1]) for n in (81, 99, 165, 189, 243)
-] + [frobenius_circulant(CirculantSpec(n, (n - 1,), (1, 2))) for n in (105, 195)] + [
-    frobenius_circulant(CirculantSpec(91, (16,), (1,)))]
+COMPOSITE_CIRCULANTS = ["cycle81", "cycle99", "cycle165", "cycle189", "cycle243",
+                        "units-105", "units-195", "units-91"]
+COMPOSITE_IDS = ["n%d" % corpus.CIRCULANTS[name].n for name in COMPOSITE_CIRCULANTS]
 
 
-@pytest.mark.parametrize("circ", COMPOSITE_CIRCULANTS, ids=lambda c: "n%d" % c.n)
-def test_unit_orbit_labels_are_the_orbitals_of_the_semidirect_product(circ):
+@pytest.mark.parametrize("name", COMPOSITE_CIRCULANTS, ids=COMPOSITE_IDS)
+def test_unit_orbit_labels_are_the_orbitals_of_the_semidirect_product(name):
+    circ = corpus.CIRCULANTS[name]
     n = circ.n
     residues = np.arange(n)
     diffs = (residues[None, :] - residues[:, None]) % n
@@ -289,8 +222,7 @@ def test_construction_certificate_checks_every_row():
     # Swapping points 1 and n - 1 keeps row 0 of the closure, whose colour
     # depends only on the distance, but no other row.
     n = 81
-    circ = circulant_from_connection(n, [1, -1])
-    closure = wl_closure(cycle_colors(n))
+    circ, closure = corpus.CIRCULANTS["cycle81"], corpus.scheme("cycle81")
     assert _construction_certificate(circ, closure) == (2, 2 * n)
     perm = list(range(n))
     perm[1], perm[n - 1] = n - 1, 1
@@ -299,12 +231,12 @@ def test_construction_certificate_checks_every_row():
     assert _construction_certificate(circ, Scheme(swapped)) is None
 
 
-@pytest.mark.parametrize("circ", COMPOSITE_CIRCULANTS, ids=lambda c: "n%d" % c.n)
-def test_construction_certificate_row_zero_verdict_is_the_pair_verdict(circ):
+@pytest.mark.parametrize("name", COMPOSITE_CIRCULANTS, ids=COMPOSITE_IDS)
+def test_construction_certificate_row_zero_verdict_is_the_pair_verdict(name):
     # On the Z_n-certified closure, row 0 decides each K as the n^2 pairs
     # do; the trivial group {1}, whose orbitals are thin, is a K that fails.
+    circ, closure = corpus.CIRCULANTS[name], corpus.scheme(name)
     n = circ.n
-    closure = wl_closure(color_matrix(circ))
     assert closure.cyclic
     D = difference_table([n])
     groups = certificate_unit_groups(circ)
@@ -321,11 +253,11 @@ def test_construction_certificate_row_zero_verdict_is_the_pair_verdict(circ):
 
 def test_frobenius_screen_fails_on_non_equivalenced():
     # even cycle closures have a valency-1 antipodal class
-    s = wl_closure(cycle_colors(8))
+    s = corpus.scheme("cycle8")
     screen = frobenius_screen(s)
     assert not screen.equivalenced
     assert not screen.passed
-    t = wl_closure(cycle_colors(9))
+    t = corpus.scheme("cycle9")
     screen9 = frobenius_screen(t)
     assert screen9.passed
     assert screen9.valency == 2
