@@ -119,10 +119,19 @@ def enumerate_parabolics(scheme: Scheme) -> list[Parabolic]:
 
 def _parabolic_lattice(scheme: Scheme) -> tuple[list[Parabolic], JoinLattice]:
     """Parabolics with their join lattice (bit s of a member is relation s),
-    built once per scheme and kept on it."""
+    built once per scheme and kept on it.
+
+    A join is decided by the meet where it can be.  An E-class splits into
+    n_E / n_{E∩F} classes of E∩F, each in a different F-class, so
+    n_{E∨F} >= n_E n_F / n_{E∩F}; the meet E∩F is the parabolic of the
+    common relations, whose block size is the sum of their valencies.  A
+    join whose bound passes n/2 is the top, since its size divides n, and
+    takes no closure (every join of two components of a spread, say).
+    """
     if scheme._parabolics is not None:
         return scheme._parabolics
     found: dict[int, Parabolic] = {}
+    valency = np.bincount(scheme.colors[0], minlength=scheme.rank)
 
     def member(rels) -> tuple[int, int]:
         within, n_e = _closure_mask(scheme, rels)
@@ -131,9 +140,15 @@ def _parabolic_lattice(scheme: Scheme) -> tuple[list[Parabolic], JoinLattice]:
             found[bits] = _as_parabolic(scheme, within, n_e)
         return bits, n_e
 
+    def join(a: int, b: int) -> tuple[int, int]:
+        n_meet = int(valency[indices_of(a & b)].sum())
+        if 2 * found[a].n_e * found[b].n_e > scheme.n * n_meet:
+            return top
+        return member(indices_of(a | b).tolist())
+
     seeds = [member(())] + [member((s,)) for s in range(1, scheme.rank)]
-    lattice = join_closure(seeds, member(range(scheme.rank)),
-                           lambda a, b: member(indices_of(a | b).tolist()))
+    top = member(range(scheme.rank))
+    lattice = join_closure(seeds, top, join)
     scheme._parabolics = [found[bits] for bits in lattice.members], lattice
     return scheme._parabolics
 

@@ -292,6 +292,37 @@ def test_a_point_permuted_scheme_takes_the_squaring_path(monkeypatch, build):
     assert calls["_squaring_class"] == calls["_closure_mask"] > 0
 
 
+def test_the_meet_bound_never_exceeds_the_true_join():
+    # n_E n_F / n_{E∩F} <= n_{E∨F} on every pair of members, the join taken
+    # as the closure of the union of relations
+    pairs = 0
+    for name in corpus.names("catalog", max_n=200) + corpus.names("spread", max_n=256):
+        s = corpus.scheme(name)
+        valency, joins = s.valencies(), {}
+        for e in enumerate_parabolics(s):
+            for f in enumerate_parabolics(s):
+                union = e.relations | f.relations
+                if union not in joins:
+                    joins[union] = parabolic_closure(s, union).n_e
+                meet = sum(valency[r] for r in e.relations & f.relations)
+                assert e.n_e * f.n_e <= joins[union] * meet, (name, e, f)
+                pairs += 1
+    assert pairs > 7000
+
+
+def test_no_closure_joins_two_components_of_a_spread(monkeypatch):
+    # any two components span the plane, so the bound decides their join
+    spreads = [corpus.scheme(name) for name in corpus.names("spread")]
+    asked = []
+    closure_mask = parabolic._closure_mask
+    monkeypatch.setattr(parabolic, "_closure_mask",
+                        lambda scheme, rels: asked.append(list(rels)) or closure_mask(scheme, rels))
+    for s in spreads:
+        asked.clear()
+        assert len(enumerate_parabolics(s)) == s.rank + 1       # bottom, components, top
+        assert sorted(map(len, asked)) == [0] + [1] * (s.rank - 1) + [s.rank]
+
+
 def test_a_second_enumeration_runs_no_closure(monkeypatch):
     calls = []
     closure_mask = parabolic._closure_mask

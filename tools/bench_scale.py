@@ -44,6 +44,9 @@ RECIPES = {
     "tcond4-hall25": ["check", "tcond", "--t", "4", "--scheme", "{hall25}"],
     "tcond4-hall25-permuted": ["check", "tcond", "--t", "4", "--scheme", "{hall25p}"],
     "parabolics-mixed-17-9": ["check", "parabolics", "--scheme", "{mixed17}"],
+    # 1225 joins of two spread components, each decided by the meet
+    "parabolics-hall49": ["check", "parabolics", "--scheme", "{hall49}"],
+    "iso-induced-hall49": ["iso", "induced", "{hall49}", "{hall49}"],
     # a parabolic lattice of 2664 members
     "parabolics-scalar-3-5": ["check", "parabolics", "--scheme", "{scalar35}"],
     # 75701 divide records
@@ -74,6 +77,8 @@ SETUP = {
     "des16": ["gen", "spread", "--q", "16", "--plane", "desarguesian"],
     "des25": ["gen", "spread", "--q", "25", "--plane", "desarguesian"],
     "hall25": ["gen", "spread", "--q", "25", "--plane", "hall"],
+    "des49": ["gen", "spread", "--q", "49", "--plane", "desarguesian"],
+    "hall49": ["gen", "spread", "--q", "49", "--plane", "hall"],
     "mixed17": ["gen", "frobenius", "--spec", "{mixed17spec}"],
     "scalar35": ["gen", "frobenius", "--scalar", "3,5"],
     "scalar74": ["gen", "frobenius", "--scalar", "7,4"],
