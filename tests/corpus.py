@@ -18,7 +18,8 @@ these families up to n" and grows with the corpus.  The families:
 - "cycle": the WL closures of the n-cycles (the circulants of the
   benchmark's `classify wl` jobs among them);
 - "units": the WL closures of circulants built from unit groups;
-- "graph": the Petersen, rook, Shrikhande and Paley graphs;
+- "graph": the Petersen, rook, Shrikhande and Paley graphs, and the
+  graph of a rigid Latin square, coherent but without a certificate;
 - "variant": schemes made from others by permuting points or by
   swapping the colours of two symmetric pairs, and the colourings of
   three cycles (incoherent ones);
@@ -94,6 +95,22 @@ def shrikhande_coloring():
     conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
     return graph_coloring(16, [(x, y) for x in range(16) for y in range(16)
                                if ((y // 4 - x // 4) % 4, (y % 4 - x % 4) % 4) in conn])
+
+
+# rows of an order-8 Latin square whose graph has no nontrivial automorphism
+# fixing a point, and none mapping 0 to 1
+RIGID_LATIN_SQUARE = "34265017 01536274 43157602 75624130 10743526 52370461 67012345 26401753"
+
+
+def latin_square_coloring(rows=RIGID_LATIN_SQUARE):
+    """The graph of a Latin square, given as rows of digits: cells are
+    adjacent when they share a row, a column or a symbol."""
+    L = np.array([[int(x) for x in row] for row in rows.split()])
+    r, c = np.divmod(np.arange(L.size), len(L))
+    sym = L[r, c]
+    M = np.where((r[:, None] == r) | (c[:, None] == c) | (sym[:, None] == sym), 1, 2)
+    np.fill_diagonal(M, 0)
+    return M
 
 
 def paley_coloring(n=13):
@@ -196,7 +213,8 @@ for _name, _circ in CIRCULANTS.items():
         _add("units", _name, _circ.n, lambda c=_circ: wl_closure(color_matrix(c)))
 for _name, _n, _coloring in (("petersen", 10, petersen_coloring), ("rook4x4", 16, rook_coloring),
                              ("shrikhande", 16, shrikhande_coloring),
-                             ("paley13", 13, paley_coloring)):
+                             ("paley13", 13, paley_coloring),
+                             ("latin8-rigid", 64, latin_square_coloring)):
     _add("graph", _name, _n, lambda c=_coloring: Scheme(c()))
 _add("variant", "hall9-permuted", 81, lambda: permuted(scheme("hall9")))
 _add("variant", "hall9-incoherent", 81, lambda: perturbed(scheme("hall9")))

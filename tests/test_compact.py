@@ -25,10 +25,11 @@ from pfscheme.tcond import check_t_condition
 import corpus
 
 # corpus names: the catalog up to n = 200, the spreads with q = 9 and 16,
-# thin schemes at both colour widths, and two that fail a premise
+# two schemes without a certificate, thin schemes at both colour widths,
+# and an incoherent one
 SCHEMES = (corpus.names("catalog", max_n=200)
            + ["desarguesian9", "hall9", "desarguesian16", "hall16", "hall9-permuted",
-              "thin255", "thin256", "thin257", "thin300", "hall9-incoherent"])
+              "latin8-rigid", "thin255", "thin256", "thin257", "thin300", "hall9-incoherent"])
 
 
 def int64_twin(s):
@@ -112,6 +113,7 @@ def test_the_corpus_covers_both_widths_and_both_paths():
     assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16)}
     assert built["thin256"].colors.dtype == np.uint8 and built["thin257"].colors.dtype == np.uint16
     assert built["hall9-permuted"].translations is None
+    assert built["latin8-rigid"].translations is None
     assert built["hall16"].translations is not None
     with pytest.raises(NotCoherentError):
         built["hall9-incoherent"].tensor()

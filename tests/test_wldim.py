@@ -11,6 +11,7 @@ from pfscheme.autgrp import frobenius_certificate
 from pfscheme.circulants import CirculantSpec, certificate_unit_groups, circulant_from_connection
 from pfscheme.perms import PermGroup, Permutation
 from pfscheme.scheme import Scheme, partition_equal, wl_closure
+from pfscheme.tcond import check_t_condition
 from pfscheme.wldim import (
     SEARCH_LIMIT,
     _construction_certificate,
@@ -129,6 +130,20 @@ def test_frobenius_certificate_paths_agree(n):
     certified = frobenius_certificate(closure)
     assert certified.frobenius and certified.group_order == 2 * n
     assert frobenius_certificate(hidden) == certified
+
+
+def test_the_rigid_latin_square_graph():
+    # srg(64, 21, 8, 6): coherent without a translation certificate, it
+    # passes t = 3 but not t = 4, and its automorphism group has no element
+    # that fixes 0 but another point, nor one that maps 0 to 1
+    s = corpus.scheme("latin8-rigid")
+    assert (s.n, s.valencies()) == (64, (1, 21, 42))
+    assert s.translations is None
+    assert check_t_condition(s, 3).passed
+    assert not check_t_condition(s, 4).passed
+    maps, capped = autgrp.automorphism_stabilizer(s)
+    assert not capped and len(maps) == 1 and np.array_equal(maps[0], np.arange(64))
+    assert list(autgrp._Search(s).solutions({0: 1}, limit=1)) == []
 
 
 def test_frobenius_certificate_searches_only_the_stabilizer(monkeypatch):
