@@ -97,14 +97,11 @@ def shrikhande_coloring():
                                if ((y // 4 - x // 4) % 4, (y % 4 - x % 4) % 4) in conn])
 
 
-# rows of an order-8 Latin square whose graph has no nontrivial automorphism
-# fixing a point, and none mapping 0 to 1
-RIGID_LATIN_SQUARE = "34265017 01536274 43157602 75624130 10743526 52370461 67012345 26401753"
-
-
-def latin_square_coloring(rows=RIGID_LATIN_SQUARE):
-    """The graph of a Latin square, given as rows of digits: cells are
-    adjacent when they share a row, a column or a symbol."""
+def latin_square_coloring():
+    """The graph of an order-8 Latin square: cells are adjacent when they
+    share a row, a column or a symbol.  No automorphism but the identity
+    fixes a point, and none maps 0 to 1."""
+    rows = "34265017 01536274 43157602 75624130 10743526 52370461 67012345 26401753"
     L = np.array([[int(x) for x in row] for row in rows.split()])
     r, c = np.divmod(np.arange(L.size), len(L))
     sym = L[r, c]
@@ -113,7 +110,8 @@ def latin_square_coloring(rows=RIGID_LATIN_SQUARE):
     return M
 
 
-def paley_coloring(n=13):
+def paley_coloring():
+    n = 13
     squares = {x * x % n for x in range(1, n)}
     return graph_coloring(n, [(i, j) for i in range(n) for j in range(n)
                               if i != j and (j - i) % n in squares])
@@ -230,7 +228,10 @@ for _name, _row in _random_circulant_rows():
 @cache
 def _built(name):
     s = _ENTRIES[name][2]()
-    return s.colors, s.__dict__.get("translations")
+    table = s.__dict__.get("translations")
+    if table is not None:
+        table.setflags(write=False)     # shared by every scheme of this name
+    return s.colors, table
 
 
 def scheme(name):
