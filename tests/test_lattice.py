@@ -13,10 +13,10 @@ from pfscheme.arith import divisors
 from pfscheme.catalog import batch_specs
 from pfscheme.frobenius import invariant_lattice
 from pfscheme.lattice import bits_of, indices_of, join_closure
-from pfscheme.parabolic import _parabolic_lattice, enumerate_parabolics, separability_verdict
+from pfscheme.parabolic import _parabolic_lattice, separability_verdict
 from pfscheme.spreads import scalar_spec
 import corpus
-from oracles import exhaustive_parabolics, reference_join_closure
+from oracles import reference_join_closure
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,25 +123,13 @@ def test_seed_scan_matches_the_pair_scan_on_the_catalog(monkeypatch):
     assert len(compared) == len(batch_specs())
 
 
-@pytest.mark.parametrize("name", ["hall9", "hall16", "desarguesian9", "cycle105", "cycle243"],
-                         ids=["hall9", "hall16", "desarguesian9", "C105", "C243"])
+@pytest.mark.parametrize("name", corpus.names("spread") + ["cycle105", "cycle243"],
+                         ids=lambda name: name.replace("cycle", "C"))
 def test_seed_scan_matches_the_pair_scan_on_parabolics(monkeypatch, name):
     s = corpus.scheme(name)
     compared = _compare_with_reference(monkeypatch, parabolic)
     _parabolic_lattice(s)
     assert len(compared) == 1 and compared[0] > 2
-
-
-@pytest.mark.parametrize("name", corpus.names("spread"))
-def test_the_meet_bound_keeps_the_parabolics_of_the_spreads(monkeypatch, name):
-    # the join callback answers most pairs by the meet; the lattice is still
-    # the exhaustive one (up to rank 12) and the pair scan's
-    s = corpus.scheme(name)
-    if s.rank <= 12:
-        assert [(e.n_e, e.key()) for e in enumerate_parabolics(s)] == exhaustive_parabolics(s)
-    compared = _compare_with_reference(monkeypatch, parabolic)
-    _parabolic_lattice(corpus.scheme(name))
-    assert compared == [s.rank + 1]
 
 
 def test_invariant_subspaces_of_f3_fourth_are_gaussian_binomials():
