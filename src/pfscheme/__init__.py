@@ -10,11 +10,11 @@ Subpackage map:
     parabolic   parabolic (closed-subset) lattice, separability criteria
     tcond       the t-condition checker on flag counts
     algiso      algebraic isomorphisms, base triples, schurity testing
-    spreads     translation plane spreads (Desarguesian, Andre, Hall)
+    spreads     translation plane spreads (Desarguesian, Hall)
     circulants  circulant graphs and unit-group certificates
     autgrp      exact automorphism search with Frobenius certification
     wldim       WL-dimension classification of circulants
-    catalog     batch of named Frobenius specs for survey runs
+    catalog     Frobenius spec builders and the named batch for survey runs
     verify      the nine acceptance criteria
     cli         the command-line interface
 
@@ -45,10 +45,11 @@ _EXPORTS = {
     "tcond": ("TConditionWitness", "TConditionReport", "check_t_condition",
               "four_condition_frobenius_verdict"),
     "algiso": ("RelationBijection", "find_algebraic_isomorphisms", "BaseTriple",
-               "base_triples", "CoordinateMap", "base_coordinates", "InducedIsomorphism",
+               "CoordinateMap", "base_coordinates", "InducedIsomorphism",
                "induced_isomorphism", "SchurityResult", "schurity_via_base_triples"),
-    "spreads": ("Spread", "verify_spread", "desarguesian_spread", "andre_spread",
-                "hall_spread", "spread_scheme", "scalar_spec"),
+    "spreads": ("Spread", "verify_spread", "desarguesian_spread", "hall_spread",
+                "spread_scheme"),
+    "catalog": ("scalar_spec",),
     "circulants": ("CirculantSpec", "Circulant", "frobenius_circulant",
                    "circulant_from_connection", "color_matrix", "preserving_units",
                    "certificate_unit_groups"),

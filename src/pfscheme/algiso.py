@@ -179,21 +179,6 @@ def _transversal(scheme: Scheme, e: Parabolic) -> list[int]:
     return np.flatnonzero(least == np.arange(scheme.n)).tolist()
 
 
-def base_triples(scheme: Scheme, e: Parabolic):
-    """All base triples whose mu is the smallest point of its class of e."""
-    P = scheme.colors
-    in_e = _relation_mask(scheme, e)
-    for mu in _transversal(scheme, e):
-        row = in_e[P[mu]]
-        nus = np.nonzero(row)[0]
-        rhos = np.nonzero(~row)[0]
-        for nu in nus:
-            if nu == mu:
-                continue
-            for rho in rhos:
-                yield BaseTriple(int(mu), int(nu), int(rho))
-
-
 class CoordinateMap(NamedTuple):
     """f: alpha -> (x_alpha, y_alpha), with bijectivity onto the pair set.
 
@@ -261,11 +246,12 @@ def base_coordinates(scheme: Scheme, e: Parabolic, triple: BaseTriple) -> Coordi
 
 
 def base_triple_counts(scheme: Scheme, e: Parabolic):
-    """Pair counts of all transversal base triples, one mu at a time.
+    """Pair counts of all base triples whose mu is the least point of its
+    class of e, one mu at a time, mu ascending.
 
-    Yields (mu, nus, rhos, counts) in the order of `base_triples`:
-    counts[i, j] is the pair count of (mu, nus[i], rhos[j]), and that
-    triple's coordinate map is bijective exactly when it equals n.
+    Yields (mu, nus, rhos, counts), nus and rhos ascending: counts[i, j]
+    is the pair count of (mu, nus[i], rhos[j]), and that triple's
+    coordinate map is bijective exactly when it equals n.
     Raises AssertionError when a triple counted bijective has colliding
     coordinates.  Whether a point lies in e is read off its x, so two
     points with equal coordinates both lie inside, where y comes from the
@@ -323,12 +309,15 @@ class InducedIsomorphism(NamedTuple):
                 "g": self.g.tolist()}
 
 
-def _first_valid_triple(scheme: Scheme, e: Parabolic, in_e: np.ndarray,
-                        counts: np.ndarray):
-    P = scheme.colors
-    for triple in base_triples(scheme, e):
-        if counts[P[triple.mu, triple.nu], P[triple.mu, triple.rho]] == scheme.n:
-            return triple, _coordinate_map(scheme, in_e, counts, triple)
+def _first_valid_triple(scheme: Scheme, e: Parabolic):
+    """The first bijective triple of `base_triple_counts`, in the order
+    (mu, nu, rho), and its coordinate map; (None, None) when none is."""
+    for mu, nus, rhos, counts in base_triple_counts(scheme, e):
+        hits = np.argwhere(counts == scheme.n)
+        if len(hits):
+            triple = BaseTriple(mu, int(nus[hits[0, 0]]), int(rhos[hits[0, 1]]))
+            in_e = _relation_mask(scheme, e)
+            return triple, _coordinate_map(scheme, in_e, _pair_counts(scheme, in_e), triple)
     return None, None
 
 
@@ -347,8 +336,7 @@ def _verified_maps(source: Scheme, target: Scheme, psi: RelationBijection, mus):
     if e is None:
         raise SchemeError("base-triple reconstruction needs a nontrivial parabolic")
     e2 = psi.image_parabolic(e)
-    in_e = _relation_mask(source, e)
-    tau, f1 = _first_valid_triple(source, e, in_e, _pair_counts(source, in_e))
+    tau, f1 = _first_valid_triple(source, e)
     if tau is None:
         raise SchemeError("no bijective base triple exists for the parabolic")
     in_e2 = _relation_mask(target, e2)

@@ -1,19 +1,24 @@
-"""Deterministic batch of imprimitive Frobenius specifications.
+"""Deterministic batch of imprimitive Frobenius specifications, and the
+spec builders it is made from.
 
 The batch feeds the arithmetic separability sweep: more than fifty specs
 with kernel order at most 4000, mixing cyclic kernels under negation or
 a larger unit, elementary abelian kernels under scalar groups, field
 cubes, coprime pairs of squares, and mixed kernels.  Every entry is
 imprimitive (the kernel has a proper nontrivial complement-invariant
-subgroup), which is the hypothesis of the separability criteria.
+subgroup), which is the hypothesis of the separability criteria.  Every
+elementary abelian factor is F_q^dim under the scalars of some order k,
+built by one helper; `scalar_spec` (k = q - 1) also serves
+`gen frobenius --scalar Q,DIM` and the verification suite.
 """
 
 from __future__ import annotations
 
-from .arith import factorize, mult_order
+import numpy as np
+
+from .arith import is_prime, mult_order
 from .frobenius import CyclicFactor, ElementaryAbelianFactor, FrobeniusSpec
 from .gf import GF
-from .spreads import scalar_spec
 
 KERNEL_CAP = 4000
 
@@ -27,21 +32,31 @@ def cyclic_unit_spec(m: int, u: int) -> FrobeniusSpec:
     return FrobeniusSpec((CyclicFactor(m, (u,)),), mult_order(u, m))
 
 
+def _scalar_factor(q: int, k: int, dim: int) -> ElementaryAbelianFactor:
+    """F_q^dim as an F_p factor under the scalars of order k (k divides
+    q - 1): the matrix of their generator in dim diagonal blocks."""
+    F = GF(q)
+    w = F.pow(F.primitive_element(), (q - 1) // k)
+    # the factor refuses dim < 1
+    blocks = np.kron(np.eye(max(dim, 0), dtype=np.int64), F.mul_matrix(w))
+    return ElementaryAbelianFactor(F.p, F.e * dim, (blocks.tolist(),))
+
+
+def scalar_spec(q: int, dim: int = 2) -> FrobeniusSpec:
+    """Elementary-abelian kernel F_q^dim with the scalar group F_q^* on top."""
+    if q < 3:
+        raise ValueError("scalar complement needs q >= 3")
+    return FrobeniusSpec((_scalar_factor(q, q - 1, dim),), q - 1)
+
+
 def field_cube_spec(p: int, k: int) -> FrobeniusSpec:
     """F_{p^3} kernel with the scalar subgroup of order k."""
-    F = GF(p ** 3)
-    w = F.pow(F.primitive_element(), (p ** 3 - 1) // k)
-    return FrobeniusSpec((ElementaryAbelianFactor(p, 3, (F.mul_matrix(w),)),), k)
+    return FrobeniusSpec((_scalar_factor(p ** 3, k, 1),), k)
 
 
 def double_prime_spec(p: int, q: int, k: int) -> FrobeniusSpec:
     """F_{p^2} + F_{q^2} kernel with a diagonal order-k scalar pair."""
-    Fp, Fq = GF(p * p), GF(q * q)
-    wp = Fp.pow(Fp.primitive_element(), (p * p - 1) // k)
-    wq = Fq.pow(Fq.primitive_element(), (q * q - 1) // k)
-    return FrobeniusSpec(
-        (ElementaryAbelianFactor(p, 2, (Fp.mul_matrix(wp),)),
-         ElementaryAbelianFactor(q, 2, (Fq.mul_matrix(wq),))), k)
+    return FrobeniusSpec((_scalar_factor(p * p, k, 1), _scalar_factor(q * q, k, 1)), k)
 
 
 def mixed_spec(m: int, u: int, q: int) -> FrobeniusSpec:
@@ -49,15 +64,14 @@ def mixed_spec(m: int, u: int, q: int) -> FrobeniusSpec:
     k = q - 1
     if mult_order(u, m) != k:
         raise ValueError("unit order must match q - 1")
-    return FrobeniusSpec((CyclicFactor(m, (u,)), scalar_spec(q, 2).kernel_factors[0]), k)
+    return FrobeniusSpec((CyclicFactor(m, (u,)), _scalar_factor(q, k, 2)), k)
 
 
 def _odd_composites(count: int) -> list[int]:
     out = []
     m = 9
     while len(out) < count:
-        fac = factorize(m)
-        if not (len(fac) == 1 and next(iter(fac.values())) == 1):
+        if not is_prime(m):
             out.append(m)
         m += 2
     return out

@@ -171,7 +171,7 @@ def _load_scheme(path: str):
         if "star" in d and "rank" in d:
             return Scheme.from_json_dict({**d, "colors": colors})
         return Scheme(colors)
-    except (TypeError, ValueError) as exc:     # SchemeError, or a malformed 'star'
+    except ValueError as exc:               # SchemeError
         raise SystemExit(_fail("%s: %s" % (path, exc)))
 
 
@@ -206,7 +206,7 @@ def _spec_from_args(args):
             m, u = vals
             return FrobeniusSpec((CyclicFactor(m, (u,)),), mult_order(u, m))
         if args.scalar:
-            from .spreads import scalar_spec
+            from .catalog import scalar_spec
             vals = _parse_ints(args.scalar)
             if not 1 <= len(vals) <= 2:
                 raise SystemExit(_fail("--scalar needs Q or Q,DIM"))
@@ -447,7 +447,7 @@ def cmd_verify(args) -> int:
     payload = {"criteria": [r.to_json_dict() for r in results],
                "all_passed": all(r.passed for r in results)}
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _emit(payload, args.format)
     return PASS if payload["all_passed"] else CHECK_FAILED
 
 

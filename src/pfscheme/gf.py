@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arith import factorize, is_prime
+from .arith import is_prime, prime_power
 
 
 class FiniteField:
@@ -193,19 +193,14 @@ def _value(x):
     return int(x) if np.ndim(x) == 0 else x
 
 
-_cache: dict[tuple[int, int], FiniteField] = {}
+_cache: dict[int, FiniteField] = {}
 
 
-def GF(q_or_p: int, e: int | None = None) -> FiniteField:
-    """Cached field constructor: GF(9) or GF(3, 2)."""
-    if e is None:
-        fac = factorize(q_or_p)
-        if len(fac) != 1:
-            raise ValueError("%d is not a prime power" % (q_or_p,))
-        [(p, e)] = fac.items()
-    else:
-        p = q_or_p
-    key = (p, e)
-    if key not in _cache:
-        _cache[key] = FiniteField(p, e)
-    return _cache[key]
+def GF(q: int) -> FiniteField:
+    """Cached field constructor: GF(9) is F_9."""
+    if q not in _cache:
+        pe = prime_power(q)
+        if pe is None:
+            raise ValueError("%d is not a prime power" % (q,))
+        _cache[q] = FiniteField(*pe)
+    return _cache[q]

@@ -82,7 +82,7 @@ class Scheme:
     a copy; any other input is copied.
     """
 
-    def __init__(self, colors, star=None):
+    def __init__(self, colors):
         P = np.asarray(colors)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise SchemeError("colors must be a square matrix")
@@ -107,15 +107,11 @@ class Scheme:
             raise SchemeError("diagonal must be relation 0")
         if n > 1 and counts[0] != n:
             raise SchemeError("relation 0 must be exactly the diagonal")
-        # star: transposing a relation must land on a single relation
-        if star is not None:
-            st = [int(x) for x in star]
-            if len(st) != rank:
-                raise SchemeError("star must list all %d relations" % rank)
-        else:
-            a, b = np.divmod(first, n)
-            st = P[b, a].tolist()
-        stv = np.asarray(st, dtype=np.int64)
+        # star: transposing a relation must land on one relation, the one
+        # holding the transpose of its first pair.  Once every pair passes,
+        # star is an involution fixing 0: transposing twice is the identity.
+        a, b = np.divmod(first, n)
+        stv = P[b, a].astype(np.int64)
         step = max(1, _BLOCK // n)      # rows per block: no n^2 temporary
         for lo in range(0, n, step):
             bad = np.argwhere(stv.take(P[lo:lo + step]) != P.T[lo:lo + step])
@@ -123,12 +119,10 @@ class Scheme:
                 a, b = lo + int(bad[0, 0]), int(bad[0, 1])
                 raise SchemeError("transpose of relation %d is not a relation (pair %s)"
                                   % (int(P[a, b]), (a, b)))
-        if st[0] != 0 or any(st[st[s]] != s for s in range(rank)):
-            raise SchemeError("star is not an involution fixing the diagonal")
         self.colors = P
         self.n = n
         self.rank = rank
-        self.star = tuple(st)
+        self.star = tuple(stv.tolist())
         self._first = first
         self._tensor: IntersectionTensor | None = None
         self._parabolics = None         # parabolic._parabolic_lattice, once built
@@ -212,9 +206,11 @@ class Scheme:
         for key in ("n", "rank", "star", "colors"):
             if key not in d:
                 raise SchemeError("scheme JSON missing key %r" % key)
-        sch = cls(d["colors"], star=d["star"])
+        sch = cls(d["colors"])
         if sch.n != d["n"] or sch.rank != d["rank"]:
             raise SchemeError("scheme JSON n/rank fields disagree with the matrix")
+        if d["star"] != list(sch.star):
+            raise SchemeError("scheme JSON star field is not the matrix's transpose map")
         return sch
 
 
@@ -502,13 +498,15 @@ def translation_scheme(labels, D) -> Scheme:
     They are numbered as `canonical_relabel` numbers the matrix, off row 0,
     which holds each colour's first pair and valency, and gathered once in
     `color_dtype`: the `Scheme` keeps that array, the only n^2 one besides
-    D.  D becomes its `translations` once the row test passes."""
+    D.  D is its `translations` without the row test, which cannot fail:
+    P[a, b] = row[D[a, b]], and a difference table has D[0] = arange(n), so
+    P[0, D[a, b]] = row[D[a, b]] = P[a, b].  The certificate is that D is a
+    difference table, the caller's to give."""
     labels = np.asarray(labels)
     first, valency = first_pairs(labels[None, :])
     row = _canonical_lut(first, valency, int(labels[0]))[labels]
     scheme = Scheme(_read_only(row.astype(color_dtype(int(row.max()) + 1))[D]))
-    if _translates_row_zero(scheme.colors, D):
-        scheme.translations = D
+    scheme.translations = D
     return scheme
 
 

@@ -5,15 +5,15 @@ order q (components).  Coloring each pair of points by the component
 containing their difference gives an equivalenced scheme of valency
 q - 1 whose intersection tensor is the same for every spread of the same
 order; the Desarguesian spread reproduces the orbital scheme of scalar
-multiplication, while derived spreads (Andre/Hall) can produce schemes
-that share that tensor without being isomorphic to it.
+multiplication, while the Hall spread, derived from it, gives a scheme
+that shares that tensor without being isomorphic to it.
 
 Vectors (a, b) are indexed as a + b*q with field elements encoded base p
 (`gf`), so an index is 2e little-endian base-p digits in the sense of
 `arith` and vector addition is `digit_add`.  This is the element order of
 the elementary-abelian kernel factors, so the Desarguesian spread scheme
 and the orbital scheme of a scalar spec agree entry by entry after
-canonical relabeling.
+canonical relabeling (`catalog.scalar_spec` builds that spec).
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import difference_table, digit_add, prime_power
-from .frobenius import ElementaryAbelianFactor, FrobeniusSpec
+from .arith import difference_table, digit_add
 from .gf import GF, FiniteField
 from .scheme import Scheme, SchemeError, translation_scheme
 
@@ -48,22 +47,14 @@ class Spread(NamedTuple):
         return out
 
 
-def _field(q: int) -> FiniteField:
-    pe = prime_power(q)
-    if pe is None:
-        raise ValueError("%d is not a prime power" % q)
-    return GF(q)
-
-
-def _vector_radices(q: int) -> list[int]:
+def _vector_radices(spread: Spread) -> list[int]:
     """Digit radices of a vector index a + b*q: e base-p digits each."""
-    F = _field(q)
-    return [F.p] * (2 * F.e)
+    return [spread.p] * (2 * spread.e)
 
 
 def verify_spread(spread: Spread) -> None:
     """Independent axiom check: subgroups, trivial intersections, cover."""
-    q, radices = spread.q, _vector_radices(spread.q)
+    q, radices = spread.q, _vector_radices(spread)
     if len(spread.components) != q + 1:
         raise SchemeError("expected %d components, got %d"
                           % (q + 1, len(spread.components)))
@@ -83,54 +74,34 @@ def verify_spread(spread: Spread) -> None:
         raise SchemeError("components do not cover the nonzero vectors")
 
 
-def _canonical(q: int, comps) -> Spread:
-    p, e = prime_power(q)
-    ordered = tuple(sorted(tuple(sorted(c)) for c in comps))
-    return Spread(q=q, p=p, e=e, components=ordered)
+def _spread(F: FiniteField, powers: np.ndarray) -> Spread:
+    """The spread of the vertical line x = 0 and the lines y = m x^powers[m],
+    m in F_q, once `verify_spread` accepts it; its components are sorted
+    tuples, in sorted order."""
+    xs = np.arange(F.q)
+    ys = F.mul(xs[:, None], F.pow(xs, powers[:, None]))
+    lines = [(xs * F.q).tolist(), *(xs + ys * F.q).tolist()]
+    out = Spread(q=F.q, p=F.p, e=F.e, components=tuple(sorted(tuple(sorted(c)) for c in lines)))
+    verify_spread(out)
+    return out
 
 
 def desarguesian_spread(q: int) -> Spread:
     """Lines y = mx for m in F_q, plus the vertical line x = 0."""
-    F = _field(q)
-    xs = np.arange(q)
-    lines = xs + F.mul(xs[:, None], xs) * q          # row m: the line y = m x
-    out = _canonical(q, [(xs * q).tolist(), *lines.tolist()])
-    verify_spread(out)
-    return out
-
-
-def andre_spread(q: int, s: int | None = None, delta: int = 1) -> Spread:
-    """Replace the norm-delta lines y = mx by y = m x^s.
-
-    q must be the square of a prime power q0; s defaults to q0, the
-    exponent generating the relevant field automorphism, and delta picks
-    which norm class of slopes is replaced.  delta = 1 with the default s
-    gives the Hall spread.
-    """
-    F = _field(q)
-    p, e = prime_power(q)
-    if e % 2:
-        raise ValueError("derived spreads need q to be a square")
-    q0 = p ** (e // 2)
-    if s is None:
-        s = q0
-    if s % p or F.frobenius(F.primitive_element(), s * q0) != F.primitive_element():
-        raise ValueError("s must generate the automorphism x -> x^%d" % q0)
-    if not 1 <= delta < q0:
-        raise ValueError("delta must be a nonzero norm value below %d" % q0)
-    xs = np.arange(q)
-    twisted = F.norm_to_subfield(xs, q0) == delta     # slope 0 has norm 0
-    if twisted.sum() != q0 + 1:
-        raise AssertionError("norm class has unexpected size %d" % twisted.sum())
-    slopes = xs[:, None]
-    ys = np.where(twisted[:, None], F.mul(slopes, F.frobenius(xs, s)), F.mul(slopes, xs))
-    out = _canonical(q, [(xs * q).tolist(), *(xs + ys * q).tolist()])
-    verify_spread(out)
-    return out
+    return _spread(GF(q), np.ones(q, dtype=np.int64))
 
 
 def hall_spread(q: int) -> Spread:
-    return andre_spread(q)
+    """For q = q0^2, replace the q0 + 1 lines y = mx whose slope has norm 1
+    in F_q0 by y = m x^q0, x -> x^q0 being the automorphism fixing F_q0."""
+    F = GF(q)
+    if F.e % 2:
+        raise ValueError("derived spreads need q to be a square")
+    q0 = F.p ** (F.e // 2)
+    twisted = F.norm_to_subfield(np.arange(q), q0) == 1     # slope 0 has norm 0
+    if twisted.sum() != q0 + 1:
+        raise AssertionError("norm class has unexpected size %d" % twisted.sum())
+    return _spread(F, np.where(twisted, q0, 1))
 
 
 def spread_scheme(spread: Spread) -> Scheme:
@@ -138,16 +109,4 @@ def spread_scheme(spread: Spread) -> Scheme:
     lie in the same component, a subgroup), component i as colour i + 1.
     That is the canonical numbering: the components have one valency, and
     as sorted tuples they are ordered by their least nonzero point."""
-    return translation_scheme(spread.component_of() + 1, difference_table(_vector_radices(spread.q)))
-
-
-def scalar_spec(q: int, dim: int = 2) -> FrobeniusSpec:
-    """Elementary-abelian kernel F_q^dim with the scalar group F_q^* on top."""
-    if q < 3:
-        raise ValueError("scalar complement needs q >= 3")
-    F = _field(q)
-    M = F.mul_matrix(F.primitive_element())
-    # M in each of dim diagonal blocks; the factor refuses dim < 1
-    big = np.kron(np.eye(max(dim, 0), dtype=np.int64), M)
-    factor = ElementaryAbelianFactor(F.p, F.e * dim, (big.tolist(),))
-    return FrobeniusSpec(kernel_factors=(factor,), complement_order=q - 1)
+    return translation_scheme(spread.component_of() + 1, difference_table(_vector_radices(spread)))

@@ -91,13 +91,11 @@ def _code_dtype(R: int, t: int):
 
 
 def _sorted_codes(P: np.ndarray, R: int, a: int, b: int, t: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray) -> np.ndarray:
     """The pair's pattern codes, one per placement of the other points,
-    sorted, in `_code_dtype(R, t)`; equal arrays mean equal histograms.
-    They are written into `out` when given, a buffer of n^(t-2) codes."""
+    sorted, written into `out`, a buffer of n^(t-2) codes in
+    `_code_dtype(R, t)`; equal arrays mean equal histograms."""
     n = len(P)
-    if out is None:
-        out = np.empty(n ** (t - 2), dtype=_code_dtype(R, t))
     ab = out if t == 3 else np.empty(n, dtype=out.dtype)
     np.multiply(P[a], R, out=ab, dtype=ab.dtype)    # widened: P is uint8 or uint16
     ab += P[b]

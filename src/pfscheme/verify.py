@@ -14,10 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algiso import base_triple_counts, find_algebraic_isomorphisms, schurity_via_base_triples
-from .catalog import KERNEL_CAP, batch_specs
+from .catalog import KERNEL_CAP, batch_specs, cyclic_unit_spec, negation_spec, scalar_spec
 from .circulants import CirculantSpec, arc_coloring, circulant_from_connection
-from .frobenius import CyclicFactor, ElementaryAbelianFactor, FrobeniusSpec
-from .gf import GF
 from .parabolic import (
     divide_check,
     enumerate_parabolics,
@@ -25,7 +23,7 @@ from .parabolic import (
     separability_verdict,
 )
 from .scheme import Scheme, frobenius_scheme, partition_equal, wl_closure
-from .spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
+from .spreads import desarguesian_spread, hall_spread, spread_scheme
 from .tcond import check_t_condition, four_condition_frobenius_verdict
 from .wldim import dimwl_verdict, exception_set_crosscheck
 
@@ -52,14 +50,13 @@ class CriterionResult(NamedTuple):
 
 # name -> builder of the named schemes other than the cycle closures
 _BUILDERS = {
-    "z9": lambda: frobenius_scheme(FrobeniusSpec((CyclicFactor(9, (8,)),), 2)),
-    "z63": lambda: frobenius_scheme(FrobeniusSpec((CyclicFactor(63, (62,)),), 2)),
-    "z65-u57": lambda: frobenius_scheme(FrobeniusSpec((CyclicFactor(65, (57,)),), 4)),
+    "z9": lambda: frobenius_scheme(negation_spec(9)),
+    "z63": lambda: frobenius_scheme(negation_spec(63)),
+    "z65-u57": lambda: frobenius_scheme(cyclic_unit_spec(65, 57)),
     "scalar-3": lambda: frobenius_scheme(scalar_spec(3, 2)),
     "scalar-4": lambda: frobenius_scheme(scalar_spec(4, 2)),
     "scalar-5": lambda: frobenius_scheme(scalar_spec(5, 2)),
-    "ea-3-2-full": lambda: frobenius_scheme(FrobeniusSpec((ElementaryAbelianFactor(
-        3, 2, (GF(9).mul_matrix(GF(9).primitive_element()),)),), 8)),
+    "ea-3-2-full": lambda: frobenius_scheme(scalar_spec(9, 1)),
     "f3x3-spread": lambda: spread_scheme(desarguesian_spread(3)),
     "f9x9-desarguesian": lambda: spread_scheme(desarguesian_spread(9)),
     "f9x9-hall": lambda: spread_scheme(hall_spread(9)),

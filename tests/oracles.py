@@ -14,6 +14,7 @@ import numpy as np
 
 from pfscheme import parabolic
 from pfscheme import tcond as tcond_mod
+from pfscheme.algiso import BaseTriple
 from pfscheme.arith import d3_cases, difference_table, digit_add, digit_strides, divisors, prime_power
 from pfscheme.frobenius import ClassificationProfile, _element_orders, chain_sections, invariant_lattice
 from pfscheme.gf import GF
@@ -249,6 +250,22 @@ def reference_induced_point_map(psi, f1, f2):
             return None
         g[alpha] = beta
     return g
+
+
+def reference_base_triples(scheme, e):
+    """Every base triple (mu, nu, rho) of the parabolic e whose mu is the
+    least point of its class, one at a time in lexicographic order: the
+    order in which `base_triple_counts` lists them."""
+    inside = [r in e.relations for r in range(scheme.rank)]
+    for mu in range(scheme.n):
+        row = scheme.colors[mu].tolist()
+        if next(a for a, c in enumerate(row) if inside[c]) != mu:
+            continue                    # a smaller point shares mu's class
+        for nu, c in enumerate(row):
+            if inside[c] and nu != mu:
+                for rho, d in enumerate(row):
+                    if not inside[d]:
+                        yield BaseTriple(mu, nu, rho)
 
 
 # -- parabolics -------------------------------------------------------------

@@ -11,7 +11,6 @@ from pfscheme.algiso import (
     BaseTriple,
     RelationBijection,
     base_coordinates,
-    base_triples,
     find_algebraic_isomorphisms,
     induced_isomorphism,
     is_base_triple,
@@ -22,7 +21,13 @@ from pfscheme.perms import PermGroup, Permutation
 from pfscheme.scheme import Scheme, SchemeError, partition_equal
 import corpus
 from corpus import complete_colors
-from oracles import dense_isomorphisms, dense_tensor, reference_induced_point_map, reference_orbitals
+from oracles import (
+    dense_isomorphisms,
+    dense_tensor,
+    reference_base_triples,
+    reference_induced_point_map,
+    reference_orbitals,
+)
 
 
 def z9():
@@ -118,7 +123,7 @@ def test_backtracking_matches_the_dense_oracle():
 def test_base_triples_and_predicate():
     s = z9()
     e = parabolic_closure(s, {3})
-    triples = list(base_triples(s, e))
+    triples = list(reference_base_triples(s, e))
     for tr in triples:
         assert is_base_triple(s, e, tr.mu, tr.nu, tr.rho)
     # brute-force count: mu the least point of its class, nu in mu's class,
@@ -135,10 +140,41 @@ def test_base_triples_and_predicate():
     assert len(triples) == count == 3 * 2 * 6
 
 
+def test_the_first_bijective_triple_is_the_first_of_the_reference_order():
+    # _first_valid_triple reads base_triple_counts; the reference walks the
+    # triples one at a time and tests their n coordinate pairs for repeats.
+    # The dihedral closures of even cycles start with triples that are not
+    # bijective.
+    checked, skipped = 0, 0
+    for name in corpus.names(max_n=200):
+        s = corpus.scheme(name)
+        try:
+            parabolics = enumerate_parabolics(s)
+        except SchemeError:             # the corpus's incoherent colourings
+            continue
+        P = s.colors
+        for e in parabolics:
+            if e.is_trivial() or e.is_full():
+                continue
+            in_e = algiso._relation_mask(s, e)
+
+            def bijective(tr):
+                y = np.where(in_e[P[tr.mu]], P[tr.rho], P[tr.nu])
+                return len(set(zip(P[tr.mu].tolist(), y.tolist()))) == s.n
+
+            expect = next((tr for tr in reference_base_triples(s, e) if bijective(tr)), None)
+            tau, f1 = algiso._first_valid_triple(s, e)
+            assert tau == expect, name
+            assert f1 is None if tau is None else f1.bijective, name
+            checked += 1
+            skipped += tau != next(reference_base_triples(s, e))
+    assert checked > 400 and skipped > 0
+
+
 def test_base_coordinates_bijective_on_frobenius_scheme():
     s = z9()
     e = parabolic_closure(s, {3})
-    tr = next(base_triples(s, e))
+    tr = next(reference_base_triples(s, e))
     f = base_coordinates(s, e, tr)
     assert f.bijective
     assert f.pair_count == 9
@@ -203,14 +239,13 @@ def test_induced_point_map_matches_the_dict_lookup(name):
     psis, _ = find_algebraic_isomorphisms(s, s, limit=2)
     assert [induced_isomorphism(s, s, psi) is not None for psi in psis] == [True, second_induced]
     e = next(p for p in enumerate_parabolics(s) if not p.is_trivial() and not p.is_full())
-    in_e = algiso._relation_mask(s, e)
-    _, f1 = algiso._first_valid_triple(s, e, in_e, algiso._pair_counts(s, in_e))
+    _, f1 = algiso._first_valid_triple(s, e)
     seen = set()
     for psi in psis:
         e2 = psi.image_parabolic(e)
         in_e2 = algiso._relation_mask(s, e2)
         counts2 = algiso._pair_counts(s, in_e2)
-        for tau2 in base_triples(s, e2):
+        for tau2 in reference_base_triples(s, e2):
             f2 = algiso._coordinate_map(s, in_e2, counts2, tau2)
             g = algiso.induced_point_map(psi, f1, f2)
             ref = reference_induced_point_map(psi, f1, f2)
@@ -229,7 +264,7 @@ def test_induced_point_map_keeps_the_last_point_of_a_repeated_pair():
     s = Scheme(P)
     e = parabolic_closure(s, {1})
     ident = RelationBijection(s, s, (0, 1, 2))
-    maps = [base_coordinates(s, e, tr) for tr in base_triples(s, e)]
+    maps = [base_coordinates(s, e, tr) for tr in reference_base_triples(s, e)]
     assert not any(f.bijective for f in maps)
     found = 0
     for f1 in maps:
@@ -345,7 +380,7 @@ def test_batched_pair_counts_match_per_triple_coordinates():
             single = []
             c, st = dense_tensor(s.tensor()), np.asarray(s.star)
             in_e = np.isin(np.arange(s.rank), list(e.relations))
-            for tr in base_triples(s, e):
+            for tr in reference_base_triples(s, e):
                 f = base_coordinates(s, e, tr)
                 # the pair set counted directly: colours (x, y) with c[x][y*][t] > 0
                 targets = np.where(in_e, f.out_color, f.in_color)

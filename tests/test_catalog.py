@@ -1,5 +1,8 @@
 """The named batch of Frobenius specs used by the survey runs."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,9 @@ from pfscheme.catalog import (
     negation_spec,
 )
 from pfscheme.frobenius import FrobeniusError, invariant_lattice
+from pfscheme.scheme import frobenius_scheme
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_batch_shape_and_names():
@@ -62,3 +68,17 @@ def test_constructor_guards():
         cyclic_unit_spec(9, 3)     # not a unit
     with pytest.raises(ValueError):
         mixed_spec(7, 3, 4)        # ord(3) mod 7 = 6 != q - 1
+
+
+def test_the_scalar_factor_specs_are_the_frozen_ones():
+    # the spec and the orbital scheme's fingerprint of every catalog entry
+    # with an elementary abelian factor (scalar, cube, double and mixed),
+    # recorded before their four builders came to share one helper
+    frozen = json.loads((DATA / "catalog_specs.json").read_text())
+    specs = dict(batch_specs())
+    assert len(frozen) == 26
+    assert sorted(frozen) == sorted(name for name in specs
+                                    if not name.startswith(("neg-", "cyc-")))
+    for name, want in frozen.items():
+        assert specs[name].to_json_dict() == want["spec"], name
+        assert frobenius_scheme(specs[name]).fingerprint() == want["fingerprint"], name

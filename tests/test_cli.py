@@ -13,10 +13,11 @@ import pytest
 
 from pfscheme.circulants import CirculantSpec, circulant_from_connection, color_matrix, frobenius_circulant
 from pfscheme import cli
+from pfscheme.catalog import scalar_spec
 from pfscheme.cli import _emit, main
 from pfscheme.frobenius import CyclicFactor, FrobeniusSpec, build_frobenius
 from pfscheme.scheme import Scheme, from_orbitals
-from pfscheme.spreads import desarguesian_spread, hall_spread, scalar_spec, spread_scheme
+from pfscheme.spreads import desarguesian_spread, hall_spread, spread_scheme
 import corpus
 
 
@@ -252,6 +253,13 @@ BAD_COLORS = {
 BAD_STARS = {
     "star not a list": {"n": 2, "rank": 2, "star": 5, "colors": [[0, 1], [1, 0]]},
     "star not integers": {"n": 2, "rank": 2, "star": ["a", 1], "colors": [[0, 1], [1, 0]]},
+    "star of the wrong length": {"n": 2, "rank": 2, "star": [0, 1, 2], "colors": [[0, 1], [1, 0]]},
+    # an involution fixing 0, but not the transpose map of the matrix
+    "star not the transpose map": {"n": 3, "rank": 3, "star": [0, 2, 1],
+                                   "colors": [[0, 1, 1], [1, 0, 2], [1, 2, 0]]},
+    "n disagrees with the matrix": {"n": 3, "rank": 2, "star": [0, 1], "colors": [[0, 1], [1, 0]]},
+    "rank disagrees with the matrix": {"n": 2, "rank": 3, "star": [0, 1],
+                                       "colors": [[0, 1], [1, 0]]},
 }
 BAD_SPECS = {
     "missing file": MISSING,
@@ -285,6 +293,14 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_star_that_is_not_the_transpose_map_is_named_as_the_fault(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(BAD_STARS["star not the transpose map"]))
+    code, out, err = run_cli(capsys, "check", "tcond", "--scheme", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: %s: scheme JSON star field is not the matrix's transpose map\n" % path
 
 
 INCOHERENT_EXIT = {"check-axioms": 3, "check-tcond": 3, "check-schurity": 3,
@@ -702,6 +718,13 @@ def test_a_process_runs_only_the_modules_of_its_command(tmp_path, capsys):
     assert "wldim" in executed
     assert not {"algiso", "gf", "spreads", "tcond", "verify", "catalog",
                 "frobenius"} & set(executed)
+    # a spread is built from a field and a difference table: no Frobenius
+    # spec, and so no subgroup lattice
+    after_import, code, executed = _fresh_process(
+        _EXECUTED, argv=["gen", "spread", "--q", "9", "--plane", "hall",
+                         "--out", str(tmp_path / "hall9-again.json")])
+    assert (after_import, code) == (["cli"], 0)
+    assert executed == ["arith", "cli", "gf", "scheme", "spreads"]
     # a scheme's parabolics need no Frobenius spec
     assert _fresh_process(_EXECUTED, argv=["check", "parabolics", "--scheme", hall9]) \
         == [["cli"], 0, ["arith", "cli", "lattice", "parabolic", "scheme"]]
@@ -731,10 +754,11 @@ EXPORTS = {
     "tcond": ["TConditionWitness", "TConditionReport", "check_t_condition",
               "four_condition_frobenius_verdict"],
     "algiso": ["RelationBijection", "find_algebraic_isomorphisms", "BaseTriple",
-               "base_triples", "CoordinateMap", "base_coordinates", "InducedIsomorphism",
+               "CoordinateMap", "base_coordinates", "InducedIsomorphism",
                "induced_isomorphism", "SchurityResult", "schurity_via_base_triples"],
-    "spreads": ["Spread", "verify_spread", "desarguesian_spread", "andre_spread",
-                "hall_spread", "spread_scheme", "scalar_spec"],
+    "spreads": ["Spread", "verify_spread", "desarguesian_spread", "hall_spread",
+                "spread_scheme"],
+    "catalog": ["scalar_spec"],
     "circulants": ["CirculantSpec", "Circulant", "frobenius_circulant",
                    "circulant_from_connection", "color_matrix", "preserving_units",
                    "certificate_unit_groups"],
@@ -752,7 +776,7 @@ def test_the_package_serves_every_re_exported_name():
     star: dict = {}
     exec("from pfscheme import *", star)
     names = [(module, name) for module, names in EXPORTS.items() for name in names]
-    assert len(names) == 76
+    assert len(names) == 74
     for module, name in names:
         assert getattr(pfscheme, name) is getattr(importlib.import_module(
             "pfscheme." + module), name), name
@@ -826,10 +850,10 @@ _TRACED_ORBITALS = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from layers import Tracer
-from pfscheme import cli, frobenius, scheme, spreads     # cli.main is a target too
+from pfscheme import catalog, cli, frobenius, scheme     # cli.main is a target too
 tracer = Tracer()
 tracer.install()
-scheme.from_orbitals(frobenius.build_frobenius(spreads.scalar_spec(7)))
+scheme.from_orbitals(frobenius.build_frobenius(catalog.scalar_spec(7)))
 print(json.dumps([tracer.missing, [[s[0], s[4]] for s in tracer.spans]]))
 """
 

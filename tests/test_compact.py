@@ -33,7 +33,7 @@ SCHEMES = (corpus.names("catalog", max_n=200)
 
 
 def int64_twin(s):
-    twin = Scheme(s.colors, star=s.star)
+    twin = Scheme(s.colors)
     twin.colors = s.colors.astype(np.int64)
     twin.colors.setflags(write=False)
     twin.translations = s.translations

@@ -14,6 +14,7 @@ from pfscheme.catalog import (
     field_cube_spec,
     double_prime_spec,
     mixed_spec,
+    scalar_spec,
 )
 from pfscheme.frobenius import (
     CyclicFactor,
@@ -29,7 +30,6 @@ from pfscheme.frobenius import (
 from pfscheme.parabolic import separability_verdict
 from pfscheme.perms import PermGroup, Permutation
 from pfscheme.scheme import from_orbitals
-from pfscheme.spreads import scalar_spec
 from oracles import (
     _lattice_route,
     _least_cover_chain,

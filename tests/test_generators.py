@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pfscheme.catalog import scalar_spec
 from pfscheme.circulants import (
     CirculantSpec,
     certificate_unit_groups,
@@ -17,10 +18,8 @@ from pfscheme.frobenius import build_frobenius
 from pfscheme.scheme import SchemeError, canonical_relabel, from_orbitals
 from pfscheme.spreads import (
     Spread,
-    andre_spread,
     desarguesian_spread,
     hall_spread,
-    scalar_spec,
     spread_scheme,
     verify_spread,
 )
@@ -55,13 +54,10 @@ def test_hall_differs_from_desarguesian_in_a_norm_class():
     assert len(d & h) == 6
 
 
-def test_andre_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        andre_spread(3)          # not a square
-    with pytest.raises(ValueError):
-        andre_spread(9, delta=5)
-    with pytest.raises(ValueError):
-        andre_spread(9, s=2)     # not a power of p generating the twist
+def test_hall_rejects_an_order_that_is_not_a_square():
+    for q in (3, 8, 27):
+        with pytest.raises(ValueError, match="derived spreads need q to be a square"):
+            hall_spread(q)
 
 
 SPREADS = {"desarguesian%d" % q: (desarguesian_spread, q) for q in (3, 4, 5, 7, 8, 9, 16, 25)}

@@ -10,11 +10,10 @@ import pytest
 
 from pfscheme import frobenius, lattice, parabolic
 from pfscheme.arith import divisors
-from pfscheme.catalog import batch_specs
+from pfscheme.catalog import batch_specs, scalar_spec
 from pfscheme.frobenius import invariant_lattice
 from pfscheme.lattice import bits_of, indices_of, join_closure
 from pfscheme.parabolic import _parabolic_lattice, separability_verdict
-from pfscheme.spreads import scalar_spec
 import corpus
 from oracles import reference_join_closure
 

@@ -5,7 +5,13 @@ import pytest
 
 from pfscheme import parabolic
 from pfscheme.algiso import _transversal
-from pfscheme.catalog import cyclic_unit_spec, double_prime_spec, field_cube_spec, negation_spec
+from pfscheme.catalog import (
+    cyclic_unit_spec,
+    double_prime_spec,
+    field_cube_spec,
+    negation_spec,
+    scalar_spec,
+)
 from pfscheme.parabolic import (
     DivideRecord,
     SeparabilityVerdict,
@@ -17,7 +23,6 @@ from pfscheme.parabolic import (
     separability_verdict,
 )
 from pfscheme.scheme import NotCoherentError, Scheme, SchemeError, frobenius_scheme
-from pfscheme.spreads import scalar_spec
 import corpus
 from corpus import complete_colors, cyclic_colors
 from oracles import (

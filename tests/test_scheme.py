@@ -349,15 +349,21 @@ def test_the_row_test_rejects_a_forged_table():
     assert _translates_row_zero(hall.colors, hall.translations)
 
 
-def test_a_built_scheme_keeps_its_table_only_after_the_row_test(monkeypatch):
-    import pfscheme.scheme as scheme_mod
+def test_every_built_scheme_carries_a_table_that_passes_the_row_test():
+    # translation_scheme keeps its difference table D without the row test,
+    # which D[0] = arange(n) makes certain to pass: so it holds for every
+    # builder output of the corpus, the catalog's frobenius_scheme, the
+    # spreads and the WL closures of the circulants
+    from pfscheme.scheme import _translates_row_zero
 
-    spec = dict(batch_specs())["mixed-7-4"]
-    tested = []
-    monkeypatch.setattr(scheme_mod, "_translates_row_zero",
-                        lambda P, D: tested.append(D.shape) or False)
-    s = frobenius_scheme(spec)
-    assert s.translations is None and tested[0] == (112, 112)
+    names = (corpus.names("catalog", max_n=200) + corpus.names("spread")
+             + corpus.names("cycle", "units"))
+    assert len(names) > 100
+    for name in names:
+        s = corpus.scheme(name)
+        assert "translations" in vars(s), name          # set by the builder
+        assert np.array_equal(s.translations[0], np.arange(s.n)), name
+        assert _translates_row_zero(s.colors, s.translations), name
 
 
 def test_mixed_kernel_certificate_equals_the_exact_path(monkeypatch):

@@ -192,7 +192,8 @@ def test_witness_matches_the_reference_on_every_deviating_pair():
             refs = {}
             for a in range(min(s.n, 6)):
                 for b in range(s.n):
-                    codes = tcond_mod._sorted_codes(P, R, a, b, t)
+                    codes = tcond_mod._sorted_codes(
+                        P, R, a, b, t, np.empty(s.n ** (t - 2), dtype=tcond_mod._code_dtype(R, t)))
                     ra, rb, ref = refs.setdefault(int(P[a, b]), (a, b, codes))
                     if not np.array_equal(codes, ref):
                         w = tcond_mod._witness(P, R, t, (a, b), (ra, rb), codes, ref)
