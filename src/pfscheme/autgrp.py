@@ -9,7 +9,7 @@ Used to certify that the automorphism group of a coherent closure is a
 Frobenius group (transitive, nontrivial point stabilizer, and no
 nonidentity automorphism fixing two points).  The point stabilizer is
 always enumerated by search.  Transitivity comes from the scheme's
-verified translation certificate (`Scheme.translations`) when it has
+verified translation certificate (`Scheme.radices`) when it has
 one, and from one search 0 -> alpha per point otherwise.
 """
 
@@ -117,7 +117,7 @@ def frobenius_certificate(scheme: Scheme) -> FrobeniusCertificate:
     The stabilizer of point 0 is enumerated up to a cap of n maps
     (fixed-point-free stabilizers have at most n - 1 elements, so the cap
     only triggers when the group is already disqualified).  Transitivity is
-    free when `scheme.translations` certifies the scheme: every
+    free when `scheme.radices` certifies the scheme: every
     translation x -> x + c is then a verified automorphism.  Without a
     certificate it is established by one map 0 -> alpha per point.
     """
@@ -139,7 +139,7 @@ def frobenius_certificate(scheme: Scheme) -> FrobeniusCertificate:
     if m < 2:
         return FrobeniusCertificate(False, None, m, None,
                                     "point stabilizer is trivial")
-    if scheme.translations is None:
+    if scheme.radices is None:
         search = _Search(scheme)
         for alpha in range(1, n):
             if next(search.solutions({0: alpha}, limit=1), None) is None:

@@ -3,7 +3,9 @@
 A circulant is a Cayley graph over Z_n.  When the connection set is a
 union of orbits of a fixed-point-free unit group K, the graph carries
 Z_n x| K inside its automorphism group by construction; that subgroup is
-the certificate the classifier tries first.
+the certificate the classifier tries first.  The arc colouring,
+`color_matrix`, is a read-only view of its row 0: the WL closure finds
+its Z_n translation certificate itself.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from math import gcd
 from typing import NamedTuple
 
 import numpy as np
-
-from .arith import difference_table
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class CirculantSpec:
@@ -98,19 +99,14 @@ def circulant_from_connection(n: int, connection) -> Circulant:
     return Circulant(n=n, connection=conn)
 
 
-def arc_coloring(circ: Circulant) -> tuple[np.ndarray, np.ndarray]:
-    """(M, D): the 0/1 arc matrix M, one byte per pair, and the Z_n
-    difference table D it is gathered at, M[a, b] = [b - a in S].  D is the
-    translation table `wl_closure` certifies M with."""
+def color_matrix(circ: Circulant) -> np.ndarray:
+    """The 0/1 arc matrix M[a, b] = [b - a in S] (uint8), as a read-only
+    view of 2n - 1 bytes: row a is row 0 turned right by a places.  The
+    WL closure does its own diagonal/transpose split."""
     row = np.zeros(circ.n, dtype=np.uint8)
     row[list(circ.connection)] = 1
-    D = difference_table([circ.n])
-    return row[D], D
-
-
-def color_matrix(circ: Circulant) -> np.ndarray:
-    """0/1 arc matrix (uint8); the WL closure does its own diagonal/transpose split."""
-    return arc_coloring(circ)[0]
+    # window i of row[1:] + row is row 0 turned right by n - 1 - i places
+    return sliding_window_view(np.concatenate((row, row))[1:], circ.n)[::-1]
 
 
 def preserving_units(circ: Circulant) -> frozenset:

@@ -8,10 +8,11 @@ beta s*| for (alpha, beta) in t.  All arithmetic is exact integer.
 
 Every scheme the package builds is a translation scheme on its own point
 indices: translation by an abelian group on range(n) is an automorphism.
-The certificate is the `arith.difference_table` that `translation_scheme`
-built the scheme from, or else the Z_n or (Z_p)^k table that
-`translation_table` finds; the kernels then compute row 0 only, since
-pair (a, b) behaves as pair (0, b - a).
+The certificate is the group's radices, `Scheme.radices`: those
+`translation_scheme` built the scheme at, or else Z_n or (Z_p)^k when
+`translation_radices` finds that its difference table passes the row
+test.  The kernels then compute row 0 only, since pair (a, b) behaves as
+pair (0, b - a).  A difference table lives only inside this module's calls.
 """
 
 from __future__ import annotations
@@ -146,14 +147,14 @@ class Scheme:
         return divmod(int(self._first[s]), self.n)
 
     @cached_property
-    def translations(self) -> np.ndarray | None:
-        """The table `translation_scheme` kept, else the colours' `translation_table`."""
-        return translation_table(self.colors)
+    def radices(self) -> tuple | None:
+        """The radices `translation_scheme` kept, else the colours' `translation_radices`."""
+        return translation_radices(self.colors)
 
     @property
     def cyclic(self) -> bool:
-        """Whether `translations` is the Z_n table (the one with D[-1, 0] = 1)."""
-        return self.translations is not None and bool(self.translations[-1, 0] == 1)
+        """Whether the certificate is Z_n: one digit of radix n."""
+        return self.radices == (self.n,)
 
     def fingerprint(self) -> str:
         """Hex blake2b (16 bytes) of the colours, as native int64 in row-major
@@ -184,7 +185,7 @@ class Scheme:
 
         The claimed counts come from one representative pair per relation;
         a vectorized pass then checks every pair against them (row 0 alone
-        when translations certify the rest), so acceptance doubles as full
+        when `radices` certifies the rest), so acceptance doubles as full
         coherence verification.
         """
         if self._tensor is None:
@@ -323,15 +324,20 @@ def _phi_keys(keys: np.ndarray, st: np.ndarray, R: int) -> np.ndarray:
     return (st[r] * R + s) * R + st[u]
 
 
-def _difference_tables(n: int):
-    """Yield `difference_table` for candidate abelian groups on range(n):
-    Z_n, then, when n = p^k with k > 1, (Z_p)^k.  Tables are built one at
-    a time."""
-    yield difference_table([n])
+def _certified_tables(P: np.ndarray):
+    """Yield (radices, D) for each candidate abelian group on range(n)
+    whose difference table D passes the row test: Z_n, then, when
+    n = p^k with k > 1, (Z_p)^k.  Tables are built one at a time."""
+    n = P.shape[0]
+    candidates = [(n,)]
     pe = prime_power(n)
     if pe is not None and pe[1] > 1:
-        p, k = pe
-        yield difference_table([p] * k)
+        candidates.append((pe[0],) * pe[1])
+    for radices in candidates:
+        D = difference_table(radices)
+        if _translates_row_zero(P, D):
+            yield radices, D
+        del D                           # before the next candidate is built
 
 
 def _translates_row_zero(P: np.ndarray, D: np.ndarray) -> bool:
@@ -346,11 +352,10 @@ def _translates_row_zero(P: np.ndarray, D: np.ndarray) -> bool:
                for lo in range(0, n, step))
 
 
-def translation_table(P) -> np.ndarray | None:
-    """The first candidate of `_difference_tables` passing the row test:
-    the table certifying that translations are automorphisms, or None."""
-    P = np.asarray(P)
-    return next((D for D in _difference_tables(P.shape[0]) if _translates_row_zero(P, D)), None)
+def translation_radices(P) -> tuple | None:
+    """The radices of the first candidate of `_certified_tables`: the group
+    whose translations are certified automorphisms, or None."""
+    return next(_certified_tables(np.asarray(P)), (None, None))[0]
 
 
 def first_pairs(P):
@@ -427,7 +432,7 @@ def compute_tensor(scheme: Scheme) -> IntersectionTensor:
     from the claimed bincount of the reference, and NotCoherentError
     carries both counts.
 
-    When `Scheme.translations` certifies the scheme, only row 0 is
+    When `Scheme.radices` certifies the scheme, only row 0 is
     compared: every other pair has the signature of its translate in row
     0, so the verdict and the first mismatching pair are those of the full
     pass.  Without a certificate every row is compared.
@@ -438,7 +443,7 @@ def compute_tensor(scheme: Scheme) -> IntersectionTensor:
     ref = np.empty((R, n), dtype=_code_dtype(R))
     for t, (a, b) in enumerate(reps):
         ref[t] = np.sort(P[a].astype(np.int64) * R + P[:, b])
-    rows = [0] if scheme.translations is not None else range(n)
+    rows = [0] if scheme.radices is not None else range(n)
     expect = None
     for a, lo, S in _signature_blocks(P, R, rows):
         V = S[:, 1:]                    # row i: the code column of the pair (a, lo + i)
@@ -456,13 +461,10 @@ def compute_tensor(scheme: Scheme) -> IntersectionTensor:
             raise NotCoherentError(r, s, t, reps[t], (a, b),
                                    int(claimed[cell]), int(hist[cell]))
     ref.setflags(write=False)
-    # n_s = c[s, s*, 0]: the pair (0, 0) reaches every g through (s, s*)
-    codes = np.arange(R) * R + np.asarray(scheme.star)
-    counts = np.searchsorted(ref[0], codes, "right") - np.searchsorted(ref[0], codes, "left")
-    valencies = tuple(int(x) for x in counts)
-    if valencies != scheme.valencies():
-        raise SchemeError("valency mismatch between tensor and row counts")
-    out = IntersectionTensor(ref=ref, valencies=valencies, star=scheme.star, n=n)
+    # n_s = c[s, s*, 0] is the row-0 bincount by construction: ref[0] holds
+    # the codes P[0, g] R + P[g, 0] of the pair (0, 0), Scheme has checked
+    # P[g, 0] = star(P[0, g]), so s R + s* occurs once per g with P[0, g] = s
+    out = IntersectionTensor(ref=ref, valencies=scheme.valencies(), star=scheme.star, n=n)
     out.verify_triangle()
     out.verify_row_sums()
     return out
@@ -492,21 +494,25 @@ def _canonical_lut(first, valency, diag) -> np.ndarray:
     return lut
 
 
-def translation_scheme(labels, D) -> Scheme:
-    """The scheme colouring (a, b) by labels[D[a, b]] for a difference
-    table D and non-negative labels, labels[0] naming only the diagonal.
-    They are numbered as `canonical_relabel` numbers the matrix, off row 0,
-    which holds each colour's first pair and valency, and gathered once in
-    `color_dtype`: the `Scheme` keeps that array, the only n^2 one besides
-    D.  D is its `translations` without the row test, which cannot fail:
-    P[a, b] = row[D[a, b]], and a difference table has D[0] = arange(n), so
-    P[0, D[a, b]] = row[D[a, b]] = P[a, b].  The certificate is that D is a
-    difference table, the caller's to give."""
+def translation_scheme(labels, radices) -> Scheme:
+    """The scheme colouring (a, b) by labels[b - a], the difference taken
+    digitwise in the radices (`arith`), for non-negative labels, labels[0]
+    naming only the diagonal: `_gather` at their difference table."""
+    return _gather(labels, tuple(radices), difference_table(radices))
+
+
+def _gather(labels, radices: tuple, D: np.ndarray) -> Scheme:
+    """`translation_scheme` at D, the difference table of the radices.  The
+    labels are numbered as `canonical_relabel` numbers the matrix, off row
+    0, which holds each colour's first pair and valency, and gathered once
+    in `color_dtype`, the Scheme's only n^2 array.  The radices certify it
+    without the row test, which cannot fail: P[a, b] = row[D[a, b]] and
+    D[0] = arange(n), so P[0, D[a, b]] = row[D[a, b]] = P[a, b]."""
     labels = np.asarray(labels)
     first, valency = first_pairs(labels[None, :])
     row = _canonical_lut(first, valency, int(labels[0]))[labels]
     scheme = Scheme(_read_only(row.astype(color_dtype(int(row.max()) + 1))[D]))
-    scheme.translations = D
+    scheme.radices = radices
     return scheme
 
 
@@ -542,11 +548,11 @@ def frobenius_scheme(spec) -> Scheme:
     kernel is abelian and regular and the stabilizer of 0 is the
     complement, so the orbital of (a, b) is named by the least member of
     the complement orbit of b - a: row 0 is the column minima of the table
-    `spec.validate()` checks and returns, D the kernel's difference table."""
-    return translation_scheme(spec.validate().min(axis=0), difference_table(spec.radices))
+    `spec.validate()` checks and returns, on the kernel's radices."""
+    return translation_scheme(spec.validate().min(axis=0), spec.radices)
 
 
-def wl_closure(colors, table=None) -> Scheme:
+def wl_closure(colors) -> Scheme:
     """Coherent closure of an initial n x n pair coloring.
 
     Pre-splits classes by the key (a == b) base^2 + M[a, b] base + M[b, a],
@@ -559,16 +565,15 @@ def wl_closure(colors, table=None) -> Scheme:
     non-negative and 2 base^2 <= 2^63, that is, at most 2^31 - 1; other
     colours raise SchemeError.
 
-    When a difference table D certifies the initial colouring, the
-    pre-split and each iteration compute row 0 only and set P[a, b] =
-    P[0, D[a, b]]: the pre-split key of (a, b) is read off M[a, b],
-    M[b, a] and a == b, so every key occurs in row 0 and the keys of row 0
-    number as all n^2 keys do; refinement commutes with the translations,
-    and every class first appears in row 0, so the closure is the
-    `translation_scheme` of its row 0 and D, numbered as by the full pass.
-    Only row 0 and column 0 of M are widened for its keys.  D is `table`,
-    the table the colouring was gathered at, when it passes the row test,
-    else the one `translation_table` finds.
+    When `_certified_tables` yields a table D for the initial colouring
+    (the first to pass the row test), the pre-split and each iteration compute row 0 only
+    and set P[a, b] = P[0, D[a, b]]: the pre-split key of (a, b) is read
+    off M[a, b], M[b, a] and a == b, so every key occurs in row 0 and the
+    keys of row 0 number as all n^2 keys do; refinement commutes with the
+    translations, and every class first appears in row 0, so the closure
+    is the `translation_scheme` of its row 0 and D's radices, numbered as
+    by the full pass and gathered at D.  Only row 0 and column 0 of M are
+    widened for its keys.
     Raises SchemeError if the stable configuration is not homogeneous
     (cannot happen for vertex-transitive inputs).
     """
@@ -581,10 +586,7 @@ def wl_closure(colors, table=None) -> Scheme:
     base = int(M.max()) + 1
     if int(M.min()) < 0 or 2 * base * base > 1 << 63:
         raise SchemeError("initial colors must lie in 0..%d" % ((1 << 31) - 1))
-    if table is not None and _translates_row_zero(M, table):
-        D = table
-    else:
-        D = translation_table(M)
+    radices, D = next(_certified_tables(M), (None, None))
     rows = range(n) if D is None else [0]
     keys = np.add(M[rows].astype(np.int64) * base, M.T[rows], dtype=np.int64)
     keys[range(len(rows)), rows] += base * base         # the diagonal marker
@@ -603,7 +605,7 @@ def wl_closure(colors, table=None) -> Scheme:
             at += len(keys)
         newR = len(sig_ids)
     if D is not None:
-        return translation_scheme(P[0], D)
+        return _gather(P[0], radices, D)
     if len(sorted_unique(np.diagonal(P))) != 1:
         raise SchemeError("stable coloring is not homogeneous (diagonal splits)")
     return canonical_relabel(P)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import difference_table, digit_add
+from .arith import digit_add
 from .gf import GF, FiniteField
 from .scheme import Scheme, SchemeError, translation_scheme
 
@@ -109,4 +109,4 @@ def spread_scheme(spread: Spread) -> Scheme:
     lie in the same component, a subgroup), component i as colour i + 1.
     That is the canonical numbering: the components have one valency, and
     as sorted tuples they are ordered by their least nonzero point."""
-    return translation_scheme(spread.component_of() + 1, difference_table(_vector_radices(spread)))
+    return translation_scheme(spread.component_of() + 1, _vector_radices(spread))

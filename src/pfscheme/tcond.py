@@ -10,7 +10,7 @@ of the rank fits, else int64, and a scan holds two arrays of them.  The
 128-bit fingerprints in the report only name each color's reference
 histogram; no verdict rests on them.
 
-When `Scheme.translations` certifies that translations are automorphisms,
+When `Scheme.radices` certifies that translations are automorphisms,
 pair (a, b) has the histogram of (0, b - a), so only row 0 is scanned:
 the reference pairs, the first deviating pair and the report are those
 of the full row-major scan.  Without a certificate all n^2 pairs are
@@ -175,7 +175,7 @@ def check_t_condition(scheme: Scheme, t: int) -> TConditionReport:
     """Find the first row-major pair whose histogram deviates from its color's.
 
     The reference histogram of each color is that of its first row-major
-    pair.  The scanned pairs (row 0 when `Scheme.translations` certifies
+    pair.  The scanned pairs (row 0 when `Scheme.radices` certifies
     the scheme, see the module docstring, else all of them) are grouped by
     color, one boolean mask per color, and the colors are visited in the
     order of their first pair.
@@ -193,7 +193,7 @@ def check_t_condition(scheme: Scheme, t: int) -> TConditionReport:
     P, R, n = scheme.colors, scheme.rank, scheme.n
     dtype = _code_dtype(R, t)           # raises before anything is allocated
     # under a certificate every colour has its first pair in row 0
-    scanned = P[0] if scheme.translations is not None else P.ravel()
+    scanned = P[0] if scheme.radices is not None else P.ravel()
     best = scanned.size                 # position of the earliest mismatch
     ref_fp: dict[int, str] = {}
     witness = None

@@ -3,6 +3,7 @@
 Each criterion function returns a CriterionResult; run_all executes them
 in order.  The functions are deliberately self-contained so the CLI and
 the test suite share one implementation and report identical outcomes.
+A cycle closure starts from the `color_matrix` view; `wl_closure` certifies it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .algiso import base_triple_counts, find_algebraic_isomorphisms, schurity_via_base_triples
 from .catalog import KERNEL_CAP, batch_specs, cyclic_unit_spec, negation_spec, scalar_spec
-from .circulants import CirculantSpec, arc_coloring, circulant_from_connection
+from .circulants import CirculantSpec, circulant_from_connection, color_matrix
 from .parabolic import (
     divide_check,
     enumerate_parabolics,
@@ -76,13 +77,13 @@ def named_scheme(name: str) -> Scheme:
     """The scheme of a corpus name, built once per process.
 
     The criteria share these schemes: a Scheme is read-only, and what it
-    caches (its tensor, verified when first built, its translations and
+    caches (its tensor, verified when first built, its radices and
     its parabolic lattice) is exact, so sharing changes no outcome.
     """
     if name in _BUILDERS:
         return _BUILDERS[name]()
     n = int(name.removeprefix("cycle-closure-"))
-    return wl_closure(*arc_coloring(circulant_from_connection(n, (1, n - 1))))
+    return wl_closure(color_matrix(circulant_from_connection(n, (1, n - 1))))
 
 
 def criterion_1() -> CriterionResult:

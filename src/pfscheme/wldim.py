@@ -21,8 +21,8 @@ from .autgrp import FrobeniusCertificate, frobenius_certificate
 from .circulants import (
     Circulant,
     CirculantSpec,
-    arc_coloring,
     certificate_unit_groups,
+    color_matrix,
     frobenius_circulant,
 )
 from .parabolic import (
@@ -282,8 +282,8 @@ def _construction_certificate(circ: Circulant, closure: Scheme):
     of the closure's automorphism group.
 
     The orbitals are the K-orbit labels of the differences (b - a) mod n.
-    A closure that matches them is Z_n-invariant as they are, so it has the
-    Z_n translation table, and then row 0 decides the match on all pairs.
+    A closure that matches them is Z_n-invariant as they are, so its
+    radices are (n,), and then row 0 decides the match on all pairs.
     """
     n = circ.n
     if factorize(n) == {n: 1} or not closure.cyclic:
@@ -307,7 +307,7 @@ def dimwl_verdict(circ) -> WlVerdict:
     if not isinstance(circ, Circulant):
         raise TypeError("expected a Circulant or CirculantSpec")
     n = circ.n
-    closure = wl_closure(*arc_coloring(circ))      # one Z_n table per command
+    closure = wl_closure(color_matrix(circ))
     # The screen and the separability verdict share the closure's one
     # parabolic lattice, which the scheme keeps.
     screen = frobenius_screen(closure)

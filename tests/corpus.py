@@ -1,9 +1,10 @@
 """Named schemes for the tests, built once per session.
 
 `scheme(name)` returns a new `Scheme` on every call.  The session keeps
-the builder's read-only colour array and the translation table the
-builder certified, if any (`frobenius_scheme`'s mixed-radix table, for
-one, which the colours alone do not give back).  No tensor or parabolic
+the builder's read-only colour array and the radices the builder
+certified, if any (`frobenius_scheme`'s mixed radices, for one, which
+the colours alone do not give back).  `build(name)` returns the
+builder's own output, built afresh.  No tensor or parabolic
 lattice carries from one call to the next, so a test that patches a
 kernel runs the patched kernel on a corpus scheme.  A scheme is built
 when first asked for: ask before patching anything its builder runs.
@@ -225,22 +226,24 @@ for _name, _row in _random_circulant_rows():
     _add("random", _name, len(_row), lambda row=_row: canonical_relabel(row[zn_table(len(row))]))
 
 
+def build(name):
+    """The named scheme as its builder returns it, built afresh."""
+    return _ENTRIES[name][2]()
+
+
 @cache
 def _built(name):
-    s = _ENTRIES[name][2]()
-    table = s.__dict__.get("translations")
-    if table is not None:
-        table.setflags(write=False)     # shared by every scheme of this name
-    return s.colors, table
+    s = build(name)
+    return s.colors, s.__dict__.get("radices")
 
 
 def scheme(name):
     """A new Scheme on the named scheme's colours, with its builder's
-    translation table when the builder set one."""
-    colors, table = _built(name)
+    radices when the builder set them."""
+    colors, radices = _built(name)
     s = Scheme(colors)
-    if table is not None:
-        s.translations = table
+    if radices is not None:
+        s.radices = radices
     return s
 
 

@@ -113,6 +113,29 @@ def reference_digit_table(p, k):
     return D
 
 
+def reference_translation_table(P):
+    """The first of the Z_n and (Z_p)^k difference tables D with
+    P[a, b] == P[0, D[a, b]] on every pair, or None: the table whose
+    radices `translation_radices` returns."""
+    P = np.asarray(P)
+    n = len(P)
+    pe = prime_power(n)
+    candidates = [(n, 1)] + ([pe] if pe is not None and pe[1] > 1 else [])
+    for p, k in candidates:
+        D = reference_digit_table(p, k)
+        if np.array_equal(P, P[0][D]):
+            return D
+    return None
+
+
+def reference_color_matrix(circ):
+    """The arc matrix of a circulant gathered at the Z_n difference table:
+    M[a, b] = [b - a in S], one uint8 per pair."""
+    row = np.zeros(circ.n, dtype=np.uint8)
+    row[list(circ.connection)] = 1
+    return row[difference_table((circ.n,))]
+
+
 # -- the t-condition --------------------------------------------------------
 
 
@@ -160,7 +183,7 @@ def reference_t_condition(scheme, t):
     it with its colour's first pair (the reference).  Row 0 alone when the
     scheme is certified, like the kernel."""
     P, R, n = scheme.colors, scheme.rank, scheme.n
-    rows = range(1) if scheme.translations is not None else range(n)
+    rows = range(1) if scheme.radices is not None else range(n)
     ref_pair, ref_fp = {}, {}
 
     def report(passed, pairs_checked, witness=None):

@@ -36,7 +36,7 @@ def int64_twin(s):
     twin = Scheme(s.colors)
     twin.colors = s.colors.astype(np.int64)
     twin.colors.setflags(write=False)
-    twin.translations = s.translations
+    twin.radices = s.radices
     return twin
 
 
@@ -112,9 +112,9 @@ def test_the_corpus_covers_both_widths_and_both_paths():
     dtypes = {s.colors.dtype for s in built.values()}
     assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16)}
     assert built["thin256"].colors.dtype == np.uint8 and built["thin257"].colors.dtype == np.uint16
-    assert built["hall9-permuted"].translations is None
-    assert built["latin8-rigid"].translations is None
-    assert built["hall16"].translations is not None
+    assert built["hall9-permuted"].radices is None
+    assert built["latin8-rigid"].radices is None
+    assert built["hall16"].radices is not None
     with pytest.raises(NotCoherentError):
         built["hall9-incoherent"].tensor()
 

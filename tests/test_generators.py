@@ -24,7 +24,13 @@ from pfscheme.spreads import (
     verify_spread,
 )
 import corpus
-from oracles import dense_tensor, pairwise_spread_scheme, reference_closed, reference_spread_colors
+from oracles import (
+    dense_tensor,
+    pairwise_spread_scheme,
+    reference_closed,
+    reference_color_matrix,
+    reference_spread_colors,
+)
 
 
 # -- spreads ----------------------------------------------------------------
@@ -73,7 +79,7 @@ def test_spread_scheme_matches_the_scalar_field_construction(name):
     assert np.array_equal(built.colors, reference_spread_colors(spread))
     # the row-0 build numbers and certifies as the n^2 build and the search do
     assert built == pairwise
-    assert np.array_equal(built.translations, pairwise.translations)
+    assert built.radices == pairwise.radices == (spread.p,) * (2 * spread.e)
 
 
 def test_verify_spread_catches_corruption():
@@ -155,6 +161,17 @@ def test_color_matrix_is_cayley():
     for i in range(7):
         for j in range(7):
             assert M[i][j] == (1 if (j - i) % 7 in {1, 6} else 0)
+
+
+def test_color_matrix_is_a_read_only_view_of_the_gathered_matrix():
+    circulants = list(corpus.CIRCULANTS.values()) + [
+        circulant_from_connection(n, [1, -1]) for n in corpus.CYCLES]
+    for circ in circulants:
+        M, expected = color_matrix(circ), reference_color_matrix(circ)
+        assert M.dtype == expected.dtype and np.array_equal(M, expected), circ.n
+        assert not M.flags.writeable, circ.n
+        with pytest.raises(ValueError):
+            M[0, 1] = 0
 
 
 def test_preserving_units_of_cycle():

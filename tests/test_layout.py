@@ -1,11 +1,15 @@
 """The layout of the test suite: exact references live in oracles.py, named
-schemes in corpus.py, and no test module imports another."""
+schemes in corpus.py, and no test module imports another.  In the package,
+only `arith` and `scheme` name the difference table."""
 
 import ast
 from functools import cache
 from pathlib import Path
 
+import pfscheme
+
 TESTS = Path(__file__).parent
+PACKAGE = Path(pfscheme.__file__).parent
 
 
 @cache
@@ -55,3 +59,20 @@ def test_each_merged_builder_is_defined_once_in_corpus():
     merged = kept + ("frobenius_scheme", "complete_scheme", "cycle_colors")
     found = [(name, fn) for name, fn in defined(merged) if fn in merged]
     assert sorted(found) == [("corpus.py", fn) for fn in sorted(kept)]
+
+
+def named(tree, name):
+    """Whether a module refers to `name`: as a variable, an attribute, an
+    imported name or a string equal to it."""
+    return any(getattr(node, field, None) == name for node in ast.walk(tree)
+               for field in ("id", "attr", "name", "asname", "value"))
+
+
+def test_only_arith_and_scheme_name_the_difference_table():
+    # a translation certificate is its radices; scheme.py alone turns them
+    # into a table, while it gathers colours or runs the row test
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"arith", "scheme", "circulants", "wldim"} <= set(modules)
+    assert [name for name, tree in modules.items()
+            if named(tree, "difference_table")] == ["arith", "scheme"]

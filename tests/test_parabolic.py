@@ -5,6 +5,7 @@ import pytest
 
 from pfscheme import parabolic
 from pfscheme.algiso import _transversal
+from pfscheme.arith import difference_table
 from pfscheme.catalog import (
     cyclic_unit_spec,
     double_prime_spec,
@@ -22,7 +23,7 @@ from pfscheme.parabolic import (
     parabolic_closure,
     separability_verdict,
 )
-from pfscheme.scheme import NotCoherentError, Scheme, SchemeError, frobenius_scheme
+from pfscheme.scheme import NotCoherentError, Scheme, SchemeError, _translates_row_zero, frobenius_scheme
 import corpus
 from corpus import complete_colors, cyclic_colors
 from oracles import (
@@ -270,8 +271,8 @@ def cyclic_schemes():
 
 def test_gcd_closure_equals_the_squaring_closure_on_cyclic_schemes():
     for name, s in cyclic_schemes():
-        D = s.translations
-        assert D is not None and D[-1, 0] == 1, name
+        assert s.radices == (s.n,), name
+        assert _translates_row_zero(s.colors, difference_table(s.radices)), name
         rel_sets = [(r,) for r in range(s.rank)]
         rel_sets += [(r, r + 1) for r in range(1, s.rank - 1)]
         rel_sets += [sorted(e.relations) for e in enumerate_parabolics(s)]
@@ -288,7 +289,7 @@ def test_a_point_permuted_scheme_takes_the_squaring_path(monkeypatch, build):
     s = build()
     expected = enumerate_parabolics(s)
     moved = corpus.permuted(s, seed=5)
-    assert moved.translations is None
+    assert moved.radices is None
     calls = {"_closure_mask": 0, "_squaring_class": 0}
     for name in calls:
         monkeypatch.setattr(parabolic, name, lambda *a, f=getattr(parabolic, name), k=name:

@@ -1,6 +1,7 @@
 """Scheme axioms, intersection tensors, WL closure, and serialization."""
 
 import json
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pfscheme.scheme import (
     SchemeError,
     NotCoherentError,
     _carries,
+    _translates_row_zero,
     canonical_relabel,
     partition_equal,
     from_orbitals,
@@ -38,6 +40,7 @@ from oracles import (
     kernel_tensor,
     reference_digit_table,
     reference_tensor,
+    reference_translation_table,
     reference_verify_triangle,
     reference_wl_closure,
 )
@@ -140,8 +143,9 @@ def test_frobenius_scheme_is_the_orbital_scheme():
         direct, orbital = frobenius_scheme(spec), from_orbitals(build_frobenius(spec))
         assert np.array_equal(direct.colors, orbital.colors)
         assert direct.star == orbital.star
-        # the kernel's own table is the certificate, mixed radices included
-        assert np.array_equal(direct.translations, difference_table(spec.radices))
+        # the kernel's own radices are the certificate, mixed ones included
+        assert direct.radices == spec.radices
+        assert _translates_row_zero(direct.colors, difference_table(direct.radices))
         assert direct.cyclic == (len(spec.radices) == 1)
 
 
@@ -325,45 +329,77 @@ def test_int32_codes_on_the_thin_scheme_of_z190():
 
 
 def test_translation_table_recognises_cyclic_and_digit_translations():
-    from pfscheme.scheme import translation_table
+    from pfscheme.scheme import translation_radices
 
     for name in ("cycle12", "cycle17", "cycle30", "units-105"):
         s = corpus.scheme(name)
-        assert np.array_equal(s.translations, zn_table(s.n)), name
+        assert s.radices == (s.n,), name
+        assert np.array_equal(difference_table(s.radices), zn_table(s.n)), name
+        assert _translates_row_zero(s.colors, difference_table(s.radices)), name
     for name in corpus.names("spread"):
         s = corpus.scheme(name)
         p, k = {9: (3, 2), 81: (3, 4), 256: (2, 8)}[s.n]
-        assert np.array_equal(s.translations, reference_digit_table(p, k)), name
-        assert s.translations is s.translations
-        assert np.array_equal(translation_table(s.colors), s.translations)
+        assert s.radices == (p,) * k, name
+        assert np.array_equal(difference_table(s.radices), reference_digit_table(p, k)), name
+        assert _translates_row_zero(s.colors, difference_table(s.radices)), name
+        loaded = Scheme(s.colors)
+        assert loaded.radices is loaded.radices
+        assert translation_radices(s.colors) == s.radices
         assert not np.array_equal(s.colors, s.colors[0][zn_table(s.n)]), name
 
 
 def test_the_row_test_rejects_a_forged_table():
-    from pfscheme.scheme import _translates_row_zero
-
     Q = swapped_thin_scheme()
     assert not _translates_row_zero(Q, zn_table(len(Q)))
     hall = corpus.scheme("hall9")
     assert not _translates_row_zero(hall.colors, zn_table(hall.n))
-    assert _translates_row_zero(hall.colors, hall.translations)
+    assert _translates_row_zero(hall.colors, difference_table(hall.radices))
 
 
 def test_every_built_scheme_carries_a_table_that_passes_the_row_test():
-    # translation_scheme keeps its difference table D without the row test,
-    # which D[0] = arange(n) makes certain to pass: so it holds for every
-    # builder output of the corpus, the catalog's frobenius_scheme, the
-    # spreads and the WL closures of the circulants
-    from pfscheme.scheme import _translates_row_zero
+    # translation_scheme keeps its radices without the row test, which
+    # D[0] = arange(n) makes certain to pass on their difference table D:
+    # so it holds for every builder output of the corpus, the catalog's
+    # frobenius_scheme, the spreads and the WL closures of the circulants.
+    # The radices are the kernel's, and colors is the one 2-D array kept
+    from pfscheme.arith import prime_power
 
-    names = (corpus.names("catalog", max_n=200) + corpus.names("spread")
-             + corpus.names("cycle", "units"))
+    specs, spreads = dict(batch_specs()), corpus.names("spread")
+    names = corpus.names("catalog", max_n=200) + spreads + corpus.names("cycle", "units")
     assert len(names) > 100
     for name in names:
+        s = corpus.build(name)
+        assert "radices" in vars(s), name               # set by the builder
+        if name in specs:
+            expected = specs[name].radices
+        elif name in spreads:
+            p, e = prime_power(isqrt(s.n))
+            expected = (p,) * (2 * e)
+        else:
+            expected = (s.n,)
+        assert s.radices == expected, name
+        assert [k for k, v in vars(s).items()
+                if isinstance(v, np.ndarray) and v.ndim == 2] == ["colors"], name
+        D = difference_table(s.radices)
+        assert np.array_equal(D[0], np.arange(s.n)), name
+        assert _translates_row_zero(s.colors, D), name
+
+
+def test_cyclic_is_the_probe_of_the_z_n_table():
+    # Z_n is the one difference table with D[-1, 0] = 1 (from n = 2 on,
+    # as in the whole corpus): the certificate a builder keeps, and the one
+    # found for the colours alone, as loaded from a file (up to n = 300,
+    # as the reference row-tests int64 tables)
+    for name in corpus.names():
         s = corpus.scheme(name)
-        assert "translations" in vars(s), name          # set by the builder
-        assert np.array_equal(s.translations[0], np.arange(s.n)), name
-        assert _translates_row_zero(s.colors, s.translations), name
+        kept = None if s.radices is None else difference_table(s.radices)
+        assert s.cyclic == (kept is not None and kept[-1, 0] == 1), name
+        if s.n <= 300:
+            loaded, found = Scheme(s.colors), reference_translation_table(s.colors)
+            assert loaded.cyclic == (found is not None and found[-1, 0] == 1), name
+            assert (loaded.radices is None) == (found is None), name
+            if found is not None:
+                assert np.array_equal(difference_table(loaded.radices), found), name
 
 
 def test_mixed_kernel_certificate_equals_the_exact_path(monkeypatch):
@@ -373,8 +409,8 @@ def test_mixed_kernel_certificate_equals_the_exact_path(monkeypatch):
 
     for name, ts in (("mixed-7-4", (3, 4)), ("double-3-5-2", (3,))):
         s = corpus.scheme(name)
-        assert s.translations is not None and not s.cyclic, name
-        assert Scheme(s.colors).translations is None, name    # as loaded from a file
+        assert s.radices is not None and not s.cyclic, name
+        assert Scheme(s.colors).radices is None, name         # as loaded from a file
 
         def results(scheme):
             return (scheme.tensor().ref.tobytes(), enumerate_parabolics(scheme),
@@ -382,29 +418,29 @@ def test_mixed_kernel_certificate_equals_the_exact_path(monkeypatch):
 
         certified = results(s)
         with monkeypatch.context() as m:
-            m.setattr(scheme_mod, "translation_table", lambda P: None)
+            m.setattr(scheme_mod, "translation_radices", lambda P: None)
             exact = Scheme(s.colors)
-            assert exact.translations is None
+            assert exact.radices is None
             assert results(exact) == certified, name
 
 
 def test_translation_table_is_none_without_a_certificate():
-    assert corpus.scheme("petersen").translations is None
+    assert corpus.scheme("petersen").radices is None
     P = corpus.scheme("desarguesian9").colors
     a, b, c, d = 1, 5, 2, 40           # two symmetric pairs off row 0
     assert P[a, b] != P[c, d]
-    assert Scheme(swap_pairs(P, (a, b), (c, d))).translations is None
+    assert Scheme(swap_pairs(P, (a, b), (c, d))).radices is None
 
 
 def test_translation_table_compares_every_row_block():
-    from pfscheme.scheme import _BLOCK, translation_table
+    from pfscheme.scheme import _BLOCK, translation_radices
 
     n = 600                              # rows in blocks of _BLOCK // n
     assert 2 < n // (_BLOCK // n) < n
     Q = zn_table(n)
-    assert np.array_equal(translation_table(Q), Q)
+    assert translation_radices(Q) == (n,)
     Q[n - 2, n - 1], Q[n - 1, n - 2] = Q[n - 1, n - 2], Q[n - 2, n - 1]
-    assert translation_table(Q) is None
+    assert translation_radices(Q) is None
 
 
 def test_kernels_take_the_full_path_without_a_certificate(monkeypatch):
@@ -419,7 +455,7 @@ def test_kernels_take_the_full_path_without_a_certificate(monkeypatch):
 
     monkeypatch.setattr(scheme_mod, "_signature_blocks", spy)
     Q = swapped_thin_scheme()
-    assert Scheme(Q).translations is None
+    assert Scheme(Q).radices is None
     got = outcome(kernel_tensor, Scheme(Q))
     assert got[0] == "NotCoherentError" and got[5][0] > 0
     assert got == outcome(reference_tensor, Scheme(Q))
@@ -438,7 +474,7 @@ def test_signature_blocks_of_every_width_match_the_reference_loops(monkeypatch):
     tensors = [Scheme(swapped_thin_scheme()), wl_closure(cycle), wl_closure(petersen_coloring()),
                Scheme(permuted_thin)]
     closures = [cycle, petersen_coloring(), permuted_thin]
-    assert Scheme(permuted_thin).translations is None and Scheme(cycle).translations is not None
+    assert Scheme(permuted_thin).radices is None and Scheme(cycle).radices is not None
     expected = ([outcome(reference_tensor, s) for s in tensors]
                 + [reference_wl_closure(M) for M in closures])
     assert expected[0][0] == "NotCoherentError"
@@ -468,11 +504,11 @@ def test_wl_closure_rejects_colours_its_keys_cannot_hold():
 def test_certified_presplit_keeps_the_diagonal_apart():
     # the diagonal colour recurs off the diagonal, so only the diagonal
     # marker of the pre-split keys tells the two apart
-    from pfscheme.scheme import translation_table
+    from pfscheme.scheme import translation_radices
 
     adjacency = (zn_table(12) == 1) | (zn_table(12) == 11)
     for M in (np.zeros((7, 7), dtype=np.int64), adjacency.astype(np.int64)):
-        assert translation_table(M) is not None
+        assert translation_radices(M) is not None
         assert wl_closure(M) == reference_wl_closure(M)
 
 
@@ -492,7 +528,7 @@ def test_certified_row_zero_equals_the_full_path(monkeypatch):
     import pfscheme.scheme as scheme_mod
 
     inputs = list(certified_inputs())
-    assert all(s.translations is not None for _, _, s in inputs)
+    assert all(s.radices is not None for _, _, s in inputs)
 
     def results():
         return [(name, wl_closure(M), outcome(kernel_tensor, Scheme(s.colors)))
@@ -501,7 +537,8 @@ def test_certified_row_zero_equals_the_full_path(monkeypatch):
     reduced = results()
     assert sum(r[2][0] == "NotCoherentError" for r in reduced) >= 8
     with monkeypatch.context() as m:
-        m.setattr(scheme_mod, "translation_table", lambda P: None)
+        # no candidate passes, for Scheme.radices and wl_closure alike
+        m.setattr(scheme_mod, "_certified_tables", lambda P: iter(()))
         full = results()
     assert reduced == full
 
@@ -575,7 +612,7 @@ def test_compute_tensor_peak_memory_on_the_c243_closure():
     import tracemalloc
 
     s = corpus.scheme("cycle243")
-    assert s.rank == 122 and s.translations is not None
+    assert s.rank == 122 and s.radices is not None
     tracemalloc.start()
     try:
         compute_tensor(s)

@@ -12,7 +12,7 @@ from pfscheme import cli
 from pfscheme.scheme import Scheme
 from pfscheme.tcond import check_t_condition, four_condition_frobenius_verdict
 import corpus
-from corpus import swap_symmetric_pairs, zn_table
+from corpus import swap_symmetric_pairs
 from oracles import dense_tensor, reference_fingerprint, reference_t_condition, reference_witness
 
 
@@ -103,19 +103,19 @@ def test_certified_row_zero_scan_equals_the_full_scan(monkeypatch):
 
     reduced = reports()
     assert failures(reduced) >= 10
-    monkeypatch.setattr(scheme_mod, "translation_table", lambda P: None)
+    monkeypatch.setattr(scheme_mod, "translation_radices", lambda P: None)
     assert reduced == reports()
 
 
 def test_full_scan_without_a_certificate_finds_the_swap(monkeypatch):
     Q = corpus.scheme("thin12-swapped")
-    assert Q.translations is None
+    assert Q.radices is None
     for t in (3, 4):
         rep = check_t_condition(Q, t)
         assert not rep.passed and rep.witness.alpha > 0
         assert rep.pairs_checked > Q.n
     # a forged certificate would scan row 0 alone, where the swap is invisible
-    monkeypatch.setattr(scheme_mod, "translation_table", lambda P: zn_table(len(P)))
+    monkeypatch.setattr(scheme_mod, "translation_radices", lambda P: (len(P),))
     for t in (3, 4):
         assert check_t_condition(Scheme(Q.colors), t).passed
 
@@ -178,7 +178,7 @@ def test_scan_matches_the_reference_on_perturbed_schemes():
 
 def test_scan_matches_the_reference_on_an_uncertified_frobenius_scheme():
     s = Scheme(corpus.scheme("mixed-7-4").colors)        # as loaded from a file
-    assert s.translations is None
+    assert s.radices is None
     got = check_t_condition(s, 3)
     assert got.passed
     assert got.to_json_dict() == reference_t_condition(s, 3).to_json_dict()

@@ -10,7 +10,7 @@ from pfscheme.arith import difference_table
 from pfscheme.autgrp import frobenius_certificate
 from pfscheme.circulants import CirculantSpec, certificate_unit_groups, circulant_from_connection
 from pfscheme.perms import PermGroup, Permutation
-from pfscheme.scheme import Scheme, partition_equal, wl_closure
+from pfscheme.scheme import Scheme, partition_equal
 from pfscheme.tcond import check_t_condition
 from pfscheme.wldim import (
     SEARCH_LIMIT,
@@ -120,13 +120,13 @@ def test_frobenius_certificate_rejects_complete_and_sparse():
 @pytest.mark.parametrize("n", [9, 31])
 def test_frobenius_certificate_paths_agree(n):
     # Swapping points 1 and 2 hides the Z_n translations from
-    # translation_table, so the relabelled closure takes the search path.
+    # translation_radices, so the relabelled closure takes the search path.
     closure = corpus.scheme("cycle%d" % n)
-    assert closure.translations is not None
+    assert closure.radices is not None
     perm = list(range(n))
     perm[1], perm[2] = 2, 1
     hidden = Scheme(closure.colors[np.ix_(perm, perm)])
-    assert hidden.translations is None
+    assert hidden.radices is None
     certified = frobenius_certificate(closure)
     assert certified.frobenius and certified.group_order == 2 * n
     assert frobenius_certificate(hidden) == certified
@@ -138,7 +138,7 @@ def test_the_rigid_latin_square_graph():
     # that fixes 0 but another point, nor one that maps 0 to 1
     s = corpus.scheme("latin8-rigid")
     assert (s.n, s.valencies()) == (64, (1, 21, 42))
-    assert s.translations is None
+    assert s.radices is None
     assert check_t_condition(s, 3).passed
     assert not check_t_condition(s, 4).passed
     maps, capped = autgrp.automorphism_stabilizer(s)
@@ -355,9 +355,10 @@ def test_dimwl_builds_the_parabolic_lattice_once(monkeypatch):
 
 
 def test_dimwl_builds_one_difference_table(monkeypatch):
-    # arc_coloring's table: wl_closure certifies the colouring with it, and
-    # the closure keeps it as its certificate, so no stage builds another
-    from pfscheme import circulants, scheme
+    # wl_closure certifies the colouring with the Z_n table and gathers the
+    # closure at it; the closure keeps only its radices, and no other stage
+    # builds a table
+    from pfscheme import scheme
 
     calls = []
 
@@ -365,19 +366,7 @@ def test_dimwl_builds_one_difference_table(monkeypatch):
         calls.append(tuple(radices))
         return difference_table(radices)
 
-    for module in (circulants, scheme):
-        monkeypatch.setattr(module, "difference_table", counted)
+    monkeypatch.setattr(scheme, "difference_table", counted)
     v = dimwl_verdict(circulant_from_connection(81, [1, 80]))
     assert v.verdict == "Exactly2" and v.certification == "construction"
     assert calls == [(81,)]
-
-
-def test_wl_closure_searches_when_the_given_table_fails_the_row_test():
-    from pfscheme.circulants import arc_coloring
-
-    M, D = arc_coloring(circulant_from_connection(20, [1, 19]))
-    wrong = D[::-1].copy()                    # no translation table of M
-    for table in (D, wrong, None):
-        closure = wl_closure(M, table)
-        assert closure == wl_closure(M.astype(np.int64))
-        assert np.array_equal(closure.translations, D)
