@@ -18,7 +18,6 @@ import numpy as np
 
 from .arith import is_prime, mult_order
 from .frobenius import CyclicFactor, ElementaryAbelianFactor, FrobeniusSpec
-from .gf import GF
 
 KERNEL_CAP = 4000
 
@@ -35,6 +34,7 @@ def cyclic_unit_spec(m: int, u: int) -> FrobeniusSpec:
 def _scalar_factor(q: int, k: int, dim: int) -> ElementaryAbelianFactor:
     """F_q^dim as an F_p factor under the scalars of order k (k divides
     q - 1): the matrix of their generator in dim diagonal blocks."""
+    from .gf import GF          # here, so that a cyclic spec runs no `gf`
     F = GF(q)
     w = F.pow(F.primitive_element(), (q - 1) // k)
     # the factor refuses dim < 1

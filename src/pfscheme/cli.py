@@ -15,7 +15,9 @@ JSON formats (exact field sets; every document is emitted with sorted keys
 and two-space indentation, so identical inputs give byte-identical bytes;
 the scheme files of `gen` put each row of "colors" on one line):
 
-  scheme file   {"n": int, "rank": int, "star": [int], "colors": [[int]]}
+  scheme file   {"colors": [[int]], "n": int, "rank": int, "star": [int]}
+                only "colors" is required; each of "n", "rank" and "star"
+                that a file states must be the matrix's own
   spec file     {"kernel": [{"cyclic": m, "units": [u]} |
                             {"elem_abelian": [p, dim], "matrices": [[[int]]]}],
                  "complement_order": k}
@@ -164,15 +166,24 @@ def _load_document(path: str) -> tuple[np.ndarray, dict]:
     return colors, d
 
 
+def _check_stated(scheme, stated: dict, path: str) -> None:
+    """Exit 2 when the file states an n, rank or star other than its matrix's."""
+    if stated.get("n", scheme.n) != scheme.n or stated.get("rank", scheme.rank) != scheme.rank:
+        raise SystemExit(_fail("%s: scheme JSON n/rank fields disagree with the matrix" % path))
+    if "star" in stated and stated["star"] != list(scheme.star):
+        raise SystemExit(_fail("%s: scheme JSON star field is not the matrix's transpose map"
+                               % path))
+
+
 def _load_scheme(path: str):
     from .scheme import Scheme
-    colors, d = _load_document(path)
+    colors, stated = _load_document(path)
     try:
-        if "star" in d and "rank" in d:
-            return Scheme.from_json_dict({**d, "colors": colors})
-        return Scheme(colors)
+        scheme = Scheme(colors)
     except ValueError as exc:               # SchemeError
         raise SystemExit(_fail("%s: %s" % (path, exc)))
+    _check_stated(scheme, stated, path)
+    return scheme
 
 
 def _load_pair(source: str, target: str):
@@ -194,17 +205,16 @@ def _parse_ints(raw: str) -> list[int]:
 
 
 def _spec_from_args(args):
-    from .arith import mult_order
-    from .frobenius import CyclicFactor, FrobeniusSpec
+    from .frobenius import FrobeniusSpec
     try:
         if args.spec:
             return FrobeniusSpec.from_json_dict(_load_json(args.spec))
         if args.cyclic:
+            from .catalog import cyclic_unit_spec
             vals = _parse_ints(args.cyclic)
             if len(vals) != 2:
                 raise SystemExit(_fail("--cyclic needs exactly M,U"))
-            m, u = vals
-            return FrobeniusSpec((CyclicFactor(m, (u,)),), mult_order(u, m))
+            return cyclic_unit_spec(*vals)
         if args.scalar:
             from .catalog import scalar_spec
             vals = _parse_ints(args.scalar)
@@ -251,7 +261,7 @@ def cmd_gen(args) -> int:
                 payload = {"plane": args.plane}
         except (ValueError, ArithmeticError) as exc:   # FrobeniusError, or a bad q
             return _fail(str(exc))
-        # the fields of `Scheme.to_json_dict`, the colours kept as the array
+        # the scheme file's fields (module docstring), the colours kept as the array
         payload.update(n=scheme.n, rank=scheme.rank, star=list(scheme.star),
                        colors=scheme.colors, fingerprint=scheme.fingerprint())
     try:
@@ -266,9 +276,10 @@ def cmd_gen(args) -> int:
 
 def cmd_check_axioms(args) -> int:
     from .scheme import Scheme, SchemeError
-    colors, _ = _load_document(args.scheme)
+    colors, stated = _load_document(args.scheme)
     try:
         s = Scheme(colors)
+        _check_stated(s, stated, args.scheme)     # exit 2, not a certificate
         s.tensor()              # C3, triangle identities and row sums
     except SchemeError as exc:
         _emit({"passed": False, "certificate": str(exc)}, args.format)

@@ -192,28 +192,6 @@ class Scheme:
             self._tensor = compute_tensor(self)
         return self._tensor
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rank": self.rank,
-            "star": list(self.star),
-            "colors": self.colors.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Scheme":
-        for key in ("n", "rank", "star", "colors"):
-            if key not in d:
-                raise SchemeError("scheme JSON missing key %r" % key)
-        sch = cls(d["colors"])
-        if sch.n != d["n"] or sch.rank != d["rank"]:
-            raise SchemeError("scheme JSON n/rank fields disagree with the matrix")
-        if d["star"] != list(sch.star):
-            raise SchemeError("scheme JSON star field is not the matrix's transpose map")
-        return sch
-
 
 class IntersectionTensor:
     """Exact composition counts c[r][s][t] plus valencies, fully verified.

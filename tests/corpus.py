@@ -27,10 +27,12 @@ these families up to n" and grows with the corpus.  The families:
 - "random": seeded symmetric Z_n-invariant colourings, mostly not
   coherent.
 
-Beside them are the colourings the closures start from, and the helpers
-that make variants.  Nothing here imports a test module.
+Beside them are the colourings the closures start from, the helpers
+that make variants, and `write_scheme`, which writes a scheme file as
+the CLI reads it.  Nothing here imports a test module.
 """
 
+import json
 from functools import cache, partial
 
 import numpy as np
@@ -162,6 +164,21 @@ def swapped_thin_scheme(n=12):
     Every colour occurs once in row 0, so row 0 alone agrees with its own
     references; the full pass must find the swap."""
     return swap_pairs(zn_table(n), (1, 3), (2, 7))
+
+
+# -- scheme files -----------------------------------------------------------
+
+
+def scheme_document(s, **fields):
+    """The fields `gen` writes for a scheme, the colours as lists, and `fields`."""
+    return {"n": s.n, "rank": s.rank, "star": list(s.star), "colors": s.colors.tolist(), **fields}
+
+
+def write_scheme(path, s, **fields):
+    """Write `scheme_document(s, **fields)` to the pathlib `path` as JSON;
+    return the path as a string."""
+    path.write_text(json.dumps(scheme_document(s, **fields)))
+    return str(path)
 
 
 # -- the named schemes ------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, JSON reports, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -13,10 +14,10 @@ import pytest
 
 from pfscheme.circulants import CirculantSpec, circulant_from_connection, color_matrix, frobenius_circulant
 from pfscheme import cli
-from pfscheme.catalog import scalar_spec
+from pfscheme.catalog import cyclic_unit_spec, scalar_spec
 from pfscheme.cli import _emit, main
 from pfscheme.frobenius import CyclicFactor, FrobeniusSpec, build_frobenius
-from pfscheme.scheme import Scheme, from_orbitals
+from pfscheme.scheme import Scheme, frobenius_scheme, from_orbitals
 from pfscheme.spreads import desarguesian_spread, hall_spread, spread_scheme
 import corpus
 
@@ -158,9 +159,7 @@ def test_every_command_completes_above_rank_256(tmp_path, capsys):
     # (rank 261) and the thin scheme of Z_258, which is imprimitive
     z521 = gen_scheme(capsys, tmp_path, "z521.json", "gen", "frobenius", "--cyclic", "521,520")
     assert json.loads(Path(z521).read_text())["rank"] == 261
-    thin = tmp_path / "thin258.json"
-    thin.write_text(json.dumps(Scheme(corpus.zn_table(258)).to_json_dict()))
-    f = str(thin)
+    f = corpus.write_scheme(tmp_path / "thin258.json", Scheme(corpus.zn_table(258)))
     for argv in (["check", "axioms", "--scheme", f], ["check", "tcond", "--t", "3", "--scheme", f],
                  ["check", "parabolics", "--scheme", f], ["check", "separability", "--scheme", f],
                  ["check", "schurity", "--scheme", f], ["iso", "alg", f, f, "--limit", "1"],
@@ -223,7 +222,8 @@ def test_check_separability_bad_spec_is_an_input_error(tmp_path, capsys, spec):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-SCHEME_COMMANDS = [            # read a whole scheme file (colors, star, n, rank)
+COLORS_COMMANDS = [            # read a scheme file: its colours, and each n, rank or star it states
+    ("check", "axioms", "--scheme", "{f}"),
     ("check", "tcond", "--scheme", "{f}"),
     ("check", "parabolics", "--scheme", "{f}"),
     ("check", "separability", "--scheme", "{f}"),
@@ -231,7 +231,6 @@ SCHEME_COMMANDS = [            # read a whole scheme file (colors, star, n, rank
     ("iso", "alg", "{f}", "{f}"),
     ("iso", "induced", "{f}", "{f}"),
 ]
-COLORS_COMMANDS = [("check", "axioms", "--scheme", "{f}")] + SCHEME_COMMANDS
 SPEC_COMMANDS = [
     ("check", "separability", "--spec", "{f}"),
     ("classify", "thm2", "--spec", "{f}"),
@@ -277,7 +276,7 @@ BAD_SPECS = {
 
 
 def bad_input_cases():
-    for table, commands in ((BAD_COLORS, COLORS_COMMANDS), (BAD_STARS, SCHEME_COMMANDS),
+    for table, commands in ((BAD_COLORS, COLORS_COMMANDS), (BAD_STARS, COLORS_COMMANDS),
                             (BAD_SPECS, SPEC_COMMANDS)):
         for name, content in table.items():
             for argv in commands:
@@ -303,6 +302,59 @@ def test_a_star_that_is_not_the_transpose_map_is_named_as_the_fault(tmp_path, ca
     assert err == "error: %s: scheme JSON star field is not the matrix's transpose map\n" % path
 
 
+# for Z_49 under the unit 18 of order 3 (n 49, rank 17): imprimitive, and
+# its star is not the identity
+WRONG = {"n": 50, "rank": 18, "star": list(range(17))}
+MESSAGES = {"n": "scheme JSON n/rank fields disagree with the matrix",
+            "rank": "scheme JSON n/rank fields disagree with the matrix",
+            "star": "scheme JSON star field is not the matrix's transpose map"}
+
+
+def z49_fields(capsys, tmp_path):
+    """The colours of `gen frobenius --cyclic 49,18` and the n, rank and
+    star it states."""
+    gen = json.loads(Path(gen_scheme(capsys, tmp_path, "z49.json", "gen", "frobenius",
+                                     "--cyclic", "49,18")).read_text())
+    right = {key: gen[key] for key in WRONG}
+    assert all(right[key] != WRONG[key] for key in WRONG)
+    return gen["colors"], right
+
+
+def subsets(fields):
+    return [kept for k in range(len(fields) + 1) for kept in itertools.combinations(fields, k)]
+
+
+def run_on_file(capsys, path, argv, colors, fields):
+    """The run of a command on a file in `gen`'s layout with these fields."""
+    _emit({"colors": colors, **fields}, "json", str(path), rows="colors")
+    return run_cli(capsys, *(a.format(f=path) for a in argv))
+
+
+@pytest.mark.parametrize("field", WRONG)
+@pytest.mark.parametrize("argv", COLORS_COMMANDS,
+                         ids=["-".join(argv[:2]) for argv in COLORS_COMMANDS])
+def test_a_stated_field_unlike_the_matrix_exits_2_on_every_command(tmp_path, capsys, argv, field):
+    colors, right = z49_fields(capsys, tmp_path)
+    path = tmp_path / "input.json"
+    for kept in subsets([key for key in WRONG if key != field]):
+        fields = {**{key: right[key] for key in kept}, field: WRONG[field]}
+        assert run_on_file(capsys, path, argv, colors, fields) \
+            == (2, "", "error: %s: %s\n" % (path, MESSAGES[field])), kept
+
+
+@pytest.mark.parametrize("argv", COLORS_COMMANDS,
+                         ids=["-".join(argv[:2]) for argv in COLORS_COMMANDS])
+def test_a_file_stating_right_fields_runs_as_its_colours_alone(tmp_path, capsys, argv):
+    # star and rank without n among them; none is required
+    colors, right = z49_fields(capsys, tmp_path)
+    path = tmp_path / "input.json"
+    alone = run_on_file(capsys, path, argv, colors, {})
+    assert alone[0] == 0 and alone[2] == ""
+    for kept in subsets(list(WRONG)):
+        assert run_on_file(capsys, path, argv, colors, {key: right[key] for key in kept}) \
+            == alone, kept
+
+
 INCOHERENT_EXIT = {"check-axioms": 3, "check-tcond": 3, "check-schurity": 3,
                    "check-parabolics": 2, "check-separability": 2,
                    "iso-alg": 2, "iso-induced": 2}
@@ -316,7 +368,7 @@ def test_incoherent_scheme_exit_codes(tmp_path, capsys, argv):
     path = tmp_path / "incoherent.json"
     # Hall q=9 with the colours of (1, 2) and (1, 9) swapped, and of their
     # transposes: a valid scheme file whose colouring is not coherent
-    path.write_text(json.dumps(corpus.scheme("hall9-swapped").to_json_dict()))
+    corpus.write_scheme(path, corpus.scheme("hall9-swapped"))
     code, out, err = run_cli(capsys, *(a.format(f=path) for a in argv))
     assert code == INCOHERENT_EXIT["-".join(argv[:2])]
     if code == 2:
@@ -459,13 +511,13 @@ def old_layout(payload):
 
 def spread_payload(plane):
     scheme = spread_scheme({"hall": hall_spread, "desarguesian": desarguesian_spread}[plane](9))
-    return {**scheme.to_json_dict(), "plane": plane, "fingerprint": scheme.fingerprint()}
+    return corpus.scheme_document(scheme, plane=plane, fingerprint=scheme.fingerprint())
 
 
 def frobenius_payload(spec):
     scheme = from_orbitals(build_frobenius(spec))
-    return {**scheme.to_json_dict(), "valency": scheme.is_equivalenced(),
-            "fingerprint": scheme.fingerprint()}
+    return corpus.scheme_document(scheme, valency=scheme.is_equivalenced(),
+                                  fingerprint=scheme.fingerprint())
 
 
 def circulant_payload(circ):
@@ -575,8 +627,28 @@ def test_loading_hall25_adds_under_2_mb_above_its_array(tmp_path, capsys):
     assert peak - s.colors.nbytes < 2e6
 
 
-def test_scheme_json_colors_are_plain_ints():
-    colors = corpus.scheme("hall9").to_json_dict()["colors"]
+ROUND_TRIPS = {                 # gen arguments -> the scheme built from the library
+    "frobenius --cyclic 9,8": lambda: frobenius_scheme(cyclic_unit_spec(9, 8)),
+    "frobenius --cyclic 49,18": lambda: frobenius_scheme(cyclic_unit_spec(49, 18)),
+    "frobenius --scalar 7": lambda: frobenius_scheme(scalar_spec(7)),
+    "spread --q 9 --plane hall": lambda: spread_scheme(hall_spread(9)),
+}
+
+
+@pytest.mark.parametrize("args", ROUND_TRIPS)
+def test_gen_and_load_round_trip_preserves_scheme(tmp_path, capsys, args):
+    path = gen_scheme(capsys, tmp_path, "scheme.json", "gen", *args.split())
+    s, loaded = ROUND_TRIPS[args](), cli._load_scheme(path)
+    assert np.array_equal(loaded.colors, s.colors) and loaded.colors.dtype == s.colors.dtype
+    assert loaded.star == s.star
+    assert s.radices is not None and loaded.radices == s.radices
+
+
+def test_scheme_json_colors_are_plain_ints(capsys):
+    # `gen` writes the uint8 array's rows as JSON integers
+    code, out, _ = run_cli(capsys, "gen", "spread", "--q", "9", "--plane", "hall")
+    colors = json.loads(out)["colors"]
+    assert code == 0 and colors == corpus.scheme("hall9").colors.tolist()
     assert all(type(row) is list for row in colors)
     assert {type(x) for row in colors for x in row} == {int}
 
@@ -734,6 +806,9 @@ def test_a_process_runs_only_the_modules_of_its_command(tmp_path, capsys):
         after_import, code, executed = _fresh_process(_EXECUTED, argv=argv)
         assert (after_import, code) == (["cli"], 0), argv
         assert "frobenius" in executed and "perms" not in executed, argv
+        # a cyclic spec comes from `catalog`, whose scalar factors alone need `gf`
+        if "--cyclic" in argv:
+            assert "catalog" in executed and "gf" not in executed, argv
 
 
 # the names the package re-exports, by module

@@ -77,7 +77,6 @@ KERNELS = {
     "base_triple_counts": _base_triple_counts,
     "frobenius_certificate": frobenius_certificate,
     "fingerprint": Scheme.fingerprint,
-    "to_json_dict": Scheme.to_json_dict,
 }
 
 # A t = 4 scan of a thin scheme sorts n^2 codes for each of its n colours

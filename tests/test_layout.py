@@ -1,6 +1,7 @@
 """The layout of the test suite: exact references live in oracles.py, named
 schemes in corpus.py, and no test module imports another.  In the package,
-only `arith` and `scheme` name the difference table."""
+only `arith` and `scheme` name the difference table, and `cli` alone reads
+scheme files."""
 
 import ast
 from functools import cache
@@ -61,18 +62,62 @@ def test_each_merged_builder_is_defined_once_in_corpus():
     assert sorted(found) == [("corpus.py", fn) for fn in sorted(kept)]
 
 
-def named(tree, name):
-    """Whether a module refers to `name`: as a variable, an attribute, an
-    imported name or a string equal to it."""
-    return any(getattr(node, field, None) == name for node in ast.walk(tree)
+def refers(node, name):
+    """Whether a node names `name`: as a variable, an attribute, an
+    imported or defined name or a string equal to it."""
+    return any(getattr(node, field, None) == name
                for field in ("id", "attr", "name", "asname", "value"))
+
+
+def named(tree, name):
+    """Whether a module refers to `name` anywhere."""
+    return any(refers(node, name) for node in ast.walk(tree))
+
+
+def referrers(tree, name):
+    """The functions of a module that refer to `name`, each reference booked
+    to the innermost function around it ("<module>" outside any); the
+    definition of `name` and references inside it are left out."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif refers(node, name):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found - {name}
+
+
+@cache
+def package():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def test_only_arith_and_scheme_name_the_difference_table():
     # a translation certificate is its radices; scheme.py alone turns them
     # into a table, while it gathers colours or runs the row test
-    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
-               for path in sorted(PACKAGE.glob("*.py"))}
+    modules = package()
     assert {"arith", "scheme", "circulants", "wldim"} <= set(modules)
     assert [name for name, tree in modules.items()
             if named(tree, "difference_table")] == ["arith", "scheme"]
+
+
+
+def test_cli_alone_reads_scheme_files():
+    # one loader and one check of the n, rank and star a file states:
+    # `Scheme` keeps no JSON form, and two functions load a scheme document
+    modules = package()
+    schemes = [node for tree in modules.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "Scheme"]
+    assert len(schemes) == 1
+    assert [node.name for node in ast.walk(schemes[0])
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.endswith("_json_dict")] == []
+    assert sorted((module, fn) for module, tree in modules.items()
+                  for fn in referrers(tree, "_load_document")) \
+        == [("cli", "_load_scheme"), ("cli", "cmd_check_axioms")]

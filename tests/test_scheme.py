@@ -1,6 +1,5 @@
-"""Scheme axioms, intersection tensors, WL closure, and serialization."""
+"""Scheme axioms, intersection tensors, WL closure, and fingerprints."""
 
-import json
 from math import isqrt
 
 import numpy as np
@@ -197,15 +196,6 @@ def test_carries_checks_the_bijection_and_every_pair():
     swap = np.arange(n)
     swap[[1, 2]] = 2, 1
     assert not _carries(swap, P, P)             # a bijection that breaks colours
-
-
-def test_json_round_trip_preserves_scheme():
-    s = Scheme(cyclic_colors(12))
-    d = s.to_json_dict()
-    assert set(d) == {"n", "rank", "star", "colors"}
-    t = Scheme.from_json_dict(d)
-    assert t == s
-    assert Scheme.from_json_dict(json.loads(json.dumps(d))) == s
 
 
 def test_fingerprint_canonical_after_relabel():

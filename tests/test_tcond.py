@@ -129,12 +129,11 @@ def test_pattern_codes_overflow_is_rejected_before_the_scan(monkeypatch, tmp_pat
         tcond_mod._code_dtype(3037000500, 3)
     # the CLI turns the error into exit 2 with one stderr line, raised
     # before any pattern code is computed: the rank is read as 6209
-    path = tmp_path / "rook.json"
-    path.write_text(json.dumps(corpus.scheme("rook4x4").to_json_dict()))
+    path = corpus.write_scheme(tmp_path / "rook.json", corpus.scheme("rook4x4"))
     code_dtype = tcond_mod._code_dtype
     monkeypatch.setattr(tcond_mod, "_code_dtype", lambda R, t: code_dtype(6209, t))
     monkeypatch.setattr(tcond_mod, "_sorted_codes", None)
-    assert cli.main(["check", "tcond", "--t", "4", "--scheme", str(path)]) == 2
+    assert cli.main(["check", "tcond", "--t", "4", "--scheme", path]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and "int64" in err
 
@@ -228,9 +227,8 @@ def test_streamed_fingerprint_equals_the_unique_oracle(monkeypatch, chunk):
 def test_fingerprints_of_hall9_are_frozen(tmp_path, capsys):
     s = corpus.scheme("hall9")
     assert s.fingerprint() == "849ac4428e4cbc0738e5c119d82f32a6"
-    path = tmp_path / "hall9.json"
-    path.write_text(json.dumps(s.to_json_dict()))
-    assert cli.main(["check", "tcond", "--t", "4", "--scheme", str(path)]) == 3
+    path = corpus.write_scheme(tmp_path / "hall9.json", s)
+    assert cli.main(["check", "tcond", "--t", "4", "--scheme", path]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["scheme_fingerprint"] == "849ac4428e4cbc0738e5c119d82f32a6"
     assert report["class_fingerprints"] == ["48ad0124b9fe68bf31538f218a7361ad",
