@@ -302,12 +302,6 @@ class InducedIsomorphism(NamedTuple):
     tau_prime: BaseTriple
     g: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {"mapping": list(self.psi.mapping),
-                "tau": list(self.tau),
-                "tau_prime": list(self.tau_prime),
-                "g": self.g.tolist()}
-
 
 def _first_valid_triple(scheme: Scheme, e: Parabolic):
     """The first bijective triple of `base_triple_counts`, in the order
@@ -387,19 +381,6 @@ class SchurityResult(NamedTuple):
     parabolic_rels: tuple
     tau: tuple | None
     reason: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schurian": self.schurian,
-            "four_condition_passed": self.four_condition_passed,
-            "num_automorphisms": len(self.automorphisms),
-            "group_order": self.group_order,
-            "relation_transitive": list(self.relation_transitive),
-            "orbital_scheme_equal": self.orbital_scheme_equal,
-            "parabolic_rels": list(self.parabolic_rels),
-            "tau": None if self.tau is None else list(self.tau),
-            "reason": self.reason,
-        }
 
 
 def _symmetric_group_result(scheme: Scheme) -> SchurityResult:

@@ -104,12 +104,6 @@ class FrobeniusCertificate(NamedTuple):
     reason: str
     witness: tuple = ()
 
-    def to_json_dict(self) -> dict:
-        return {"frobenius": self.frobenius, "transitive": self.transitive,
-                "stabilizer_order": self.stabilizer_order,
-                "group_order": self.group_order, "reason": self.reason,
-                "witness": list(self.witness)}
-
 
 def frobenius_certificate(scheme: Scheme) -> FrobeniusCertificate:
     """Transitive + nontrivial stabilizer + nonidentity maps fix one point.

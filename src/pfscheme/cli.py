@@ -24,6 +24,11 @@ the scheme files of `gen` put each row of "colors" on one line):
   psi file      {"mapping": [int]}    relation i of the source maps to
                                       mapping[i] of the target
 
+Reports: a report is its record's fields in field order, each written by
+`_plain`: a nested record as an object of its fields, tuples, lists and
+arrays as lists.  The exceptions, the fields that a report drops, renames
+or derives, are listed in `_REPORT`, by record type name.
+
 The global options --format and --seed go before or after the
 subcommand.  The random seed only shuffles the scan order of candidate
 base points in `iso induced`; every verdict is seed-independent.
@@ -51,7 +56,39 @@ PASS, INPUT_ERROR, CHECK_FAILED, UNRESOLVED = 0, 2, 3, 4
 GLOBAL_DEFAULTS = {"format": "json", "seed": 0}
 
 
+# The fields a report writes other than as themselves, by record type name:
+# None drops a field, and (key, f) writes f(record) under `key` in its place.
+_REPORT = {
+    "TConditionWitness": {"code": None, "pattern": ("pattern", lambda w: w.pattern_dict())},
+    "SeparabilityVerdict": {
+        "separable": ("verdict", lambda v: "separable" if v.separable else "undecided")},
+    "WlVerdict": {"search_limited": None},
+    "CriterionResult": {"seconds": None},
+    "SchurityResult": {"automorphisms": ("num_automorphisms", lambda r: len(r.automorphisms))},
+    "InducedIsomorphism": {"psi": ("mapping", lambda r: r.psi.mapping),
+                           # BaseTriple records, written as lists
+                           "tau": ("tau", lambda r: tuple(r.tau)),
+                           "tau_prime": ("tau_prime", lambda r: tuple(r.tau_prime))},
+}
+
+
 def _plain(value):
+    """The report form of `value` (module docstring, "Reports"): a record
+    as an object of its fields, tuples and lists as lists, an array as its
+    `tolist`; anything else as it is."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):     # a NamedTuple
+        exceptions = _REPORT.get(type(value).__name__, {})
+        out = {}
+        for field, item in zip(value._fields, value):
+            if field in exceptions:
+                if exceptions[field] is None:
+                    continue
+                field, derive = exceptions[field]
+                item = derive(value)
+            out[field] = _plain(item)
+        return out
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
@@ -296,7 +333,7 @@ def cmd_check_tcond(args) -> int:
         report = check_t_condition(s, args.t)
     except ValueError as exc:              # rank too large for int64 pattern codes
         return _fail("%s: %s" % (args.scheme, exc))
-    _emit(report.to_json_dict(), args.format)
+    _emit(_plain(report), args.format)
     return PASS if report.passed else CHECK_FAILED
 
 
@@ -342,7 +379,7 @@ def cmd_check_separability(args) -> int:
             verdict = separability_verdict(s)
         except SchemeError as exc:
             return _fail(str(exc))
-    _emit(verdict.to_json_dict(), args.format)
+    _emit(_plain(verdict), args.format)
     return PASS if verdict.separable else UNRESOLVED
 
 
@@ -354,7 +391,7 @@ def cmd_check_schurity(args) -> int:
         result = schurity_via_base_triples(s)
     except SchemeError as exc:
         return _fail(str(exc))
-    _emit(result.to_json_dict(), args.format)
+    _emit(_plain(result), args.format)
     return PASS if result.schurian else CHECK_FAILED
 
 
@@ -416,7 +453,7 @@ def cmd_iso_induced(args) -> int:
                "certificate": "no compatible base triple reconstructs psi"},
               args.format)
         return CHECK_FAILED
-    _emit({"induced": True, **found.to_json_dict()}, args.format)
+    _emit({"induced": True, **_plain(found)}, args.format)
     return PASS
 
 
@@ -430,14 +467,14 @@ def cmd_classify_thm2(args) -> int:
         profile = thm2_profile(spec)
     except FrobeniusError as exc:
         return _fail(str(exc))
-    _emit(profile.to_json_dict(), args.format)
+    _emit(_plain(profile), args.format)
     return PASS
 
 
 def cmd_classify_wl(args) -> int:
     from .wldim import dimwl_verdict
     verdict = dimwl_verdict(_circulant_from_args(args))
-    _emit(verdict.to_json_dict(), args.format)
+    _emit(_plain(verdict), args.format)
     if verdict.verdict == "Exactly2":
         return PASS
     if verdict.verdict == "ExceptionUnresolved" or verdict.search_limited:
@@ -455,7 +492,7 @@ def cmd_verify(args) -> int:
     lines = sys.stdout if args.format == "text" else sys.stderr
     for r in results:
         print(r.line(), file=lines)
-    payload = {"criteria": [r.to_json_dict() for r in results],
+    payload = {"criteria": _plain(results),
                "all_passed": all(r.passed for r in results)}
     if args.format == "json":
         _emit(payload, args.format)

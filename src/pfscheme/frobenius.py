@@ -661,15 +661,6 @@ class ClassificationProfile(NamedTuple):
     d3_cases: tuple[str, ...]          # matching d=3 case labels, if any
     verdict: str                       # "excluded" | "open" | "primitive"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "pi": list(self.pi), "d": self.d,
-            "primitive": self.primitive, "in_table": self.in_table,
-            "section_degrees": list(self.section_degrees),
-            "section_ranks": list(self.section_ranks),
-            "d3_cases": list(self.d3_cases), "verdict": self.verdict,
-        }
-
 
 def thm2_profile(spec: FrobeniusSpec) -> ClassificationProfile:
     """(|pi|, d) table membership plus the d = 3 parameter cases

@@ -217,14 +217,6 @@ class SeparabilityVerdict(NamedTuple):
     def undecided(self) -> bool:
         return not self.separable
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": "separable" if self.separable else "undecided",
-            "n": self.n, "k": self.k, "reason": self.reason,
-            "witness": list(self.witness), "pi_count": self.pi_count,
-            "d": self.d, "cases": list(self.cases),
-        }
-
 
 def _verdict_from_chains(n: int, k: int, sizes: list[int], incl: np.ndarray,
                          d: int, cases: tuple[str, ...]) -> SeparabilityVerdict:

@@ -50,14 +50,6 @@ class TConditionWitness(NamedTuple):
             keys = ("alpha_g3", "beta_g3", "alpha_g4", "beta_g4", "g3_g4")
         return dict(zip(keys, (int(x) for x in self.pattern)))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "beta": self.beta, "color": self.color,
-            "ref_alpha": self.ref_alpha, "ref_beta": self.ref_beta,
-            "pattern": self.pattern_dict(),
-            "ref_count": self.ref_count, "count": self.count,
-        }
-
 
 class TConditionReport(NamedTuple):
     t: int
@@ -68,15 +60,6 @@ class TConditionReport(NamedTuple):
     pairs_checked: int
     class_fingerprints: tuple[str, ...]
     witness: TConditionWitness | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t, "passed": self.passed, "n": self.n, "rank": self.rank,
-            "scheme_fingerprint": self.scheme_fingerprint,
-            "pairs_checked": self.pairs_checked,
-            "class_fingerprints": list(self.class_fingerprints),
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
-        }
 
 
 def _code_dtype(R: int, t: int):

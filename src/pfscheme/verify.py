@@ -40,14 +40,6 @@ class CriterionResult(NamedTuple):
         return "criterion %d (%s): %s (%.1fs)" % (
             self.index, self.name, "PASS" if self.passed else "FAIL", self.seconds)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 # name -> builder of the named schemes other than the cycle closures
 _BUILDERS = {

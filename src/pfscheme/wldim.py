@@ -62,16 +62,6 @@ class ExceptionCheck(NamedTuple):
     big_omega: int
     reason: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "in_exception_set": self.in_exception_set,
-            "shape": self.shape,
-            "omega": self.omega,
-            "big_omega": self.big_omega,
-            "reason": self.reason,
-        }
-
 
 def exception_check(n: int) -> ExceptionCheck:
     """Decide whether n has one of the shapes p, p^2, p^3, pq, p^2*q.
@@ -193,19 +183,7 @@ class FrobeniusScreen(NamedTuple):
     valency: Optional[int]
     indistinguishing_ok: bool
     divide_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.equivalenced and self.indistinguishing_ok and self.divide_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "equivalenced": self.equivalenced,
-            "valency": self.valency,
-            "indistinguishing_ok": self.indistinguishing_ok,
-            "divide_ok": self.divide_ok,
-            "passed": self.passed,
-        }
+    passed: bool                 # all three of the above
 
 
 def frobenius_screen(scheme: Scheme) -> FrobeniusScreen:
@@ -214,10 +192,10 @@ def frobenius_screen(scheme: Scheme) -> FrobeniusScreen:
     """
     k = scheme.is_equivalenced()
     if k is None or k < 2:
-        return FrobeniusScreen(False, k, False, False)
+        return FrobeniusScreen(False, k, False, False, False)
     indist_ok = indistinguishing_number(scheme) == k - 1
     divide_ok = all(rec.ok for rec in divide_check(scheme))
-    return FrobeniusScreen(True, k, indist_ok, divide_ok)
+    return FrobeniusScreen(True, k, indist_ok, divide_ok, indist_ok and divide_ok)
 
 
 class WlVerdict(NamedTuple):
@@ -238,24 +216,6 @@ class WlVerdict(NamedTuple):
     # n exceeds SEARCH_LIMIT and no construction certificate applies, so
     # the case is unresolved, not refuted; not part of the JSON report.
     search_limited: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "factorization": self.factorization,
-            "connection_size": self.connection_size,
-            "in_exception_set": self.in_exception_set,
-            "closure_rank": self.closure_rank,
-            "closure_valency": self.closure_valency,
-            "screen": self.screen.to_json_dict(),
-            "certification": self.certification,
-            "group_order": self.group_order,
-            "separability": None
-            if self.separability is None
-            else self.separability.to_json_dict(),
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
 
 
 def _unit_orbit_labels(n: int, K) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pfscheme.algiso as algiso
+from pfscheme import cli
 from pfscheme.algiso import (
     BaseTriple,
     RelationBijection,
@@ -285,7 +286,7 @@ def test_schurity_of_frobenius_schemes():
     assert res.group_order == 18
     assert all(res.relation_transitive)
     assert res.orbital_scheme_equal
-    d = res.to_json_dict()
+    d = cli._plain(res)
     assert d["schurian"] is True and d["group_order"] == 18
 
     res65 = schurity_via_base_triples(corpus.scheme("cyc-65-57"))

@@ -10,6 +10,7 @@ kernel must give the twin's result on it, or raise the twin's error.
 import numpy as np
 import pytest
 
+from pfscheme import cli
 from pfscheme.algiso import (
     RelationBijection,
     base_triple_counts,
@@ -46,12 +47,12 @@ def _tensor(s):
 
 def _schurity(s):
     r = schurity_via_base_triples(s)
-    return r.to_json_dict(), r.automorphisms.tobytes()
+    return cli._plain(r), r.automorphisms.tobytes()
 
 
 def _induced(s):
     found = induced_isomorphism(s, s, RelationBijection(s, s, tuple(range(s.rank))))
-    return None if found is None else found.to_json_dict()
+    return None if found is None else cli._plain(found)
 
 
 def _algebraic(s):
@@ -67,10 +68,10 @@ def _base_triple_counts(s):
 
 KERNELS = {
     "tensor": _tensor,
-    "tcond3": lambda s: check_t_condition(s, 3).to_json_dict(),
-    "tcond4": lambda s: check_t_condition(s, 4).to_json_dict(),
+    "tcond3": lambda s: cli._plain(check_t_condition(s, 3)),
+    "tcond4": lambda s: cli._plain(check_t_condition(s, 4)),
     "parabolics": enumerate_parabolics,
-    "separability": lambda s: separability_verdict(s).to_json_dict(),
+    "separability": lambda s: cli._plain(separability_verdict(s)),
     "schurity": _schurity,
     "algebraic": _algebraic,
     "induced": _induced,

@@ -1,7 +1,7 @@
 """The layout of the test suite: exact references live in oracles.py, named
 schemes in corpus.py, and no test module imports another.  In the package,
-only `arith` and `scheme` name the difference table, and `cli` alone reads
-scheme files."""
+only `arith` and `scheme` name the difference table, `cli` alone reads
+scheme files, and `cli` alone writes reports."""
 
 import ast
 from functools import cache
@@ -121,3 +121,35 @@ def test_cli_alone_reads_scheme_files():
     assert sorted((module, fn) for module, tree in modules.items()
                   for fn in referrers(tree, "_load_document")) \
         == [("cli", "_load_scheme"), ("cli", "cmd_check_axioms")]
+
+
+def namedtuples():
+    """The field names of each NamedTuple class of the package, by class name."""
+    return {node.name: [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+            for tree in package().values() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(refers(base, "NamedTuple") for base in node.bases)}
+
+
+def report_exceptions():
+    """`cli._REPORT` as written: the fields each record's entry names, by
+    record name."""
+    [table] = [node.value for node in package()["cli"].body if isinstance(node, ast.Assign)
+               and any(refers(target, "_REPORT") for target in node.targets)]
+    return {ast.literal_eval(record): [ast.literal_eval(field) for field in entry.keys]
+            for record, entry in zip(table.keys, table.values)}
+
+
+def test_cli_alone_writes_reports():
+    # one encoder, `cli._plain`: no record keeps a JSON form but the spec
+    # file's, and each exception of `cli._REPORT` names a field of a record,
+    # so that a renamed field cannot leave the table unseen
+    assert sorted(node.name for tree in package().values() for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef)
+                  and any(isinstance(item, ast.FunctionDef) and item.name == "to_json_dict"
+                          for item in node.body)) == ["FrobeniusSpec"]
+    records, table = namedtuples(), report_exceptions()
+    assert {"TConditionWitness", "WlVerdict", "FrobeniusScreen"} <= set(records)
+    assert table and sorted(set(table) - set(records)) == []
+    assert [(record, field) for record, fields in table.items()
+            for field in fields if field not in records[record]] == []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pfscheme import parabolic
+from pfscheme import cli, parabolic
 from pfscheme.algiso import _transversal
 from pfscheme.arith import difference_table
 from pfscheme.catalog import (
@@ -222,12 +222,12 @@ def test_verdict_chain_arithmetic_allowed_multiset_is_undecided():
 
 def test_verdict_json_shape():
     v = separability_verdict(negation_spec(9))
-    d = v.to_json_dict()
+    d = cli._plain(v)
     assert d["verdict"] == "separable"
     assert d["reason"] == "bound"
     assert d["witness"] == [9, 6]
     u = SeparabilityVerdict(False, 65, 4, pi_count=2, d=2)
-    assert u.to_json_dict()["verdict"] == "undecided"
+    assert cli._plain(u)["verdict"] == "undecided"
 
 
 def test_verdict_chain_scan_matches_reference_loops():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pfscheme import autgrp, wldim
+from pfscheme import autgrp, cli, wldim
 from pfscheme.arith import difference_table
 from pfscheme.autgrp import frobenius_certificate
 from pfscheme.circulants import CirculantSpec, certificate_unit_groups, circulant_from_connection
@@ -285,7 +285,7 @@ def test_dimwl_exactly2_by_construction():
     assert v.group_order == 162
     assert not v.in_exception_set
     assert v.separability is not None and v.separability.separable
-    d = v.to_json_dict()
+    d = cli._plain(v)
     assert d["verdict"] == "Exactly2" and d["screen"]["passed"] is True
 
     v105 = dimwl_verdict(CirculantSpec(105, (104,), (1, 2)))
@@ -327,7 +327,7 @@ def test_dimwl_search_limit():
     assert v.verdict == "NotFrobeniusCertified"
     assert "search limit" in v.reason
     assert v.search_limited
-    assert "search_limited" not in v.to_json_dict()
+    assert "search_limited" not in cli._plain(v)
 
 
 def test_dimwl_prime_within_search_limit():
