@@ -234,6 +234,19 @@ def _load_pair(source: str, target: str):
     return src, src if same else _load_scheme(target)
 
 
+def _pair_error(exc, named, context: str = "") -> int:
+    """Exit 2 for the scheme error `exc` of a two-file command: naming the
+    first of `named`, its (path, scheme) pairs, whose tensor raises, and
+    else with `context` before `exc`."""
+    from .scheme import SchemeError
+    for path, scheme in named:
+        try:
+            scheme.tensor()
+        except SchemeError as own:
+            return _fail("%s: %s" % (path, own))
+    return _fail(context + str(exc))
+
+
 def _parse_ints(raw: str) -> list[int]:
     try:
         return [int(x) for x in raw.replace(" ", "").split(",") if x != ""]
@@ -378,7 +391,7 @@ def cmd_check_separability(args) -> int:
         try:
             verdict = separability_verdict(s)
         except SchemeError as exc:
-            return _fail(str(exc))
+            return _fail("%s: %s" % (args.scheme, exc))
     _emit(_plain(verdict), args.format)
     return PASS if verdict.separable else UNRESOLVED
 
@@ -390,7 +403,7 @@ def cmd_check_schurity(args) -> int:
     try:
         result = schurity_via_base_triples(s)
     except SchemeError as exc:
-        return _fail(str(exc))
+        return _fail("%s: %s" % (args.scheme, exc))
     _emit(_plain(result), args.format)
     return PASS if result.schurian else CHECK_FAILED
 
@@ -407,7 +420,7 @@ def cmd_iso_alg(args) -> int:
     try:
         isos, truncated = find_algebraic_isomorphisms(src, dst, limit=args.limit)
     except SchemeError as exc:             # NotCoherentError
-        return _fail(str(exc))
+        return _pair_error(exc, ((args.source, src), (args.target, dst)))
     payload = {
         "count": len(isos),
         "truncated": truncated,
@@ -430,15 +443,13 @@ def cmd_iso_induced(args) -> int:
         if not (isinstance(mapping, list)
                 and all(isinstance(x, int) and not isinstance(x, bool) for x in mapping)):
             return _fail("%s: 'mapping' must be a list of integers" % args.psi)
-        try:
-            psi = RelationBijection(src, dst, tuple(mapping))
-        except SchemeError as exc:
-            return _fail("psi is not an algebraic isomorphism: %s" % exc)
+        mapping, what = tuple(mapping), "psi is not an algebraic isomorphism"
     else:
-        try:
-            psi = RelationBijection(src, dst, tuple(range(src.rank)))
-        except SchemeError as exc:
-            return _fail("identity is not an algebraic isomorphism here: %s" % exc)
+        mapping, what = tuple(range(src.rank)), "identity is not an algebraic isomorphism here"
+    try:
+        psi = RelationBijection(src, dst, mapping)
+    except SchemeError as exc:
+        return _pair_error(exc, ((args.source, src), (args.target, dst)), what + ": ")
     mu_candidates = None
     if args.seed:
         order = list(range(dst.n))

@@ -360,20 +360,30 @@ INCOHERENT_EXIT = {"check-axioms": 3, "check-tcond": 3, "check-schurity": 3,
                    "iso-alg": 2, "iso-induced": 2}
 
 
-@pytest.mark.parametrize("argv", COLORS_COMMANDS,
-                         ids=["-".join(argv[:2]) for argv in COLORS_COMMANDS])
-def test_incoherent_scheme_exit_codes(tmp_path, capsys, argv):
+# each command on the incoherent file {f}, and the iso commands with the
+# file as one side and Hall q = 9, {h}, as the other
+INCOHERENT_COMMANDS = [("-".join(argv[:2]), argv) for argv in COLORS_COMMANDS] + [
+    ("iso-%s-incoherent-%s" % (level, side), ("iso", level, *files))
+    for level in ("alg", "induced")
+    for side, files in (("source", ("{f}", "{h}")), ("target", ("{h}", "{f}")))]
+
+
+@pytest.mark.parametrize("name, argv", INCOHERENT_COMMANDS,
+                         ids=[name for name, _ in INCOHERENT_COMMANDS])
+def test_incoherent_scheme_exit_codes(tmp_path, capsys, name, argv):
     # a check that certifies the failure reports it (exit 3); a command that
-    # needs a coherent scheme gives a one-line input error (exit 2)
+    # needs a coherent scheme gives a one-line input error (exit 2) that
+    # names the incoherent file, as source or as target
     path = tmp_path / "incoherent.json"
     # Hall q=9 with the colours of (1, 2) and (1, 9) swapped, and of their
     # transposes: a valid scheme file whose colouring is not coherent
     corpus.write_scheme(path, corpus.scheme("hall9-swapped"))
-    code, out, err = run_cli(capsys, *(a.format(f=path) for a in argv))
+    hall9 = corpus.write_scheme(tmp_path / "hall9.json", corpus.scheme("hall9"))
+    code, out, err = run_cli(capsys, *(a.format(f=path, h=hall9) for a in argv))
     assert code == INCOHERENT_EXIT["-".join(argv[:2])]
     if code == 2:
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: %s: " % path) and err.count("\n") == 1
     else:
         assert json.loads(out)
         assert err == ""
