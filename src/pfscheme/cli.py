@@ -24,10 +24,10 @@ the scheme files of `gen` put each row of "colors" on one line):
   psi file      {"mapping": [int]}    relation i of the source maps to
                                       mapping[i] of the target
 
-Reports: a report is its record's fields in field order, each written by
-`_plain`: a nested record as an object of its fields, tuples, lists and
-arrays as lists.  The exceptions, the fields that a report drops, renames
-or derives, are listed in `_REPORT`, by record type name.
+Reports: a report is the fields of its result record, in field order
+(`_plain`): a nested record is an object, tuples and arrays are lists.
+The few fields that a report drops, renames or derives are listed in
+`_REPORT`, by record type name.
 
 The global options --format and --seed go before or after the
 subcommand.  The random seed only shuffles the scan order of candidate
@@ -421,12 +421,8 @@ def cmd_iso_alg(args) -> int:
         isos, truncated = find_algebraic_isomorphisms(src, dst, limit=args.limit)
     except SchemeError as exc:             # NotCoherentError
         return _pair_error(exc, ((args.source, src), (args.target, dst)))
-    payload = {
-        "count": len(isos),
-        "truncated": truncated,
-        "mappings": [list(f.mapping) for f in isos],
-    }
-    _emit(payload, args.format)
+    _emit({"count": len(isos), "truncated": truncated,
+           "mappings": _plain([f.mapping for f in isos])}, args.format)
     if isos:
         return PASS
     return UNRESOLVED if truncated else CHECK_FAILED
