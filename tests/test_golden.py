@@ -1,6 +1,6 @@
 """Every report of `tools/golden.py`'s commands against its frozen digest.
 
-A PR that changes a digest rewrites tests/data/golden.json with
+A change that alters a digest rewrites tests/data/golden.json with
 `python3 tools/golden.py --write` and names each changed command and the
 reason in CHANGES.md (see the README)."""
 

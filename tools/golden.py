@@ -9,8 +9,9 @@ files that the commands before it wrote.  For each command the table
 keeps the exit code and the sha256 of its stdout and of every file it
 writes; for an exit-2 command it also keeps the stderr line.  The stderr
 of `verify-paper` holds timings and is never kept.  Both modes print each
-command whose entry differs from the table's.  Standard library and the
-package only; the JSON is written with sorted keys.
+command whose entry differs from the table's.  Standard library, the package
+and the tests' `corpus` (for the incoherent file) only; the JSON is written
+with sorted keys.
 """
 
 from __future__ import annotations
