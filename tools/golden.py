@@ -11,7 +11,7 @@ writes; for an exit-2 command it also keeps the stderr line.  The stderr
 of `verify-paper` holds timings and is never kept.  Both modes print each
 command whose entry differs from the table's.  Standard library, the package
 and the tests' `corpus` (for the incoherent file) only; the JSON is written
-with sorted keys.
+with sorted keys.  The spec files of SPECS are written as they stand here.
 """
 
 from __future__ import annotations
@@ -75,13 +75,36 @@ ON_INCOHERENT = [
                              (INCOHERENT, "hall9.json"))),
 ]
 
+# spec files: a valid one, a malformed one, one that is no Frobenius group
+# and one whose scheme is primitive, each read by the three --spec commands
+SPECS = {
+    # Z_7 + F_4^2 under a complement of order 3, the catalog's mixed-7-4
+    "mixed-7-4.spec.json": {"kernel": [
+        {"cyclic": 7, "units": [2]},
+        {"elem_abelian": [2, 4], "matrices": [[[0, 1, 0, 0], [1, 1, 0, 0],
+                                               [0, 0, 0, 1], [0, 0, 1, 1]]]}],
+        "complement_order": 3},
+    "kernel-not-a-list.spec.json": {"kernel": {"cyclic": 9, "units": [8]},
+                                    "complement_order": 2},
+    # 2^2 = 4 fixes 3 in Z_9
+    "fixed-point.spec.json": {"kernel": [{"cyclic": 9, "units": [2]}], "complement_order": 6},
+    "primitive.spec.json": {"kernel": [{"cyclic": 7, "units": [2]}], "complement_order": 3},
+}
+ON_SPECS = ["%s --spec %s" % (command, name) for name in SPECS
+            for command in ("gen frobenius", "classify thm2", "check separability")]
+
+# a scheme with no nontrivial parabolic, so no base triple
+PRIMITIVE = ["gen frobenius --cyclic 7,2 --out z7.json", "iso induced z7.json z7.json"]
+
 COMMANDS = (SETUP + REPORTS + ["--format text " + c for c in REPORTS] + ON_INCOHERENT
-            + ["verify-paper --format json"])
+            + ON_SPECS + PRIMITIVE + ["verify-paper --format json"])
 
 
-def _write_incoherent(workdir: Path) -> None:
+def _write_inputs(workdir: Path) -> None:
     import corpus
     corpus.write_scheme(workdir / INCOHERENT, corpus.scheme("hall9-swapped"))
+    for name, spec in SPECS.items():
+        (workdir / name).write_text(json.dumps(spec))
 
 
 def _sha(data: bytes) -> str:
@@ -97,7 +120,7 @@ def run(workdir: Path) -> dict:
     """The table's entry of each command, run in `workdir` (which it changes
     into, and back out of)."""
     from pfscheme.cli import main
-    _write_incoherent(workdir)
+    _write_inputs(workdir)
     table, here = {}, os.getcwd()
     os.chdir(workdir)
     try:
