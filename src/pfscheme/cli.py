@@ -13,7 +13,8 @@ certificate, 4 = unresolved/unknown.
 
 JSON formats (exact field sets; every document is emitted with sorted keys
 and two-space indentation, so identical inputs give byte-identical bytes;
-the scheme files of `gen` put each row of "colors" on one line):
+the scheme files of `gen` put each row of "colors" on one line).  This module
+alone reads spec, scheme and psi files; a fault in one exits 2 naming the file:
 
   scheme file   {"colors": [[int]], "n": int, "rank": int, "star": [int]}
                 only "colors" is required; each of "n", "rank" and "star"
@@ -254,11 +255,66 @@ def _parse_ints(raw: str) -> list[int]:
         raise SystemExit(_fail("expected a comma-separated integer list, got %r" % raw))
 
 
-def _spec_from_args(args):
-    from .frobenius import FrobeniusSpec
+def _json_ints(value, depth: int) -> bool:
+    """True when value is an integer (depth 0) or a list of depth - 1 values."""
+    if depth == 0:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_json_ints(v, depth - 1) for v in value)
+
+
+def _load_spec(path: str):
+    """The validated Frobenius spec of a spec file; exit 2 naming it on a fault."""
+    from .frobenius import CyclicFactor, ElementaryAbelianFactor, FrobeniusError, FrobeniusSpec
+    d = _load_json(path)
     try:
-        if args.spec:
-            return FrobeniusSpec.from_json_dict(_load_json(args.spec))
+        if "kernel" not in d or "complement_order" not in d:
+            raise FrobeniusError("spec JSON needs 'kernel' and 'complement_order'")
+        if not isinstance(d["kernel"], list):
+            raise FrobeniusError("spec JSON 'kernel' must be a list of factor objects")
+        if not _json_ints(d["complement_order"], 0):
+            raise FrobeniusError("spec JSON 'complement_order' must be an integer, got %r"
+                                 % (d["complement_order"],))
+        factors = []
+        for fd in d["kernel"]:
+            if not isinstance(fd, dict):
+                raise FrobeniusError("kernel factor must be an object: %r" % (fd,))
+            if "cyclic" in fd:
+                units = fd.get("units", [])
+                if not (_json_ints(fd["cyclic"], 0) and _json_ints(units, 1)):
+                    raise FrobeniusError("cyclic factor needs an integer modulus and "
+                                         "a list of integer units: %r" % (fd,))
+                factors.append(CyclicFactor(fd["cyclic"], tuple(units)))
+            elif "elem_abelian" in fd:
+                mats = fd.get("matrices", [])
+                if not (_json_ints(fd["elem_abelian"], 1) and len(fd["elem_abelian"]) == 2
+                        and _json_ints(mats, 3)):
+                    raise FrobeniusError("elem_abelian factor needs [p, dim] and a list "
+                                         "of integer matrices: %r" % (fd,))
+                p, dim = fd["elem_abelian"]
+                factors.append(ElementaryAbelianFactor(
+                    p, dim, tuple(tuple(tuple(row) for row in M) for M in mats)))
+            else:
+                raise FrobeniusError("kernel factor needs 'cyclic' or 'elem_abelian': %r" % (fd,))
+        spec = FrobeniusSpec(tuple(factors), d["complement_order"])
+        spec.validate()
+    except FrobeniusError as exc:
+        raise SystemExit(_fail("%s: %s" % (path, exc)))
+    return spec
+
+
+def _run(path: str, kernel, load=_load_scheme):
+    """kernel(load(path)); a ValueError of the kernel (a SchemeError, a LatticeTooLarge,
+    tcond's pattern-code overflow) exits 2 naming the file."""
+    try:
+        return kernel(load(path))
+    except ValueError as exc:
+        raise SystemExit(_fail("%s: %s" % (path, exc)))
+
+
+def _spec_from_args(args):
+    if args.spec:
+        return _load_spec(args.spec)
+    try:
         if args.cyclic:
             from .catalog import cyclic_unit_spec
             vals = _parse_ints(args.cyclic)
@@ -341,23 +397,14 @@ def cmd_check_axioms(args) -> int:
 
 def cmd_check_tcond(args) -> int:
     from .tcond import check_t_condition
-    s = _load_scheme(args.scheme)
-    try:
-        report = check_t_condition(s, args.t)
-    except ValueError as exc:              # rank too large for int64 pattern codes
-        return _fail("%s: %s" % (args.scheme, exc))
+    report = _run(args.scheme, partial(check_t_condition, t=args.t))
     _emit(_plain(report), args.format)
     return PASS if report.passed else CHECK_FAILED
 
 
 def cmd_check_parabolics(args) -> int:
     from .parabolic import divide_check, enumerate_parabolics, indistinguishing_number
-    from .scheme import SchemeError
-    s = _load_scheme(args.scheme)
-    try:
-        paras = enumerate_parabolics(s)
-    except SchemeError as exc:             # NotCoherentError
-        return _fail("%s: %s" % (args.scheme, exc))
+    s, paras = _run(args.scheme, lambda s: (s, enumerate_parabolics(s)))
     payload = {
         "n": s.n,
         "rank": s.rank,
@@ -377,33 +424,19 @@ def cmd_check_parabolics(args) -> int:
 
 def cmd_check_separability(args) -> int:
     from .parabolic import separability_verdict
-    from .scheme import SchemeError
-    if args.spec:
-        from .frobenius import FrobeniusSpec
-        try:
-            verdict = separability_verdict(FrobeniusSpec.from_json_dict(_load_json(args.spec)))
-        except ValueError as exc:          # FrobeniusError, or a primitive spec
-            return _fail("%s: %s" % (args.spec, exc))
+    if args.spec:                          # a primitive spec raises ValueError
+        verdict = _run(args.spec, separability_verdict, load=_load_spec)
+    elif args.scheme:
+        verdict = _run(args.scheme, separability_verdict)
     else:
-        if not args.scheme:
-            return _fail("provide --scheme FILE or --spec FILE")
-        s = _load_scheme(args.scheme)
-        try:
-            verdict = separability_verdict(s)
-        except SchemeError as exc:
-            return _fail("%s: %s" % (args.scheme, exc))
+        return _fail("provide --scheme FILE or --spec FILE")
     _emit(_plain(verdict), args.format)
     return PASS if verdict.separable else UNRESOLVED
 
 
 def cmd_check_schurity(args) -> int:
     from .algiso import schurity_via_base_triples
-    from .scheme import SchemeError
-    s = _load_scheme(args.scheme)
-    try:
-        result = schurity_via_base_triples(s)
-    except SchemeError as exc:
-        return _fail("%s: %s" % (args.scheme, exc))
+    result = _run(args.scheme, schurity_via_base_triples)
     _emit(_plain(result), args.format)
     return PASS if result.schurian else CHECK_FAILED
 
@@ -436,8 +469,7 @@ def cmd_iso_induced(args) -> int:
         mapping = _load_json(args.psi).get("mapping")
         if mapping is None:
             return _fail("%s: missing 'mapping'" % args.psi)
-        if not (isinstance(mapping, list)
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in mapping)):
+        if not _json_ints(mapping, 1):
             return _fail("%s: 'mapping' must be a list of integers" % args.psi)
         mapping, what = tuple(mapping), "psi is not an algebraic isomorphism"
     else:
@@ -453,8 +485,8 @@ def cmd_iso_induced(args) -> int:
         mu_candidates = order
     try:
         found = induced_isomorphism(src, dst, psi, mu_candidates=mu_candidates)
-    except SchemeError as exc:
-        return _fail(str(exc))
+    except SchemeError as exc:             # psi maps the source's parabolics onto the target's
+        return _fail("%s: %s" % (args.source, exc))
     if found is None:
         _emit({"induced": False,
                "certificate": "no compatible base triple reconstructs psi"},
@@ -469,9 +501,8 @@ def cmd_iso_induced(args) -> int:
 
 def cmd_classify_thm2(args) -> int:
     from .frobenius import FrobeniusError, thm2_profile
-    spec = _spec_from_args(args)
     try:
-        profile = thm2_profile(spec)
+        profile = thm2_profile(_spec_from_args(args))
     except FrobeniusError as exc:
         return _fail(str(exc))
     _emit(_plain(profile), args.format)

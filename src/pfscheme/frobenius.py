@@ -112,13 +112,6 @@ class ElementaryAbelianFactor:
         return self.p**self.dim
 
 
-def _json_ints(value, depth: int) -> bool:
-    """True when value is an integer (depth 0) or a list of depth - 1 values."""
-    if depth == 0:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, list) and all(_json_ints(v, depth - 1) for v in value)
-
-
 def _det_mod(M, p: int) -> int:
     A = [list(row) for row in M]
     n = len(A)
@@ -255,50 +248,6 @@ class FrobeniusSpec:
                 "complement element with basis images %r fixes nonzero kernel "
                 "element (index %d)" % (images, h), witness=(images, h))
         return table
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        kernel = []
-        for f in self.kernel_factors:
-            if isinstance(f, CyclicFactor):
-                kernel.append({"cyclic": f.modulus, "units": list(f.units)})
-            else:
-                kernel.append({"elem_abelian": [f.p, f.dim],
-                               "matrices": [[list(row) for row in M] for M in f.matrices]})
-        return {"kernel": kernel, "complement_order": self.complement_order}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FrobeniusSpec":
-        if not isinstance(d, dict) or "kernel" not in d or "complement_order" not in d:
-            raise FrobeniusError("spec JSON needs 'kernel' and 'complement_order'")
-        if not isinstance(d["kernel"], list):
-            raise FrobeniusError("spec JSON 'kernel' must be a list of factor objects")
-        if not _json_ints(d["complement_order"], 0):
-            raise FrobeniusError("spec JSON 'complement_order' must be an integer, got %r"
-                                 % (d["complement_order"],))
-        factors = []
-        for fd in d["kernel"]:
-            if not isinstance(fd, dict):
-                raise FrobeniusError("kernel factor must be an object: %r" % (fd,))
-            if "cyclic" in fd:
-                units = fd.get("units", [])
-                if not (_json_ints(fd["cyclic"], 0) and _json_ints(units, 1)):
-                    raise FrobeniusError("cyclic factor needs an integer modulus and "
-                                         "a list of integer units: %r" % (fd,))
-                factors.append(CyclicFactor(fd["cyclic"], tuple(units)))
-            elif "elem_abelian" in fd:
-                mats = fd.get("matrices", [])
-                if not (_json_ints(fd["elem_abelian"], 1) and len(fd["elem_abelian"]) == 2
-                        and _json_ints(mats, 3)):
-                    raise FrobeniusError("elem_abelian factor needs [p, dim] and a list "
-                                         "of integer matrices: %r" % (fd,))
-                p, dim = fd["elem_abelian"]
-                factors.append(ElementaryAbelianFactor(
-                    p, dim, tuple(tuple(tuple(row) for row in M) for M in mats)))
-            else:
-                raise FrobeniusError("kernel factor needs 'cyclic' or 'elem_abelian': %r" % (fd,))
-        return cls(tuple(factors), d["complement_order"])
 
 
 def build_frobenius(spec: FrobeniusSpec) -> PermGroup:

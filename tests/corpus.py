@@ -28,8 +28,8 @@ these families up to n" and grows with the corpus.  The families:
   coherent.
 
 Beside them are the colourings the closures start from, the helpers
-that make variants, and `write_scheme`, which writes a scheme file as
-the CLI reads it.  Nothing here imports a test module.
+that make variants, `write_scheme`, which writes a scheme file as the
+CLI reads it, and `spec_document`, the spec file of a Frobenius spec.  Nothing here imports a test module.
 """
 
 import json
@@ -40,6 +40,7 @@ import numpy as np
 from pfscheme.arith import difference_table
 from pfscheme.catalog import batch_specs
 from pfscheme.circulants import CirculantSpec, circulant_from_connection, color_matrix, frobenius_circulant
+from pfscheme.frobenius import CyclicFactor
 from pfscheme.scheme import Scheme, canonical_relabel, frobenius_scheme, wl_closure
 from pfscheme.spreads import desarguesian_spread, hall_spread, spread_scheme
 
@@ -166,7 +167,19 @@ def swapped_thin_scheme(n=12):
     return swap_pairs(zn_table(n), (1, 3), (2, 7))
 
 
-# -- scheme files -----------------------------------------------------------
+# -- scheme and spec files --------------------------------------------------
+
+
+def spec_document(spec):
+    """The spec file of a `FrobeniusSpec` (the `cli` docstring's format)."""
+    kernel = []
+    for f in spec.kernel_factors:
+        if isinstance(f, CyclicFactor):
+            kernel.append({"cyclic": f.modulus, "units": list(f.units)})
+        else:
+            kernel.append({"elem_abelian": [f.p, f.dim],
+                           "matrices": [[list(row) for row in M] for M in f.matrices]})
+    return {"kernel": kernel, "complement_order": spec.complement_order}
 
 
 def scheme_document(s, **fields):

@@ -17,6 +17,7 @@ from pfscheme.catalog import (
 )
 from pfscheme.frobenius import FrobeniusError, invariant_lattice
 from pfscheme.scheme import frobenius_scheme
+import corpus
 
 DATA = Path(__file__).parent / "data"
 
@@ -80,5 +81,5 @@ def test_the_scalar_factor_specs_are_the_frozen_ones():
     assert sorted(frozen) == sorted(name for name in specs
                                     if not name.startswith(("neg-", "cyc-")))
     for name, want in frozen.items():
-        assert specs[name].to_json_dict() == want["spec"], name
+        assert corpus.spec_document(specs[name]) == want["spec"], name
         assert frobenius_scheme(specs[name]).fingerprint() == want["fingerprint"], name

@@ -994,7 +994,7 @@ def test_specs_past_the_table_bound_exit_2(tmp_path, capsys, monkeypatch):
     from pfscheme import frobenius
 
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(scalar_spec(3, 2).to_json_dict()))
+    spec.write_text(json.dumps(corpus.spec_document(scalar_spec(3, 2))))
     monkeypatch.setattr(frobenius, "MAX_TABLE_ENTRIES", 17)    # k n = 2 * 9
     monkeypatch.setattr(frobenius, "_generator_tables", lambda spec: pytest.fail("table built"))
     for argv in (["classify", "thm2", "--scalar", "3,2"],
@@ -1012,7 +1012,7 @@ def test_a_spec_is_classified_without_its_lattice(tmp_path, capsys, monkeypatch)
     from pfscheme import lattice
 
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(scalar_spec(3, 2).to_json_dict()))
+    spec.write_text(json.dumps(corpus.spec_document(scalar_spec(3, 2))))
     argvs = (["classify", "thm2", "--scalar", "3,2"],
              ["check", "separability", "--spec", str(spec)])
     unbounded = [run_cli(capsys, *argv) for argv in argvs]

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pfscheme import frobenius
+from pfscheme import cli, frobenius
 from pfscheme.arith import digit_add, digit_strides
 from pfscheme.catalog import (
     batch_specs,
@@ -30,6 +30,7 @@ from pfscheme.frobenius import (
 from pfscheme.parabolic import separability_verdict
 from pfscheme.perms import PermGroup, Permutation
 from pfscheme.scheme import from_orbitals
+import corpus
 from oracles import (
     _lattice_route,
     _least_cover_chain,
@@ -304,9 +305,11 @@ def test_a_chain_step_that_is_not_a_multiple_of_k_is_refused(monkeypatch, name):
     assert lattices == []
 
 
-def test_spec_json_round_trip():
+def test_spec_json_round_trip(tmp_path):
+    path = tmp_path / "spec.json"
     for spec in (negation_spec(21), mixed_spec(7, 2, 4), scalar_spec(9)):
-        again = FrobeniusSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+        path.write_text(json.dumps(corpus.spec_document(spec)))
+        again = cli._load_spec(str(path))
         assert again == spec
         assert again.kernel_order == spec.kernel_order
 

@@ -1,7 +1,7 @@
 """The layout of the test suite: exact references live in oracles.py, named
 schemes in corpus.py, and no test module imports another.  In the package,
 only `arith` and `scheme` name the difference table, `cli` alone reads
-scheme files, and `cli` alone writes reports."""
+scheme and spec files, and `cli` alone writes reports."""
 
 import ast
 from functools import cache
@@ -140,14 +140,23 @@ def report_exceptions():
             for record, entry in zip(table.keys, table.values)}
 
 
+def test_cli_alone_reads_spec_files():
+    # one parser of the spec format, read by the three --spec commands, and
+    # no other module of the package that reads or writes JSON
+    modules = package()
+    assert sorted((module, fn) for module, tree in modules.items()
+                  for fn in referrers(tree, "_load_spec")) \
+        == [("cli", "_spec_from_args"), ("cli", "cmd_check_separability")]
+    assert [name for name, tree in modules.items() if "json" in imported(tree)] == ["cli"]
+
+
 def test_cli_alone_writes_reports():
-    # one encoder, `cli._plain`: no record keeps a JSON form but the spec
-    # file's, and each exception of `cli._REPORT` names a field of a record,
-    # so that a renamed field cannot leave the table unseen
-    assert sorted(node.name for tree in package().values() for node in ast.walk(tree)
-                  if isinstance(node, ast.ClassDef)
-                  and any(isinstance(item, ast.FunctionDef) and item.name == "to_json_dict"
-                          for item in node.body)) == ["FrobeniusSpec"]
+    # one encoder, `cli._plain`: no class keeps a JSON form, and each
+    # exception of `cli._REPORT` names a field of a record, so that a
+    # renamed field cannot leave the table unseen
+    assert [(node.name, item.name) for tree in package().values() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name.endswith("_json_dict")] == []
     records, table = namedtuples(), report_exceptions()
     assert {"TConditionWitness", "WlVerdict", "FrobeniusScreen"} <= set(records)
     assert table and sorted(set(table) - set(records)) == []
