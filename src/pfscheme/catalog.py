@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arith import is_prime, mult_order
-from .frobenius import CyclicFactor, ElementaryAbelianFactor, FrobeniusSpec
+from .frobenius import CyclicFactor, ElementaryAbelianFactor, FrobeniusError, FrobeniusSpec
 
 KERNEL_CAP = 4000
 
@@ -28,7 +28,14 @@ def negation_spec(m: int) -> FrobeniusSpec:
 
 
 def cyclic_unit_spec(m: int, u: int) -> FrobeniusSpec:
-    return FrobeniusSpec((CyclicFactor(m, (u,)),), mult_order(u, m))
+    # the tables hold k m entries: no order past MAX_TABLE_ENTRIES // m is stepped to
+    from .frobenius import MAX_TABLE_ENTRIES
+    factor = CyclicFactor(m, (u,))
+    for k in range(1, MAX_TABLE_ENTRIES // m + 1):
+        if pow(u, k, m) == 1:
+            return FrobeniusSpec((factor,), k)
+    raise FrobeniusError("spec too large: the tables of Z_%d under %d pass %d entries"
+                         % (m, u, MAX_TABLE_ENTRIES))
 
 
 def _scalar_factor(q: int, k: int, dim: int) -> ElementaryAbelianFactor:

@@ -55,6 +55,9 @@ from . import lattice
 
 PASS, INPUT_ERROR, CHECK_FAILED, UNRESOLVED = 0, 2, 3, 4
 GLOBAL_DEFAULTS = {"format": "json", "seed": 0}
+# The most pairs of an n x n table that `gen` and `classify wl` build: n = 10^4.  At
+# 21 bytes a pair (BENCH_scale.json: classify-wl-4913, 504 MB at 24.1 M) that is 2.1 GB.
+MAX_PAIRS = 10**8
 
 
 # The fields a report writes other than as themselves, by record type name:
@@ -255,6 +258,11 @@ def _parse_ints(raw: str) -> list[int]:
         raise SystemExit(_fail("expected a comma-separated integer list, got %r" % raw))
 
 
+def _check_order(n: int) -> None:
+    if n > 0 and n * n > MAX_PAIRS:
+        raise SystemExit(_fail("n = %d is too large: its n x n table passes %d" % (n, MAX_PAIRS)))
+
+
 def _json_ints(value, depth: int) -> bool:
     """True when value is an integer (depth 0) or a list of depth - 1 values."""
     if depth == 0:
@@ -335,6 +343,7 @@ def _spec_from_args(args):
 def _circulant_from_args(args):
     """The circulant of --n with --units/--reps, or else with --conn."""
     from .circulants import CirculantSpec, circulant_from_connection, frobenius_circulant
+    _check_order(args.n)
     try:
         if args.units:
             spec = CirculantSpec(args.n, tuple(_parse_ints(args.units)),
@@ -358,10 +367,13 @@ def cmd_gen(args) -> int:
         try:
             if args.kind == "frobenius":
                 from .scheme import frobenius_scheme
-                scheme = frobenius_scheme(_spec_from_args(args))
+                spec = _spec_from_args(args)
+                _check_order(spec.kernel_order)
+                scheme = frobenius_scheme(spec)
                 payload = {"valency": scheme.is_equivalenced()}
             else:
                 from .spreads import desarguesian_spread, hall_spread, spread_scheme
+                _check_order(args.q**2)
                 scheme = spread_scheme(hall_spread(args.q) if args.plane == "hall"
                                        else desarguesian_spread(args.q))
                 payload = {"plane": args.plane}

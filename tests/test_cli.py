@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -889,7 +890,7 @@ def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
         raise MemoryError("Unable to allocate 5.96 GiB for an array")
 
     monkeypatch.setattr(wldim, "dimwl_verdict", too_large)
-    code, out, err = run_cli(capsys, "classify", "wl", "--n", "40000", "--conn", "1,-1")
+    code, out, err = run_cli(capsys, "classify", "wl", "--n", "10000", "--conn", "1,-1")
     assert (code, out) == (2, "")
     assert err == "error: out of memory: Unable to allocate 5.96 GiB for an array\n"
 
@@ -1004,6 +1005,48 @@ def test_specs_past_the_table_bound_exit_2(tmp_path, capsys, monkeypatch):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
         assert "spec too large" in err and "more than 17" in err, argv
+
+
+def exits_2_at_once(capsys, argv, reason):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0, argv
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "circulant", "--n", "99999999999999999999", "--conn", "1"],
+    ["classify", "wl", "--n", "99999999999999999999", "--conn", "1,-1"],
+    ["classify", "wl", "--n", "40000", "--conn", "1,-1"],
+    ["gen", "spread", "--q", "1024"],
+])
+def test_orders_past_the_pair_bound_exit_2_at_once(capsys, argv):
+    exits_2_at_once(capsys, argv, "is too large")
+
+
+def test_the_pair_bound_is_checked_before_any_table(tmp_path, capsys, monkeypatch):
+    from pfscheme import circulants, scheme, spreads
+
+    argvs = (["gen", "circulant", "--n", "9", "--conn", "1,-1"],
+             ["classify", "wl", "--n", "9", "--conn", "1,-1"],
+             ["gen", "spread", "--q", "3"],
+             ["gen", "frobenius", "--cyclic", "9,8"])
+    admitted = [run_cli(capsys, *argv)[0] for argv in argvs]
+    assert 2 not in admitted
+    monkeypatch.setattr(cli, "MAX_PAIRS", 80)                  # n = 9 has 81 pairs
+    for module, name in ((circulants, "circulant_from_connection"),
+                         (spreads, "desarguesian_spread"), (scheme, "frobenius_scheme")):
+        monkeypatch.setattr(module, name, lambda *a: pytest.fail("table built"))
+    for argv in argvs:
+        exits_2_at_once(capsys, argv, "n = 9 is too large")
+
+
+@pytest.mark.parametrize("command", [["classify", "thm2"], ["gen", "frobenius"]])
+@pytest.mark.parametrize("value", ["33554393,3", "99999999999999999999,2"])
+def test_cyclic_specs_past_the_table_bound_exit_2_at_once(capsys, command, value):
+    # the order of the unit is stepped to MAX_TABLE_ENTRIES // M at most
+    exits_2_at_once(capsys, [*command, "--cyclic", value], "spec too large")
 
 
 def test_a_spec_is_classified_without_its_lattice(tmp_path, capsys, monkeypatch):
