@@ -513,8 +513,9 @@ def cmd_iso_induced(args) -> int:
 
 def cmd_classify_thm2(args) -> int:
     from .frobenius import FrobeniusError, thm2_profile
+    spec = _spec_from_args(args)
     try:
-        profile = thm2_profile(_spec_from_args(args))
+        profile = thm2_profile(spec)
     except FrobeniusError as exc:
         return _fail(str(exc))
     _emit(_plain(profile), args.format)

@@ -1018,14 +1018,14 @@ def exits_2_at_once(capsys, argv, reason):
 @pytest.mark.parametrize("argv", [
     ["gen", "circulant", "--n", "99999999999999999999", "--conn", "1"],
     ["classify", "wl", "--n", "99999999999999999999", "--conn", "1,-1"],
-    ["classify", "wl", "--n", "40000", "--conn", "1,-1"],
-    ["gen", "spread", "--q", "1024"],
 ])
 def test_orders_past_the_pair_bound_exit_2_at_once(capsys, argv):
+    # numpy refuses these dimensions itself, so no large table is tried
+    # should the bound fail; the other tests set the bound small
     exits_2_at_once(capsys, argv, "is too large")
 
 
-def test_the_pair_bound_is_checked_before_any_table(tmp_path, capsys, monkeypatch):
+def test_the_pair_bound_is_checked_before_any_table(capsys, monkeypatch):
     from pfscheme import circulants, scheme, spreads
 
     argvs = (["gen", "circulant", "--n", "9", "--conn", "1,-1"],
